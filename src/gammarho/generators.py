@@ -9,7 +9,6 @@ the same graph on any platform.
 
 from __future__ import annotations
 
-import math
 import random
 from itertools import combinations, permutations
 
@@ -103,27 +102,30 @@ def gen_random_connected(n: int, seed: int) -> Graph:
     raise RuntimeError("could not draw a connected graph")
 
 
-_CATALAN = [math.comb(2 * i, i) // (i + 1) for i in range(40)]
-
-
 def gen_random_mop(n: int, seed: int) -> Graph:
     """Uniformly random triangulation of a convex n-gon (equivalently a
     maximal outerplanar graph with boundary 0..n-1).
 
     The apex for the base edge of an m-gon splits it into sub-polygons
     counted by Catalan numbers, so drawing the apex with those exact
-    integer weights gives the uniform distribution.
+    integer weights gives the uniform distribution.  Sub-polygons are
+    filled from an explicit stack, left before right, so any n works and
+    the random draws come in the same order as a recursive fill.
     """
     if n < 3:
         raise ValueError("need n >= 3")
+    catalan = [1]
+    for i in range(n - 3):
+        catalan.append(catalan[-1] * 2 * (2 * i + 1) // (i + 2))
     rng = random.Random(seed)
     edges = {(i, (i + 1) % n) for i in range(n)}
-
-    def fill(seg: list[int]) -> None:
-        m = len(seg)
+    stack = [(0, n - 1)]  # sub-polygons seg[lo..hi] of the boundary
+    while stack:
+        lo, hi = stack.pop()
+        m = hi - lo + 1
         if m < 3:
-            return
-        weights = [_CATALAN[k - 1] * _CATALAN[m - k - 2] for k in range(1, m - 1)]
+            continue
+        weights = [catalan[k - 1] * catalan[m - k - 2] for k in range(1, m - 1)]
         r = rng.randrange(sum(weights))
         k = 1
         for w in weights:
@@ -131,12 +133,10 @@ def gen_random_mop(n: int, seed: int) -> Graph:
                 break
             r -= w
             k += 1
-        edges.add((seg[0], seg[k]))
-        edges.add((seg[k], seg[-1]))
-        fill(seg[:k + 1])
-        fill(seg[k:])
-
-    fill(list(range(n)))
+        edges.add((lo, lo + k))
+        edges.add((lo + k, hi))
+        stack.append((lo + k, hi))
+        stack.append((lo, lo + k))
     return Graph.from_edges(n, edges)
 
 
@@ -259,45 +259,118 @@ def _bicubic_canonical(rows: tuple[int, ...], m: int) -> tuple:
     return best
 
 
+def _connected_isomorphic(g: Graph, h: Graph) -> bool:
+    """Exact isomorphism test for a connected graph g against a graph h.
+
+    Backtracking over g's vertices in BFS order: the root may map anywhere,
+    every later vertex maps to an unused neighbour of its parent's image
+    with the same degree and the same adjacency to everything mapped so
+    far.  Meant for the small graphs of the exhaustive lists; the recursion
+    is as deep as g has vertices.
+    """
+    n = g.n
+    if n != h.n or sorted(map(len, g.adj)) != sorted(map(len, h.adj)):
+        return False
+    if n == 0:
+        return True
+    order, parent = [0], {0: 0}
+    for v in order:
+        for u in g.adj[v]:
+            if u not in parent:
+                parent[u] = v
+                order.append(u)
+    if len(order) < n:
+        raise ValueError("isomorphism test needs a connected first graph")
+    h_masks = [sum(1 << u for u in nbrs) for nbrs in h.adj]
+    image = [0] * n
+
+    def extend(i: int, mapped: int, used: int) -> bool:
+        if i == n:
+            return True
+        v = order[i]
+        want = 0
+        for u in g.adj[v]:
+            if (mapped >> u) & 1:
+                want |= 1 << image[u]
+        for y in h.adj[image[parent[v]]]:
+            if ((used >> y) & 1 or len(h.adj[y]) != len(g.adj[v])
+                    or h_masks[y] & used != want):
+                continue
+            image[v] = y
+            if extend(i + 1, mapped | 1 << v, used | 1 << y):
+                return True
+        return False
+
+    for y in range(n):
+        if len(h.adj[y]) == len(g.adj[0]):
+            image[0] = y
+            if extend(1, 1, 1 << y):
+                return True
+    return False
+
+
+def _common_neighbour_profile(g: Graph) -> tuple:
+    """Isomorphism invariant: for each vertex the sorted counts of common
+    neighbours with every other vertex, sorted over the vertices."""
+    masks = [sum(1 << u for u in nbrs) for nbrs in g.adj]
+    return tuple(sorted(
+        tuple(sorted(bin(a & b).count("1") for b in masks)) for a in masks
+    ))
+
+
 def enumerate_bicubic(n: int) -> list[Graph]:
     """Every connected cubic bipartite graph on n vertices, one per
     isomorphism class, in a deterministic order.  Supported for
-    n in {6, 8, 10, 12}; larger orders come from external corpora."""
-    if n not in (6, 8, 10, 12):
-        raise ValueError("exhaustive enumeration supports n in {6, 8, 10, 12}")
+    n in {6, 8, 10, 12, 14}; larger orders come from external corpora.
+
+    The search lists biadjacency matrices as nondecreasing row multisets
+    with column sums 3, starting from the row {0, 1, 2} (every class has a
+    labelling with that row, and it sorts first).  Connected candidates are
+    bucketed by their common-neighbour profile and kept only if an exact
+    isomorphism test rejects every representative in the bucket, so the
+    costly _bicubic_canonical, which defines the output order and labels,
+    runs once per class.
+    """
+    if n not in (6, 8, 10, 12, 14):
+        raise ValueError("exhaustive enumeration supports n in {6, 8, 10, 12, 14}")
     m = n // 2
-    row_types = [sum(1 << c for c in combo) for combo in combinations(range(m), 3)]
+    combos = list(combinations(range(m), 3))
+    row_types = [sum(1 << c for c in combo) for combo in combos]
 
-    seen: set[tuple] = set()
-    chosen: list[int] = []
-
-    def colsums() -> list[int]:
-        return [sum((r >> j) & 1 for r in chosen) for j in range(m)]
+    buckets: dict[tuple, list[Graph]] = {}
+    forms: list[tuple] = []
+    chosen = [row_types[0]]
+    sums = [1 if j < 3 else 0 for j in range(m)]
 
     def extend(start: int) -> None:
-        if len(chosen) == m:
-            if all(s == 3 for s in colsums()):
-                g = Graph.from_edges(
-                    n,
-                    [(i, m + j) for i, r in enumerate(chosen)
-                     for j in range(m) if (r >> j) & 1],
-                )
-                if g.is_connected():
-                    seen.add(_bicubic_canonical(tuple(chosen), m))
-            return
         left = m - len(chosen)
-        sums = colsums()
         if any(s > 3 or 3 - s > left for s in sums):
+            return
+        if not left:  # every column sum is 3
+            g = Graph.from_edges(
+                n,
+                [(i, m + j) for i, r in enumerate(chosen)
+                 for j in range(m) if (r >> j) & 1],
+            )
+            if g.is_connected():
+                bucket = buckets.setdefault(_common_neighbour_profile(g), [])
+                if not any(_connected_isomorphic(g, h) for h in bucket):
+                    bucket.append(g)
+                    forms.append(_bicubic_canonical(tuple(chosen), m))
             return
         for idx in range(start, len(row_types)):
             chosen.append(row_types[idx])
-            extend(idx)  # rows kept nondecreasing; permutations canonicalize
+            for j in combos[idx]:
+                sums[j] += 1
+            extend(idx)  # rows kept nondecreasing
+            for j in combos[idx]:
+                sums[j] -= 1
             chosen.pop()
 
     extend(0)
 
     graphs = []
-    for cols in sorted(seen):
+    for cols in sorted(forms):
         edges = [
             (i, m + j)
             for j, col in enumerate(cols)

@@ -418,14 +418,13 @@ def default_scan_items() -> list[ScanItem]:
 def _exp_records_bicubic(item: ScanItem, budget: int) -> list[ScanRecord]:
     g = decode_graph6(item.graph6)
     records = check_bicubic_bounds(g, item.graph_id, budget)
-    gamma = domination_number(g, budget)
-    rho = packing_number(g, budget)
+    # check_bicubic_bounds solved both; every record carries the values
+    gamma, rho = records[-1].gamma, records[-1].rho
     records.append(
         ScanRecord(graph_id=item.graph_id, family=item.family, n=g.n,
                    check="gamma-le-2rho", kind="conjecture",
-                   holds=gamma.value <= 2 * rho.value,
-                   bound=bound_str(2 * rho.value),
-                   gamma=gamma.value, rho=rho.value)
+                   holds=gamma <= 2 * rho, bound=bound_str(2 * rho),
+                   gamma=gamma, rho=rho)
     )
     return records
 

@@ -136,9 +136,8 @@ def test_check_bicubic_bounds_record_set():
 
 
 def test_exhaustive_enumeration_counts():
-    # frozen after deriving the same counts from two independent
-    # enumeration orders; n = 6 is K_{3,3} and nothing else
-    expected = {6: 1, 8: 1, 10: 2, 12: 5}
+    # OEIS A006823; n = 6 is K_{3,3} and nothing else
+    expected = {6: 1, 8: 1, 10: 2, 12: 5, 14: 13}
     for n, count in expected.items():
         graphs = enumerate_bicubic(n)
         assert len(graphs) == count
@@ -162,5 +161,6 @@ def test_exhaustive_small_orders_satisfy_two_rho():
 
 
 def test_enumerate_rejects_other_orders():
-    with pytest.raises(ValueError):
-        enumerate_bicubic(14)
+    for n in (16, 13, 4, 0):
+        with pytest.raises(ValueError):
+            enumerate_bicubic(n)

@@ -112,6 +112,12 @@ def test_generate_tight(capsys):
     assert len(graphs) == 1 and graphs[0][0].n == 8
 
 
+def test_generate_large_mop(capsys):
+    assert cli.main(["generate", "--class", "mop", "--n", "43"]) == 0
+    graphs = list(iter_graph6_stream(capsys.readouterr().out.splitlines()))
+    assert len(graphs) == 1 and graphs[0][0].n == 43
+
+
 def test_scan_clean_corpus(tmp_path, capsys):
     path = write_g6(tmp_path, "in.g6", [gen_path(5), gen_cycle(6), gen_sun()])
     report = tmp_path / "report.jsonl"

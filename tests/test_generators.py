@@ -1,11 +1,16 @@
+from itertools import combinations
+
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import to_nx
 from gammarho.biconvex import validate_convex
 from gammarho.bicubic import validate_bicubic
 from gammarho.formats import encode_graph6
 from gammarho.generators import (
+    _bicubic_canonical,
+    _connected_isomorphic,
     enumerate_bicubic,
     gen_complete,
     gen_complete_bipartite,
@@ -24,6 +29,7 @@ from gammarho.generators import (
     heawood,
     petersen,
 )
+from gammarho.graphs import Graph
 from gammarho.outerplanar import recognize_mop
 from gammarho.solvers import brute_gamma, brute_rho, domination_number, packing_number
 
@@ -141,3 +147,109 @@ def test_enumerate_bicubic_is_deterministic():
     a = [encode_graph6(g) for g in enumerate_bicubic(10)]
     b = [encode_graph6(g) for g in enumerate_bicubic(10)]
     assert a == b and len(a) == 2
+
+
+# enumerate_bicubic(n) as graph6, in order, from the original version that
+# canonicalised every labelled candidate; the output must never change
+ENUMERATED_G6 = {
+    6: ["EFz_"],
+    8: ["G?]uf?"],
+    10: ["I??xuROw?", "I??ytROw?"],
+    12: ["K???wwksF?[?", "K???wxciE_[?", "K???xXSiE_[?", "K???xXSkEO[?",
+         "K???xXokEGX?"],
+}
+
+
+def test_enumerate_bicubic_output_is_pinned():
+    for n, expected in ENUMERATED_G6.items():
+        assert [encode_graph6(g) for g in enumerate_bicubic(n)] == expected
+
+
+def _forms_of_every_labelled_candidate(n: int) -> set:
+    """The original method: every nondecreasing row multiset with column
+    sums 3 that gives a connected graph, canonicalised one by one."""
+    m = n // 2
+    row_types = [sum(1 << c for c in combo) for combo in combinations(range(m), 3)]
+    forms = set()
+
+    def extend(start: int, chosen: list[int]) -> None:
+        sums = [sum((r >> j) & 1 for r in chosen) for j in range(m)]
+        if len(chosen) == m:
+            g = Graph.from_edges(n, [(i, m + j) for i, r in enumerate(chosen)
+                                     for j in range(m) if (r >> j) & 1])
+            if all(s == 3 for s in sums) and g.is_connected():
+                forms.add(_bicubic_canonical(tuple(chosen), m))
+            return
+        if any(s > 3 or 3 - s > m - len(chosen) for s in sums):
+            return
+        for idx in range(start, len(row_types)):
+            extend(idx, chosen + [row_types[idx]])
+
+    extend(0, [])
+    return forms
+
+
+def test_enumerate_bicubic_matches_per_candidate_canonicalisation():
+    for n in (6, 8, 10):
+        m = n // 2
+        rows = [
+            tuple(sum(1 << (u - m) for u in g.neighbors(i)) for i in range(m))
+            for g in enumerate_bicubic(n)
+        ]
+        expected = _forms_of_every_labelled_candidate(n)
+        assert {_bicubic_canonical(r, m) for r in rows} == expected
+        assert len(rows) == len(expected)
+
+
+def _relabel(g: Graph, perm: list[int], swap_sides: bool) -> Graph:
+    half = g.n // 2
+    shift = half if swap_sides else 0
+    image = [perm[(v + shift) % g.n] for v in range(g.n)]
+    return Graph.from_edges(g.n, [(image[u], image[v]) for u, v in g.edges()])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_isomorphism_helper_accepts_relabelled_copies(data):
+    n = data.draw(st.sampled_from([6, 8, 10, 12, 14, 16]))
+    g = gen_random_bicubic(n, data.draw(st.integers(0, 10**6)))
+    perm = data.draw(st.permutations(range(n)))
+    h = _relabel(g, perm, data.draw(st.booleans()))
+    assert _connected_isomorphic(g, h) and _connected_isomorphic(h, g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([8, 10, 12, 14]), st.integers(0, 10**6),
+       st.integers(0, 10**6))
+def test_isomorphism_helper_agrees_with_networkx(n, seed_a, seed_b):
+    g = gen_random_bicubic(n, seed_a)
+    h = gen_random_bicubic(n, seed_b)
+    assert _connected_isomorphic(g, h) == nx.is_isomorphic(to_nx(g), to_nx(h))
+
+
+# gen_random_mop(n, seed) as graph6 from the original recursive sampler
+MOP_G6 = {
+    (3, 0): "Bw",
+    (10, 1): "IhCGZs@oW",
+    (25, 7): "Xh^GGCB?G?_@?@?B_?G?@??C?Xw??G?_KAo@`_?G???_??B_??D",
+    (42, 3): "ihCWgcPCG?_@?@??_@w?@?EK??G?_X__C_?@???G??@_??@???B????_??@W???PW"
+             "??IC????G????W????T????Ho????K?????_????@?????@?????Bo????@K?????"
+             "@_?????E??????G",
+    (42, 11): "inCWGC@?GB_x?@??_?G?@??[?BG?KG?GC?C@???G???_??@???@???@_???g???X"
+              "???AC????G????G????[????@?????G?????_????B?????L?????W_?????GgG@"
+              "oQBc?????E??????G",
+}
+
+
+def test_random_mop_output_is_pinned():
+    for (n, seed), expected in MOP_G6.items():
+        assert encode_graph6(gen_random_mop(n, seed)) == expected
+
+
+def test_random_mop_beyond_42_vertices():
+    for n, seed in ((43, 0), (44, 5), (120, 2)):
+        g = gen_random_mop(n, seed)
+        assert g.m == 2 * n - 3
+        recognize_mop(g)
+    big = gen_random_mop(3000, 1)
+    assert big.n == 3000 and big.m == 2 * 3000 - 3 and big.is_connected()
