@@ -134,10 +134,6 @@ def _p_gamma_le_delta_rho(f: GraphFacts):
     return f.gamma <= f.delta * f.rho, bound_str(f.delta * f.rho), {}
 
 
-def _p_tree_eq(f: GraphFacts):
-    return f.gamma == f.rho, bound_str(f.rho), {}
-
-
 def _p_eq(f: GraphFacts):
     return f.gamma == f.rho, bound_str(f.rho), {}
 
@@ -187,11 +183,7 @@ def _p_mop_clique(f: GraphFacts):
     return cg_g == cg_r, bound_str(cg_r), {"cg_gamma": cg_g, "cg_rho": cg_r}
 
 
-def _p_mop_2rho(f: GraphFacts):
-    return f.gamma <= 2 * f.rho, bound_str(2 * f.rho), {}
-
-
-def _p_biconvex_2rho(f: GraphFacts):
+def _p_2rho(f: GraphFacts):
     return f.gamma <= 2 * f.rho, bound_str(2 * f.rho), {}
 
 
@@ -202,7 +194,7 @@ PREDICATES: dict[str, Predicate] = {
         Predicate("gamma-le-delta-rho", "theorem",
                   lambda f: f.graph.n >= 2, _p_gamma_le_delta_rho),
         Predicate("tree-gamma-eq-rho", "theorem",
-                  lambda f: "tree" in f.families, _p_tree_eq),
+                  lambda f: "tree" in f.families, _p_eq),
         Predicate("gamma-eq-rho", "conjecture", lambda f: True, _p_eq),
         Predicate("subcubic-gamma-le-2rho-plus-1", "conjecture",
                   lambda f: f.delta <= 3, _p_subcubic),
@@ -225,9 +217,9 @@ PREDICATES: dict[str, Predicate] = {
         Predicate("mop-clique-gamma-eq-rho", "theorem",
                   lambda f: "mop" in f.families, _p_mop_clique),
         Predicate("mop-gamma-le-2rho", "conjecture",
-                  lambda f: "mop" in f.families, _p_mop_2rho),
+                  lambda f: "mop" in f.families, _p_2rho),
         Predicate("biconvex-gamma-le-2rho", "theorem",
-                  lambda f: "biconvex" in f.families, _p_biconvex_2rho),
+                  lambda f: "biconvex" in f.families, _p_2rho),
     ]
 }
 
@@ -431,14 +423,12 @@ def _exp_records_bicubic(item: ScanItem, budget: int) -> list[ScanRecord]:
 
 def _exp_records_tight(item: ScanItem, budget: int, k: int) -> list[ScanRecord]:
     g = decode_graph6(item.graph6)
-    ordering = _item_ordering(item)
     gamma = domination_number(g, budget)
     rho = packing_number(g, budget)
     base = dict(graph_id=item.graph_id, family=item.family, n=g.n,
                 gamma=gamma.value, rho=rho.value)
     # k disjoint blocks, so the connected-graph certificate machinery does
     # not apply; the point of the family is the pair of exact values.
-    _ = ordering
     return [
         ScanRecord(check="tight-gamma-eq-2k", kind="theorem",
                    holds=gamma.value == 2 * k, bound=bound_str(2 * k), **base),

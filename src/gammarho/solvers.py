@@ -1,7 +1,14 @@
 """Exact solvers for the domination number (gamma) and the packing number
 (rho), plus deliberately independent brute-force oracles.
 
-Both solvers are branch and bound over Python int bitmasks:
+Both solvers work per connected component.  A forest component (a tree:
+m == n - 1) is solved without search by a linear-time greedy that returns
+a dominating set and a packing of equal size, which proves both optimal
+because rho <= gamma.  The pair is validated before use; it reports
+nodes = 0 and spends none of the budget.  Should the check ever fail, the
+component falls through to the search.
+
+Every other component is branch and bound over Python int bitmasks:
 
 * gamma solves the covering IP  min sum x_v  s.t.  x(N[v]) >= 1.  At each
   node it picks an undominated vertex of minimum degree (ties to the
@@ -28,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import Graph
+from .graphs import Graph, is_dominating, is_packing
 
 DEFAULT_BUDGET = 10_000_000
 BRUTE_CAP = 24
@@ -86,9 +93,63 @@ def _greedy_packing_bound(masks, undominated: int) -> int:
     return count
 
 
+def _tree_certificate(sub: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Dominating set D and packing P of the tree `sub` with |D| = |P|.
+
+    Since rho <= gamma always, equal sizes prove both optimal (on trees
+    gamma = rho, Meir-Moon 1975).  Deepest-first greedy in the style of
+    Cockayne-Goodman-Hedetniemi (1975): root at 0, walk a BFS order with
+    ascending neighbors from its end, and for each still undominated v put
+    v in P and its parent (v itself at the root) in D.  The pair is checked
+    before it is returned; None means the check failed and the caller must
+    search instead.
+
+    One refinement: when v's parent is the root and no neighbor of the
+    root is in D yet, the root goes into P in v's place.  Every earlier P
+    vertex then lies at depth >= 3, so N[root] misses its neighborhood, and
+    the root's entry into D ends the walk.  With it K2 gets the packing (0,)
+    that the search returns; the mop reports lift the clique-graph packing
+    of 4-vertex mops, whose clique graph is K2, so their bytes do not depend
+    on which of the two solved it.
+    """
+    n = sub.n
+    parent = [-1] * n
+    order = [0]
+    seen = [False] * n
+    seen[0] = True
+    for v in order:  # the list grows while it is walked: an iterative BFS
+        for u in sub.adj[v]:
+            if not seen[u]:
+                seen[u] = True
+                parent[u] = v
+                order.append(u)
+    dominated = [False] * n
+    dom: set[int] = set()
+    pack: list[int] = []
+    for v in reversed(order):
+        if dominated[v]:
+            continue
+        p = v if parent[v] < 0 else parent[v]
+        if p == 0 and dom.isdisjoint(sub.adj[0]):
+            v = 0
+        pack.append(v)
+        dom.add(p)
+        dominated[p] = True
+        for u in sub.adj[p]:
+            dominated[u] = True
+    d, pk = tuple(sorted(dom)), tuple(sorted(pack))
+    if len(d) != len(pk) or not is_dominating(sub, d) or not is_packing(sub, pk):
+        return None
+    return d, pk
+
+
 def _solve_gamma_component(g: Graph, order: tuple[int, ...], budget: int,
                            spent: int) -> tuple[int, tuple[int, ...], int]:
     sub, originals = g.induced(order)
+    if sub.m == sub.n - 1:
+        cert = _tree_certificate(sub)
+        if cert is not None:
+            return len(cert[0]), tuple(originals[v] for v in cert[0]), 0
     n = sub.n
     masks = sub.closed_masks
     full = (1 << n) - 1
@@ -173,6 +234,10 @@ def _greedy_clique_cover_bound(cmasks, candidates: int) -> int:
 def _solve_rho_component(g: Graph, order: tuple[int, ...], budget: int,
                          spent: int) -> tuple[int, tuple[int, ...], int]:
     sub, originals = g.induced(order)
+    if sub.m == sub.n - 1:
+        cert = _tree_certificate(sub)
+        if cert is not None:
+            return len(cert[1]), tuple(originals[v] for v in cert[1]), 0
     n = sub.n
     cmasks = _conflict_masks(sub)
     conflict_deg = [cmasks[v].bit_count() - 1 for v in range(n)]

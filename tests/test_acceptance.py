@@ -97,11 +97,22 @@ def test_criterion_1_oracle_equivalence():
 
 
 def test_criterion_2_trees_gamma_equals_rho():
-    with criterion(2, "300 random trees n<=40: gamma == rho exactly"):
+    # The solvers certify trees by |D| == |P|, so gamma == rho alone would
+    # only restate that; the witnesses and, for n <= 20, brute force check
+    # the values independently.
+    with criterion(2, "300 random trees n<=40: gamma == rho exactly, witnesses "
+                      "valid, brute force agrees for n<=20"):
         for seed in range(300):
             g = gen_random_tree(2 + seed % 39, seed)
             assert g.is_tree()
-            assert domination_number(g).value == packing_number(g).value
+            gamma = domination_number(g)
+            rho = packing_number(g)
+            assert gamma.value == rho.value
+            assert len(gamma.witness) == gamma.value and is_dominating(g, gamma.witness)
+            assert len(rho.witness) == rho.value and is_packing(g, rho.witness)
+            if g.n <= 20:
+                assert gamma.value == brute_gamma(g)
+                assert rho.value == brute_rho(g)
 
 
 def test_criterion_3_exhaustive_small_bicubic():

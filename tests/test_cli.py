@@ -30,11 +30,16 @@ def test_compute(tmp_path, capsys):
 
 
 def test_compute_budget_inconclusive(tmp_path, capsys):
-    path = write_g6(tmp_path, "in.g6", [gen_random_biconvex(8, 8, 0)[0]])
+    # seed 1 has cycles and needs search; seed 0 is a tree, which the
+    # solvers certify without spending any budget
+    graphs = [gen_random_biconvex(8, 8, 1)[0], gen_random_biconvex(8, 8, 0)[0]]
+    path = write_g6(tmp_path, "in.g6", graphs)
     assert cli.main(["compute", "--input", path, "--budget", "1"]) == 0
     rows = out_rows(capsys)
     assert rows[0]["inconclusive"] is True
     assert "range" in rows[0]
+    assert graphs[1].is_tree()
+    assert rows[1]["gamma"] == rows[1]["rho"] and rows[1]["nodes"] == 0
 
 
 def test_certify_tree(tmp_path, capsys):

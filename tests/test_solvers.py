@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gammarho.generators import (
     gen_complete_bipartite,
     gen_cycle,
     gen_path,
     gen_random_connected,
+    gen_random_tree,
     gen_rook,
     gen_sun,
     generalized_petersen,
@@ -148,3 +150,95 @@ def test_rho_le_gamma_on_random_corpus():
         gamma = domination_number(g).value
         rho = packing_number(g).value
         assert rho <= gamma <= g.max_degree() * rho
+
+
+def test_long_paths_and_large_trees_do_not_recurse():
+    # deeper than Python's default recursion limit for both searches
+    g = gen_path(3300)
+    gamma = domination_number(g)
+    rho = packing_number(g)
+    assert gamma.value == path_gamma(3300) == len(gamma.witness)
+    assert rho.value == path_rho(3300) == len(rho.witness)
+    assert is_dominating(g, gamma.witness) and is_packing(g, rho.witness)
+    rng = random.Random(5)
+    deep = Graph.from_edges(5000, [(rng.randrange(max(0, v - 3), v), v)
+                                   for v in range(1, 5000)])
+    for t in (gen_random_tree(5000, 3), deep):
+        gamma = domination_number(t)
+        rho = packing_number(t)
+        assert gamma.value == rho.value
+        assert gamma.nodes == rho.nodes == 0
+        assert len(gamma.witness) == gamma.value and is_dominating(t, gamma.witness)
+        assert len(rho.witness) == rho.value and is_packing(t, rho.witness)
+
+
+def test_forest_components_inside_cyclic_graphs_use_no_budget():
+    # P_3 + C_5: the path is certified, only the cycle is searched
+    g = Graph.from_edges(8, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 7), (3, 7)])
+    cycle, _ = g.induced(range(3, 8))
+    assert domination_number(g).nodes == domination_number(cycle).nodes
+    assert packing_number(g).nodes == packing_number(cycle).nodes
+    assert domination_number(g).value == 1 + cycle_gamma(5)
+    assert packing_number(g).value == 1 + cycle_rho(5)
+
+
+@st.composite
+def forests(draw, max_n=16):
+    """A labelled forest: each vertex after the first hangs off an earlier
+    one or starts a new component, then the labels are shuffled."""
+    n = draw(st.integers(1, max_n))
+    edges = []
+    for v in range(1, n):
+        p = draw(st.one_of(st.none(), st.integers(0, v - 1)))
+        if p is not None:
+            edges.append((p, v))
+    perm = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@st.composite
+def forests_plus_cycle(draw):
+    """A forest beside one component that has a cycle (a cycle with some
+    chords), labels shuffled across both."""
+    forest = draw(forests(max_n=12))
+    k = draw(st.integers(3, 7))
+    edges = {(i, (i + 1) % k) for i in range(k)}
+    edges |= set(draw(st.lists(st.tuples(st.integers(0, k - 1),
+                                          st.integers(0, k - 1))
+                               .filter(lambda e: e[0] != e[1]), max_size=3)))
+    n = forest.n + k
+    perm = draw(st.permutations(range(n)))
+    all_edges = list(forest.edges()) + [(forest.n + u, forest.n + v) for u, v in edges]
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in all_edges])
+
+
+def _check_exact(g):
+    gamma = domination_number(g)
+    rho = packing_number(g)
+    assert gamma.value == brute_gamma(g) == len(gamma.witness)
+    assert rho.value == brute_rho(g) == len(rho.witness)
+    assert is_dominating(g, gamma.witness) and is_packing(g, rho.witness)
+    assert domination_number(g) == gamma and packing_number(g) == rho
+    return gamma, rho
+
+
+@settings(max_examples=150, deadline=None)
+@given(forests())
+def test_forests_match_brute_force_without_search(g):
+    gamma, rho = _check_exact(g)
+    assert gamma.value == rho.value
+    assert gamma.nodes == rho.nodes == 0
+    assert domination_number(g, budget=1) == gamma
+    assert packing_number(g, budget=1) == rho
+
+
+@settings(max_examples=100, deadline=None)
+@given(forests_plus_cycle())
+def test_forest_plus_cycle_matches_brute_force_and_budget_bounds(g):
+    gamma, rho = _check_exact(g)
+    with pytest.raises(BudgetExceeded) as err:
+        domination_number(g, budget=1)
+    assert err.value.lower <= gamma.value <= err.value.upper
+    with pytest.raises(BudgetExceeded) as err:
+        packing_number(g, budget=1)
+    assert err.value.lower <= rho.value <= err.value.upper
