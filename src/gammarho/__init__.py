@@ -58,6 +58,7 @@ from .bicubic import (
 )
 from .outerplanar import (
     DualTree,
+    MopFacts,
     NotMaximalOuterplanar,
     Triangulation,
     averaged_dominating,
@@ -66,6 +67,8 @@ from .outerplanar import (
     check_mop_bounds,
     lift_packing,
     low_degree_count,
+    mop_facts,
+    mop_records,
     project_dominating,
     recognize_mop,
     tokunaga_color,
@@ -77,6 +80,7 @@ from .biconvex import (
     Certificate,
     ConvexOrdering,
     TrimmedCore,
+    biconvex_records,
     cb_decompose,
     check_biconvex_bound,
     construct_dominating,

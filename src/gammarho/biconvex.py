@@ -441,10 +441,17 @@ def check_biconvex_bound(g: Graph, ordering: ConvexOrdering,
                                 "dom_method": "singleton", "width": 0},
                        **base),
         ]
-    core = trim_core(g, ordering)
-    decomp = cb_decompose(g, core)
-    pack = construct_packing(g, decomp)
-    dom = construct_dominating(g, decomp)
+    decomp = cb_decompose(g, trim_core(g, ordering))
+    return biconvex_records(g, decomp, construct_packing(g, decomp),
+                            construct_dominating(g, decomp), graph_id, budget)
+
+
+def biconvex_records(g: Graph, decomp: CBDecomposition, pack: Certificate,
+                     dom: Certificate, graph_id: str,
+                     budget: int) -> list[ScanRecord]:
+    """The records of check_biconvex_bound for n >= 2, from certificates
+    the caller has already built from `decomp`."""
+    core = decomp.core
     gamma = domination_number(g, budget)
     rho = packing_number(g, budget)
     detail = {

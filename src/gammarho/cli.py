@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import sys
 
 from .biconvex import (
     ConvexOrdering,
     cb_decompose,
-    check_biconvex_bound,
+    biconvex_records,
     construct_dominating,
     construct_packing,
     trim_core,
@@ -54,7 +55,7 @@ from .graphs import CertificateError
 from .harness import (
     DEFAULT_PREDICATES,
     EXPERIMENTS,
-    _exp_records_mop,
+    budget_record,
     default_scan_items,
     make_item,
     run_experiment,
@@ -64,8 +65,9 @@ from .harness import (
 )
 from .outerplanar import (
     averaged_dominating,
-    build_clique_graph,
     build_dual,
+    mop_facts,
+    mop_records,
     project_dominating,
     recognize_mop,
     tokunaga_color,
@@ -140,12 +142,26 @@ def cmd_compute(args) -> int:
 
 
 def _record_dicts(records):
-    return [json.loads(r.to_json()) for r in records]
+    return [dataclasses.asdict(r) for r in records]
 
 
 def _certify_one(idx, g, ordering, cls, budget) -> tuple[dict, list]:
+    """Certificate bundle and records of one graph.  A solve that exhausts
+    the budget leaves the bundle one solver-budget record and no
+    certificates."""
     gid = f"{cls}-{idx}"
-    bundle: dict = {"graph_id": gid, "n": g.n, "m": g.m}
+    try:
+        certs, records = _certify_class(gid, g, ordering, cls, budget)
+    except BudgetExceeded as exc:
+        certs, records = {}, [budget_record(gid, cls, g.n, exc)]
+    bundle = {"graph_id": gid, "n": g.n, "m": g.m, **certs,
+              "records": _record_dicts(records)}
+    return bundle, records
+
+
+def _certify_class(gid, g, ordering, cls, budget) -> tuple[dict, list]:
+    """The class's certificates, keyed as in the bundle, and its records."""
+    certs: dict = {}
     if cls in ("any", "tree"):
         if cls == "tree" and not g.is_tree():
             raise ValueError("input is not a tree")
@@ -153,57 +169,53 @@ def _certify_one(idx, g, ordering, cls, budget) -> tuple[dict, list]:
         records, _ = run_scan([item], DEFAULT_PREDICATES, budget, jobs=1)
         gamma = domination_number(g, budget)
         rho = packing_number(g, budget)
-        bundle.update(gamma=gamma.value, rho=rho.value,
-                      dominating=list(gamma.witness), packing=list(rho.witness))
+        certs.update(gamma=gamma.value, rho=rho.value,
+                     dominating=list(gamma.witness), packing=list(rho.witness))
     elif cls == "bicubic":
         labeling = validate_bicubic(g)
         records = check_bicubic_bounds(g, gid, budget)
         if g.n >= 16:
             p = side_packing(g, labeling.side_x)
-            bundle["side_packing"] = list(p)
+            certs["side_packing"] = list(p)
         else:
             p = ()
         p_full = maximal_packing_in(g, labeling.side_x, p)
         layers = layer_decompose(g, labeling, p_full)
-        bundle["layers"] = {
+        certs["layers"] = {
             "p": list(layers.p), "q": list(layers.q), "r": list(layers.r),
             "s": list(layers.s), "t": list(layers.t), "w": list(layers.w),
         }
-        bundle["combined_packing"] = list(combined_packing(g, layers))
+        certs["combined_packing"] = list(combined_packing(g, layers))
     elif cls == "mop":
-        t = recognize_mop(g)
-        colors = tokunaga_color(t)
-        cg = build_clique_graph(t)
-        cg_gamma = domination_number(cg, budget)
-        projected = project_dominating(t, cg, cg_gamma.witness)
-        averaged = averaged_dominating(t, projected, colors)
-        item = make_item(gid, cls, g)
-        records = _exp_records_mop(item, budget)
-        bundle.update(boundary=list(t.boundary),
-                      triangles=[list(tri) for tri in t.triangles],
-                      colors=list(colors),
-                      clique_dominating=list(cg_gamma.witness),
-                      projected_dominating=list(projected),
-                      averaged_dominating=list(averaged))
+        f = mop_facts(g, budget)
+        t = f.triangulation
+        projected = project_dominating(t, f.clique_graph, f.cg_gamma.witness)
+        averaged = averaged_dominating(t, projected, f.colors)
+        records = mop_records(f, gid)
+        certs.update(boundary=list(t.boundary),
+                     triangles=[list(tri) for tri in t.triangles],
+                     colors=list(f.colors),
+                     clique_dominating=list(f.cg_gamma.witness),
+                     projected_dominating=list(projected),
+                     averaged_dominating=list(averaged))
     elif cls == "biconvex":
         if ordering is None:
             raise ValueError(
                 "biconvex input needs #xorder/#yorder sidecars or an "
                 "edge list with xorder/yorder lines"
             )
-        records = check_biconvex_bound(g, ordering, gid, budget)
         decomp = cb_decompose(g, trim_core(g, ordering))
         pack = construct_packing(g, decomp)
         dom = construct_dominating(g, decomp)
-        bundle.update(
+        records = biconvex_records(g, decomp, pack, dom, gid, budget)
+        certs.update(
             width=decomp.width,
             packing={"vertices": list(pack.vertices), "method": pack.method},
             dominating={"vertices": list(dom.vertices), "method": dom.method},
         )
     else:
         raise ValueError(f"unknown class {cls!r}")
-    bundle["records"] = _record_dicts(records)
-    return bundle, records
+    return certs, records
 
 
 def cmd_certify(args) -> int:
@@ -232,8 +244,8 @@ def cmd_decompose(args) -> int:
             print(f"combined packing: {list(combined_packing(g, layers))}")
         elif args.cls == "mop":
             t = recognize_mop(g)
-            colors = tokunaga_color(t)
             dual = build_dual(t)
+            colors = tokunaga_color(t, dual)
             print(f"boundary: {list(t.boundary)}")
             for i, tri in enumerate(t.triangles):
                 print(f"triangle {i}: {list(tri)}")

@@ -131,8 +131,12 @@ class Graph:
 
     def induced(self, vertices: Sequence[int]) -> tuple["Graph", tuple[int, ...]]:
         """Induced subgraph on `vertices`.  Returns (subgraph, originals)
-        where originals[i] is the old id of new vertex i."""
+        where originals[i] is the old id of new vertex i.  On all of the
+        vertices that is the graph itself (it is immutable) and the
+        identity map."""
         originals = tuple(sorted(set(vertices)))
+        if originals == tuple(range(self.n)):
+            return self, originals
         index = {v: i for i, v in enumerate(originals)}
         adj = [[index[u] for u in self.adj[v] if u in index] for v in originals]
         return Graph(len(originals), adj), originals

@@ -44,13 +44,10 @@ from .generators import (
 from .graphs import Graph
 from .outerplanar import (
     build_clique_graph,
-    check_mop_bounds,
-    lift_packing,
-    build_dual,
     low_degree_count,
+    mop_facts,
+    mop_records,
     recognize_mop,
-    tokunaga_color,
-    verify_tokunaga,
 )
 from .reports import ScanRecord, bound_str
 from .solvers import (
@@ -407,8 +404,8 @@ def default_scan_items() -> list[ScanItem]:
 
 # ---------------------------------------------------------- experiments ----
 
-def _exp_records_bicubic(item: ScanItem, budget: int) -> list[ScanRecord]:
-    g = decode_graph6(item.graph6)
+def _exp_records_bicubic(item: ScanItem, g: Graph,
+                         budget: int) -> list[ScanRecord]:
     records = check_bicubic_bounds(g, item.graph_id, budget)
     # check_bicubic_bounds solved both; every record carries the values
     gamma, rho = records[-1].gamma, records[-1].rho
@@ -421,8 +418,8 @@ def _exp_records_bicubic(item: ScanItem, budget: int) -> list[ScanRecord]:
     return records
 
 
-def _exp_records_tight(item: ScanItem, budget: int, k: int) -> list[ScanRecord]:
-    g = decode_graph6(item.graph6)
+def _exp_records_tight(item: ScanItem, g: Graph, budget: int,
+                       k: int) -> list[ScanRecord]:
     gamma = domination_number(g, budget)
     rho = packing_number(g, budget)
     base = dict(graph_id=item.graph_id, family=item.family, n=g.n,
@@ -439,53 +436,39 @@ def _exp_records_tight(item: ScanItem, budget: int, k: int) -> list[ScanRecord]:
     ]
 
 
-def _exp_records_mop(item: ScanItem, budget: int) -> list[ScanRecord]:
-    g = decode_graph6(item.graph6)
-    records = check_mop_bounds(g, item.graph_id, budget)
-    t = recognize_mop(g)
-    colors = tokunaga_color(t)
-    problems = verify_tokunaga(t, colors)
-    cg = build_clique_graph(t)
-    cg_rho = packing_number(cg, budget)
-    lifted = lift_packing(t, build_dual(t), cg_rho.witness)
-    base = dict(graph_id=item.graph_id, family=item.family, n=g.n)
-    records.append(
-        ScanRecord(check="tokunaga-4cycle", kind="theorem",
-                   holds=not problems, details={"problems": problems}, **base)
-    )
-    records.append(
-        ScanRecord(check="lift-packing-size", kind="theorem",
-                   holds=len(lifted) == cg_rho.value,
-                   bound=bound_str(cg_rho.value),
-                   details={"lifted": list(lifted)}, **base)
-    )
-    return records
+def _exp_records_mop(item: ScanItem, g: Graph, budget: int) -> list[ScanRecord]:
+    return mop_records(mop_facts(g, budget), item.graph_id)
 
 
-def _exp_records_biconvex(item: ScanItem, budget: int) -> list[ScanRecord]:
-    g = decode_graph6(item.graph6)
+def _exp_records_biconvex(item: ScanItem, g: Graph,
+                          budget: int) -> list[ScanRecord]:
     return check_biconvex_bound(g, _item_ordering(item), item.graph_id, budget)
+
+
+def budget_record(graph_id: str, family: str, n: int,
+                  exc: BudgetExceeded) -> ScanRecord:
+    """The one info record that stands for a graph whose solve ran out of
+    budget in an experiment or a certify bundle."""
+    return ScanRecord(graph_id=graph_id, family=family, n=n,
+                      check="solver-budget", kind="info", holds=None,
+                      details={"quantity": exc.quantity,
+                               "range": [exc.lower, exc.upper]})
 
 
 def _experiment_worker(args: tuple[str, ScanItem, int, dict]) -> list[ScanRecord]:
     kind, item, budget, params = args
+    g = decode_graph6(item.graph6)
     try:
         if kind == "bicubic":
-            return _exp_records_bicubic(item, budget)
+            return _exp_records_bicubic(item, g, budget)
         if kind == "tight":
-            return _exp_records_tight(item, budget, params["k"])
+            return _exp_records_tight(item, g, budget, params["k"])
         if kind == "mop":
-            return _exp_records_mop(item, budget)
+            return _exp_records_mop(item, g, budget)
         if kind == "biconvex":
-            return _exp_records_biconvex(item, budget)
+            return _exp_records_biconvex(item, g, budget)
     except BudgetExceeded as exc:
-        g = decode_graph6(item.graph6)
-        return [
-            ScanRecord(graph_id=item.graph_id, family=item.family, n=g.n,
-                       check="solver-budget", kind="info", holds=None,
-                       details={"quantity": exc.quantity,
-                                "range": [exc.lower, exc.upper]})
-        ]
+        return [budget_record(item.graph_id, item.family, g.n, exc)]
     raise ValueError(f"unknown experiment job kind {kind!r}")
 
 

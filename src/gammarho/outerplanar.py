@@ -12,6 +12,12 @@ wrongly accept.
 The triangle list is sorted lexicographically, so triangle indices (and
 everything derived from them: dual tree, clique graph, colorings, lifted
 packings) are independent of the clipping order.
+
+`mop_facts` builds a graph's whole certificate state once: the
+triangulation, dual tree, clique graph and Tokunaga colors, and exact
+gamma and rho of the graph and of its clique graph.  `mop_records` and
+the `certify` and `reproduce` paths read it; `check_mop_bounds`, which
+needs no dual tree or coloring, solves in the same order without them.
 """
 
 from __future__ import annotations
@@ -29,7 +35,13 @@ from .graphs import (
     packing_violation,
 )
 from .reports import ScanRecord, bound_str
-from .solvers import DEFAULT_BUDGET, domination_number, packing_number
+from .solvers import (
+    DEFAULT_BUDGET,
+    GammaResult,
+    RhoResult,
+    domination_number,
+    packing_number,
+)
 
 
 class NotMaximalOuterplanar(ValueError):
@@ -178,16 +190,18 @@ def _rooted_dual(dual: DualTree, root: int) -> tuple[dict[int, int], list[int]]:
     return parent, order
 
 
-def tokunaga_color(t: Triangulation) -> tuple[int, ...]:
+def tokunaga_color(t: Triangulation,
+                   dual: DualTree | None = None) -> tuple[int, ...]:
     """4-coloring (colors 0..3) in which every pair of edge-sharing
     triangles spans all four colors on its 4-cycle.
 
     Root the dual tree at triangle 0, color the root triangle 0,1,2 by
     ascending vertex id; each child triangle introduces one new vertex,
     which takes the unique color missing from {shared edge} + {parent's
-    opposite vertex}.
+    opposite vertex}.  `dual` is build_dual(t), built here when omitted.
     """
-    dual = build_dual(t)
+    if dual is None:
+        dual = build_dual(t)
     parent, order = _rooted_dual(dual, 0)
     colors = [-1] * t.graph.n
     for c, v in enumerate(t.triangles[0]):
@@ -205,21 +219,24 @@ def tokunaga_color(t: Triangulation) -> tuple[int, ...]:
         blocked = {colors[eu], colors[ev], colors[d]}
         (free,) = [c for c in range(4) if c not in blocked]
         colors[c_new] = free
-    problems = verify_tokunaga(t, tuple(colors))
+    problems = verify_tokunaga(t, tuple(colors), dual)
     if problems:
         raise CertificateError("tokunaga coloring failed: " + "; ".join(problems))
     return tuple(colors)
 
 
-def verify_tokunaga(t: Triangulation, colors: tuple[int, ...]) -> list[str]:
+def verify_tokunaga(t: Triangulation, colors: tuple[int, ...],
+                    dual: DualTree | None = None) -> list[str]:
     """Empty list when proper and every edge-sharing triangle pair carries
     all four colors.  In a maximal outerplanar graph every 4-cycle arises
-    from such a pair, so this checks the full 4-cycle property."""
+    from such a pair, so this checks the full 4-cycle property.  `dual` is
+    build_dual(t), built here when omitted."""
     problems = []
     for u, v in t.graph.edges():
         if colors[u] == colors[v]:
             problems.append(f"edge {u}-{v} monochromatic")
-    dual = build_dual(t)
+    if dual is None:
+        dual = build_dual(t)
     for (i, j), (eu, ev) in dual.shared.items():
         quad = set(t.triangles[i]) | set(t.triangles[j])
         seen = {colors[v] for v in quad}
@@ -286,14 +303,17 @@ def averaged_dominating(t: Triangulation, x_set: tuple[int, ...] | list[int],
 
 
 def lift_packing(t: Triangulation, dual: DualTree,
-                 z: tuple[int, ...] | list[int]) -> tuple[int, ...]:
+                 z: tuple[int, ...] | list[int],
+                 cg: Graph | None = None) -> tuple[int, ...]:
     """Lift a packing Z of the clique graph to an equal-size packing of the
     graph: root the dual tree at a Z-node; every Z-node contributes the one
-    vertex it does not share with the edge to its parent."""
+    vertex it does not share with the edge to its parent.  `cg` is
+    build_clique_graph(t), built here when omitted."""
     z_t = tuple(sorted(set(z)))
     if not z_t:
         raise ValueError("z must be nonempty")
-    cg = build_clique_graph(t)
+    if cg is None:
+        cg = build_clique_graph(t)
     bad = packing_violation(cg, z_t)
     if bad is not None:
         raise ValueError(f"z is not a packing of the clique graph: {bad}")
@@ -335,36 +355,87 @@ def lift_packing(t: Triangulation, dual: DualTree,
     return result
 
 
+@dataclass(frozen=True)
+class MopFacts:
+    """Certificate state of one maximal outerplanar graph, built once."""
+
+    triangulation: Triangulation
+    dual: DualTree
+    clique_graph: Graph
+    colors: tuple[int, ...]
+    gamma: GammaResult
+    rho: RhoResult
+    cg_gamma: GammaResult
+    cg_rho: RhoResult
+
+
+def _solve_four(g: Graph, cg: Graph, budget: int
+                ) -> tuple[GammaResult, RhoResult, GammaResult, RhoResult]:
+    """gamma(g), rho(g), gamma(cg), rho(cg) in that order: the first solve
+    to exhaust the budget raises BudgetExceeded."""
+    return (domination_number(g, budget), packing_number(g, budget),
+            domination_number(cg, budget), packing_number(cg, budget))
+
+
+def mop_facts(g: Graph, budget: int = DEFAULT_BUDGET) -> MopFacts:
+    """Recognize g, build its dual tree, clique graph and Tokunaga colors,
+    and solve gamma and rho of g and of the clique graph."""
+    t = recognize_mop(g)
+    dual = build_dual(t)
+    cg = build_clique_graph(t)
+    colors = tokunaga_color(t, dual)
+    return MopFacts(t, dual, cg, colors, *_solve_four(g, cg, budget))
+
+
+def _bound_records(g: Graph, solved: tuple[GammaResult, RhoResult,
+                                           GammaResult, RhoResult],
+                   graph_id: str) -> list[ScanRecord]:
+    """Exact gamma/rho against the clique-graph equality, the 3rho and
+    (9rho + t)/4 bounds, and the 2rho conjecture; `solved` is
+    _solve_four(g, cg, budget)."""
+    gamma, rho, cg_gamma, cg_rho = (r.value for r in solved)
+    tcount = low_degree_count(g)
+    base = dict(graph_id=graph_id, family="mop", n=g.n, gamma=gamma, rho=rho)
+    return [
+        ScanRecord(check="clique-graph-gamma-eq-rho", kind="theorem",
+                   holds=cg_gamma == cg_rho, bound=bound_str(cg_rho),
+                   details={"cg_gamma": cg_gamma, "cg_rho": cg_rho}, **base),
+        ScanRecord(check="rho-ge-clique-rho", kind="theorem",
+                   holds=rho >= cg_rho, bound=bound_str(cg_rho), **base),
+        ScanRecord(check="gamma-le-3rho", kind="theorem",
+                   holds=gamma <= 3 * rho, bound=bound_str(3 * rho), **base),
+        ScanRecord(check="gamma-le-9rho-plus-t-over-4", kind="theorem",
+                   holds=4 * gamma <= 9 * rho + tcount,
+                   bound=bound_str(Fraction(9 * rho + tcount, 4)),
+                   details={"t": tcount}, **base),
+        ScanRecord(check="gamma-le-2rho", kind="conjecture",
+                   holds=gamma <= 2 * rho, bound=bound_str(2 * rho), **base),
+    ]
+
+
+def mop_records(f: MopFacts, graph_id: str) -> list[ScanRecord]:
+    """The five records of check_mop_bounds, then tokunaga-4cycle (the
+    colors re-verified) and lift-packing-size (the clique graph's maximum
+    packing lifted to the graph)."""
+    t = f.triangulation
+    problems = verify_tokunaga(t, f.colors, f.dual)
+    lifted = lift_packing(t, f.dual, f.cg_rho.witness, f.clique_graph)
+    base = dict(graph_id=graph_id, family="mop", n=t.graph.n)
+    solved = (f.gamma, f.rho, f.cg_gamma, f.cg_rho)
+    return _bound_records(t.graph, solved, graph_id) + [
+        ScanRecord(check="tokunaga-4cycle", kind="theorem",
+                   holds=not problems, details={"problems": problems}, **base),
+        ScanRecord(check="lift-packing-size", kind="theorem",
+                   holds=len(lifted) == f.cg_rho.value,
+                   bound=bound_str(f.cg_rho.value),
+                   details={"lifted": list(lifted)}, **base),
+    ]
+
+
 def check_mop_bounds(g: Graph, graph_id: str = "mop",
                      budget: int = DEFAULT_BUDGET) -> list[ScanRecord]:
     """Exact gamma/rho against the clique-graph equality, the 3rho and
     (9rho + t)/4 bounds, and the 2rho conjecture."""
-    t = recognize_mop(g)
-    cg = build_clique_graph(t)
-    gamma = domination_number(g, budget)
-    rho = packing_number(g, budget)
-    cg_gamma = domination_number(cg, budget)
-    cg_rho = packing_number(cg, budget)
-    tcount = low_degree_count(g)
-    base = dict(graph_id=graph_id, family="mop", n=g.n,
-                gamma=gamma.value, rho=rho.value)
-    return [
-        ScanRecord(check="clique-graph-gamma-eq-rho", kind="theorem",
-                   holds=cg_gamma.value == cg_rho.value,
-                   bound=bound_str(cg_rho.value),
-                   details={"cg_gamma": cg_gamma.value, "cg_rho": cg_rho.value},
-                   **base),
-        ScanRecord(check="rho-ge-clique-rho", kind="theorem",
-                   holds=rho.value >= cg_rho.value,
-                   bound=bound_str(cg_rho.value), **base),
-        ScanRecord(check="gamma-le-3rho", kind="theorem",
-                   holds=gamma.value <= 3 * rho.value,
-                   bound=bound_str(3 * rho.value), **base),
-        ScanRecord(check="gamma-le-9rho-plus-t-over-4", kind="theorem",
-                   holds=4 * gamma.value <= 9 * rho.value + tcount,
-                   bound=bound_str(Fraction(9 * rho.value + tcount, 4)),
-                   details={"t": tcount}, **base),
-        ScanRecord(check="gamma-le-2rho", kind="conjecture",
-                   holds=gamma.value <= 2 * rho.value,
-                   bound=bound_str(2 * rho.value), **base),
-    ]
+    # only the clique graph: no dual tree or coloring, which mop_facts adds
+    cg = build_clique_graph(recognize_mop(g))
+    return _bound_records(g, _solve_four(g, cg, budget), graph_id)

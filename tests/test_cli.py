@@ -1,10 +1,19 @@
 import json
+from collections import Counter
 
 import pytest
 
-from gammarho import cli
-from gammarho.formats import encode_graph6, iter_graph6_stream
-from gammarho.generators import gen_cycle, gen_path, gen_random_biconvex, gen_sun
+from gammarho import cli, harness, outerplanar, solvers
+from gammarho.formats import encode_graph6, iter_graph6_stream, write_graph6_stream
+from gammarho.generators import (
+    gen_cycle,
+    gen_path,
+    gen_random_biconvex,
+    gen_random_bicubic,
+    gen_random_connected,
+    gen_random_mop,
+    gen_sun,
+)
 from gammarho.graphs import CertificateError
 from gammarho.harness import verify_counterexamples
 from gammarho.reports import read_report
@@ -63,6 +72,88 @@ def test_certify_mop(tmp_path, capsys):
     assert bundle["colors"] == [0, 1, 0, 3, 0, 2]
     checks = {r["check"] for r in bundle["records"]}
     assert "gamma-le-3rho" in checks and "tokunaga-4cycle" in checks
+
+
+def test_certify_mop_builds_and_solves_once(tmp_path, capsys, monkeypatch):
+    # gamma and rho of the mop and of its clique graph, one solve each;
+    # every structure built once and shared by the bundle and the records
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for home, name in [(solvers, "domination_number"),
+                       (solvers, "packing_number"),
+                       (outerplanar, "recognize_mop"),
+                       (outerplanar, "build_dual"),
+                       (outerplanar, "build_clique_graph")]:
+        wrapped = counting(name, getattr(home, name))
+        for mod in (solvers, outerplanar, harness, cli):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, wrapped)
+    path = write_g6(tmp_path, "m.g6", [gen_random_mop(12, 5)])
+    assert cli.main(["certify", "--class", "mop", "--input", path]) == 0
+    assert counts == {"domination_number": 2, "packing_number": 2,
+                      "recognize_mop": 1, "build_dual": 1,
+                      "build_clique_graph": 1}
+    assert len(json.loads(capsys.readouterr().out)["records"]) == 7
+
+
+def _bundles(text):
+    decoder = json.JSONDecoder()
+    pos, out = 0, []
+    text = text.strip()
+    while pos < len(text):
+        obj, pos = decoder.raw_decode(text, pos)
+        out.append(obj)
+        pos = len(text) - len(text[pos:].lstrip())
+    return out
+
+
+def _biconvex_items(*seeds):
+    items = []
+    for seed in seeds:
+        g, o = gen_random_biconvex(8, 8, seed)
+        items.append((g, (o.x_order, o.y_order)))
+    return items
+
+
+@pytest.mark.parametrize("cls, items, answered", [
+    # the first graph of each corpus needs more than 10 search nodes
+    ("bicubic", [(gen_random_bicubic(30, 1), None),
+                 (gen_random_bicubic(20, 2), None)], [False, False]),
+    ("mop", [(gen_random_mop(30, 1), None), (gen_random_mop(5, 1), None)],
+     [False, True]),
+    ("biconvex", _biconvex_items(1, 0), [False, True]),
+    ("any", [(gen_random_connected(12, 3), None), (gen_path(5), None)],
+     [False, True]),
+    ("tree", [(gen_path(40), None)], [True]),
+])
+def test_certify_budget_exhaustion_is_a_record(cls, items, answered,
+                                               tmp_path, capsys):
+    path = tmp_path / "in.g6"
+    with open(path, "w") as fh:
+        write_graph6_stream(items, fh)
+    assert cli.main(["certify", "--class", cls, "--budget", "10",
+                     "--input", str(path)]) == 0
+    bundles = _bundles(capsys.readouterr().out)
+    assert len(bundles) == len(items)
+    for idx, (bundle, (g, _), done) in enumerate(zip(bundles, items, answered)):
+        gid = f"{cls}-{idx}"
+        assert (bundle["graph_id"], bundle["n"], bundle["m"]) == (gid, g.n, g.m)
+        if done:
+            assert all(r["holds"] is not None for r in bundle["records"])
+            continue
+        assert sorted(bundle) == ["graph_id", "m", "n", "records"]
+        (rec,) = bundle["records"]
+        assert rec["check"] == "solver-budget" and rec["kind"] == "info"
+        assert rec["holds"] is None and rec["family"] == cls
+        assert rec["graph_id"] == gid and rec["n"] == g.n
+        assert sorted(rec["details"]) == ["quantity", "range"]
+        assert rec["details"]["quantity"] in ("gamma", "rho")
 
 
 def test_certify_biconvex(tmp_path, capsys):

@@ -83,6 +83,14 @@ def test_induced_subgraph_keeps_originals():
     assert sorted(sub.edges()) == [(0, 1)]  # only 1-2 survives
 
 
+def test_induced_on_every_vertex_is_the_graph():
+    g = cycle(6)
+    sub, originals = g.induced([5, 3, 1, 0, 2, 4, 3])
+    assert sub is g
+    assert originals == tuple(range(6))
+    assert sub == Graph(6, [list(nbrs) for nbrs in g.adj])
+
+
 def test_distances():
     g = path(6)
     assert distances_from(g, 0) == [0, 1, 2, 3, 4, 5]

@@ -10,6 +10,8 @@ from gammarho.outerplanar import (
     check_mop_bounds,
     lift_packing,
     low_degree_count,
+    mop_facts,
+    mop_records,
     project_dominating,
     recognize_mop,
     tokunaga_color,
@@ -168,6 +170,28 @@ def test_check_mop_bounds_record_set():
                      "gamma-le-2rho"]
     assert all(r.holds for r in records)
     assert records[0].gamma == 2 and records[0].rho == 1
+
+
+def test_mop_facts_share_one_build_with_every_consumer():
+    for s, g in enumerate(mop_corpus()):
+        f = mop_facts(g)
+        t = f.triangulation
+        assert t == recognize_mop(g)
+        assert f.dual.graph == build_dual(t).graph
+        assert f.dual.shared == build_dual(t).shared
+        assert f.clique_graph == build_clique_graph(t)
+        assert f.colors == tokunaga_color(t)
+        assert (f.gamma, f.rho) == (domination_number(g), packing_number(g))
+        assert f.cg_gamma == domination_number(f.clique_graph)
+        assert f.cg_rho == packing_number(f.clique_graph)
+        assert verify_tokunaga(t, f.colors, f.dual) == []
+        assert (lift_packing(t, f.dual, f.cg_rho.witness, f.clique_graph)
+                == lift_packing(t, build_dual(t), f.cg_rho.witness))
+        records = mop_records(f, f"mop-{s}")
+        assert records[:5] == check_mop_bounds(g, f"mop-{s}")
+        assert [r.check for r in records[5:]] == ["tokunaga-4cycle",
+                                                  "lift-packing-size"]
+        assert all(r.holds for r in records if r.kind == "theorem")
 
 
 def test_bounds_hold_against_brute_force():

@@ -1,7 +1,9 @@
-"""Reports are an interface: the default scan and the reproduce experiments
-must keep their exact bytes.  The digests were taken before the solvers
-learned to certify forest components without search, so they also pin
-that the certificate leaves these reports untouched."""
+"""Reports are an interface: the default scan, the reproduce experiments
+and the certify bundles must keep their exact bytes.  The scan and
+reproduce digests were taken before the solvers learned to certify forest
+components without search, and the certify digests before each maximal
+outerplanar graph's certificate state was built once and shared, so they
+also pin that those changes leave the output untouched."""
 
 import hashlib
 import io
@@ -9,6 +11,12 @@ import io
 import pytest
 
 from gammarho import cli
+from gammarho.formats import write_graph6_stream
+from gammarho.generators import (
+    gen_random_biconvex,
+    gen_random_bicubic,
+    gen_random_mop,
+)
 from gammarho.harness import default_scan_items, run_scan
 from gammarho.reports import write_report
 
@@ -33,4 +41,35 @@ def test_default_scan_report_is_byte_identical():
 ])
 def test_reproduce_report_is_byte_identical(name, digest, capsys):
     assert cli.main(["reproduce", "--name", name]) == 0
+    assert _sha256(capsys.readouterr().out) == digest
+
+
+def _certify_corpus(cls):
+    """Small seeded certify corpora: mops with n 4..42, bicubic graphs
+    with n 6..30 and biconvex graphs with both sides 2..10."""
+    if cls == "mop":
+        return [(gen_random_mop(4 + i % 39, 7000 + i), None) for i in range(40)]
+    if cls == "bicubic":
+        return [(gen_random_bicubic(6 + 2 * (i % 13), 8000 + i), None)
+                for i in range(16)]
+    items = []
+    for i in range(30):
+        g, o = gen_random_biconvex(2 + i % 9, 2 + (i * 5) % 9, 9000 + i)
+        items.append((g, (o.x_order, o.y_order)))
+    return items
+
+
+@pytest.mark.parametrize("cls, digest", [
+    ("bicubic",
+     "8ef9791c47514951fac46605d0b8902fa8a4475b139cfdda70d134896e3a8f94"),
+    ("mop",
+     "68616cffa6fc556aca0f7acd62e11770712e36d5f5d03401589f69480cb84db6"),
+    ("biconvex",
+     "ae673d018d7138fb9ad3bf767ea21dfb21451f90106ff04554292b82b1a44231"),
+])
+def test_certify_output_is_byte_identical(cls, digest, tmp_path, capsys):
+    path = tmp_path / f"{cls}.g6"
+    with open(path, "w") as fh:
+        write_graph6_stream(_certify_corpus(cls), fh)
+    assert cli.main(["certify", "--class", cls, "--input", str(path)]) == 0
     assert _sha256(capsys.readouterr().out) == digest

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +8,9 @@ from gammarho.generators import (
     gen_complete_bipartite,
     gen_cycle,
     gen_path,
+    gen_random_bicubic,
     gen_random_connected,
+    gen_random_mop,
     gen_random_tree,
     gen_rook,
     gen_sun,
@@ -15,6 +18,7 @@ from gammarho.generators import (
     heawood,
     petersen,
 )
+from gammarho import solvers
 from gammarho.graphs import Graph, is_dominating, is_packing
 from gammarho.solvers import (
     BRUTE_CAP,
@@ -242,3 +246,51 @@ def test_forest_plus_cycle_matches_brute_force_and_budget_bounds(g):
     with pytest.raises(BudgetExceeded) as err:
         packing_number(g, budget=1)
     assert err.value.lower <= rho.value <= err.value.upper
+
+
+def _outcomes(g, budget):
+    """gamma and rho results, or the bounds, witness and node count of
+    the BudgetExceeded that ended each solve."""
+    out = []
+    for solve in (domination_number, packing_number):
+        try:
+            out.append(solve(g, budget))
+        except BudgetExceeded as exc:
+            out.append((exc.quantity, exc.lower, exc.upper, exc.witness,
+                        exc.nodes))
+    return out
+
+
+def _rebuilt_induced(h, vertices):
+    """Graph.induced without its spanning shortcut: always a new Graph."""
+    originals = tuple(sorted(set(vertices)))
+    index = {v: i for i, v in enumerate(originals)}
+    adj = [[index[u] for u in h.adj[v] if u in index] for v in originals]
+    return Graph(len(originals), adj), originals
+
+
+def _assert_spanning_shortcut_changes_nothing(g):
+    # Graph.induced returns g itself for a component that spans g; an
+    # explicit rebuild must give the same values, witnesses and node counts
+    for budget in (solvers.DEFAULT_BUDGET, 5):
+        fast = _outcomes(g, budget)
+        with mock.patch.object(Graph, "induced", _rebuilt_induced):
+            assert _outcomes(g, budget) == fast
+
+
+def test_spanning_component_shortcut_on_fixed_graphs():
+    two_cycles = Graph.from_edges(
+        10, [(i, (i + 1) % 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 1) % 5) for i in range(5)])
+    graphs = [petersen(), heawood(), gen_sun(), gen_cycle(9),
+              gen_random_connected(11, 4), gen_random_bicubic(20, 3),
+              gen_random_mop(14, 2), gen_random_tree(15, 1), two_cycles,
+              Graph.from_edges(1, [])]
+    for g in graphs:
+        _assert_spanning_shortcut_changes_nothing(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(forests(), forests_plus_cycle()))
+def test_spanning_component_shortcut_on_forests_and_cycles(g):
+    _assert_spanning_shortcut_changes_nothing(g)
