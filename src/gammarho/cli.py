@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import sys
 
@@ -57,6 +56,8 @@ from .harness import (
     EXPERIMENTS,
     budget_record,
     default_scan_items,
+    evaluate_predicates,
+    graph_facts,
     make_item,
     run_experiment,
     run_scan,
@@ -142,7 +143,7 @@ def cmd_compute(args) -> int:
 
 
 def _record_dicts(records):
-    return [dataclasses.asdict(r) for r in records]
+    return [r.as_dict() for r in records]
 
 
 def _certify_one(idx, g, ordering, cls, budget) -> tuple[dict, list]:
@@ -166,11 +167,11 @@ def _certify_class(gid, g, ordering, cls, budget) -> tuple[dict, list]:
         if cls == "tree" and not g.is_tree():
             raise ValueError("input is not a tree")
         item = make_item(gid, cls, g, ordering)
-        records, _ = run_scan([item], DEFAULT_PREDICATES, budget, jobs=1)
-        gamma = domination_number(g, budget)
-        rho = packing_number(g, budget)
-        certs.update(gamma=gamma.value, rho=rho.value,
-                     dominating=list(gamma.witness), packing=list(rho.witness))
+        facts = graph_facts(item, g, budget)
+        records, _ = evaluate_predicates(item, facts, DEFAULT_PREDICATES)
+        certs.update(gamma=facts.gamma, rho=facts.rho,
+                     dominating=list(facts.dominating),
+                     packing=list(facts.packing))
     elif cls == "bicubic":
         labeling = validate_bicubic(g)
         records = check_bicubic_bounds(g, gid, budget)

@@ -6,15 +6,21 @@ bad input, exit code 3 downstream) or conjectures (a failure is a genuine
 counterexample, exit code 2, and the offending graph is dumped with both
 optimal witnesses so the violation can be replayed from the dump alone).
 
-Graphs travel between processes as graph6 strings; records come back in
-submission order, so a scan's report is byte-identical for a fixed corpus
-no matter how many workers ran it.
+Every parallel map goes through `map_items`: serial for one job, else one
+`multiprocessing.Pool.map` with the stdlib's default chunking, which hands
+each worker about four contiguous chunks of items instead of one item per
+round trip.  Graphs travel between processes as graph6 strings; records
+come back in submission order, so a scan's report is byte-identical for a
+fixed corpus no matter how many workers ran it.  An item whose evaluation
+raises anything but `BudgetExceeded` becomes one `error` record (exit code
+3) and the scan goes on.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -43,6 +49,7 @@ from .generators import (
 )
 from .graphs import Graph
 from .outerplanar import (
+    Triangulation,
     build_clique_graph,
     low_degree_count,
     mop_facts,
@@ -75,8 +82,21 @@ def make_item(graph_id: str, family: str, g: Graph,
     return ScanItem(graph_id, family, encode_graph6(g), packed)
 
 
+def map_items(fn: Callable, items: Sequence, jobs: int) -> list:
+    """[fn(x) for x in items], on a pool of `jobs` processes when jobs > 1.
+    The pool's default chunking sends each worker about four contiguous
+    chunks; results come back in submission order either way."""
+    if jobs <= 1:
+        return [fn(x) for x in items]
+    with multiprocessing.Pool(processes=jobs) as pool:
+        return pool.map(fn, items)
+
+
 @dataclass(frozen=True)
 class GraphFacts:
+    """One graph, its families and its exact gamma and rho with optimal
+    witnesses; `triangulation` is set exactly when "mop" is a family."""
+
     graph_id: str
     family: str
     graph: Graph
@@ -85,13 +105,18 @@ class GraphFacts:
     gamma: int
     rho: int
     budget: int
+    dominating: tuple[int, ...]
+    packing: tuple[int, ...]
+    triangulation: Triangulation | None
 
     @property
     def delta(self) -> int:
         return self.graph.max_degree()
 
 
-def detect_families(g: Graph, ordering: ConvexOrdering | None) -> frozenset[str]:
+def _classify(g: Graph, ordering: ConvexOrdering | None
+              ) -> tuple[frozenset[str], Triangulation | None]:
+    """The families of g, and its triangulation when g is a mop."""
     fams = {"any"}
     if g.is_tree():
         fams.add("tree")
@@ -101,10 +126,10 @@ def detect_families(g: Graph, ordering: ConvexOrdering | None) -> frozenset[str]
     except ValueError:
         pass
     try:
-        recognize_mop(g)
+        triangulation = recognize_mop(g)
         fams.add("mop")
     except ValueError:
-        pass
+        triangulation = None
     if ordering is not None:
         try:
             validate_convex(g, ordering)
@@ -112,7 +137,23 @@ def detect_families(g: Graph, ordering: ConvexOrdering | None) -> frozenset[str]
                 fams.add("biconvex")
         except ValueError:
             pass
-    return frozenset(fams)
+    return frozenset(fams), triangulation
+
+
+def detect_families(g: Graph, ordering: ConvexOrdering | None) -> frozenset[str]:
+    return _classify(g, ordering)[0]
+
+
+def graph_facts(item: ScanItem, g: Graph, budget: int) -> GraphFacts:
+    """Classify g (the decoded item) and solve gamma, then rho; a solve
+    that exhausts the budget raises BudgetExceeded."""
+    ordering = _item_ordering(item)
+    families, triangulation = _classify(g, ordering)
+    gamma = domination_number(g, budget)
+    rho = packing_number(g, budget)
+    return GraphFacts(item.graph_id, item.family, g, ordering, families,
+                      gamma.value, rho.value, budget, gamma.witness,
+                      rho.witness, triangulation)
 
 
 @dataclass(frozen=True)
@@ -174,7 +215,7 @@ def _p_mop_9rho_t(f: GraphFacts):
 
 
 def _p_mop_clique(f: GraphFacts):
-    cg = build_clique_graph(recognize_mop(f.graph))
+    cg = build_clique_graph(f.triangulation)
     cg_g = domination_number(cg, f.budget).value
     cg_r = packing_number(cg, f.budget).value
     return cg_g == cg_r, bound_str(cg_r), {"cg_gamma": cg_g, "cg_rho": cg_r}
@@ -245,20 +286,13 @@ def _inconclusive(item: ScanItem, g: Graph, names: Sequence[str],
     ]
 
 
-def _predicate_worker(
-    args: tuple[ScanItem, tuple[str, ...], int],
-) -> tuple[list[ScanRecord], list[dict]]:
-    item, names, budget = args
-    g = decode_graph6(item.graph6)
-    ordering = _item_ordering(item)
-    families = detect_families(g, ordering)
-    try:
-        gamma = domination_number(g, budget)
-        rho = packing_number(g, budget)
-    except BudgetExceeded as exc:
-        return _inconclusive(item, g, names, exc), []
-    facts = GraphFacts(item.graph_id, item.family, g, ordering, families,
-                       gamma.value, rho.value, budget)
+def evaluate_predicates(item: ScanItem, facts: GraphFacts,
+                        names: Sequence[str]
+                        ) -> tuple[list[ScanRecord], list[dict]]:
+    """Records of the named predicates that apply to the item, and a
+    counterexample for each conjecture that fails.  A predicate that runs
+    out of budget yields an inconclusive record."""
+    g = facts.graph
     records: list[ScanRecord] = []
     counterexamples: list[dict] = []
     for name in names:
@@ -273,7 +307,7 @@ def _predicate_worker(
         records.append(
             ScanRecord(graph_id=item.graph_id, family=item.family, n=g.n,
                        check=name, kind=pred.kind, holds=holds, bound=bound,
-                       gamma=gamma.value, rho=rho.value, details=details)
+                       gamma=facts.gamma, rho=facts.rho, details=details)
         )
         if not holds and pred.kind == "conjecture":
             counterexamples.append({
@@ -281,15 +315,36 @@ def _predicate_worker(
                 "family": item.family,
                 "predicate": name,
                 "graph6": item.graph6,
-                "gamma": gamma.value,
-                "rho": rho.value,
+                "gamma": facts.gamma,
+                "rho": facts.rho,
                 "bound": bound,
-                "dominating": list(gamma.witness),
-                "packing": list(rho.witness),
+                "dominating": list(facts.dominating),
+                "packing": list(facts.packing),
                 "x_order": list(item.ordering[0]) if item.ordering else None,
                 "y_order": list(item.ordering[1]) if item.ordering else None,
             })
     return records, counterexamples
+
+
+def _error_record(item: ScanItem, g: Graph, exc: Exception) -> ScanRecord:
+    return ScanRecord(graph_id=item.graph_id, family=item.family, n=g.n,
+                      check="scan-error", kind="error", holds=None,
+                      details={"error": type(exc).__name__,
+                               "message": str(exc)})
+
+
+def _predicate_worker(
+    args: tuple[ScanItem, tuple[str, ...], int],
+) -> tuple[list[ScanRecord], list[dict]]:
+    item, names, budget = args
+    g = decode_graph6(item.graph6)  # written by make_item, so it decodes
+    try:
+        return evaluate_predicates(item, graph_facts(item, g, budget), names)
+    except BudgetExceeded as exc:
+        return _inconclusive(item, g, names, exc), []
+    except Exception as exc:  # one failing item must not sink the scan
+        traceback.print_exc()  # the record keeps only the type and message
+        return [_error_record(item, g, exc)], []
 
 
 def run_scan(items: Sequence[ScanItem],
@@ -302,11 +357,7 @@ def run_scan(items: Sequence[ScanItem],
         if name not in PREDICATES:
             raise ValueError(f"unknown predicate {name!r}")
     args = [(item, tuple(predicates), budget) for item in items]
-    if jobs <= 1:
-        outcomes = [_predicate_worker(a) for a in args]
-    else:
-        with multiprocessing.Pool(processes=jobs) as pool:
-            outcomes = list(pool.imap(_predicate_worker, args, chunksize=1))
+    outcomes = map_items(_predicate_worker, args, jobs)
     records: list[ScanRecord] = []
     counterexamples: list[dict] = []
     for recs, ces in outcomes:
@@ -316,10 +367,12 @@ def run_scan(items: Sequence[ScanItem],
 
 
 def scan_verdict(records: Iterable[ScanRecord]) -> int:
-    """Process exit code for a record set: 3 for any theorem failure,
-    else 2 for any conjecture counterexample, else 0."""
+    """Process exit code for a record set: 3 for any theorem failure or
+    error record, else 2 for any conjecture counterexample, else 0."""
     code = 0
     for r in records:
+        if r.kind == "error":
+            return 3
         if r.holds is False:
             if r.kind == "theorem":
                 return 3
@@ -343,19 +396,15 @@ def verify_counterexamples(lines: Iterable[str],
         if not line:
             continue
         ce = json.loads(line)
-        g = decode_graph6(ce["graph6"])
         ordering = None
         if ce.get("x_order") is not None:
-            ordering = ConvexOrdering(tuple(ce["x_order"]), tuple(ce["y_order"]))
-        families = detect_families(g, ordering)
-        gamma = domination_number(g, budget)
-        rho = packing_number(g, budget)
-        facts = GraphFacts(ce["graph_id"], ce["family"], g, ordering, families,
-                           gamma.value, rho.value, budget)
+            ordering = (tuple(ce["x_order"]), tuple(ce["y_order"]))
+        item = ScanItem(ce["graph_id"], ce["family"], ce["graph6"], ordering)
+        facts = graph_facts(item, decode_graph6(item.graph6), budget)
         pred = PREDICATES[ce["predicate"]]
-        holds, _, _ = pred.evaluate(facts)
         out = dict(ce)
-        out["still_violates"] = pred.applies(facts) and not holds
+        out["still_violates"] = (pred.applies(facts)
+                                 and not pred.evaluate(facts)[0])
         results.append(out)
     return results
 
@@ -516,9 +565,5 @@ def run_experiment(name: str, budget: int = DEFAULT_BUDGET, jobs: int = 1,
                    corpus: Sequence[str] | None = None) -> list[ScanRecord]:
     """Re-run one of the canned verification experiments end to end."""
     work = _experiment_jobs(name, corpus, budget)
-    if jobs <= 1:
-        outcomes = [_experiment_worker(w) for w in work]
-    else:
-        with multiprocessing.Pool(processes=jobs) as pool:
-            outcomes = list(pool.imap(_experiment_worker, work, chunksize=1))
+    outcomes = map_items(_experiment_worker, work, jobs)
     return [r for out in outcomes for r in out]

@@ -4,12 +4,16 @@ One JSON object per line, self-contained, append-safe, no timestamps, so
 rerunning a scan with the same spec reproduces the file byte for byte.
 Exact bound values are serialized as Fraction strings ("120/49", "5").
 A final line {"summary": {...}} aggregates extremal ratios per family.
+
+Records are serialized through `ScanRecord.as_dict`, a shallow dict of the
+ten fields, and one shared encoder; a scan writes tens of thousands of
+them, so neither a deep copy nor a fresh encoder per record is paid.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, TextIO
 
@@ -20,20 +24,33 @@ class ScanRecord:
     family: str
     n: int
     check: str
-    kind: str  # "theorem" | "conjecture" | "info"
-    holds: bool | None  # None = inconclusive (solver budget exhausted)
+    kind: str  # "theorem" | "conjecture" | "info" | "error"
+    holds: bool | None  # None = no verdict: budget exhausted, or an error
     bound: str = ""  # exact rational as text, "" when not applicable
     gamma: int | None = None
     rho: int | None = None
     details: dict = field(default_factory=dict)
 
+    def as_dict(self) -> dict:
+        """The ten fields as a dict.  Shallow: `details` is the record's
+        own dict, not a copy."""
+        return {"graph_id": self.graph_id, "family": self.family,
+                "n": self.n, "check": self.check, "kind": self.kind,
+                "holds": self.holds, "bound": self.bound,
+                "gamma": self.gamma, "rho": self.rho,
+                "details": self.details}
+
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        return _ENCODER.encode(self.as_dict())
 
     @classmethod
     def from_json(cls, line: str) -> "ScanRecord":
         obj = json.loads(line)
         return cls(**obj)
+
+
+# what json.dumps(obj, sort_keys=True, separators=(",", ":")) builds per call
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def bound_str(value: Fraction | int) -> str:
@@ -43,6 +60,8 @@ def bound_str(value: Fraction | int) -> str:
 def summarize(records: Iterable[ScanRecord]) -> dict:
     """Per-family aggregates: counts, worst gamma/rho ratio, failures."""
     fams: dict[str, dict] = {}
+    # worst (gamma, rho) per family; rho > 0, so compare by cross-multiplying
+    worst: dict[str, tuple[int, int]] = {}
     for r in records:
         s = fams.setdefault(
             r.family,
@@ -63,10 +82,11 @@ def summarize(records: Iterable[ScanRecord]) -> dict:
             else:
                 s["violations"] += 1
         if r.gamma is not None and r.rho:
-            ratio = Fraction(r.gamma, r.rho)
-            prev = s["max_gamma_over_rho"]
-            if prev is None or ratio > Fraction(prev):
-                s["max_gamma_over_rho"] = str(ratio)
+            prev = worst.get(r.family)
+            if prev is None or r.gamma * prev[1] > prev[0] * r.rho:
+                worst[r.family] = (r.gamma, r.rho)
+    for family, (gamma, rho) in worst.items():
+        fams[family]["max_gamma_over_rho"] = str(Fraction(gamma, rho))
     return {"families": fams}
 
 

@@ -13,6 +13,7 @@ from gammarho.generators import (
     gen_random_connected,
     gen_random_mop,
     gen_sun,
+    petersen,
 )
 from gammarho.graphs import CertificateError
 from gammarho.harness import verify_counterexamples
@@ -100,6 +101,27 @@ def test_certify_mop_builds_and_solves_once(tmp_path, capsys, monkeypatch):
                       "recognize_mop": 1, "build_dual": 1,
                       "build_clique_graph": 1}
     assert len(json.loads(capsys.readouterr().out)["records"]) == 7
+
+
+@pytest.mark.parametrize("cls, g", [("any", petersen()),
+                                   ("tree", gen_path(9))])
+def test_certify_any_and_tree_solve_once(cls, g, tmp_path, capsys,
+                                         monkeypatch):
+    # the bundle's witnesses are the ones the records were checked with
+    counts = Counter()
+    for name in ("domination_number", "packing_number"):
+        def wrapper(*args, _fn=getattr(solvers, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        for mod in (solvers, harness, cli):
+            monkeypatch.setattr(mod, name, wrapper)
+    path = write_g6(tmp_path, "g.g6", [g])
+    assert cli.main(["certify", "--class", cls, "--input", path]) == 0
+    assert counts == {"domination_number": 1, "packing_number": 1}
+    bundle = json.loads(capsys.readouterr().out)
+    assert len(bundle["dominating"]) == bundle["gamma"]
+    assert len(bundle["packing"]) == bundle["rho"]
+    assert all(r["gamma"] == bundle["gamma"] for r in bundle["records"])
 
 
 def _bundles(text):

@@ -3,21 +3,27 @@ import json
 
 import pytest
 
+from gammarho import harness, outerplanar
 from gammarho.biconvex import ConvexOrdering
 from gammarho.generators import (
     gen_complete_bipartite,
     gen_cycle,
     gen_path,
     gen_random_biconvex,
+    gen_random_connected,
+    gen_random_mop,
     gen_sun,
 )
+from gammarho.graphs import CertificateError
 from gammarho.harness import (
     DEFAULT_PREDICATES,
     EXPERIMENTS,
     PREDICATES,
+    Predicate,
     default_scan_items,
     detect_families,
     make_item,
+    map_items,
     run_experiment,
     run_scan,
     scan_verdict,
@@ -169,3 +175,76 @@ def test_report_roundtrip():
     assert probe["records"] == len(records)
     assert probe["violations"] == 0 and probe["theorem_failures"] == 0
     assert summarize(records)["families"]["probe"]["records"] == len(records)
+
+
+def test_map_items_keeps_order():
+    items = list(range(37))
+    assert map_items(str, items, 1) == [str(x) for x in items]
+    assert map_items(str, items, 0) == [str(x) for x in items]
+    assert map_items(str, items, 3) == [str(x) for x in items]
+    assert map_items(str, [], 2) == []
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_default_scan_is_the_same_on_any_number_of_workers(jobs):
+    # hundreds of items: every worker gets several chunks
+    items = default_scan_items()
+    serial, ces1 = run_scan(items, jobs=1)
+    parallel, ces2 = run_scan(items, jobs=jobs)
+    assert [r.to_json() for r in parallel] == [r.to_json() for r in serial]
+    assert ces2 == ces1
+
+
+def test_experiment_is_the_same_on_two_workers():
+    serial = run_experiment("mop-theorem4", jobs=1)
+    parallel = run_experiment("mop-theorem4", jobs=2)
+    assert [r.to_json() for r in parallel] == [r.to_json() for r in serial]
+
+
+def _raise_on_bad(f):
+    if f.graph_id == "bad":
+        raise CertificateError("forced failure")
+    return True, "", {}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_scan_isolates_an_item_that_raises(jobs, monkeypatch, capfd):
+    # the pool forks, so the workers see the patched predicate table
+    monkeypatch.setitem(PREDICATES, "boom",
+                        Predicate("boom", "theorem", lambda f: True,
+                                  _raise_on_bad))
+    names = ("rho-le-gamma", "boom", "mop-gamma-le-2rho")
+    good = [make_item("p5", "probe", gen_path(5)),
+            make_item("sun", "probe", gen_sun())]
+    bad = make_item("bad", "probe", gen_cycle(5))
+    records, ces = run_scan([good[0], bad, good[1]], names, jobs=jobs)
+    clean, clean_ces = run_scan(good, names, jobs=jobs)
+    assert [r for r in records if r.graph_id != "bad"] == clean
+    assert ces == clean_ces
+    (err,) = [r for r in records if r.graph_id == "bad"]
+    assert (err.kind, err.check, err.holds, err.n) == ("error", "scan-error",
+                                                       None, 5)
+    assert err.details == {"error": "CertificateError",
+                           "message": "forced failure"}
+    assert scan_verdict(clean) == 0
+    assert scan_verdict(records) == 3
+    assert "CertificateError: forced failure" in capfd.readouterr().err
+
+
+def test_scan_recognizes_each_mop_once(monkeypatch):
+    calls = []
+
+    def counting(g):
+        calls.append(g.n)
+        return original(g)
+
+    original = outerplanar.recognize_mop
+    for mod in (outerplanar, harness):
+        monkeypatch.setattr(mod, "recognize_mop", counting)
+    items = [make_item(f"mop-{n}", "mop", gen_random_mop(n, n))
+             for n in (5, 9, 14)]
+    items.append(make_item("conn", "any", gen_random_connected(7, 1)))
+    records, _ = run_scan(items)
+    assert sorted(calls) == [5, 7, 9, 14]
+    clique = [r for r in records if r.check == "mop-clique-gamma-eq-rho"]
+    assert len(clique) == 3 and all(r.holds for r in clique)

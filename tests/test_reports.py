@@ -1,0 +1,81 @@
+import dataclasses
+import json
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from gammarho.reports import ScanRecord, summarize
+
+fraction_strings = st.builds(
+    lambda p, q: str(Fraction(p, q)),
+    st.integers(-200, 200), st.integers(1, 60))
+leaves = st.none() | st.booleans() | st.integers() | st.text() | fraction_strings
+detail_values = st.recursive(
+    leaves,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=5), inner, max_size=4)),
+    max_leaves=12)
+counts = st.none() | st.integers(0, 40)
+records = st.builds(
+    ScanRecord,
+    graph_id=st.text(max_size=8),
+    family=st.sampled_from(["tree", "mop", "bicubic", "named"]),
+    n=st.integers(0, 100),
+    check=st.text(max_size=8),
+    kind=st.sampled_from(["theorem", "conjecture", "info", "error"]),
+    holds=st.none() | st.booleans(),
+    bound=st.just("") | fraction_strings,
+    gamma=counts,
+    rho=counts,
+    details=st.dictionaries(st.text(max_size=6), detail_values, max_size=4),
+)
+
+
+def _summarize_with_fractions(records):
+    """summarize as it was first written: two Fractions per record."""
+    fams = {}
+    for r in records:
+        s = fams.setdefault(r.family, {
+            "records": 0, "violations": 0, "theorem_failures": 0,
+            "inconclusive": 0, "max_gamma_over_rho": None})
+        s["records"] += 1
+        if r.holds is None:
+            s["inconclusive"] += 1
+        elif not r.holds:
+            if r.kind == "theorem":
+                s["theorem_failures"] += 1
+            else:
+                s["violations"] += 1
+        if r.gamma is not None and r.rho:
+            ratio = Fraction(r.gamma, r.rho)
+            prev = s["max_gamma_over_rho"]
+            if prev is None or ratio > Fraction(prev):
+                s["max_gamma_over_rho"] = str(ratio)
+    return {"families": fams}
+
+
+@settings(max_examples=150, deadline=None)
+@given(records)
+def test_to_json_matches_a_deep_copy(r):
+    expected = json.dumps(dataclasses.asdict(r), sort_keys=True,
+                          separators=(",", ":"))
+    assert r.to_json() == expected
+    assert ScanRecord.from_json(r.to_json()).to_json() == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(records, max_size=25))
+def test_summarize_matches_the_fraction_version(rs):
+    assert summarize(rs) == _summarize_with_fractions(rs)
+    assert (json.dumps(summarize(rs), sort_keys=True)
+            == json.dumps(_summarize_with_fractions(rs), sort_keys=True))
+
+
+def test_as_dict_shares_details():
+    r = ScanRecord(graph_id="g", family="f", n=3, check="c", kind="theorem",
+                   holds=True, details={"lifted": [0, 2]})
+    d = r.as_dict()
+    assert list(d) == [f.name for f in dataclasses.fields(ScanRecord)]
+    assert d == dataclasses.asdict(r)
+    assert d["details"] is r.details
