@@ -65,6 +65,7 @@ from .outerplanar import (
     build_clique_graph,
     build_dual,
     check_mop_bounds,
+    clique_graph_numbers,
     lift_packing,
     low_degree_count,
     mop_facts,

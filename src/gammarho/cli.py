@@ -24,9 +24,11 @@ from .biconvex import (
     ConvexOrdering,
     cb_decompose,
     biconvex_records,
+    check_biconvex_bound,
     construct_dominating,
     construct_packing,
     trim_core,
+    validate_convex,
 )
 from .bicubic import (
     check_bicubic_bounds,
@@ -205,15 +207,25 @@ def _certify_class(gid, g, ordering, cls, budget) -> tuple[dict, list]:
                 "biconvex input needs #xorder/#yorder sidecars or an "
                 "edge list with xorder/yorder lines"
             )
-        decomp = cb_decompose(g, trim_core(g, ordering))
-        pack = construct_packing(g, decomp)
-        dom = construct_dominating(g, decomp)
-        records = biconvex_records(g, decomp, pack, dom, gid, budget)
-        certs.update(
-            width=decomp.width,
-            packing={"vertices": list(pack.vertices), "method": pack.method},
-            dominating={"vertices": list(dom.vertices), "method": dom.method},
-        )
+        if g.n == 1:
+            # trim_core needs two nonempty sides; the lone vertex is both
+            # certificates, as in check_biconvex_bound
+            validate_convex(g, ordering)
+            single = {"vertices": [0], "method": "singleton"}
+            certs.update(width=0, packing=single, dominating=dict(single))
+            records = check_biconvex_bound(g, ordering, gid, budget)
+        else:
+            decomp = cb_decompose(g, trim_core(g, ordering))
+            pack = construct_packing(g, decomp)
+            dom = construct_dominating(g, decomp)
+            records = biconvex_records(g, decomp, pack, dom, gid, budget)
+            certs.update(
+                width=decomp.width,
+                packing={"vertices": list(pack.vertices),
+                         "method": pack.method},
+                dominating={"vertices": list(dom.vertices),
+                            "method": dom.method},
+            )
     else:
         raise ValueError(f"unknown class {cls!r}")
     return certs, records

@@ -23,6 +23,7 @@ from .graphs import Graph
 
 GRAPH6_HEADER = ">>graph6<<"
 SPARSE6_HEADER = ">>sparse6<<"
+MAX_N = 258047  # the largest n of graph6's 4-byte size field
 
 
 class FormatError(ValueError):
@@ -34,13 +35,14 @@ def _encode_n(n: int) -> bytes:
         raise FormatError("n must be nonnegative")
     if n <= 62:
         return bytes([n + 63])
-    if n <= 258047:
+    if n <= MAX_N:
         return bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
     raise FormatError(f"n={n} exceeds the supported graph6 size")
 
 
 def _decode_n(data: bytes) -> tuple[int, int]:
-    """Return (n, bytes consumed).  Accepts the 1, 4 and 8 byte forms."""
+    """Return (n, bytes consumed).  Accepts the 1, 4 and 8 byte forms, the
+    last only for n <= MAX_N."""
     if not data:
         raise FormatError("empty graph6 line")
     if data[0] != 126:
@@ -51,6 +53,8 @@ def _decode_n(data: bytes) -> tuple[int, int]:
         n = 0
         for b in data[2:8]:
             n = (n << 6) | (b - 63)
+        if n > MAX_N:
+            raise FormatError(f"n={n} exceeds the supported size {MAX_N}")
         return n, 8
     if len(data) < 4:
         raise FormatError("truncated 4-byte size field")
@@ -134,6 +138,8 @@ def decode_sparse6(line: str) -> Graph:
         line = line[len(SPARSE6_HEADER):]
     if not line.startswith(":"):
         raise FormatError("sparse6 line must start with ':'")
+    if not line.isascii():
+        raise FormatError("sparse6 line contains non-ASCII bytes")
     data = line[1:].encode("ascii")
     _check_bytes(data)
     n, used = _decode_n(data)
@@ -192,6 +198,13 @@ def write_edgelist(
     return "\n".join(lines) + "\n"
 
 
+def _ints(tokens: Sequence[str], what: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(t) for t in tokens)
+    except ValueError as exc:
+        raise FormatError(f"bad {what} {' '.join(tokens)!r}") from exc
+
+
 def read_edgelist(
     text: str | Iterable[str],
 ) -> tuple[Graph, tuple[tuple[int, ...], tuple[int, ...]] | None]:
@@ -207,20 +220,19 @@ def read_edgelist(
     head = lines[0].split()
     if len(head) != 2:
         raise FormatError(f"bad header line {lines[0]!r}, expected 'n m'")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise FormatError(f"bad header line {lines[0]!r}") from exc
+    n, m = _ints(head, "header line")
+    if not 0 <= n <= MAX_N:
+        raise FormatError(f"vertex count {n} outside 0..{MAX_N}")
     xorder: tuple[int, ...] | None = None
     yorder: tuple[int, ...] | None = None
     body_start = 1
     for ln in lines[1:3]:
-        tag = ln.split(None, 1)[0]
+        tag, *tokens = ln.split()
         if tag == "xorder":
-            xorder = tuple(int(t) for t in ln.split()[1:])
+            xorder = _ints(tokens, "xorder line")
             body_start += 1
         elif tag == "yorder":
-            yorder = tuple(int(t) for t in ln.split()[1:])
+            yorder = _ints(tokens, "yorder line")
             body_start += 1
     if (xorder is None) != (yorder is None):
         raise FormatError("xorder and yorder lines must appear together")
@@ -230,7 +242,9 @@ def read_edgelist(
         parts = ln.split()
         if len(parts) != 2:
             raise FormatError(f"bad edge line {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
+        u, v = _ints(parts, "edge line")
+        if not (0 <= u < n and 0 <= v < n):
+            raise FormatError(f"edge {u}-{v} out of range for n={n}")
         if u == v:
             raise FormatError(f"loop {u}-{v}")
         key = (min(u, v), max(u, v))
@@ -272,10 +286,10 @@ def iter_graph6_stream(
         if not stripped:
             continue
         if stripped.startswith("#xorder"):
-            ox = tuple(int(t) for t in stripped.split()[1:])
+            ox = _ints(stripped.split()[1:], "#xorder line")
             continue
         if stripped.startswith("#yorder"):
-            oy = tuple(int(t) for t in stripped.split()[1:])
+            oy = _ints(stripped.split()[1:], "#yorder line")
             continue
         if stripped.startswith("#"):
             continue

@@ -51,6 +51,8 @@ from .graphs import Graph
 from .outerplanar import (
     Triangulation,
     build_clique_graph,
+    build_dual,
+    clique_graph_numbers,
     low_degree_count,
     mop_facts,
     mop_records,
@@ -93,25 +95,33 @@ def map_items(fn: Callable, items: Sequence, jobs: int) -> list:
 
 
 @dataclass(frozen=True)
-class GraphFacts:
-    """One graph, its families and its exact gamma and rho with optimal
-    witnesses; `triangulation` is set exactly when "mop" is a family."""
+class Classified:
+    """One graph and its families, before any solve; `triangulation` is
+    set exactly when "mop" is a family.  A predicate decides whether it
+    applies from these fields alone."""
 
     graph_id: str
     family: str
     graph: Graph
     ordering: ConvexOrdering | None
     families: frozenset[str]
-    gamma: int
-    rho: int
-    budget: int
-    dominating: tuple[int, ...]
-    packing: tuple[int, ...]
     triangulation: Triangulation | None
+    budget: int
 
     @property
     def delta(self) -> int:
         return self.graph.max_degree()
+
+
+@dataclass(frozen=True)
+class GraphFacts(Classified):
+    """A classified graph with its exact gamma and rho and optimal
+    witnesses."""
+
+    gamma: int
+    rho: int
+    dominating: tuple[int, ...]
+    packing: tuple[int, ...]
 
 
 def _classify(g: Graph, ordering: ConvexOrdering | None
@@ -144,23 +154,34 @@ def detect_families(g: Graph, ordering: ConvexOrdering | None) -> frozenset[str]
     return _classify(g, ordering)[0]
 
 
+def _classified(item: ScanItem, g: Graph, budget: int) -> Classified:
+    ordering = _item_ordering(item)
+    families, triangulation = _classify(g, ordering)
+    return Classified(item.graph_id, item.family, g, ordering, families,
+                      triangulation, budget)
+
+
+def _solved(c: Classified) -> GraphFacts:
+    """Solve gamma, then rho; a solve that exhausts the budget raises
+    BudgetExceeded."""
+    gamma = domination_number(c.graph, c.budget)
+    rho = packing_number(c.graph, c.budget)
+    return GraphFacts(c.graph_id, c.family, c.graph, c.ordering, c.families,
+                      c.triangulation, c.budget, gamma.value, rho.value,
+                      gamma.witness, rho.witness)
+
+
 def graph_facts(item: ScanItem, g: Graph, budget: int) -> GraphFacts:
     """Classify g (the decoded item) and solve gamma, then rho; a solve
     that exhausts the budget raises BudgetExceeded."""
-    ordering = _item_ordering(item)
-    families, triangulation = _classify(g, ordering)
-    gamma = domination_number(g, budget)
-    rho = packing_number(g, budget)
-    return GraphFacts(item.graph_id, item.family, g, ordering, families,
-                      gamma.value, rho.value, budget, gamma.witness,
-                      rho.witness, triangulation)
+    return _solved(_classified(item, g, budget))
 
 
 @dataclass(frozen=True)
 class Predicate:
     name: str
     kind: str  # "theorem" | "conjecture"
-    applies: Callable[[GraphFacts], bool]
+    applies: Callable[[Classified], bool]
     evaluate: Callable[[GraphFacts], tuple[bool, str, dict]]
 
 
@@ -215,9 +236,10 @@ def _p_mop_9rho_t(f: GraphFacts):
 
 
 def _p_mop_clique(f: GraphFacts):
-    cg = build_clique_graph(f.triangulation)
-    cg_g = domination_number(cg, f.budget).value
-    cg_r = packing_number(cg, f.budget).value
+    t = f.triangulation
+    cg_gamma, cg_rho = clique_graph_numbers(t, build_dual(t),
+                                            build_clique_graph(t), f.budget)
+    cg_g, cg_r = cg_gamma.value, cg_rho.value
     return cg_g == cg_r, bound_str(cg_r), {"cg_gamma": cg_g, "cg_rho": cg_r}
 
 
@@ -339,9 +361,13 @@ def _predicate_worker(
     item, names, budget = args
     g = decode_graph6(item.graph6)  # written by make_item, so it decodes
     try:
-        return evaluate_predicates(item, graph_facts(item, g, budget), names)
-    except BudgetExceeded as exc:
-        return _inconclusive(item, g, names, exc), []
+        known = _classified(item, g, budget)
+        try:
+            facts = _solved(known)
+        except BudgetExceeded as exc:
+            names = [n for n in names if PREDICATES[n].applies(known)]
+            return _inconclusive(item, g, names, exc), []
+        return evaluate_predicates(item, facts, names)
     except Exception as exc:  # one failing item must not sink the scan
         traceback.print_exc()  # the record keeps only the type and message
         return [_error_record(item, g, exc)], []

@@ -15,9 +15,20 @@ packings) are independent of the clipping order.
 
 `mop_facts` builds a graph's whole certificate state once: the
 triangulation, dual tree, clique graph and Tokunaga colors, and exact
-gamma and rho of the graph and of its clique graph.  `mop_records` and
-the `certify` and `reproduce` paths read it; `check_mop_bounds`, which
-needs no dual tree or coloring, solves in the same order without them.
+gamma and rho of the graph and of its clique graph.  `mop_records`,
+`check_mop_bounds` and the `certify` and `reproduce` paths read it.
+
+None of the four numbers needs search.  The dual tree is a tree
+decomposition of width 2, so one dynamic programme over it, with three
+states per vertex of each shared edge, finds a minimum dominating set and,
+run with a second transition table, a maximum packing, in linear time
+(domination and packing are [sigma, rho]-problems in the sense of Telle
+and Proskurowski, SIAM J. Discrete Math. 1997).  On the clique graph every
+closed neighborhood is a subtree of the dual tree, and a greedy over those
+subtrees returns a dominating set and a packing of equal size, which
+proves both optimal.  Each witness is checked before use; these answers
+report nodes = 0.  Should a check ever fail, that number is searched for
+under the caller's budget instead, which shows as nodes > 0.
 """
 
 from __future__ import annotations
@@ -25,13 +36,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from .graphs import (
     CertificateError,
     Graph,
     domination_violation,
     is_dominating,
+    is_packing,
     packing_violation,
 )
 from .reports import ScanRecord, bound_str
@@ -355,6 +367,190 @@ def lift_packing(t: Triangulation, dual: DualTree,
     return result
 
 
+# ------------------------------------------- gamma and rho without search ----
+#
+# Domination and packing both constrain |N[v] & S| for every vertex v: at
+# least 1 for a dominating set, at most 1 for a packing.  Walking the dual
+# tree bottom-up, each vertex of the edge a triangle shares with its parent
+# is in one of three states relative to the vertices already walked:
+_IN, _HIT, _FREE = 0, 1, 2
+# _IN: in S.  _HIT: not in S, with a walked neighbor in S (exactly one for
+# a packing).  _FREE: not in S, no walked neighbor in S.  _COUNT is the
+# number of walked neighbors in S that each state stands for; an _IN
+# vertex of a packing has none, and for domination its count is moot.
+_COUNT = (0, 1, 0)
+_INF = float("inf")
+
+
+def _settle(member: bool, count: int, dominate: bool) -> int | None:
+    """State of a vertex with `count` neighbors in S so far; None when a
+    packing already fails at it."""
+    if member:
+        return _IN if dominate or count == 0 else None
+    if count == 0:
+        return _FREE
+    return _HIT if dominate or count == 1 else None
+
+
+def _step_rows(dominate: bool) -> tuple[tuple[int, int, int, int], ...]:
+    """Transitions of one triangle (p1, p2, c) of the walk, where c is the
+    vertex it adds below the edge p1-p2.  Its children's tables are L over
+    (p1, c) and R over (p2, c), each indexed 3 * state + state; c is settled
+    against both and against p1 and p2, and the triangle's table over
+    (p1, p2) takes entry k = L[iL] + R[iR] + cost from row (iL, iR, k,
+    cost).  Costs count c into S, negated for a packing, so both walks
+    minimize."""
+    sign = 1 if dominate else -1
+    rows = []
+    for l1, lc, r2, rc in product(range(3), repeat=4):
+        in_c = lc == _IN
+        if (rc == _IN) != in_c:
+            continue
+        in1, in2 = l1 == _IN, r2 == _IN
+        c = _settle(in_c, _COUNT[lc] + _COUNT[rc] + in1 + in2, dominate)
+        if c is None or (dominate and c == _FREE):
+            continue
+        s1 = _settle(in1, _COUNT[l1] + in_c, dominate)
+        s2 = _settle(in2, _COUNT[r2] + in_c, dominate)
+        if s1 is None or s2 is None:
+            continue
+        rows.append((3 * l1 + lc, 3 * r2 + rc, 3 * s1 + s2, sign * in_c))
+    return tuple(rows)
+
+
+def _close_rows(dominate: bool) -> tuple[tuple[int, int], ...]:
+    """(k, cost) for every entry k of the root's table over its own
+    (p1, p2) that settles both ends across the edge p1-p2."""
+    sign = 1 if dominate else -1
+    rows = []
+    for s1, s2 in product(range(3), repeat=2):
+        in1, in2 = s1 == _IN, s2 == _IN
+        f1 = _settle(in1, _COUNT[s1] + in2, dominate)
+        f2 = _settle(in2, _COUNT[s2] + in1, dominate)
+        if f1 is None or f2 is None or (dominate and _FREE in (f1, f2)):
+            continue
+        rows.append((3 * s1 + s2, sign * (in1 + in2)))
+    return tuple(rows)
+
+
+# the table of an absent child: no walked vertex, so nothing is _HIT
+_NO_CHILD = tuple(_INF if _HIT in (s1, s2) else 0
+                  for s1 in range(3) for s2 in range(3))
+_STEP = {d: _step_rows(d) for d in (True, False)}
+_CLOSE = {d: _close_rows(d) for d in (True, False)}
+
+
+_Frame = tuple[int, int, int, int, int]
+
+
+def _walk(t: Triangulation, dual: DualTree
+          ) -> tuple[list[int], list[_Frame]]:
+    """The dual tree rooted at its first leaf, an ear: its triangles
+    parents first, and the frame (p1, p2, c, left, right) of each.
+    Triangle i adds vertex c below the edge p1-p2 it shares with its
+    parent, and its children lie across p1-c (left) and p2-c (right), -1
+    when absent.  The root's p1-p2 edge holds the ear's degree-2 vertex, so
+    the root has no right child."""
+    tris = t.triangles
+    adj = dual.graph.adj
+    root = next(i for i in range(len(tris)) if len(adj[i]) <= 1)
+    if adj[root]:
+        child = adj[root][0]
+        x, y = dual.shared[(min(root, child), max(root, child))]
+        (z,) = [v for v in tris[root] if v != x and v != y]
+        start = [y, z, x, -1, -1]
+    else:  # a lone triangle
+        start = [*tris[root], -1, -1]
+    parent, order = _rooted_dual(dual, root)
+    frames: list = [None] * len(tris)
+    frames[root] = start
+    for u in order[1:]:
+        i = parent[u]
+        p1, p2, c = frames[i][:3]
+        a, b = dual.shared[(min(i, u), max(i, u))]
+        (new,) = [v for v in tris[u] if v != a and v != b]
+        side, end = (3, p1) if p1 in (a, b) else (4, p2)
+        frames[i][side] = u
+        frames[u] = [end, c, new, -1, -1]
+    return order, [tuple(f) for f in frames]
+
+
+def _walk_dp(order: list[int], frames: list[_Frame], dominate: bool
+             ) -> tuple[int, tuple[int, ...]]:
+    """Size and members of a minimum dominating set (`dominate`) or of a
+    maximum packing of the mop walked by `_walk`: one bottom-up pass
+    filling a 9-entry table per triangle, then one top-down pass reading
+    the best choices back."""
+    step = _STEP[dominate]
+    tables: list = [None] * len(frames)
+    picks: list = [None] * len(frames)
+    for i in reversed(order):
+        _, _, _, left, right = frames[i]
+        lt = _NO_CHILD if left < 0 else tables[left]
+        rt = _NO_CHILD if right < 0 else tables[right]
+        best = [_INF] * 9
+        pick = [None] * 9
+        for row in step:
+            v = lt[row[0]] + rt[row[1]] + row[3]
+            if v < best[row[2]]:
+                best[row[2]] = v
+                pick[row[2]] = row
+        tables[i] = best
+        picks[i] = pick
+    root = order[0]
+    k, cost = min(_CLOSE[dominate], key=lambda kc: tables[root][kc[0]] + kc[1])
+    size = tables[root][k] + cost
+    p1, p2 = frames[root][:2]
+    chosen = [v for v, s in ((p1, k // 3), (p2, k % 3)) if s == _IN]
+    need = [0] * len(frames)
+    need[root] = k
+    for i in order:
+        _, _, c, left, right = frames[i]
+        il, ir, _, _ = picks[i][need[i]]
+        if il % 3 == _IN:
+            chosen.append(c)
+        if left >= 0:
+            need[left] = il
+        if right >= 0:
+            need[right] = ir
+    return (size if dominate else -size), tuple(sorted(chosen))
+
+
+def _clique_certificate(t: Triangulation, cg: Graph, order: list[int]
+                        ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Dominating set D and packing P of the clique graph with |D| = |P|,
+    which proves both optimal since rho <= gamma.
+
+    The triangles through one vertex form a path of the dual tree, so the
+    closed neighborhood of a triangle t in the clique graph, the union of
+    the three paths through its vertices, is a subtree; its top is the
+    first triangle of the dual tree's BFS `order` that meets t.  Taking
+    triangles by decreasing depth of their top, every t that no triangle
+    of D meets puts its top into D and itself into P.  Two subtrees that
+    meet contain the deeper one's top, so a later P triangle whose
+    neighborhood met t's would already be dominated by t's top.  The pair
+    is checked before it is returned; None means the check failed."""
+    tris = t.triangles
+    pos = [0] * len(tris)
+    first: dict[int, int] = {}
+    for p, i in enumerate(order):
+        pos[i] = p
+        for v in tris[i]:
+            first.setdefault(v, i)
+    top = [min((first[v] for v in tri), key=pos.__getitem__) for tri in tris]
+    covered: set[int] = set()
+    dom, pack = [], []
+    for i in sorted(range(len(tris)), key=lambda i: (-pos[top[i]], i)):
+        if covered.isdisjoint(tris[i]):
+            dom.append(top[i])
+            pack.append(i)
+            covered.update(tris[top[i]])
+    d, pk = tuple(sorted(dom)), tuple(sorted(pack))
+    if len(d) != len(pk) or not is_dominating(cg, d) or not is_packing(cg, pk):
+        return None
+    return d, pk
+
+
 @dataclass(frozen=True)
 class MopFacts:
     """Certificate state of one maximal outerplanar graph, built once."""
@@ -369,31 +565,63 @@ class MopFacts:
     cg_rho: RhoResult
 
 
-def _solve_four(g: Graph, cg: Graph, budget: int
-                ) -> tuple[GammaResult, RhoResult, GammaResult, RhoResult]:
-    """gamma(g), rho(g), gamma(cg), rho(cg) in that order: the first solve
-    to exhaust the budget raises BudgetExceeded."""
-    return (domination_number(g, budget), packing_number(g, budget),
-            domination_number(cg, budget), packing_number(cg, budget))
+def _mop_numbers(g: Graph, order: list[int], frames: list[_Frame],
+                 budget: int) -> tuple[GammaResult, RhoResult]:
+    """gamma(g) and rho(g) from the dual-tree walk of g once its sets check
+    out (nodes = 0), else by search under `budget`."""
+    size, dom = _walk_dp(order, frames, True)
+    if size == len(dom) and is_dominating(g, dom):
+        gamma = GammaResult(size, dom, 0)
+    else:
+        gamma = domination_number(g, budget)
+    size, pack = _walk_dp(order, frames, False)
+    if size == len(pack) and is_packing(g, pack):
+        rho = RhoResult(size, pack, 0)
+    else:
+        rho = packing_number(g, budget)
+    return gamma, rho
+
+
+def _clique_numbers(t: Triangulation, cg: Graph, order: list[int],
+                    budget: int) -> tuple[GammaResult, RhoResult]:
+    """gamma and rho of the clique graph cg of t, from the certificate
+    (nodes = 0), else by search under `budget`."""
+    cert = _clique_certificate(t, cg, order)
+    if cert is None:
+        return domination_number(cg, budget), packing_number(cg, budget)
+    dom, pack = cert
+    return GammaResult(len(dom), dom, 0), RhoResult(len(pack), pack, 0)
+
+
+def clique_graph_numbers(t: Triangulation, dual: DualTree, cg: Graph,
+                         budget: int = DEFAULT_BUDGET
+                         ) -> tuple[GammaResult, RhoResult]:
+    """gamma and rho of cg = build_clique_graph(t), equal and certified
+    without search; `dual` is build_dual(t)."""
+    return _clique_numbers(t, cg, _walk(t, dual)[0], budget)
 
 
 def mop_facts(g: Graph, budget: int = DEFAULT_BUDGET) -> MopFacts:
     """Recognize g, build its dual tree, clique graph and Tokunaga colors,
-    and solve gamma and rho of g and of the clique graph."""
+    and take gamma and rho of g and of the clique graph, in that order,
+    from one walk of the dual tree.  Search runs only where a check fails;
+    the first search to exhaust `budget` raises BudgetExceeded."""
     t = recognize_mop(g)
     dual = build_dual(t)
     cg = build_clique_graph(t)
     colors = tokunaga_color(t, dual)
-    return MopFacts(t, dual, cg, colors, *_solve_four(g, cg, budget))
+    order, frames = _walk(t, dual)
+    return MopFacts(t, dual, cg, colors,
+                    *_mop_numbers(g, order, frames, budget),
+                    *_clique_numbers(t, cg, order, budget))
 
 
-def _bound_records(g: Graph, solved: tuple[GammaResult, RhoResult,
-                                           GammaResult, RhoResult],
-                   graph_id: str) -> list[ScanRecord]:
+def _bound_records(f: MopFacts, graph_id: str) -> list[ScanRecord]:
     """Exact gamma/rho against the clique-graph equality, the 3rho and
-    (9rho + t)/4 bounds, and the 2rho conjecture; `solved` is
-    _solve_four(g, cg, budget)."""
-    gamma, rho, cg_gamma, cg_rho = (r.value for r in solved)
+    (9rho + t)/4 bounds, and the 2rho conjecture."""
+    g = f.triangulation.graph
+    gamma, rho = f.gamma.value, f.rho.value
+    cg_gamma, cg_rho = f.cg_gamma.value, f.cg_rho.value
     tcount = low_degree_count(g)
     base = dict(graph_id=graph_id, family="mop", n=g.n, gamma=gamma, rho=rho)
     return [
@@ -421,8 +649,7 @@ def mop_records(f: MopFacts, graph_id: str) -> list[ScanRecord]:
     problems = verify_tokunaga(t, f.colors, f.dual)
     lifted = lift_packing(t, f.dual, f.cg_rho.witness, f.clique_graph)
     base = dict(graph_id=graph_id, family="mop", n=t.graph.n)
-    solved = (f.gamma, f.rho, f.cg_gamma, f.cg_rho)
-    return _bound_records(t.graph, solved, graph_id) + [
+    return _bound_records(f, graph_id) + [
         ScanRecord(check="tokunaga-4cycle", kind="theorem",
                    holds=not problems, details={"problems": problems}, **base),
         ScanRecord(check="lift-packing-size", kind="theorem",
@@ -435,7 +662,6 @@ def mop_records(f: MopFacts, graph_id: str) -> list[ScanRecord]:
 def check_mop_bounds(g: Graph, graph_id: str = "mop",
                      budget: int = DEFAULT_BUDGET) -> list[ScanRecord]:
     """Exact gamma/rho against the clique-graph equality, the 3rho and
-    (9rho + t)/4 bounds, and the 2rho conjecture."""
-    # only the clique graph: no dual tree or coloring, which mop_facts adds
-    cg = build_clique_graph(recognize_mop(g))
-    return _bound_records(g, _solve_four(g, cg, budget), graph_id)
+    (9rho + t)/4 bounds, and the 2rho conjecture: the first five records
+    of mop_records."""
+    return _bound_records(mop_facts(g, budget), graph_id)

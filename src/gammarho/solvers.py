@@ -24,6 +24,11 @@ Every other component is branch and bound over Python int bitmasks:
   a greedy clique cover of the remaining candidates: each clique can
   contribute at most one vertex.
 
+`nodes` in a result counts search nodes only: an answer found without
+search (the forest certificate here, or the dual-tree walk and clique-graph
+certificate that `outerplanar` uses for maximal outerplanar graphs) reports
+nodes = 0.
+
 Everything is deterministic: fixed branching order, fixed tie-breaks, so
 reruns return byte-identical witnesses.  A node budget (default 10^7)
 turns runaway searches into an explicit BudgetExceeded signal carrying the

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from gammarho import cli, harness, outerplanar, solvers
+from gammarho.biconvex import ConvexOrdering, check_biconvex_bound
 from gammarho.formats import encode_graph6, iter_graph6_stream, write_graph6_stream
 from gammarho.generators import (
     gen_cycle,
@@ -15,7 +16,7 @@ from gammarho.generators import (
     gen_sun,
     petersen,
 )
-from gammarho.graphs import CertificateError
+from gammarho.graphs import CertificateError, Graph
 from gammarho.harness import verify_counterexamples
 from gammarho.reports import read_report
 
@@ -76,8 +77,9 @@ def test_certify_mop(tmp_path, capsys):
 
 
 def test_certify_mop_builds_and_solves_once(tmp_path, capsys, monkeypatch):
-    # gamma and rho of the mop and of its clique graph, one solve each;
-    # every structure built once and shared by the bundle and the records
+    # gamma and rho of the mop and of its clique graph come from one walk
+    # of the dual tree, with no search; every structure is built once and
+    # shared by the bundle and the records
     counts = Counter()
 
     def counting(name, fn):
@@ -97,8 +99,7 @@ def test_certify_mop_builds_and_solves_once(tmp_path, capsys, monkeypatch):
                 monkeypatch.setattr(mod, name, wrapped)
     path = write_g6(tmp_path, "m.g6", [gen_random_mop(12, 5)])
     assert cli.main(["certify", "--class", "mop", "--input", path]) == 0
-    assert counts == {"domination_number": 2, "packing_number": 2,
-                      "recognize_mop": 1, "build_dual": 1,
+    assert counts == {"recognize_mop": 1, "build_dual": 1,
                       "build_clique_graph": 1}
     assert len(json.loads(capsys.readouterr().out)["records"]) == 7
 
@@ -147,8 +148,9 @@ def _biconvex_items(*seeds):
     # the first graph of each corpus needs more than 10 search nodes
     ("bicubic", [(gen_random_bicubic(30, 1), None),
                  (gen_random_bicubic(20, 2), None)], [False, False]),
+    # mops never search, so a budget of 10 still answers them
     ("mop", [(gen_random_mop(30, 1), None), (gen_random_mop(5, 1), None)],
-     [False, True]),
+     [True, True]),
     ("biconvex", _biconvex_items(1, 0), [False, True]),
     ("any", [(gen_random_connected(12, 3), None), (gen_path(5), None)],
      [False, True]),
@@ -178,6 +180,36 @@ def test_certify_budget_exhaustion_is_a_record(cls, items, answered,
         assert rec["details"]["quantity"] in ("gamma", "rho")
 
 
+def test_certify_large_mop_without_search(tmp_path, capsys):
+    # n = 2000 is far beyond search; the dual-tree walk answers it
+    path = write_g6(tmp_path, "m.g6", [gen_random_mop(2000, 1)])
+    assert cli.main(["certify", "--class", "mop", "--input", path]) == 0
+    bundle = json.loads(capsys.readouterr().out)
+    records = bundle["records"]
+    assert [r["check"] for r in records] == [
+        "clique-graph-gamma-eq-rho", "rho-ge-clique-rho", "gamma-le-3rho",
+        "gamma-le-9rho-plus-t-over-4", "gamma-le-2rho", "tokunaga-4cycle",
+        "lift-packing-size"]
+    assert all(r["holds"] is True for r in records)
+    assert len(bundle["clique_dominating"]) == records[0]["details"]["cg_rho"]
+
+
+def test_certify_mop_search_fallback_budget_is_a_record(tmp_path, capsys,
+                                                        monkeypatch):
+    # should the walk's dominating set fail its check, the mop is searched
+    # under the caller's budget, and running out of it is one record
+    monkeypatch.setattr(outerplanar, "_walk_dp", lambda *args: (0, ()))
+    path = write_g6(tmp_path, "m.g6", [gen_random_mop(30, 1)])
+    assert cli.main(["certify", "--class", "mop", "--budget", "10",
+                     "--input", path]) == 0
+    bundle = json.loads(capsys.readouterr().out)
+    assert sorted(bundle) == ["graph_id", "m", "n", "records"]
+    (rec,) = bundle["records"]
+    assert (rec["check"], rec["kind"], rec["holds"]) == ("solver-budget",
+                                                        "info", None)
+    assert rec["details"]["quantity"] == "gamma"
+
+
 def test_certify_biconvex(tmp_path, capsys):
     g, ordering = gen_random_biconvex(5, 5, 3)
     path = tmp_path / "b.g6"
@@ -191,6 +223,22 @@ def test_certify_biconvex(tmp_path, capsys):
     assert bundle["packing"]["vertices"]
     assert bundle["dominating"]["method"]
     assert len(bundle["dominating"]["vertices"]) <= 2 * len(bundle["packing"]["vertices"])
+
+
+def test_certify_biconvex_single_vertex(tmp_path, capsys):
+    # trim_core needs two nonempty sides; the bundle carries the same n = 1
+    # records as check_biconvex_bound
+    path = tmp_path / "k1.txt"
+    path.write_text("1 0\nxorder 0\nyorder\n")
+    assert cli.main(["certify", "--class", "biconvex", "--format",
+                     "edgelist", "--input", str(path)]) == 0
+    bundle = json.loads(capsys.readouterr().out)
+    expected = check_biconvex_bound(Graph.from_edges(1, []),
+                                    ConvexOrdering((0,), ()), "biconvex-0")
+    assert bundle["records"] == [r.as_dict() for r in expected]
+    assert bundle["width"] == 0
+    assert bundle["packing"] == {"vertices": [0], "method": "singleton"}
+    assert bundle["dominating"] == {"vertices": [0], "method": "singleton"}
 
 
 def test_certify_biconvex_needs_orderings(tmp_path, capsys):

@@ -3,6 +3,7 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import to_nx
 from gammarho.formats import (
@@ -146,3 +147,48 @@ def test_stream_ignores_dangling_sidecar():
     assert list(iter_graph6_stream(["#xorder 0 1"])) == []
     out = list(iter_graph6_stream(["#yorder 9", encode_graph6(path(3))]))
     assert out == [(path(3), None)]
+
+
+class _Huge(Exception):
+    """A decoder got as far as building a graph too large to allocate
+    here: the input was accepted, not mishandled."""
+
+
+_real_from_edges = Graph.from_edges.__func__
+
+
+def _bounded_from_edges(cls, n, edges):
+    if n > 2000:
+        raise _Huge(n)
+    return _real_from_edges(cls, n, edges)
+
+
+_g6_body = st.text(alphabet=st.characters(min_codepoint=58,
+                                          max_codepoint=127), max_size=40)
+_token = st.one_of(st.sampled_from(["xorder", "yorder", "#", "#xorder",
+                                    "#yorder", "x", "1.5", "0x1", "", "٣"]),
+                   st.integers(-3, 40).map(str))
+_edge_list = st.lists(st.lists(_token, max_size=4).map(" ".join),
+                      max_size=8).map("\n".join)
+_fuzz_text = st.one_of(
+    st.text(max_size=80),
+    st.tuples(st.sampled_from(["", ":", ">>graph6<<", ">>sparse6<<:"]),
+              _g6_body).map("".join),
+    _edge_list,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fuzz_text)
+def test_decoders_raise_only_format_error(text):
+    decoders = (decode_graph6, decode_sparse6, decode_any, read_edgelist,
+                lambda s: list(iter_graph6_stream(s.splitlines())))
+    with pytest.MonkeyPatch.context() as mp:
+        # a valid size field may name up to 258047 vertices; stop before
+        # allocating such a graph
+        mp.setattr(Graph, "from_edges", classmethod(_bounded_from_edges))
+        for decode in decoders:
+            try:
+                decode(text)
+            except (FormatError, _Huge):
+                pass

@@ -10,6 +10,7 @@ from gammarho.generators import (
     gen_cycle,
     gen_path,
     gen_random_biconvex,
+    gen_random_bicubic,
     gen_random_connected,
     gen_random_mop,
     gen_sun,
@@ -248,3 +249,20 @@ def test_scan_recognizes_each_mop_once(monkeypatch):
     assert sorted(calls) == [5, 7, 9, 14]
     clique = [r for r in records if r.check == "mop-clique-gamma-eq-rho"]
     assert len(clique) == 3 and all(r.holds for r in clique)
+
+
+def test_budget_exhaustion_keeps_the_families():
+    # only the predicates that apply to the graph go inconclusive: the
+    # same checks as when the solve finishes, never mop-*, tree-* or
+    # biconvex-* ones for a bicubic graph
+    items = [make_item("b30", "bicubic", gen_random_bicubic(30, 1))]
+    starved, _ = run_scan(items, budget=5)
+    solved, _ = run_scan(items)
+    assert all(r.holds is None for r in starved)
+    assert [r.check for r in starved] == [r.check for r in solved]
+    assert {r.check for r in starved} == {
+        "rho-le-gamma", "gamma-le-delta-rho",
+        "subcubic-gamma-le-2rho-plus-1",
+        "gamma-le-delta-minus-1-rho-plus-1", "gamma-le-relaxed-delta",
+        "bicubic-gamma-le-5n-14", "bicubic-rho-ge-7n-48",
+        "bicubic-49gamma-le-120rho"}

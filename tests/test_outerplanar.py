@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gammarho.generators import gen_complete_bipartite, gen_cycle, gen_path, gen_random_mop, gen_sun
 from gammarho.graphs import Graph, is_dominating, is_packing
@@ -8,6 +9,7 @@ from gammarho.outerplanar import (
     build_clique_graph,
     build_dual,
     check_mop_bounds,
+    clique_graph_numbers,
     lift_packing,
     low_degree_count,
     mop_facts,
@@ -181,9 +183,18 @@ def test_mop_facts_share_one_build_with_every_consumer():
         assert f.dual.shared == build_dual(t).shared
         assert f.clique_graph == build_clique_graph(t)
         assert f.colors == tokunaga_color(t)
-        assert (f.gamma, f.rho) == (domination_number(g), packing_number(g))
-        assert f.cg_gamma == domination_number(f.clique_graph)
-        assert f.cg_rho == packing_number(f.clique_graph)
+        # the same values as search, with valid witnesses and no search
+        cg = f.clique_graph
+        assert f.gamma.value == domination_number(g).value
+        assert f.rho.value == packing_number(g).value
+        assert f.cg_gamma.value == domination_number(cg).value
+        assert f.cg_rho.value == packing_number(cg).value
+        for res, graph in ((f.gamma, g), (f.cg_gamma, cg)):
+            assert len(res.witness) == res.value and res.nodes == 0
+            assert is_dominating(graph, res.witness)
+        for res, graph in ((f.rho, g), (f.cg_rho, cg)):
+            assert len(res.witness) == res.value and res.nodes == 0
+            assert is_packing(graph, res.witness)
         assert verify_tokunaga(t, f.colors, f.dual) == []
         assert (lift_packing(t, f.dual, f.cg_rho.witness, f.clique_graph)
                 == lift_packing(t, build_dual(t), f.cg_rho.witness))
@@ -203,3 +214,60 @@ def test_bounds_hold_against_brute_force():
         assert gamma <= 3 * rho
         assert 4 * gamma <= 9 * rho + t
         assert gamma <= 2 * rho
+
+
+def _assert_certified(f):
+    """gamma and rho of the mop and of its clique graph came without
+    search, with witnesses of the reported size that check out."""
+    g, cg = f.triangulation.graph, f.clique_graph
+    for res, graph, valid in ((f.gamma, g, is_dominating),
+                              (f.rho, g, is_packing),
+                              (f.cg_gamma, cg, is_dominating),
+                              (f.cg_rho, cg, is_packing)):
+        assert res.nodes == 0
+        assert len(res.witness) == res.value
+        assert valid(graph, res.witness)
+    assert f.cg_gamma.value == f.cg_rho.value
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 20), st.integers(0, 10**6))
+def test_walk_matches_brute_force(n, seed):
+    f = mop_facts(gen_random_mop(n, seed))
+    _assert_certified(f)
+    g, cg = f.triangulation.graph, f.clique_graph
+    assert (f.gamma.value, f.rho.value) == (brute_gamma(g), brute_rho(g))
+    assert f.cg_gamma.value == brute_gamma(cg) == brute_rho(cg)
+
+
+@pytest.mark.parametrize("n, seed", [(20, 1), (24, 7), (29, 3), (33, 12),
+                                     (38, 5), (42, 2), (47, 9), (53, 4),
+                                     (60, 8)])
+def test_walk_matches_search(n, seed):
+    f = mop_facts(gen_random_mop(n, seed))
+    _assert_certified(f)
+    g, cg = f.triangulation.graph, f.clique_graph
+    assert f.gamma.value == domination_number(g).value
+    assert f.rho.value == packing_number(g).value
+    assert f.cg_gamma.value == domination_number(cg).value
+
+
+def test_walk_edge_cases():
+    # a lone triangle; n = 4, whose clique graph is K2; a fan, whose
+    # clique graph is complete
+    for g, values in ((gen_cycle(3), (1, 1, 1)),
+                      (gen_random_mop(4, 0), (1, 1, 1)),
+                      (FAN6, (1, 1, 1))):
+        f = mop_facts(g)
+        _assert_certified(f)
+        assert (f.gamma.value, f.rho.value, f.cg_rho.value) == values
+    assert mop_facts(FAN6).clique_graph.m == 6
+    assert mop_facts(gen_random_mop(4, 0)).clique_graph.m == 1
+
+
+def test_clique_graph_numbers_match_mop_facts():
+    for g in mop_corpus():
+        f = mop_facts(g)
+        t = f.triangulation
+        assert clique_graph_numbers(t, f.dual, f.clique_graph) == (
+            f.cg_gamma, f.cg_rho)
