@@ -12,11 +12,9 @@ from .graphs import (
     CertificateError,
     Graph,
     bipartition,
-    distance,
     distances_from,
     is_dominating,
     is_packing,
-    set_distance,
     square_restricted,
 )
 from .formats import (
@@ -64,7 +62,6 @@ from .outerplanar import (
     averaged_dominating,
     build_clique_graph,
     build_dual,
-    check_mop_bounds,
     clique_graph_numbers,
     lift_packing,
     low_degree_count,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import bounds
 from .graphs import (
     CertificateError,
     Graph,
@@ -29,7 +30,7 @@ from .graphs import (
     domination_violation,
     packing_violation,
 )
-from .reports import ScanRecord, bound_str
+from .reports import ScanRecord
 from .solvers import DEFAULT_BUDGET, domination_number, packing_number
 
 
@@ -430,17 +431,9 @@ def check_biconvex_bound(g: Graph, ordering: ConvexOrdering,
     """Exact gamma <= 2*rho plus the size-only certificate version of the
     same bound, which holds independently of the solvers."""
     if g.n == 1:
-        base = dict(graph_id=graph_id, family="biconvex", n=1, gamma=1, rho=1)
-        return [
-            ScanRecord(check="gamma-le-2rho", kind="theorem", holds=True,
-                       bound="2", **base),
-            ScanRecord(check="certified-gamma-le-2rho", kind="theorem",
-                       holds=True, bound="2",
-                       details={"pack_size": 1, "dom_size": 1,
-                                "pack_method": "singleton",
-                                "dom_method": "singleton", "width": 0},
-                       **base),
-        ]
+        detail = {"pack_size": 1, "dom_size": 1, "pack_method": "singleton",
+                  "dom_method": "singleton", "width": 0}
+        return _two_rho_records(graph_id, 1, 1, 1, 1, 1, {}, detail)
     decomp = cb_decompose(g, trim_core(g, ordering))
     return biconvex_records(g, decomp, construct_packing(g, decomp),
                             construct_dominating(g, decomp), graph_id, budget)
@@ -452,8 +445,8 @@ def biconvex_records(g: Graph, decomp: CBDecomposition, pack: Certificate,
     """The records of check_biconvex_bound for n >= 2, from certificates
     the caller has already built from `decomp`."""
     core = decomp.core
-    gamma = domination_number(g, budget)
-    rho = packing_number(g, budget)
+    gamma = domination_number(g, budget).value
+    rho = packing_number(g, budget).value
     detail = {
         "width": decomp.width,
         "pack_size": pack.size, "pack_method": pack.method,
@@ -461,16 +454,28 @@ def biconvex_records(g: Graph, decomp: CBDecomposition, pack: Certificate,
         "x_reversed": core.x_reversed,
         "trimmed": [len(core.trimmed_left), len(core.trimmed_right)],
     }
-    base = dict(graph_id=graph_id, family="biconvex", n=g.n,
-                gamma=gamma.value, rho=rho.value)
+    return _two_rho_records(graph_id, g.n, gamma, rho, pack.size, dom.size,
+                            detail, detail) + [
+        ScanRecord(graph_id=graph_id, family="biconvex", n=g.n,
+                   check="certificates-bracket", kind="theorem",
+                   holds=pack.size <= rho and gamma <= dom.size,
+                   bound=f"{pack.size}..{dom.size}", gamma=gamma, rho=rho,
+                   details=detail),
+    ]
+
+
+def _two_rho_records(graph_id: str, n: int, gamma: int, rho: int,
+                     pack_size: int, dom_size: int, exact_detail: dict,
+                     certified_detail: dict) -> list[ScanRecord]:
+    """gamma <= 2*rho on the exact numbers, then on the certificate sizes;
+    both records carry the exact numbers."""
+    base = dict(graph_id=graph_id, family="biconvex", n=n, kind="theorem",
+                gamma=gamma, rho=rho)
+    holds, bound, _ = bounds.GAMMA_LE_2RHO.evaluate(gamma, rho, n)
+    c_holds, c_bound, _ = bounds.GAMMA_LE_2RHO.evaluate(dom_size, pack_size, n)
     return [
-        ScanRecord(check="gamma-le-2rho", kind="theorem",
-                   holds=gamma.value <= 2 * rho.value,
-                   bound=bound_str(2 * rho.value), details=detail, **base),
-        ScanRecord(check="certified-gamma-le-2rho", kind="theorem",
-                   holds=dom.size <= 2 * pack.size,
-                   bound=bound_str(2 * pack.size), details=detail, **base),
-        ScanRecord(check="certificates-bracket", kind="theorem",
-                   holds=pack.size <= rho.value and gamma.value <= dom.size,
-                   bound=f"{pack.size}..{dom.size}", details=detail, **base),
+        ScanRecord(check="gamma-le-2rho", holds=holds, bound=bound,
+                   details=exact_detail, **base),
+        ScanRecord(check="certified-gamma-le-2rho", holds=c_holds,
+                   bound=c_bound, details=certified_detail, **base),
     ]

@@ -16,19 +16,19 @@ pieces:
   a packing because the two sit on opposite sides with no edges between
   them.
 
-check_bicubic_bounds evaluates the exact numbers against the three bounds
-the class carries (gamma <= 5n/14 for n >= 9, rho >= 7n/48 for n >= 16,
-49*gamma <= 120*rho) plus the open conjecture gamma <= 2*rho + 1, all in
-integer arithmetic.
+check_bicubic_bounds evaluates the exact numbers against the rows of the
+bound table (`gammarho.bounds`) that the class carries: gamma <= 5n/14 for
+n >= 9, rho >= 7n/48 for n >= 16 and 49*gamma <= 120*rho, plus the open
+conjecture gamma <= 2*rho + 1.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
+from . import bounds
 from .graphs import (
     BipartiteLabeling,
     CertificateError,
@@ -37,7 +37,7 @@ from .graphs import (
     packing_violation,
     square_restricted,
 )
-from .reports import ScanRecord, bound_str
+from .reports import ScanRecord
 from .solvers import DEFAULT_BUDGET, domination_number, packing_number
 
 
@@ -178,7 +178,9 @@ def brooks_color(g: Graph) -> BrooksColoring:
         for comp in comp_graph.components():
             lobe = {originals[v] for v in comp} | {cut}
             order = _reverse_bfs_order(g, cut, lobe)
-            local = _greedy_color_restricted(g, order, lobe)
+            # the order holds lobe vertices only, so the greedy colors
+            # each lobe from fresh colors
+            local = _greedy_color(g, order, {})
             # pin the cut vertex to color 0 by swapping within the lobe
             cc = local[cut]
             for v in lobe:
@@ -204,17 +206,6 @@ def brooks_color(g: Graph) -> BrooksColoring:
     order = _smallest_last_order(g)
     colors = _greedy_color(g, order, {})
     return _finish(g, tuple(colors), "fallback", delta)
-
-
-def _greedy_color_restricted(g: Graph, order: Sequence[int], allowed: set[int]) -> list[int]:
-    colors = [-1] * g.n
-    for v in order:
-        used = {colors[u] for u in g.adj[v] if u in allowed and colors[u] != -1}
-        c = 0
-        while c in used:
-            c += 1
-        colors[v] = c
-    return colors
 
 
 def _find_splice_triple(g: Graph) -> tuple[int, int, int] | None:
@@ -382,32 +373,21 @@ def combined_packing(g: Graph, layers: LayerDecomposition) -> tuple[int, ...]:
     return union
 
 
+# the three bounds the class carries, then the open conjecture
+_RECORDS = (
+    ("gamma-le-5n-14", "theorem", bounds.GAMMA_LE_5N_14),
+    ("rho-ge-7n-48", "theorem", bounds.RHO_GE_7N_48),
+    ("gamma-le-120-49-rho", "theorem", bounds.GAMMA_LE_120_49_RHO),
+    ("gamma-le-2rho-plus-1", "conjecture", bounds.GAMMA_LE_2RHO_PLUS_1),
+)
+
+
 def check_bicubic_bounds(g: Graph, graph_id: str = "bicubic",
                          budget: int = DEFAULT_BUDGET) -> list[ScanRecord]:
-    """Exact gamma and rho versus the class bounds, integer arithmetic only."""
+    """Exact gamma and rho versus the class bounds; a bound claimed only
+    from a larger order gives no record."""
     validate_bicubic(g)
-    n = g.n
     gamma = domination_number(g, budget)
     rho = packing_number(g, budget)
-    base = dict(graph_id=graph_id, family="bicubic", n=n,
-                gamma=gamma.value, rho=rho.value)
-    records = []
-    if n >= 9:
-        records.append(ScanRecord(
-            check="gamma-le-5n-14", kind="theorem",
-            holds=14 * gamma.value <= 5 * n,
-            bound=bound_str(Fraction(5 * n, 14)), **base))
-    if n >= 16:
-        records.append(ScanRecord(
-            check="rho-ge-7n-48", kind="theorem",
-            holds=48 * rho.value >= 7 * n,
-            bound=bound_str(Fraction(7 * n, 48)), **base))
-    records.append(ScanRecord(
-        check="gamma-le-120-49-rho", kind="theorem",
-        holds=49 * gamma.value <= 120 * rho.value,
-        bound=bound_str(Fraction(120 * rho.value, 49)), **base))
-    records.append(ScanRecord(
-        check="gamma-le-2rho-plus-1", kind="conjecture",
-        holds=gamma.value <= 2 * rho.value + 1,
-        bound=bound_str(2 * rho.value + 1), **base))
-    return records
+    return bounds.bound_records(_RECORDS, graph_id, "bicubic", g.n,
+                                gamma.value, rho.value)

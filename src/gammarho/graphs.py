@@ -184,50 +184,6 @@ def distances_from(g: Graph, source: int) -> list[float]:
     return dist
 
 
-def distance(g: Graph, u: int, v: int) -> float:
-    """Shortest-path distance between u and v (math.inf if disconnected)."""
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise ValueError("vertex out of range")
-    if u == v:
-        return 0
-    dist = [math.inf] * g.n
-    dist[u] = 0
-    queue = deque([u])
-    while queue:
-        w = queue.popleft()
-        for x in g.adj[w]:
-            if dist[x] == math.inf:
-                dist[x] = dist[w] + 1
-                if x == v:
-                    return dist[x]
-                queue.append(x)
-    return math.inf
-
-
-def set_distance(g: Graph, a: Iterable[int], b: Iterable[int]) -> float:
-    """min over pairs of distance(u in a, v in b); multi-source BFS from a."""
-    a_set = sorted(set(a))
-    b_set = set(b)
-    if not a_set or not b_set:
-        raise ValueError("set_distance requires nonempty sets")
-    if b_set & set(a_set):
-        return 0
-    dist: list[float] = [math.inf] * g.n
-    queue = deque()
-    for v in a_set:
-        dist[v] = 0
-        queue.append(v)
-    while queue:
-        v = queue.popleft()
-        for u in g.adj[v]:
-            if dist[u] == math.inf:
-                dist[u] = dist[v] + 1
-                if u in b_set:
-                    return dist[u]
-                queue.append(u)
-    return math.inf
-
-
 def packing_violation(g: Graph, vertices: Iterable[int]) -> tuple[int, int] | None:
     """Return a pair at distance <= 2, or None if `vertices` is a packing.
 

@@ -5,6 +5,9 @@ Predicates are either theorems (a failure means an implementation bug or a
 bad input, exit code 3 downstream) or conjectures (a failure is a genuine
 counterexample, exit code 2, and the offending graph is dumped with both
 optimal witnesses so the violation can be replayed from the dump alone).
+Each predicate names the row of the bound table (`gammarho.bounds`) it
+checks and the class condition under which it does; the class records of
+`certify` and `reproduce` read the same rows.
 
 Every parallel map goes through `map_items`: serial for one job, else one
 `multiprocessing.Pool.map` with the stdlib's default chunking, which hands
@@ -22,9 +25,9 @@ import json
 import multiprocessing
 import traceback
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
+from . import bounds
 from .biconvex import (
     ConvexOrdering,
     check_biconvex_bound,
@@ -179,107 +182,77 @@ def graph_facts(item: ScanItem, g: Graph, budget: int) -> GraphFacts:
 
 @dataclass(frozen=True)
 class Predicate:
+    """A scan check: the table row `bound`, claimed as `kind` for every
+    graph that `applies` admits and that meets the row's `min_n`."""
+
     name: str
     kind: str  # "theorem" | "conjecture"
     applies: Callable[[Classified], bool]
-    evaluate: Callable[[GraphFacts], tuple[bool, str, dict]]
+    bound: bounds.Bound
+
+    def covers(self, c: Classified) -> bool:
+        return c.graph.n >= self.bound.min_n and self.applies(c)
+
+    def verdict(self, f: GraphFacts) -> bounds.Verdict:
+        return self.bound.evaluate(f.gamma, f.rho, f.graph.n,
+                                   **_extras(f, self.bound.needs))
 
 
-def _p_rho_le_gamma(f: GraphFacts):
-    return f.rho <= f.gamma, bound_str(f.gamma), {}
+def _extras(f: GraphFacts, needs: tuple[str, ...]) -> dict:
+    """The extras a bound row needs, from f; the clique graph's numbers
+    are found only for a row that reads them."""
+    extras = {}
+    if "delta" in needs:
+        extras["delta"] = f.delta
+    if "t" in needs:
+        extras["t"] = low_degree_count(f.graph)
+    if "cg_gamma" in needs or "cg_rho" in needs:
+        t = f.triangulation
+        cg_gamma, cg_rho = clique_graph_numbers(
+            t, build_dual(t), build_clique_graph(t), f.budget)
+        extras.update(cg_gamma=cg_gamma.value, cg_rho=cg_rho.value)
+    return {name: extras[name] for name in needs}
 
 
-def _p_gamma_le_delta_rho(f: GraphFacts):
-    return f.gamma <= f.delta * f.rho, bound_str(f.delta * f.rho), {}
+def _always(c: Classified) -> bool:
+    return True
 
 
-def _p_eq(f: GraphFacts):
-    return f.gamma == f.rho, bound_str(f.rho), {}
-
-
-def _p_subcubic(f: GraphFacts):
-    return f.gamma <= 2 * f.rho + 1, bound_str(2 * f.rho + 1), {}
-
-
-def _p_delta_minus_one(f: GraphFacts):
-    cap = (f.delta - 1) * f.rho + 1
-    return f.gamma <= cap, bound_str(cap), {}
-
-
-def _p_delta_relaxed(f: GraphFacts):
-    cap = max((f.delta - 1) * f.rho, f.delta * (f.rho - 1)) + 1
-    return f.gamma <= cap, bound_str(cap), {}
-
-
-def _p_bicubic_gamma(f: GraphFacts):
-    n = f.graph.n
-    return 14 * f.gamma <= 5 * n, bound_str(Fraction(5 * n, 14)), {}
-
-
-def _p_bicubic_rho(f: GraphFacts):
-    n = f.graph.n
-    return 48 * f.rho >= 7 * n, bound_str(Fraction(7 * n, 48)), {}
-
-
-def _p_bicubic_ratio(f: GraphFacts):
-    return 49 * f.gamma <= 120 * f.rho, bound_str(Fraction(120 * f.rho, 49)), {}
-
-
-def _p_mop_3rho(f: GraphFacts):
-    return f.gamma <= 3 * f.rho, bound_str(3 * f.rho), {}
-
-
-def _p_mop_9rho_t(f: GraphFacts):
-    t = low_degree_count(f.graph)
-    cap4 = 9 * f.rho + t
-    return 4 * f.gamma <= cap4, bound_str(Fraction(cap4, 4)), {"t": t}
-
-
-def _p_mop_clique(f: GraphFacts):
-    t = f.triangulation
-    cg_gamma, cg_rho = clique_graph_numbers(t, build_dual(t),
-                                            build_clique_graph(t), f.budget)
-    cg_g, cg_r = cg_gamma.value, cg_rho.value
-    return cg_g == cg_r, bound_str(cg_r), {"cg_gamma": cg_g, "cg_rho": cg_r}
-
-
-def _p_2rho(f: GraphFacts):
-    return f.gamma <= 2 * f.rho, bound_str(2 * f.rho), {}
+def _in(family: str) -> Callable[[Classified], bool]:
+    return lambda c: family in c.families
 
 
 PREDICATES: dict[str, Predicate] = {
     p.name: p
     for p in [
-        Predicate("rho-le-gamma", "theorem", lambda f: True, _p_rho_le_gamma),
-        Predicate("gamma-le-delta-rho", "theorem",
-                  lambda f: f.graph.n >= 2, _p_gamma_le_delta_rho),
-        Predicate("tree-gamma-eq-rho", "theorem",
-                  lambda f: "tree" in f.families, _p_eq),
-        Predicate("gamma-eq-rho", "conjecture", lambda f: True, _p_eq),
+        Predicate("rho-le-gamma", "theorem", _always, bounds.RHO_LE_GAMMA),
+        Predicate("gamma-le-delta-rho", "theorem", _always,
+                  bounds.GAMMA_LE_DELTA_RHO),
+        Predicate("tree-gamma-eq-rho", "theorem", _in("tree"),
+                  bounds.GAMMA_EQ_RHO),
+        Predicate("gamma-eq-rho", "conjecture", _always, bounds.GAMMA_EQ_RHO),
         Predicate("subcubic-gamma-le-2rho-plus-1", "conjecture",
-                  lambda f: f.delta <= 3, _p_subcubic),
-        Predicate("gamma-le-delta-minus-1-rho-plus-1", "conjecture",
-                  lambda f: f.graph.n >= 2, _p_delta_minus_one),
-        Predicate("gamma-le-relaxed-delta", "conjecture",
-                  lambda f: f.graph.n >= 2, _p_delta_relaxed),
-        Predicate("bicubic-gamma-le-5n-14", "theorem",
-                  lambda f: "bicubic" in f.families and f.graph.n >= 9,
-                  _p_bicubic_gamma),
-        Predicate("bicubic-rho-ge-7n-48", "theorem",
-                  lambda f: "bicubic" in f.families and f.graph.n >= 16,
-                  _p_bicubic_rho),
-        Predicate("bicubic-49gamma-le-120rho", "theorem",
-                  lambda f: "bicubic" in f.families, _p_bicubic_ratio),
-        Predicate("mop-gamma-le-3rho", "theorem",
-                  lambda f: "mop" in f.families, _p_mop_3rho),
-        Predicate("mop-4gamma-le-9rho-plus-t", "theorem",
-                  lambda f: "mop" in f.families, _p_mop_9rho_t),
-        Predicate("mop-clique-gamma-eq-rho", "theorem",
-                  lambda f: "mop" in f.families, _p_mop_clique),
-        Predicate("mop-gamma-le-2rho", "conjecture",
-                  lambda f: "mop" in f.families, _p_2rho),
-        Predicate("biconvex-gamma-le-2rho", "theorem",
-                  lambda f: "biconvex" in f.families, _p_2rho),
+                  lambda c: c.delta <= 3, bounds.GAMMA_LE_2RHO_PLUS_1),
+        Predicate("gamma-le-delta-minus-1-rho-plus-1", "conjecture", _always,
+                  bounds.GAMMA_LE_DELTA_MINUS_1_RHO_PLUS_1),
+        Predicate("gamma-le-relaxed-delta", "conjecture", _always,
+                  bounds.GAMMA_LE_RELAXED_DELTA),
+        Predicate("bicubic-gamma-le-5n-14", "theorem", _in("bicubic"),
+                  bounds.GAMMA_LE_5N_14),
+        Predicate("bicubic-rho-ge-7n-48", "theorem", _in("bicubic"),
+                  bounds.RHO_GE_7N_48),
+        Predicate("bicubic-49gamma-le-120rho", "theorem", _in("bicubic"),
+                  bounds.GAMMA_LE_120_49_RHO),
+        Predicate("mop-gamma-le-3rho", "theorem", _in("mop"),
+                  bounds.GAMMA_LE_3RHO),
+        Predicate("mop-4gamma-le-9rho-plus-t", "theorem", _in("mop"),
+                  bounds.GAMMA_LE_9RHO_PLUS_T_OVER_4),
+        Predicate("mop-clique-gamma-eq-rho", "theorem", _in("mop"),
+                  bounds.CLIQUE_GAMMA_EQ_RHO),
+        Predicate("mop-gamma-le-2rho", "conjecture", _in("mop"),
+                  bounds.GAMMA_LE_2RHO),
+        Predicate("biconvex-gamma-le-2rho", "theorem", _in("biconvex"),
+                  bounds.GAMMA_LE_2RHO),
     ]
 }
 
@@ -319,10 +292,10 @@ def evaluate_predicates(item: ScanItem, facts: GraphFacts,
     counterexamples: list[dict] = []
     for name in names:
         pred = PREDICATES[name]
-        if not pred.applies(facts):
+        if not pred.covers(facts):
             continue
         try:
-            holds, bound, details = pred.evaluate(facts)
+            holds, bound, details = pred.verdict(facts)
         except BudgetExceeded as exc:
             records.extend(_inconclusive(item, g, [name], exc))
             continue
@@ -365,7 +338,7 @@ def _predicate_worker(
         try:
             facts = _solved(known)
         except BudgetExceeded as exc:
-            names = [n for n in names if PREDICATES[n].applies(known)]
+            names = [n for n in names if PREDICATES[n].covers(known)]
             return _inconclusive(item, g, names, exc), []
         return evaluate_predicates(item, facts, names)
     except Exception as exc:  # one failing item must not sink the scan
@@ -429,8 +402,8 @@ def verify_counterexamples(lines: Iterable[str],
         facts = graph_facts(item, decode_graph6(item.graph6), budget)
         pred = PREDICATES[ce["predicate"]]
         out = dict(ce)
-        out["still_violates"] = (pred.applies(facts)
-                                 and not pred.evaluate(facts)[0])
+        out["still_violates"] = (pred.covers(facts)
+                                 and not pred.verdict(facts)[0])
         results.append(out)
     return results
 
@@ -481,16 +454,14 @@ def default_scan_items() -> list[ScanItem]:
 
 def _exp_records_bicubic(item: ScanItem, g: Graph,
                          budget: int) -> list[ScanRecord]:
+    """The class records of check_bicubic_bounds, then the 2rho
+    conjecture under the item's own family."""
     records = check_bicubic_bounds(g, item.graph_id, budget)
     # check_bicubic_bounds solved both; every record carries the values
     gamma, rho = records[-1].gamma, records[-1].rho
-    records.append(
-        ScanRecord(graph_id=item.graph_id, family=item.family, n=g.n,
-                   check="gamma-le-2rho", kind="conjecture",
-                   holds=gamma <= 2 * rho, bound=bound_str(2 * rho),
-                   gamma=gamma, rho=rho)
-    )
-    return records
+    return records + bounds.bound_records(
+        [("gamma-le-2rho", "conjecture", bounds.GAMMA_LE_2RHO)],
+        item.graph_id, item.family, g.n, gamma, rho)
 
 
 def _exp_records_tight(item: ScanItem, g: Graph, budget: int,

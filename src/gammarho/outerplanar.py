@@ -15,8 +15,9 @@ packings) are independent of the clipping order.
 
 `mop_facts` builds a graph's whole certificate state once: the
 triangulation, dual tree, clique graph and Tokunaga colors, and exact
-gamma and rho of the graph and of its clique graph.  `mop_records`,
-`check_mop_bounds` and the `certify` and `reproduce` paths read it.
+gamma and rho of the graph and of its clique graph.  `mop_records` reads
+the class's rows of the bound table (`gammarho.bounds`) and the two
+certificate checks off it for the `certify` and `reproduce` paths.
 
 None of the four numbers needs search.  The dual tree is a tree
 decomposition of width 2, so one dynamic programme over it, with three
@@ -35,9 +36,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 
+from . import bounds
 from .graphs import (
     CertificateError,
     Graph,
@@ -616,52 +617,38 @@ def mop_facts(g: Graph, budget: int = DEFAULT_BUDGET) -> MopFacts:
                     *_clique_numbers(t, cg, order, budget))
 
 
-def _bound_records(f: MopFacts, graph_id: str) -> list[ScanRecord]:
-    """Exact gamma/rho against the clique-graph equality, the 3rho and
-    (9rho + t)/4 bounds, and the 2rho conjecture."""
-    g = f.triangulation.graph
-    gamma, rho = f.gamma.value, f.rho.value
-    cg_gamma, cg_rho = f.cg_gamma.value, f.cg_rho.value
-    tcount = low_degree_count(g)
-    base = dict(graph_id=graph_id, family="mop", n=g.n, gamma=gamma, rho=rho)
-    return [
-        ScanRecord(check="clique-graph-gamma-eq-rho", kind="theorem",
-                   holds=cg_gamma == cg_rho, bound=bound_str(cg_rho),
-                   details={"cg_gamma": cg_gamma, "cg_rho": cg_rho}, **base),
-        ScanRecord(check="rho-ge-clique-rho", kind="theorem",
-                   holds=rho >= cg_rho, bound=bound_str(cg_rho), **base),
-        ScanRecord(check="gamma-le-3rho", kind="theorem",
-                   holds=gamma <= 3 * rho, bound=bound_str(3 * rho), **base),
-        ScanRecord(check="gamma-le-9rho-plus-t-over-4", kind="theorem",
-                   holds=4 * gamma <= 9 * rho + tcount,
-                   bound=bound_str(Fraction(9 * rho + tcount, 4)),
-                   details={"t": tcount}, **base),
-        ScanRecord(check="gamma-le-2rho", kind="conjecture",
-                   holds=gamma <= 2 * rho, bound=bound_str(2 * rho), **base),
-    ]
+# the clique-graph equality, the 3rho and (9rho + t)/4 bounds, and the
+# 2rho conjecture
+_RECORDS = (
+    ("clique-graph-gamma-eq-rho", "theorem", bounds.CLIQUE_GAMMA_EQ_RHO),
+    ("rho-ge-clique-rho", "theorem", bounds.RHO_GE_CLIQUE_RHO),
+    ("gamma-le-3rho", "theorem", bounds.GAMMA_LE_3RHO),
+    ("gamma-le-9rho-plus-t-over-4", "theorem",
+     bounds.GAMMA_LE_9RHO_PLUS_T_OVER_4),
+    ("gamma-le-2rho", "conjecture", bounds.GAMMA_LE_2RHO),
+)
 
 
 def mop_records(f: MopFacts, graph_id: str) -> list[ScanRecord]:
-    """The five records of check_mop_bounds, then tokunaga-4cycle (the
-    colors re-verified) and lift-packing-size (the clique graph's maximum
-    packing lifted to the graph)."""
+    """Exact gamma and rho against the five bound records, then
+    tokunaga-4cycle (the colors, which tokunaga_color has verified) and
+    lift-packing-size (the clique graph's maximum packing lifted to the
+    graph)."""
     t = f.triangulation
-    problems = verify_tokunaga(t, f.colors, f.dual)
+    g = t.graph
     lifted = lift_packing(t, f.dual, f.cg_rho.witness, f.clique_graph)
-    base = dict(graph_id=graph_id, family="mop", n=t.graph.n)
-    return _bound_records(f, graph_id) + [
-        ScanRecord(check="tokunaga-4cycle", kind="theorem",
-                   holds=not problems, details={"problems": problems}, **base),
+    records = bounds.bound_records(
+        _RECORDS, graph_id, "mop", g.n, f.gamma.value, f.rho.value,
+        t=low_degree_count(g), cg_gamma=f.cg_gamma.value,
+        cg_rho=f.cg_rho.value)
+    base = dict(graph_id=graph_id, family="mop", n=g.n)
+    return records + [
+        # tokunaga_color raised CertificateError unless verify_tokunaga
+        # found no problem with f.colors
+        ScanRecord(check="tokunaga-4cycle", kind="theorem", holds=True,
+                   details={"problems": []}, **base),
         ScanRecord(check="lift-packing-size", kind="theorem",
                    holds=len(lifted) == f.cg_rho.value,
                    bound=bound_str(f.cg_rho.value),
                    details={"lifted": list(lifted)}, **base),
     ]
-
-
-def check_mop_bounds(g: Graph, graph_id: str = "mop",
-                     budget: int = DEFAULT_BUDGET) -> list[ScanRecord]:
-    """Exact gamma/rho against the clique-graph equality, the 3rho and
-    (9rho + t)/4 bounds, and the 2rho conjecture: the first five records
-    of mop_records."""
-    return _bound_records(mop_facts(g, budget), graph_id)

@@ -60,6 +60,22 @@ def test_brooks_color_on_restricted_squares():
             assert coloring.colors[u] != coloring.colors[v]
 
 
+def test_brooks_color_cut_vertex():
+    # 4-regular: vertex 0 joins two lobes, each K5 minus the edge between
+    # its first two vertices, to exactly those two vertices
+    edges = []
+    for lobe in ((1, 2, 3, 4, 5), (6, 7, 8, 9, 10)):
+        edges += [(u, v) for i, u in enumerate(lobe) for v in lobe[i + 1:]
+                  if (u, v) != lobe[:2]]
+        edges += [(0, lobe[0]), (0, lobe[1])]
+    g = Graph.from_edges(11, edges)
+    assert g.is_regular(4)
+    coloring = brooks_color(g)
+    assert coloring.method == "cut-vertex"
+    assert coloring.colors == (0, 3, 3, 2, 1, 0, 3, 3, 2, 1, 0)
+    assert coloring.num_colors == 4
+
+
 def test_side_packing_guarantee():
     for g in bicubic_corpus():
         lab = validate_bicubic(g)

@@ -92,7 +92,8 @@ def test_certify_mop_builds_and_solves_once(tmp_path, capsys, monkeypatch):
                        (solvers, "packing_number"),
                        (outerplanar, "recognize_mop"),
                        (outerplanar, "build_dual"),
-                       (outerplanar, "build_clique_graph")]:
+                       (outerplanar, "build_clique_graph"),
+                       (outerplanar, "verify_tokunaga")]:
         wrapped = counting(name, getattr(home, name))
         for mod in (solvers, outerplanar, harness, cli):
             if hasattr(mod, name):
@@ -100,8 +101,19 @@ def test_certify_mop_builds_and_solves_once(tmp_path, capsys, monkeypatch):
     path = write_g6(tmp_path, "m.g6", [gen_random_mop(12, 5)])
     assert cli.main(["certify", "--class", "mop", "--input", path]) == 0
     assert counts == {"recognize_mop": 1, "build_dual": 1,
-                      "build_clique_graph": 1}
+                      "build_clique_graph": 1, "verify_tokunaga": 1}
     assert len(json.loads(capsys.readouterr().out)["records"]) == 7
+
+
+def test_certify_mop_bad_colors_are_a_certificate_failure(tmp_path, capsys,
+                                                          monkeypatch):
+    # the colors are verified once, inside tokunaga_color, and a problem
+    # there fails the whole certify run
+    monkeypatch.setattr(outerplanar, "verify_tokunaga",
+                        lambda *args: ["edge 0-1 monochromatic"])
+    path = write_g6(tmp_path, "m.g6", [gen_random_mop(12, 5)])
+    assert cli.main(["certify", "--class", "mop", "--input", path]) == 3
+    assert "certificate failure" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cls, g", [("any", petersen()),

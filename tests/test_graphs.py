@@ -5,13 +5,11 @@ import pytest
 from gammarho.graphs import (
     Graph,
     bipartition,
-    distance,
     distances_from,
     domination_violation,
     is_dominating,
     is_packing,
     packing_violation,
-    set_distance,
     square_restricted,
 )
 
@@ -94,12 +92,9 @@ def test_induced_on_every_vertex_is_the_graph():
 def test_distances():
     g = path(6)
     assert distances_from(g, 0) == [0, 1, 2, 3, 4, 5]
-    assert distance(g, 1, 4) == 3
-    assert set_distance(g, [0, 1], [4, 5]) == 3
+    assert distances_from(g, 3) == [3, 2, 1, 0, 1, 2]
     h = Graph.from_edges(4, [(0, 1), (2, 3)])
-    assert distance(h, 0, 3) == float("inf")
-    with pytest.raises(ValueError):
-        distance(g, 0, 9)
+    assert distances_from(h, 0) == [0, 1, float("inf"), float("inf")]
 
 
 def test_packing_checks():

@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from gammarho import harness, outerplanar
-from gammarho.biconvex import ConvexOrdering
+from gammarho import bounds, harness, outerplanar
+from gammarho.biconvex import ConvexOrdering, check_biconvex_bound
+from gammarho.bicubic import check_bicubic_bounds
 from gammarho.generators import (
     gen_complete_bipartite,
     gen_cycle,
@@ -16,6 +17,7 @@ from gammarho.generators import (
     gen_sun,
 )
 from gammarho.graphs import CertificateError
+from gammarho.outerplanar import mop_facts, mop_records
 from gammarho.harness import (
     DEFAULT_PREDICATES,
     EXPERIMENTS,
@@ -52,6 +54,59 @@ def test_predicate_table():
     for name, pred in PREDICATES.items():
         assert pred.kind in ("theorem", "conjecture")
         assert pred.name == name
+
+
+# each scan predicate of a class, and the class record of the same bound
+AGREEING = {
+    "bicubic": {
+        "bicubic-gamma-le-5n-14": "gamma-le-5n-14",
+        "bicubic-rho-ge-7n-48": "rho-ge-7n-48",
+        "bicubic-49gamma-le-120rho": "gamma-le-120-49-rho",
+        "subcubic-gamma-le-2rho-plus-1": "gamma-le-2rho-plus-1",
+    },
+    "mop": {
+        "mop-clique-gamma-eq-rho": "clique-graph-gamma-eq-rho",
+        "mop-gamma-le-3rho": "gamma-le-3rho",
+        "mop-4gamma-le-9rho-plus-t": "gamma-le-9rho-plus-t-over-4",
+        "mop-gamma-le-2rho": "gamma-le-2rho",
+    },
+    "biconvex": {"biconvex-gamma-le-2rho": "gamma-le-2rho"},
+}
+
+
+def _class_cases(cls):
+    """(graph, ordering, class records); the bicubic orders straddle the
+    n >= 9 and n >= 16 thresholds."""
+    if cls == "bicubic":
+        for n in (6, 8, 10, 14, 16, 20):
+            g = gen_random_bicubic(n, 50 + n)
+            yield g, None, check_bicubic_bounds(g)
+    elif cls == "mop":
+        for n in (3, 4, 9, 17):
+            g = gen_random_mop(n, 60 + n)
+            yield g, None, mop_records(mop_facts(g), "mop")
+    else:
+        for s in range(6):
+            g, o = gen_random_biconvex(2 + s, 3 + s % 3, 70 + s)
+            yield g, o, check_biconvex_bound(g, o)
+
+
+@pytest.mark.parametrize("cls", sorted(AGREEING))
+def test_scan_predicates_agree_with_class_records(cls):
+    pairs = AGREEING[cls]
+    for i, (g, o, class_records) in enumerate(_class_cases(cls)):
+        records, _ = run_scan([make_item(f"{cls}-{i}", cls, g, o)],
+                              tuple(pairs))
+        scanned = {r.check: r for r in records}
+        stated = {r.check: r for r in class_records}
+        assert set(scanned) == {p for p, c in pairs.items() if c in stated}
+        for name, r in scanned.items():
+            c = stated[pairs[name]]
+            assert (r.kind, r.holds, r.bound, r.gamma, r.rho) == (
+                c.kind, c.holds, c.bound, c.gamma, c.rho)
+            # the biconvex class record also carries its certificates
+            if cls != "biconvex":
+                assert r.details == c.details
 
 
 def test_run_scan_basic():
@@ -202,18 +257,18 @@ def test_experiment_is_the_same_on_two_workers():
     assert [r.to_json() for r in parallel] == [r.to_json() for r in serial]
 
 
-def _raise_on_bad(f):
-    if f.graph_id == "bad":
+def _raise_on_bad(c):
+    if c.graph_id == "bad":
         raise CertificateError("forced failure")
-    return True, "", {}
+    return True
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_scan_isolates_an_item_that_raises(jobs, monkeypatch, capfd):
     # the pool forks, so the workers see the patched predicate table
     monkeypatch.setitem(PREDICATES, "boom",
-                        Predicate("boom", "theorem", lambda f: True,
-                                  _raise_on_bad))
+                        Predicate("boom", "theorem", _raise_on_bad,
+                                  bounds.RHO_LE_GAMMA))
     names = ("rho-le-gamma", "boom", "mop-gamma-le-2rho")
     good = [make_item("p5", "probe", gen_path(5)),
             make_item("sun", "probe", gen_sun())]

@@ -8,7 +8,6 @@ from gammarho.outerplanar import (
     averaged_dominating,
     build_clique_graph,
     build_dual,
-    check_mop_bounds,
     clique_graph_numbers,
     lift_packing,
     low_degree_count,
@@ -164,12 +163,14 @@ def test_clique_graph_gamma_equals_rho():
         assert domination_number(cg).value == packing_number(cg).value
 
 
-def test_check_mop_bounds_record_set():
-    records = check_mop_bounds(gen_sun(), "sun")
-    names = [r.check for r in records]
-    assert names == ["clique-graph-gamma-eq-rho", "rho-ge-clique-rho",
-                     "gamma-le-3rho", "gamma-le-9rho-plus-t-over-4",
-                     "gamma-le-2rho"]
+MOP_CHECKS = ["clique-graph-gamma-eq-rho", "rho-ge-clique-rho",
+              "gamma-le-3rho", "gamma-le-9rho-plus-t-over-4",
+              "gamma-le-2rho", "tokunaga-4cycle", "lift-packing-size"]
+
+
+def test_mop_records_record_set():
+    records = mop_records(mop_facts(gen_sun()), "sun")
+    assert [r.check for r in records] == MOP_CHECKS
     assert all(r.holds for r in records)
     assert records[0].gamma == 2 and records[0].rho == 1
 
@@ -199,9 +200,7 @@ def test_mop_facts_share_one_build_with_every_consumer():
         assert (lift_packing(t, f.dual, f.cg_rho.witness, f.clique_graph)
                 == lift_packing(t, build_dual(t), f.cg_rho.witness))
         records = mop_records(f, f"mop-{s}")
-        assert records[:5] == check_mop_bounds(g, f"mop-{s}")
-        assert [r.check for r in records[5:]] == ["tokunaga-4cycle",
-                                                  "lift-packing-size"]
+        assert [r.check for r in records] == MOP_CHECKS
         assert all(r.holds for r in records if r.kind == "theorem")
 
 

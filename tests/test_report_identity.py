@@ -10,7 +10,12 @@ walk and the clique-graph certificate replaced search for maximal
 outerplanar graphs.  That changed other optimal witnesses, and with them
 only the fields derived from witnesses (`lifted`, `clique_dominating`,
 `projected_dominating`, `averaged_dominating`); every record's name,
-order, gamma, rho, bound and verdict stayed the same."""
+order, gamma, rho, bound and verdict stayed the same.
+
+The bicubic-small, tight-family and certify any/tree digests were taken
+before each class bound moved into one table in `gammarho.bounds`, so
+they pin that the scan predicates and the class records kept their
+bytes through that change."""
 
 import hashlib
 import io
@@ -22,7 +27,9 @@ from gammarho.formats import write_graph6_stream
 from gammarho.generators import (
     gen_random_biconvex,
     gen_random_bicubic,
+    gen_random_connected,
     gen_random_mop,
+    gen_random_tree,
 )
 from gammarho.harness import default_scan_items, run_scan
 from gammarho.reports import write_report
@@ -45,15 +52,49 @@ def test_default_scan_report_is_byte_identical():
      "0f3c3357ff596ddf24e704e4073263c74a0f350fe41a9513895686a06817a296"),
     ("biconvex-theorem12",
      "88c040c808d78e1d72c9451f2e86bd6da7ac84c885617938e093c8f29dc1f692"),
+    ("bicubic-small",
+     "b0945bc9d4a5ace467bb9b70e8d550659564d1c552d577aa03fea67918e74de9"),
+    ("tight-family",
+     "b92d3923818fa039eb1fab9aab31c651492a8e28c762132452a4013a16f5a7fd"),
 ])
 def test_reproduce_report_is_byte_identical(name, digest, capsys):
     assert cli.main(["reproduce", "--name", name]) == 0
     assert _sha256(capsys.readouterr().out) == digest
 
 
+def test_reproduce_bicubic_corpus_is_byte_identical(tmp_path, capsys):
+    """bicubic-small with an extra corpus reaches n >= 16, where the
+    rho >= 7n/48 record appears."""
+    path = tmp_path / "bicubic.g6"
+    with open(path, "w") as fh:
+        write_graph6_stream([(gen_random_bicubic(16 + 2 * i, 8100 + i), None)
+                             for i in range(3)], fh)
+    assert cli.main(["reproduce", "--name", "bicubic-small",
+                     "--corpus", str(path)]) == 0
+    assert _sha256(capsys.readouterr().out) == (
+        "5fbca939141276621a5aebfdc74f50a450b747342efdf51972a5858c47b0f5ee")
+
+
 def _certify_corpus(cls):
     """Small seeded certify corpora: mops with n 4..42, bicubic graphs
-    with n 6..30 and biconvex graphs with both sides 2..10."""
+    with n 6..30, biconvex graphs with both sides 2..10, trees with n
+    2..24, and for `any` a mix of all of these with connected graphs, so
+    that every default scan predicate applies somewhere."""
+    if cls == "tree":
+        return [(gen_random_tree(2 + i % 23, 9500 + i), None)
+                for i in range(20)]
+    if cls == "any":
+        items = [(gen_random_connected(4 + i % 9, 9600 + i), None)
+                 for i in range(12)]
+        items += [(gen_random_bicubic(6 + 2 * i, 9700 + i), None)
+                  for i in range(6)]
+        items += [(gen_random_mop(4 + 2 * i, 9800 + i), None)
+                  for i in range(6)]
+        items += _certify_corpus("tree")[:4]
+        for i in range(6):
+            g, o = gen_random_biconvex(2 + i, 3 + i % 4, 9900 + i)
+            items.append((g, (o.x_order, o.y_order)))
+        return items
     if cls == "mop":
         return [(gen_random_mop(4 + i % 39, 7000 + i), None) for i in range(40)]
     if cls == "bicubic":
@@ -73,6 +114,10 @@ def _certify_corpus(cls):
      "e8246a4f734991236171ad73ccfde0731da120b8c9811d4bd2f67b844c9540ac"),
     ("biconvex",
      "ae673d018d7138fb9ad3bf767ea21dfb21451f90106ff04554292b82b1a44231"),
+    ("any",
+     "d76b08aa4804737379243babf19ea424dcb210d718d5916bf702d28260be9772"),
+    ("tree",
+     "de734b5765f120dd3abe1d1959216f0055425597c91a9de4bc98b682296c2d3f"),
 ])
 def test_certify_output_is_byte_identical(cls, digest, tmp_path, capsys):
     path = tmp_path / f"{cls}.g6"
