@@ -31,8 +31,8 @@ cg = build_clique_graph(t)
 print(f"dual tree edges: {sorted(dual.shared)}")
 print(f"clique graph: {cg.n} nodes, {cg.m} edges (dual is a subgraph)")
 
-colors = tokunaga_color(t)
-assert verify_tokunaga(t, colors) == []
+colors = tokunaga_color(t, dual)
+assert verify_tokunaga(t, colors, dual) == []
 print(f"4-coloring (every edge-sharing triangle pair sees all colors): {list(colors)}")
 
 # gamma equals rho on the clique graph; both transfer back to the mop
@@ -52,7 +52,7 @@ assert 4 * len(averaged) <= 3 * len(projected) + tc
 print(f"averaged dominating set: {list(averaged)} "
       f"(4*{len(averaged)} <= 3*{len(projected)} + t={tc})")
 
-lifted = lift_packing(t, dual, cg_rho.witness)
+lifted = lift_packing(t, dual, cg_rho.witness, cg)
 assert is_packing(g, lifted)
 assert len(lifted) == cg_rho.value
 print(f"lifted packing of the same size: {list(lifted)}")

@@ -32,8 +32,7 @@ from .solvers import (
     BRUTE_CAP,
     BudgetExceeded,
     DEFAULT_BUDGET,
-    GammaResult,
-    RhoResult,
+    Solution,
     brute_gamma,
     brute_rho,
     cycle_gamma,

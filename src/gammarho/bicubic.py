@@ -251,7 +251,9 @@ def _finish(g: Graph, colors: tuple[int, ...], method: str, promised: int) -> Br
 
 
 def validate_bicubic(g: Graph) -> BipartiteLabeling:
-    """Connected + 3-regular + bipartite, else ValueError."""
+    """Nonempty + connected + 3-regular + bipartite, else ValueError."""
+    if g.n == 0:
+        raise ValueError("graph has no vertices")
     if not g.is_connected():
         raise ValueError("graph is not connected")
     if not g.is_regular(3):

@@ -52,7 +52,7 @@ from .generators import (
     gen_random_tree,
     gen_tight_family,
 )
-from .graphs import CertificateError
+from .graphs import CertificateError, Graph
 from .harness import (
     DEFAULT_PREDICATES,
     EXPERIMENTS,
@@ -102,23 +102,18 @@ def _add_io_args(sp, with_input=True):
                     help="branch and bound node budget per graph")
 
 
-def _load(path: str, fmt: str):
-    """List of (graph, orderings-or-None) pairs from a path or stdin."""
+def _load(path: str, fmt: str) -> list[tuple[Graph, ConvexOrdering | None]]:
+    """(graph, ordering-or-None) pairs from a path or stdin."""
     if path == "-":
         text = sys.stdin.read()
     else:
         with open(path) as fh:
             text = fh.read()
     if fmt == "edgelist":
-        g, orderings = read_edgelist(text)
-        return [(g, orderings)]
-    return list(iter_graph6_stream(text.splitlines()))
-
-
-def _ordering_of(raw) -> ConvexOrdering | None:
-    if raw is None:
-        return None
-    return ConvexOrdering(tuple(raw[0]), tuple(raw[1]))
+        pairs = [read_edgelist(text)]
+    else:
+        pairs = iter_graph6_stream(text.splitlines())
+    return [(g, None if o is None else ConvexOrdering(*o)) for g, o in pairs]
 
 
 def _out_sink(path: str | None):
@@ -148,6 +143,16 @@ def _record_dicts(records):
     return [r.as_dict() for r in records]
 
 
+def _bicubic_layers(g: Graph):
+    """The bipartition of the bicubic graph g, its side packing (empty
+    below 16 vertices), and the layer decomposition of that packing
+    extended to a maximal one."""
+    labeling = validate_bicubic(g)
+    p = side_packing(g, labeling.side_x) if g.n >= 16 else ()
+    full = maximal_packing_in(g, labeling.side_x, p)
+    return labeling, p, layer_decompose(g, labeling, full)
+
+
 def _certify_one(idx, g, ordering, cls, budget) -> tuple[dict, list]:
     """Certificate bundle and records of one graph.  A solve that exhausts
     the budget leaves the bundle one solver-budget record and no
@@ -175,15 +180,10 @@ def _certify_class(gid, g, ordering, cls, budget) -> tuple[dict, list]:
                      dominating=list(facts.dominating),
                      packing=list(facts.packing))
     elif cls == "bicubic":
-        labeling = validate_bicubic(g)
+        _, p, layers = _bicubic_layers(g)
         records = check_bicubic_bounds(g, gid, budget)
         if g.n >= 16:
-            p = side_packing(g, labeling.side_x)
             certs["side_packing"] = list(p)
-        else:
-            p = ()
-        p_full = maximal_packing_in(g, labeling.side_x, p)
-        layers = layer_decompose(g, labeling, p_full)
         certs["layers"] = {
             "p": list(layers.p), "q": list(layers.q), "r": list(layers.r),
             "s": list(layers.s), "t": list(layers.t), "w": list(layers.w),
@@ -233,23 +233,18 @@ def _certify_class(gid, g, ordering, cls, budget) -> tuple[dict, list]:
 
 def cmd_certify(args) -> int:
     all_records = []
-    for idx, (g, raw_ordering) in enumerate(_load(args.input, args.format)):
-        bundle, records = _certify_one(
-            idx, g, _ordering_of(raw_ordering), args.cls, args.budget
-        )
+    for idx, (g, ordering) in enumerate(_load(args.input, args.format)):
+        bundle, records = _certify_one(idx, g, ordering, args.cls, args.budget)
         all_records.extend(records)
         print(json.dumps(bundle, indent=2, sort_keys=True))
     return scan_verdict(all_records)
 
 
 def cmd_decompose(args) -> int:
-    for idx, (g, raw_ordering) in enumerate(_load(args.input, args.format)):
+    for idx, (g, ordering) in enumerate(_load(args.input, args.format)):
         print(f"# graph {idx}: n={g.n} m={g.m}")
         if args.cls == "bicubic":
-            labeling = validate_bicubic(g)
-            base = side_packing(g, labeling.side_x) if g.n >= 16 else ()
-            p = maximal_packing_in(g, labeling.side_x, base)
-            layers = layer_decompose(g, labeling, p)
+            labeling, _, layers = _bicubic_layers(g)
             print(f"side X: {list(labeling.side_x)}")
             print(f"side Y: {list(labeling.side_y)}")
             for tag in ("p", "q", "r", "s", "t", "w"):
@@ -266,7 +261,6 @@ def cmd_decompose(args) -> int:
                 print(f"dual edge {i}-{j} shares {edge[0]}-{edge[1]}")
             print(f"colors: {list(colors)}")
         elif args.cls == "biconvex":
-            ordering = _ordering_of(raw_ordering)
             if ordering is None:
                 raise ValueError("biconvex input needs orderings")
             decomp = cb_decompose(g, trim_core(g, ordering))
@@ -317,7 +311,7 @@ def cmd_scan(args) -> int:
     if args.input:
         loaded = _load(args.input, args.format)
         items = [
-            make_item(f"{args.cls}-{i}", args.cls, g, _ordering_of(o))
+            make_item(f"{args.cls}-{i}", args.cls, g, o)
             for i, (g, o) in enumerate(loaded)
         ]
     else:

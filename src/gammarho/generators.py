@@ -169,7 +169,8 @@ def gen_random_biconvex(nx: int, ny: int, seed: int) -> tuple[Graph, ConvexOrder
     monotonically, consecutive intervals overlap, the first is pinned at 0
     and the last reaches nx-1.  That shape makes both convexity conditions
     and the flank-nesting structure automatic, so the block decomposition
-    is always available; the final loop just re-checks that.
+    is always available; the loop re-checks that, and a failure there is a
+    bug that raises instead of drawing again.
     """
     if nx < 1 or ny < 1:
         raise ValueError("need nx, ny >= 1")
@@ -193,10 +194,7 @@ def gen_random_biconvex(nx: int, ny: int, seed: int) -> tuple[Graph, ConvexOrder
         ordering = ConvexOrdering(tuple(range(nx)), tuple(range(nx, nx + ny)))
         if not g.is_connected():
             continue
-        try:
-            cb_decompose(g, trim_core(g, ordering))
-        except Exception:
-            continue
+        cb_decompose(g, trim_core(g, ordering))
         return g, ordering
     raise RuntimeError("staircase sampler failed to produce a usable graph")
 

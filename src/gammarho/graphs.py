@@ -76,14 +76,8 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def closed_neighborhood(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted((v,) + self.adj[v]))
-
     def max_degree(self) -> int:
         return max((len(nbrs) for nbrs in self.adj), default=0)
-
-    def min_degree(self) -> int:
-        return min((len(nbrs) for nbrs in self.adj), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]

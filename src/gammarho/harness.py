@@ -78,13 +78,12 @@ class ScanItem:
     graph_id: str
     family: str
     graph6: str
-    ordering: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+    ordering: ConvexOrdering | None = None
 
 
 def make_item(graph_id: str, family: str, g: Graph,
               ordering: ConvexOrdering | None = None) -> ScanItem:
-    packed = (ordering.x_order, ordering.y_order) if ordering else None
-    return ScanItem(graph_id, family, encode_graph6(g), packed)
+    return ScanItem(graph_id, family, encode_graph6(g), ordering)
 
 
 def map_items(fn: Callable, items: Sequence, jobs: int) -> list:
@@ -99,9 +98,9 @@ def map_items(fn: Callable, items: Sequence, jobs: int) -> list:
 
 @dataclass(frozen=True)
 class Classified:
-    """One graph and its families, before any solve; `triangulation` is
-    set exactly when "mop" is a family.  A predicate decides whether it
-    applies from these fields alone."""
+    """One graph, its maximum degree and its families, before any solve;
+    `triangulation` is set exactly when "mop" is a family.  A predicate
+    decides whether it applies from these fields alone."""
 
     graph_id: str
     family: str
@@ -110,10 +109,7 @@ class Classified:
     families: frozenset[str]
     triangulation: Triangulation | None
     budget: int
-
-    @property
-    def delta(self) -> int:
-        return self.graph.max_degree()
+    delta: int
 
 
 @dataclass(frozen=True)
@@ -158,10 +154,9 @@ def detect_families(g: Graph, ordering: ConvexOrdering | None) -> frozenset[str]
 
 
 def _classified(item: ScanItem, g: Graph, budget: int) -> Classified:
-    ordering = _item_ordering(item)
-    families, triangulation = _classify(g, ordering)
-    return Classified(item.graph_id, item.family, g, ordering, families,
-                      triangulation, budget)
+    families, triangulation = _classify(g, item.ordering)
+    return Classified(item.graph_id, item.family, g, item.ordering, families,
+                      triangulation, budget, g.max_degree())
 
 
 def _solved(c: Classified) -> GraphFacts:
@@ -170,8 +165,8 @@ def _solved(c: Classified) -> GraphFacts:
     gamma = domination_number(c.graph, c.budget)
     rho = packing_number(c.graph, c.budget)
     return GraphFacts(c.graph_id, c.family, c.graph, c.ordering, c.families,
-                      c.triangulation, c.budget, gamma.value, rho.value,
-                      gamma.witness, rho.witness)
+                      c.triangulation, c.budget, c.delta, gamma.value,
+                      rho.value, gamma.witness, rho.witness)
 
 
 def graph_facts(item: ScanItem, g: Graph, budget: int) -> GraphFacts:
@@ -263,12 +258,6 @@ DEFAULT_PREDICATES = tuple(
 )
 
 
-def _item_ordering(item: ScanItem) -> ConvexOrdering | None:
-    if item.ordering is None:
-        return None
-    return ConvexOrdering(tuple(item.ordering[0]), tuple(item.ordering[1]))
-
-
 def _inconclusive(item: ScanItem, g: Graph, names: Sequence[str],
                   exc: BudgetExceeded) -> list[ScanRecord]:
     detail = {"reason": "node budget exhausted", "quantity": exc.quantity,
@@ -305,6 +294,7 @@ def evaluate_predicates(item: ScanItem, facts: GraphFacts,
                        gamma=facts.gamma, rho=facts.rho, details=details)
         )
         if not holds and pred.kind == "conjecture":
+            o = item.ordering
             counterexamples.append({
                 "graph_id": item.graph_id,
                 "family": item.family,
@@ -315,8 +305,8 @@ def evaluate_predicates(item: ScanItem, facts: GraphFacts,
                 "bound": bound,
                 "dominating": list(facts.dominating),
                 "packing": list(facts.packing),
-                "x_order": list(item.ordering[0]) if item.ordering else None,
-                "y_order": list(item.ordering[1]) if item.ordering else None,
+                "x_order": list(o.x_order) if o else None,
+                "y_order": list(o.y_order) if o else None,
             })
     return records, counterexamples
 
@@ -397,7 +387,8 @@ def verify_counterexamples(lines: Iterable[str],
         ce = json.loads(line)
         ordering = None
         if ce.get("x_order") is not None:
-            ordering = (tuple(ce["x_order"]), tuple(ce["y_order"]))
+            ordering = ConvexOrdering(tuple(ce["x_order"]),
+                                      tuple(ce["y_order"]))
         item = ScanItem(ce["graph_id"], ce["family"], ce["graph6"], ordering)
         facts = graph_facts(item, decode_graph6(item.graph6), budget)
         pred = PREDICATES[ce["predicate"]]
@@ -488,7 +479,7 @@ def _exp_records_mop(item: ScanItem, g: Graph, budget: int) -> list[ScanRecord]:
 
 def _exp_records_biconvex(item: ScanItem, g: Graph,
                           budget: int) -> list[ScanRecord]:
-    return check_biconvex_bound(g, _item_ordering(item), item.graph_id, budget)
+    return check_biconvex_bound(g, item.ordering, item.graph_id, budget)
 
 
 def budget_record(graph_id: str, family: str, n: int,

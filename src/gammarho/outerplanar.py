@@ -50,8 +50,7 @@ from .graphs import (
 from .reports import ScanRecord, bound_str
 from .solvers import (
     DEFAULT_BUDGET,
-    GammaResult,
-    RhoResult,
+    Solution,
     domination_number,
     packing_number,
 )
@@ -203,18 +202,15 @@ def _rooted_dual(dual: DualTree, root: int) -> tuple[dict[int, int], list[int]]:
     return parent, order
 
 
-def tokunaga_color(t: Triangulation,
-                   dual: DualTree | None = None) -> tuple[int, ...]:
+def tokunaga_color(t: Triangulation, dual: DualTree) -> tuple[int, ...]:
     """4-coloring (colors 0..3) in which every pair of edge-sharing
     triangles spans all four colors on its 4-cycle.
 
     Root the dual tree at triangle 0, color the root triangle 0,1,2 by
     ascending vertex id; each child triangle introduces one new vertex,
     which takes the unique color missing from {shared edge} + {parent's
-    opposite vertex}.  `dual` is build_dual(t), built here when omitted.
+    opposite vertex}.  `dual` is build_dual(t).
     """
-    if dual is None:
-        dual = build_dual(t)
     parent, order = _rooted_dual(dual, 0)
     colors = [-1] * t.graph.n
     for c, v in enumerate(t.triangles[0]):
@@ -239,17 +235,15 @@ def tokunaga_color(t: Triangulation,
 
 
 def verify_tokunaga(t: Triangulation, colors: tuple[int, ...],
-                    dual: DualTree | None = None) -> list[str]:
+                    dual: DualTree) -> list[str]:
     """Empty list when proper and every edge-sharing triangle pair carries
     all four colors.  In a maximal outerplanar graph every 4-cycle arises
     from such a pair, so this checks the full 4-cycle property.  `dual` is
-    build_dual(t), built here when omitted."""
+    build_dual(t)."""
     problems = []
     for u, v in t.graph.edges():
         if colors[u] == colors[v]:
             problems.append(f"edge {u}-{v} monochromatic")
-    if dual is None:
-        dual = build_dual(t)
     for (i, j), (eu, ev) in dual.shared.items():
         quad = set(t.triangles[i]) | set(t.triangles[j])
         seen = {colors[v] for v in quad}
@@ -317,16 +311,14 @@ def averaged_dominating(t: Triangulation, x_set: tuple[int, ...] | list[int],
 
 def lift_packing(t: Triangulation, dual: DualTree,
                  z: tuple[int, ...] | list[int],
-                 cg: Graph | None = None) -> tuple[int, ...]:
+                 cg: Graph) -> tuple[int, ...]:
     """Lift a packing Z of the clique graph to an equal-size packing of the
     graph: root the dual tree at a Z-node; every Z-node contributes the one
     vertex it does not share with the edge to its parent.  `cg` is
-    build_clique_graph(t), built here when omitted."""
+    build_clique_graph(t)."""
     z_t = tuple(sorted(set(z)))
     if not z_t:
         raise ValueError("z must be nonempty")
-    if cg is None:
-        cg = build_clique_graph(t)
     bad = packing_violation(cg, z_t)
     if bad is not None:
         raise ValueError(f"z is not a packing of the clique graph: {bad}")
@@ -560,43 +552,43 @@ class MopFacts:
     dual: DualTree
     clique_graph: Graph
     colors: tuple[int, ...]
-    gamma: GammaResult
-    rho: RhoResult
-    cg_gamma: GammaResult
-    cg_rho: RhoResult
+    gamma: Solution
+    rho: Solution
+    cg_gamma: Solution
+    cg_rho: Solution
 
 
 def _mop_numbers(g: Graph, order: list[int], frames: list[_Frame],
-                 budget: int) -> tuple[GammaResult, RhoResult]:
+                 budget: int) -> tuple[Solution, Solution]:
     """gamma(g) and rho(g) from the dual-tree walk of g once its sets check
     out (nodes = 0), else by search under `budget`."""
     size, dom = _walk_dp(order, frames, True)
     if size == len(dom) and is_dominating(g, dom):
-        gamma = GammaResult(size, dom, 0)
+        gamma = Solution(size, dom, 0)
     else:
         gamma = domination_number(g, budget)
     size, pack = _walk_dp(order, frames, False)
     if size == len(pack) and is_packing(g, pack):
-        rho = RhoResult(size, pack, 0)
+        rho = Solution(size, pack, 0)
     else:
         rho = packing_number(g, budget)
     return gamma, rho
 
 
 def _clique_numbers(t: Triangulation, cg: Graph, order: list[int],
-                    budget: int) -> tuple[GammaResult, RhoResult]:
+                    budget: int) -> tuple[Solution, Solution]:
     """gamma and rho of the clique graph cg of t, from the certificate
     (nodes = 0), else by search under `budget`."""
     cert = _clique_certificate(t, cg, order)
     if cert is None:
         return domination_number(cg, budget), packing_number(cg, budget)
     dom, pack = cert
-    return GammaResult(len(dom), dom, 0), RhoResult(len(pack), pack, 0)
+    return Solution(len(dom), dom, 0), Solution(len(pack), pack, 0)
 
 
 def clique_graph_numbers(t: Triangulation, dual: DualTree, cg: Graph,
                          budget: int = DEFAULT_BUDGET
-                         ) -> tuple[GammaResult, RhoResult]:
+                         ) -> tuple[Solution, Solution]:
     """gamma and rho of cg = build_clique_graph(t), equal and certified
     without search; `dual` is build_dual(t)."""
     return _clique_numbers(t, cg, _walk(t, dual)[0], budget)

@@ -43,11 +43,6 @@ class ScanRecord:
     def to_json(self) -> str:
         return _ENCODER.encode(self.as_dict())
 
-    @classmethod
-    def from_json(cls, line: str) -> "ScanRecord":
-        obj = json.loads(line)
-        return cls(**obj)
-
 
 # what json.dumps(obj, sort_keys=True, separators=(",", ":")) builds per call
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))

@@ -1,14 +1,23 @@
 """Exact solvers for the domination number (gamma) and the packing number
 (rho), plus deliberately independent brute-force oracles.
 
-Both solvers work per connected component.  A forest component (a tree:
-m == n - 1) is solved without search by a linear-time greedy that returns
-a dominating set and a packing of equal size, which proves both optimal
-because rho <= gamma.  The pair is validated before use; it reports
-nodes = 0 and spends none of the budget.  Should the check ever fail, the
-component falls through to the search.
+`domination_number` and `packing_number` share one driver, since the two
+are a dual pair (rho <= gamma, with equality on trees).  The driver solves
+each connected component, sums the answers, and routes each component to
+the cheapest exact method:
 
-Every other component is branch and bound over Python int bitmasks:
+* A forest component (a tree: m == n - 1) is solved without search by a
+  linear-time greedy that returns a dominating set and a packing of equal
+  size, which proves both optimal because rho <= gamma.  The pair is
+  validated before use; it reports nodes = 0 and spends none of the
+  budget.  Should the check ever fail, the component falls through to the
+  search.
+
+* Every other component goes to that quantity's branch and bound over
+  Python int bitmasks.  A component's BudgetExceeded is re-raised with
+  bounds for the whole graph.
+
+The two searches:
 
 * gamma solves the covering IP  min sum x_v  s.t.  x(N[v]) >= 1.  At each
   node it picks an undominated vertex of minimum degree (ties to the
@@ -47,14 +56,10 @@ BRUTE_CAP = 24
 
 
 @dataclass(frozen=True)
-class GammaResult:
-    value: int
-    witness: tuple[int, ...]
-    nodes: int
+class Solution:
+    """An exact gamma or rho: the value, an optimal witness set and the
+    search nodes spent."""
 
-
-@dataclass(frozen=True)
-class RhoResult:
     value: int
     witness: tuple[int, ...]
     nodes: int
@@ -148,13 +153,10 @@ def _tree_certificate(sub: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | N
     return d, pk
 
 
-def _solve_gamma_component(g: Graph, order: tuple[int, ...], budget: int,
-                           spent: int) -> tuple[int, tuple[int, ...], int]:
-    sub, originals = g.induced(order)
-    if sub.m == sub.n - 1:
-        cert = _tree_certificate(sub)
-        if cert is not None:
-            return len(cert[0]), tuple(originals[v] for v in cert[0]), 0
+def _solve_gamma_component(sub: Graph, budget: int,
+                           spent: int) -> tuple[tuple[int, ...], int]:
+    """Minimum dominating set of the connected graph `sub` and the nodes
+    searched; witnesses, here and in its BudgetExceeded, are in sub's ids."""
     n = sub.n
     masks = sub.closed_masks
     full = (1 << n) - 1
@@ -171,7 +173,7 @@ def _solve_gamma_component(g: Graph, order: tuple[int, ...], budget: int,
                 "gamma",
                 lower=_greedy_packing_bound(masks, full),
                 upper=best_size,
-                witness=tuple(originals[v] for v in best_set),
+                witness=best_set,
                 nodes=spent + nodes,
             )
         if dominated == full:
@@ -200,9 +202,7 @@ def _solve_gamma_component(g: Graph, order: tuple[int, ...], budget: int,
             local_banned |= 1 << u
 
     rec((), 0, 0)
-    assert best_size is not None
-    witness = tuple(sorted(originals[v] for v in best_set))
-    return best_size, witness, nodes
+    return best_set, nodes
 
 
 def _conflict_masks(g: Graph) -> list[int]:
@@ -236,16 +236,12 @@ def _greedy_clique_cover_bound(cmasks, candidates: int) -> int:
     return count
 
 
-def _solve_rho_component(g: Graph, order: tuple[int, ...], budget: int,
-                         spent: int) -> tuple[int, tuple[int, ...], int]:
-    sub, originals = g.induced(order)
-    if sub.m == sub.n - 1:
-        cert = _tree_certificate(sub)
-        if cert is not None:
-            return len(cert[1]), tuple(originals[v] for v in cert[1]), 0
+def _solve_rho_component(sub: Graph, budget: int,
+                         spent: int) -> tuple[tuple[int, ...], int]:
+    """Maximum packing of the connected graph `sub` and the nodes searched,
+    in sub's ids as for gamma."""
     n = sub.n
     cmasks = _conflict_masks(sub)
-    conflict_deg = [cmasks[v].bit_count() - 1 for v in range(n)]
     full = (1 << n) - 1
     nodes = 0
     best_size = -1
@@ -259,7 +255,7 @@ def _solve_rho_component(g: Graph, order: tuple[int, ...], budget: int,
                 "rho",
                 lower=max(best_size, 0),
                 upper=_greedy_clique_cover_bound(cmasks, full),
-                witness=tuple(originals[v] for v in best_set),
+                witness=best_set,
                 nodes=spent + nodes,
             )
         if candidates == 0:
@@ -285,67 +281,50 @@ def _solve_rho_component(g: Graph, order: tuple[int, ...], budget: int,
         rec(chosen, candidates & ~(1 << pick))
 
     rec((), full)
-    witness = tuple(sorted(originals[v] for v in best_set))
-    return best_size, witness, nodes
+    return best_set, nodes
 
 
-def domination_number(g: Graph, budget: int = DEFAULT_BUDGET) -> GammaResult:
-    """Exact gamma(g) with a minimum dominating set witness.
-
-    Multi-component inputs are solved per component and summed.
-    """
-    if g.n == 0:
-        return GammaResult(0, (), 0)
-    total = 0
+def _solve(g: Graph, budget: int, search, half: int) -> Solution:
+    """Sum of the components' answers: a tree's certificate pair gives its
+    `half` (0 dominating, 1 packing), any other component goes to `search`.
+    Each search gets the budget left by the components before it."""
     witness: list[int] = []
     nodes = 0
     comps = g.components()
     for i, comp in enumerate(comps):
-        try:
-            size, wit, used = _solve_gamma_component(g, comp, budget, nodes)
-        except BudgetExceeded as exc:
-            # rebuild bounds for the whole graph; the witness is the best
-            # partial set seen and need not dominate anything
-            left = sum(len(c) for c in comps[i + 1:])
-            comp_upper = exc.upper if exc.upper is not None else len(comp)
-            raise BudgetExceeded(
-                "gamma",
-                lower=total + exc.lower,
-                upper=total + comp_upper + left,
-                witness=tuple(sorted(witness + list(exc.witness))),
-                nodes=exc.nodes,
-            ) from None
-        total += size
-        witness.extend(wit)
+        sub, originals = g.induced(comp)
+        cert = _tree_certificate(sub) if sub.m == sub.n - 1 else None
+        if cert is not None:
+            found, used = cert[half], 0
+        else:
+            try:
+                found, used = search(sub, budget, nodes)
+            except BudgetExceeded as exc:
+                # rebuild bounds for the whole graph; the witness is the best
+                # partial set seen and need not be a solution
+                left = sum(len(c) for c in comps[i + 1:])
+                comp_upper = exc.upper if exc.upper is not None else len(comp)
+                partial = witness + [originals[v] for v in exc.witness]
+                raise BudgetExceeded(
+                    exc.quantity,
+                    lower=len(witness) + exc.lower,
+                    upper=len(witness) + comp_upper + left,
+                    witness=tuple(sorted(partial)),
+                    nodes=exc.nodes,
+                ) from None
+        witness.extend(originals[v] for v in found)
         nodes += used
-    return GammaResult(total, tuple(sorted(witness)), nodes)
+    return Solution(len(witness), tuple(sorted(witness)), nodes)
 
 
-def packing_number(g: Graph, budget: int = DEFAULT_BUDGET) -> RhoResult:
+def domination_number(g: Graph, budget: int = DEFAULT_BUDGET) -> Solution:
+    """Exact gamma(g) with a minimum dominating set witness."""
+    return _solve(g, budget, _solve_gamma_component, 0)
+
+
+def packing_number(g: Graph, budget: int = DEFAULT_BUDGET) -> Solution:
     """Exact rho(g) with a maximum packing witness."""
-    if g.n == 0:
-        return RhoResult(0, (), 0)
-    total = 0
-    witness: list[int] = []
-    nodes = 0
-    comps = g.components()
-    for i, comp in enumerate(comps):
-        try:
-            size, wit, used = _solve_rho_component(g, comp, budget, nodes)
-        except BudgetExceeded as exc:
-            left = sum(len(c) for c in comps[i + 1:])
-            comp_upper = exc.upper if exc.upper is not None else len(comp)
-            raise BudgetExceeded(
-                "rho",
-                lower=total + exc.lower,
-                upper=total + comp_upper + left,
-                witness=tuple(sorted(witness + list(exc.witness))),
-                nodes=exc.nodes,
-            ) from None
-        total += size
-        witness.extend(wit)
-        nodes += used
-    return RhoResult(total, tuple(sorted(witness)), nodes)
+    return _solve(g, budget, _solve_rho_component, 1)
 
 
 def brute_gamma(g: Graph) -> int:

@@ -174,7 +174,7 @@ def test_criterion_6_mop_bounds_and_lift():
             cg_gamma = domination_number(cg)
             cg_rho = packing_number(cg)
             assert cg_gamma.value == cg_rho.value
-            lifted = lift_packing(t, build_dual(t), cg_rho.witness)
+            lifted = lift_packing(t, build_dual(t), cg_rho.witness, cg)
             assert len(lifted) == cg_rho.value
             assert is_packing(g, lifted)
 
@@ -184,8 +184,9 @@ def test_criterion_7_tokunaga_four_cycles():
                       "carries all four colors"):
         for g in mop_corpus():
             t = recognize_mop(g)
-            colors = tokunaga_color(t)
-            assert verify_tokunaga(t, colors) == []
+            dual = build_dual(t)
+            colors = tokunaga_color(t, dual)
+            assert verify_tokunaga(t, colors, dual) == []
 
 
 def test_criterion_8_biconvex_tightness_and_certificates():

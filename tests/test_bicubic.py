@@ -50,6 +50,12 @@ def test_validate_bicubic_rejects():
         validate_bicubic(two)  # disconnected
 
 
+def test_validate_bicubic_rejects_the_empty_graph():
+    # vacuously connected, cubic and bipartite, but not a bicubic graph
+    with pytest.raises(ValueError, match="no vertices"):
+        validate_bicubic(Graph.from_edges(0, []))
+
+
 def test_brooks_color_on_restricted_squares():
     for g in bicubic_corpus():
         lab = validate_bicubic(g)

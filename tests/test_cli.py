@@ -349,6 +349,14 @@ def test_bad_graph6_input_is_exit_1(tmp_path, capsys):
     assert cli.main(["compute", "--input", p.as_posix()]) == 1
 
 
+def test_certify_bicubic_rejects_the_empty_graph(tmp_path, capsys):
+    p = tmp_path / "empty.g6"
+    p.write_text("?\n")
+    assert cli.main(["certify", "--class", "bicubic",
+                     "--input", p.as_posix()]) == 1
+    assert "graph has no vertices" in capsys.readouterr().err
+
+
 def test_missing_file_is_exit_1(capsys):
     assert cli.main(["compute", "--input", "/no/such/file.g6"]) == 1
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import to_nx
+from gammarho import generators
 from gammarho.biconvex import validate_convex
 from gammarho.bicubic import validate_bicubic
 from gammarho.formats import encode_graph6
@@ -29,7 +30,7 @@ from gammarho.generators import (
     heawood,
     petersen,
 )
-from gammarho.graphs import Graph
+from gammarho.graphs import CertificateError, Graph
 from gammarho.outerplanar import recognize_mop
 from gammarho.solvers import brute_gamma, brute_rho, domination_number, packing_number
 
@@ -126,6 +127,17 @@ def test_random_biconvex():
     g1, o1 = gen_random_biconvex(6, 5, 9)
     g2, o2 = gen_random_biconvex(6, 5, 9)
     assert encode_graph6(g1) == encode_graph6(g2) and o1 == o2
+
+
+def test_random_biconvex_self_check_errors_surface(monkeypatch):
+    # a CertificateError from the decomposition is an implementation bug,
+    # never a reason to draw again
+    def broken(g, core):
+        raise CertificateError("forced failure")
+
+    monkeypatch.setattr(generators, "cb_decompose", broken)
+    with pytest.raises(CertificateError, match="forced failure"):
+        gen_random_biconvex(6, 5, 9)
 
 
 def test_tight_family_exact_values():

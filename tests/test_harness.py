@@ -16,7 +16,8 @@ from gammarho.generators import (
     gen_random_mop,
     gen_sun,
 )
-from gammarho.graphs import CertificateError
+from gammarho.formats import decode_graph6
+from gammarho.graphs import CertificateError, Graph
 from gammarho.outerplanar import mop_facts, mop_records
 from gammarho.harness import (
     DEFAULT_PREDICATES,
@@ -45,6 +46,13 @@ def test_detect_families():
     g, o = gen_random_biconvex(4, 4, 2)
     fams = detect_families(g, o)
     assert "biconvex" in fams and "any" in fams
+
+
+def test_empty_graph_is_in_no_class():
+    empty = decode_graph6("?")
+    assert detect_families(empty, None) == {"any"}
+    records, _ = run_scan([make_item("empty", "any", empty)])
+    assert not any(r.check.startswith("bicubic-") for r in records)
 
 
 def test_predicate_table():
@@ -304,6 +312,21 @@ def test_scan_recognizes_each_mop_once(monkeypatch):
     assert sorted(calls) == [5, 7, 9, 14]
     clique = [r for r in records if r.check == "mop-clique-gamma-eq-rho"]
     assert len(clique) == 3 and all(r.holds for r in clique)
+
+
+def test_scan_reads_max_degree_once_per_item(monkeypatch):
+    calls = []
+    original = Graph.max_degree
+
+    def counting(g):
+        calls.append(g.n)
+        return original(g)
+
+    monkeypatch.setattr(Graph, "max_degree", counting)
+    items = [make_item("conn", "any", gen_random_connected(7, 1)),
+             make_item("b16", "bicubic", gen_random_bicubic(16, 1))]
+    run_scan(items)
+    assert sorted(calls) == [7, 16]
 
 
 def test_budget_exhaustion_keeps_the_families():

@@ -103,27 +103,30 @@ def test_clique_graph_contains_dual():
 
 def test_tokunaga_coloring_fixed_examples():
     t = recognize_mop(gen_sun())
-    colors = tokunaga_color(t)
+    dual = build_dual(t)
+    colors = tokunaga_color(t, dual)
     assert colors == (0, 1, 0, 3, 0, 2)
-    assert verify_tokunaga(t, colors) == []
+    assert verify_tokunaga(t, colors, dual) == []
     t2 = recognize_mop(FAN6)
-    colors2 = tokunaga_color(t2)
-    assert verify_tokunaga(t2, colors2) == []
+    dual2 = build_dual(t2)
+    colors2 = tokunaga_color(t2, dual2)
+    assert verify_tokunaga(t2, colors2, dual2) == []
     assert len(set(colors2)) <= 4
 
 
 def test_tokunaga_on_corpus_and_corruption():
     for g in mop_corpus():
         t = recognize_mop(g)
-        colors = tokunaga_color(t)
-        assert verify_tokunaga(t, colors) == []
+        dual = build_dual(t)
+        colors = tokunaga_color(t, dual)
+        assert verify_tokunaga(t, colors, dual) == []
         # proper on edges
         for u, v in g.edges():
             assert colors[u] != colors[v]
         # corrupt one vertex: the checker must notice
         broken = list(colors)
         broken[t.triangles[0][0]] = (broken[t.triangles[0][0]] + 1) % 4
-        assert verify_tokunaga(t, tuple(broken)) != []
+        assert verify_tokunaga(t, tuple(broken), dual) != []
 
 
 def test_low_degree_count():
@@ -140,7 +143,7 @@ def test_project_and_average_dominate():
         projected = project_dominating(t, cg, cg_gamma.witness)
         assert is_dominating(g, projected)
         assert len(projected) <= 3 * cg_gamma.value
-        colors = tokunaga_color(t)
+        colors = tokunaga_color(t, build_dual(t))
         averaged = averaged_dominating(t, projected, colors)
         assert is_dominating(g, averaged)
         assert 4 * len(averaged) <= 3 * len(projected) + low_degree_count(g)
@@ -152,7 +155,7 @@ def test_lift_packing_preserves_size():
         dual = build_dual(t)
         cg = build_clique_graph(t)
         cg_rho = packing_number(cg)
-        lifted = lift_packing(t, dual, cg_rho.witness)
+        lifted = lift_packing(t, dual, cg_rho.witness, cg)
         assert len(lifted) == cg_rho.value
         assert is_packing(g, lifted)
 
@@ -183,7 +186,7 @@ def test_mop_facts_share_one_build_with_every_consumer():
         assert f.dual.graph == build_dual(t).graph
         assert f.dual.shared == build_dual(t).shared
         assert f.clique_graph == build_clique_graph(t)
-        assert f.colors == tokunaga_color(t)
+        assert f.colors == tokunaga_color(t, build_dual(t))
         # the same values as search, with valid witnesses and no search
         cg = f.clique_graph
         assert f.gamma.value == domination_number(g).value
@@ -197,8 +200,6 @@ def test_mop_facts_share_one_build_with_every_consumer():
             assert len(res.witness) == res.value and res.nodes == 0
             assert is_packing(graph, res.witness)
         assert verify_tokunaga(t, f.colors, f.dual) == []
-        assert (lift_packing(t, f.dual, f.cg_rho.witness, f.clique_graph)
-                == lift_packing(t, build_dual(t), f.cg_rho.witness))
         records = mop_records(f, f"mop-{s}")
         assert [r.check for r in records] == MOP_CHECKS
         assert all(r.holds for r in records if r.kind == "theorem")

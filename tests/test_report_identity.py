@@ -125,3 +125,20 @@ def test_certify_output_is_byte_identical(cls, digest, tmp_path, capsys):
         write_graph6_stream(_certify_corpus(cls), fh)
     assert cli.main(["certify", "--class", cls, "--input", str(path)]) == 0
     assert _sha256(capsys.readouterr().out) == digest
+
+
+@pytest.mark.parametrize("cls, digest", [
+    ("bicubic",
+     "5c0094744eddc2ab8a014e4bdfbe0bb9881e6fda81bc8e733450f5ec9c7b1d92"),
+    ("mop",
+     "4c3a5c209bfbff6df98d4fc7cd84c968c31875b0b3822cbd8be5007db28ec90c"),
+    ("biconvex",
+     "1cd2a50248a2197fe767ef234f144af2cf7ebd6b386c863b513f9528e7047f25"),
+])
+def test_decompose_output_is_byte_identical(cls, digest, tmp_path, capsys):
+    """Taken before certify and decompose shared one bicubic layer build."""
+    path = tmp_path / f"{cls}.g6"
+    with open(path, "w") as fh:
+        write_graph6_stream(_certify_corpus(cls), fh)
+    assert cli.main(["decompose", "--class", cls, "--input", str(path)]) == 0
+    assert _sha256(capsys.readouterr().out) == digest

@@ -61,7 +61,6 @@ def test_to_json_matches_a_deep_copy(r):
     expected = json.dumps(dataclasses.asdict(r), sort_keys=True,
                           separators=(",", ":"))
     assert r.to_json() == expected
-    assert ScanRecord.from_json(r.to_json()).to_json() == expected
 
 
 @settings(max_examples=60, deadline=None)
