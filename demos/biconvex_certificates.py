@@ -10,7 +10,7 @@ sandwiches gamma <= 2 rho.  The exact solver then confirms the sandwich.
 
 from gammarho.biconvex import (
     cb_decompose,
-    check_biconvex_bound,
+    certify_biconvex,
     construct_dominating,
     construct_packing,
     trim_core,
@@ -52,6 +52,11 @@ for kk in (1, 3, 6):
     assert tg_gamma == 2 * kk and tg_rho == kk
     print(f"tight family k = {kk}: gamma = {tg_gamma} = 2 rho = 2 * {tg_rho}")
 
-# one-call check that plays all three records
-for record in check_biconvex_bound(g, ordering, "demo"):
+# one call builds the same certificates and plays all three records;
+# `gammarho certify --class biconvex` prints exactly these
+certs, records = certify_biconvex(g, ordering, "demo")
+assert certs["width"] == k
+assert certs["packing"]["vertices"] == list(pack.vertices)
+assert certs["dominating"]["vertices"] == list(dom.vertices)
+for record in records:
     print(f"record {record.check}: holds = {record.holds}")

@@ -46,7 +46,7 @@ from .bicubic import (
     BrooksColoring,
     LayerDecomposition,
     brooks_color,
-    check_bicubic_bounds,
+    certify_bicubic,
     combined_packing,
     layer_decompose,
     maximal_packing_in,
@@ -61,11 +61,11 @@ from .outerplanar import (
     averaged_dominating,
     build_clique_graph,
     build_dual,
+    certify_mop,
     clique_graph_numbers,
     lift_packing,
     low_degree_count,
     mop_facts,
-    mop_records,
     project_dominating,
     recognize_mop,
     tokunaga_color,
@@ -77,9 +77,8 @@ from .biconvex import (
     Certificate,
     ConvexOrdering,
     TrimmedCore,
-    biconvex_records,
     cb_decompose,
-    check_biconvex_bound,
+    certify_biconvex,
     construct_dominating,
     construct_packing,
     trim_core,

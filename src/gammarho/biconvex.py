@@ -425,25 +425,31 @@ def construct_dominating(g: Graph, decomp: CBDecomposition) -> Certificate:
     return finish(cand, method)
 
 
-def check_biconvex_bound(g: Graph, ordering: ConvexOrdering,
-                         graph_id: str = "biconvex",
-                         budget: int = DEFAULT_BUDGET) -> list[ScanRecord]:
-    """Exact gamma <= 2*rho plus the size-only certificate version of the
-    same bound, which holds independently of the solvers."""
+def certify_biconvex(g: Graph, ordering: ConvexOrdering | None,
+                     graph_id: str = "biconvex",
+                     budget: int = DEFAULT_BUDGET
+                     ) -> tuple[dict, list[ScanRecord]]:
+    """The block decomposition's width and its packing and dominating
+    certificates, then gamma <= 2*rho on the exact numbers and on the
+    certificate sizes (which holds independently of the solvers), and the
+    bracket pack size <= rho, gamma <= dom size."""
+    if ordering is None:
+        raise ValueError(
+            "biconvex input needs #xorder/#yorder sidecars or an "
+            "edge list with xorder/yorder lines"
+        )
     if g.n == 1:
+        # trim_core needs two nonempty sides; the lone vertex is both
+        # certificates
+        validate_convex(g, ordering)
+        single = {"vertices": [0], "method": "singleton"}
         detail = {"pack_size": 1, "dom_size": 1, "pack_method": "singleton",
                   "dom_method": "singleton", "width": 0}
-        return _two_rho_records(graph_id, 1, 1, 1, 1, 1, {}, detail)
+        return (dict(width=0, packing=single, dominating=dict(single)),
+                _two_rho_records(graph_id, 1, 1, 1, 1, 1, {}, detail))
     decomp = cb_decompose(g, trim_core(g, ordering))
-    return biconvex_records(g, decomp, construct_packing(g, decomp),
-                            construct_dominating(g, decomp), graph_id, budget)
-
-
-def biconvex_records(g: Graph, decomp: CBDecomposition, pack: Certificate,
-                     dom: Certificate, graph_id: str,
-                     budget: int) -> list[ScanRecord]:
-    """The records of check_biconvex_bound for n >= 2, from certificates
-    the caller has already built from `decomp`."""
+    pack = construct_packing(g, decomp)
+    dom = construct_dominating(g, decomp)
     core = decomp.core
     gamma = domination_number(g, budget).value
     rho = packing_number(g, budget).value
@@ -454,8 +460,13 @@ def biconvex_records(g: Graph, decomp: CBDecomposition, pack: Certificate,
         "x_reversed": core.x_reversed,
         "trimmed": [len(core.trimmed_left), len(core.trimmed_right)],
     }
-    return _two_rho_records(graph_id, g.n, gamma, rho, pack.size, dom.size,
-                            detail, detail) + [
+    certs = dict(
+        width=decomp.width,
+        packing={"vertices": list(pack.vertices), "method": pack.method},
+        dominating={"vertices": list(dom.vertices), "method": dom.method},
+    )
+    return certs, _two_rho_records(graph_id, g.n, gamma, rho, pack.size,
+                                   dom.size, detail, detail) + [
         ScanRecord(graph_id=graph_id, family="biconvex", n=g.n,
                    check="certificates-bracket", kind="theorem",
                    holds=pack.size <= rho and gamma <= dom.size,

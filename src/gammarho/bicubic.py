@@ -16,9 +16,10 @@ pieces:
   a packing because the two sit on opposite sides with no edges between
   them.
 
-check_bicubic_bounds evaluates the exact numbers against the rows of the
-bound table (`gammarho.bounds`) that the class carries: gamma <= 5n/14 for
-n >= 9, rho >= 7n/48 for n >= 16 and 49*gamma <= 120*rho, plus the open
+certify_bicubic builds the side packing and the layers once
+(`bicubic_layers`, which `decompose` shares) and evaluates the exact numbers against the rows of the bound table
+(`gammarho.bounds`) that the class carries: gamma <= 5n/14 for n >= 9,
+rho >= 7n/48 for n >= 16 and 49*gamma <= 120*rho, plus the open
 conjecture gamma <= 2*rho + 1.
 """
 
@@ -104,24 +105,10 @@ def _reverse_bfs_order(g: Graph, root: int, allowed: set[int]) -> list[int]:
 
 
 def _articulation_vertex(g: Graph) -> int | None:
-    """Smallest cut vertex, None when 2-connected.  Plain n * BFS check,
-    fine at the sizes this package handles."""
-    if g.n <= 2:
-        return None
+    """Smallest cut vertex, None when 2-connected.  Plain n connectivity
+    checks, fine at the sizes this package handles."""
     for c in range(g.n):
-        seen = {c}
-        start = 0 if c != 0 else 1
-        queue = deque([start])
-        seen.add(start)
-        count = 1
-        while queue:
-            v = queue.popleft()
-            for u in g.adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    count += 1
-                    queue.append(u)
-        if count < g.n - 1:
+        if not _connected_without(g, {c}):
             return c
     return None
 
@@ -224,18 +211,7 @@ def _find_splice_triple(g: Graph) -> tuple[int, int, int] | None:
 
 
 def _connected_without(g: Graph, removed: set[int]) -> bool:
-    remaining = [v for v in range(g.n) if v not in removed]
-    if not remaining:
-        return True
-    seen = {remaining[0]}
-    queue = deque([remaining[0]])
-    while queue:
-        v = queue.popleft()
-        for u in g.adj[v]:
-            if u not in removed and u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return len(seen) == len(remaining)
+    return g.induced([v for v in range(g.n) if v not in removed])[0].is_connected()
 
 
 def _finish(g: Graph, colors: tuple[int, ...], method: str, promised: int) -> BrooksColoring:
@@ -384,12 +360,29 @@ _RECORDS = (
 )
 
 
-def check_bicubic_bounds(g: Graph, graph_id: str = "bicubic",
-                         budget: int = DEFAULT_BUDGET) -> list[ScanRecord]:
-    """Exact gamma and rho versus the class bounds; a bound claimed only
-    from a larger order gives no record."""
-    validate_bicubic(g)
+def bicubic_layers(g: Graph) -> tuple[BipartiteLabeling, tuple[int, ...],
+                                     LayerDecomposition]:
+    """The bipartition of the bicubic graph g, its side packing (empty
+    below 16 vertices), and the layer decomposition of that packing
+    extended to a maximal one."""
+    labeling = validate_bicubic(g)
+    p = side_packing(g, labeling.side_x) if g.n >= 16 else ()
+    full = maximal_packing_in(g, labeling.side_x, p)
+    return labeling, p, layer_decompose(g, labeling, full)
+
+
+def certify_bicubic(g: Graph, graph_id: str = "bicubic",
+                    budget: int = DEFAULT_BUDGET
+                    ) -> tuple[dict, list[ScanRecord]]:
+    """The certificates of g (side packing from n = 16, the P..W layers and
+    the combined packing P union T) and the exact gamma and rho versus the
+    class bounds; a bound claimed only from a larger order gives no
+    record."""
+    _, p, layers = bicubic_layers(g)
+    certs: dict = {"side_packing": list(p)} if g.n >= 16 else {}
+    certs["layers"] = {tag: list(getattr(layers, tag)) for tag in "pqrstw"}
+    certs["combined_packing"] = list(combined_packing(g, layers))
     gamma = domination_number(g, budget)
     rho = packing_number(g, budget)
-    return bounds.bound_records(_RECORDS, graph_id, "bicubic", g.n,
-                                gamma.value, rho.value)
+    return certs, bounds.bound_records(_RECORDS, graph_id, "bicubic", g.n,
+                                       gamma.value, rho.value)

@@ -11,10 +11,11 @@ least `min_n` vertices.  Comparisons stay in integers; a fractional bound
 is compared cross-multiplied and printed as a Fraction.
 
 The scan's predicates (`harness.PREDICATES`) and the class records
-(`check_bicubic_bounds`, `mop_records`, `biconvex_records` and the
-bicubic experiment) name rows of this table, each under its own check
-name and kind, so a scan predicate and the class record of the same bound
-cannot disagree.
+(`certify_bicubic`, `certify_mop` and `certify_biconvex`, which
+`harness.CERTIFY` serves to both `certify` and `reproduce`, and the
+bicubic experiment's conjecture record) name rows of this table, each
+under its own check name and kind, so a scan predicate and the class
+record of the same bound cannot disagree.
 """
 
 from __future__ import annotations

@@ -20,24 +20,8 @@ import contextlib
 import json
 import sys
 
-from .biconvex import (
-    ConvexOrdering,
-    cb_decompose,
-    biconvex_records,
-    check_biconvex_bound,
-    construct_dominating,
-    construct_packing,
-    trim_core,
-    validate_convex,
-)
-from .bicubic import (
-    check_bicubic_bounds,
-    combined_packing,
-    layer_decompose,
-    maximal_packing_in,
-    side_packing,
-    validate_bicubic,
-)
+from .biconvex import ConvexOrdering, cb_decompose, trim_core
+from .bicubic import bicubic_layers, combined_packing
 from .formats import (
     FormatError,
     iter_graph6_stream,
@@ -54,27 +38,18 @@ from .generators import (
 )
 from .graphs import CertificateError, Graph
 from .harness import (
+    CERTIFY,
     DEFAULT_PREDICATES,
     EXPERIMENTS,
     budget_record,
     default_scan_items,
-    evaluate_predicates,
-    graph_facts,
     make_item,
     run_experiment,
     run_scan,
     scan_verdict,
     write_counterexamples,
 )
-from .outerplanar import (
-    averaged_dominating,
-    build_dual,
-    mop_facts,
-    mop_records,
-    project_dominating,
-    recognize_mop,
-    tokunaga_color,
-)
+from .outerplanar import build_dual, recognize_mop, tokunaga_color
 from .reports import write_report
 from .solvers import (
     BudgetExceeded,
@@ -139,96 +114,18 @@ def cmd_compute(args) -> int:
     return 0
 
 
-def _record_dicts(records):
-    return [r.as_dict() for r in records]
-
-
-def _bicubic_layers(g: Graph):
-    """The bipartition of the bicubic graph g, its side packing (empty
-    below 16 vertices), and the layer decomposition of that packing
-    extended to a maximal one."""
-    labeling = validate_bicubic(g)
-    p = side_packing(g, labeling.side_x) if g.n >= 16 else ()
-    full = maximal_packing_in(g, labeling.side_x, p)
-    return labeling, p, layer_decompose(g, labeling, full)
-
-
 def _certify_one(idx, g, ordering, cls, budget) -> tuple[dict, list]:
-    """Certificate bundle and records of one graph.  A solve that exhausts
-    the budget leaves the bundle one solver-budget record and no
-    certificates."""
+    """Certificate bundle and records of one graph, from the class's
+    `CERTIFY` entry.  A solve that exhausts the budget leaves the bundle
+    one solver-budget record and no certificates."""
     gid = f"{cls}-{idx}"
     try:
-        certs, records = _certify_class(gid, g, ordering, cls, budget)
+        certs, records = CERTIFY[cls](gid, g, ordering, budget)
     except BudgetExceeded as exc:
         certs, records = {}, [budget_record(gid, cls, g.n, exc)]
     bundle = {"graph_id": gid, "n": g.n, "m": g.m, **certs,
-              "records": _record_dicts(records)}
+              "records": [r.as_dict() for r in records]}
     return bundle, records
-
-
-def _certify_class(gid, g, ordering, cls, budget) -> tuple[dict, list]:
-    """The class's certificates, keyed as in the bundle, and its records."""
-    certs: dict = {}
-    if cls in ("any", "tree"):
-        if cls == "tree" and not g.is_tree():
-            raise ValueError("input is not a tree")
-        item = make_item(gid, cls, g, ordering)
-        facts = graph_facts(item, g, budget)
-        records, _ = evaluate_predicates(item, facts, DEFAULT_PREDICATES)
-        certs.update(gamma=facts.gamma, rho=facts.rho,
-                     dominating=list(facts.dominating),
-                     packing=list(facts.packing))
-    elif cls == "bicubic":
-        _, p, layers = _bicubic_layers(g)
-        records = check_bicubic_bounds(g, gid, budget)
-        if g.n >= 16:
-            certs["side_packing"] = list(p)
-        certs["layers"] = {
-            "p": list(layers.p), "q": list(layers.q), "r": list(layers.r),
-            "s": list(layers.s), "t": list(layers.t), "w": list(layers.w),
-        }
-        certs["combined_packing"] = list(combined_packing(g, layers))
-    elif cls == "mop":
-        f = mop_facts(g, budget)
-        t = f.triangulation
-        projected = project_dominating(t, f.clique_graph, f.cg_gamma.witness)
-        averaged = averaged_dominating(t, projected, f.colors)
-        records = mop_records(f, gid)
-        certs.update(boundary=list(t.boundary),
-                     triangles=[list(tri) for tri in t.triangles],
-                     colors=list(f.colors),
-                     clique_dominating=list(f.cg_gamma.witness),
-                     projected_dominating=list(projected),
-                     averaged_dominating=list(averaged))
-    elif cls == "biconvex":
-        if ordering is None:
-            raise ValueError(
-                "biconvex input needs #xorder/#yorder sidecars or an "
-                "edge list with xorder/yorder lines"
-            )
-        if g.n == 1:
-            # trim_core needs two nonempty sides; the lone vertex is both
-            # certificates, as in check_biconvex_bound
-            validate_convex(g, ordering)
-            single = {"vertices": [0], "method": "singleton"}
-            certs.update(width=0, packing=single, dominating=dict(single))
-            records = check_biconvex_bound(g, ordering, gid, budget)
-        else:
-            decomp = cb_decompose(g, trim_core(g, ordering))
-            pack = construct_packing(g, decomp)
-            dom = construct_dominating(g, decomp)
-            records = biconvex_records(g, decomp, pack, dom, gid, budget)
-            certs.update(
-                width=decomp.width,
-                packing={"vertices": list(pack.vertices),
-                         "method": pack.method},
-                dominating={"vertices": list(dom.vertices),
-                            "method": dom.method},
-            )
-    else:
-        raise ValueError(f"unknown class {cls!r}")
-    return certs, records
 
 
 def cmd_certify(args) -> int:
@@ -244,7 +141,7 @@ def cmd_decompose(args) -> int:
     for idx, (g, ordering) in enumerate(_load(args.input, args.format)):
         print(f"# graph {idx}: n={g.n} m={g.m}")
         if args.cls == "bicubic":
-            labeling, _, layers = _bicubic_layers(g)
+            labeling, _, layers = bicubic_layers(g)
             print(f"side X: {list(labeling.side_x)}")
             print(f"side Y: {list(labeling.side_y)}")
             for tag in ("p", "q", "r", "s", "t", "w"):
@@ -334,8 +231,7 @@ def cmd_scan(args) -> int:
 def cmd_reproduce(args) -> int:
     corpus = None
     if args.corpus:
-        with open(args.corpus) as fh:
-            corpus = [ln for ln in fh.read().splitlines() if ln.strip()]
+        corpus = [g for g, _ in _load(args.corpus, "graph6")]
     names = EXPERIMENTS if args.name == "all" else (args.name,)
     records = []
     for name in names:
@@ -405,7 +301,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     sp.add_argument("--corpus", default=None,
-                    help="extra graph6 corpus (bicubic-small only)")
+                    help="extra graph6/sparse6 corpus (bicubic-small only)")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_reproduce)
     return parser

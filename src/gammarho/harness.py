@@ -6,8 +6,11 @@ bad input, exit code 3 downstream) or conjectures (a failure is a genuine
 counterexample, exit code 2, and the offending graph is dumped with both
 optimal witnesses so the violation can be replayed from the dump alone).
 Each predicate names the row of the bound table (`gammarho.bounds`) it
-checks and the class condition under which it does; the class records of
-`certify` and `reproduce` read the same rows.
+checks and the class condition under which it does.
+
+`CERTIFY` maps each `certify` class to the one function that builds its
+certificates and records; the class records read the same table rows as
+the predicates, and `reproduce` reaches each class through the same entry.
 
 Every parallel map goes through `map_items`: serial for one job, else one
 `multiprocessing.Pool.map` with the stdlib's default chunking, which hands
@@ -28,12 +31,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from . import bounds
-from .biconvex import (
-    ConvexOrdering,
-    check_biconvex_bound,
-    validate_convex,
-)
-from .bicubic import check_bicubic_bounds, validate_bicubic
+from .biconvex import ConvexOrdering, certify_biconvex, validate_convex
+from .bicubic import certify_bicubic, validate_bicubic
 from .formats import decode_graph6, encode_graph6
 from .generators import (
     enumerate_bicubic,
@@ -55,10 +54,9 @@ from .outerplanar import (
     Triangulation,
     build_clique_graph,
     build_dual,
+    certify_mop,
     clique_graph_numbers,
     low_degree_count,
-    mop_facts,
-    mop_records,
     recognize_mop,
 )
 from .reports import ScanRecord, bound_str
@@ -441,19 +439,43 @@ def default_scan_items() -> list[ScanItem]:
     return items
 
 
+# -------------------------------------------------------- certificates ----
+
+def _certify_any(graph_id: str, g: Graph, ordering: ConvexOrdering | None,
+                 budget: int, family: str = "any") -> tuple[dict, list]:
+    """Exact gamma and rho with optimal witnesses, and the records of every
+    default predicate that applies to g."""
+    item = make_item(graph_id, family, g, ordering)
+    facts = graph_facts(item, g, budget)
+    records, _ = evaluate_predicates(item, facts, DEFAULT_PREDICATES)
+    return {"gamma": facts.gamma, "rho": facts.rho,
+            "dominating": list(facts.dominating),
+            "packing": list(facts.packing)}, records
+
+
+def _certify_tree(graph_id: str, g: Graph, ordering: ConvexOrdering | None,
+                  budget: int) -> tuple[dict, list]:
+    if not g.is_tree():
+        raise ValueError("input is not a tree")
+    return _certify_any(graph_id, g, ordering, budget, "tree")
+
+
+# class -> fn(graph_id, g, ordering, budget) returning (certificates keyed
+# as in a certify bundle, records); a solve that runs out of budget raises
+# BudgetExceeded
+CERTIFY: dict[str, Callable[..., tuple[dict, list[ScanRecord]]]] = {
+    "any": _certify_any,
+    "tree": _certify_tree,
+    "bicubic": lambda graph_id, g, ordering, budget:
+        certify_bicubic(g, graph_id, budget),
+    "mop": lambda graph_id, g, ordering, budget:
+        certify_mop(g, graph_id, budget),
+    "biconvex": lambda graph_id, g, ordering, budget:
+        certify_biconvex(g, ordering, graph_id, budget),
+}
+
+
 # ---------------------------------------------------------- experiments ----
-
-def _exp_records_bicubic(item: ScanItem, g: Graph,
-                         budget: int) -> list[ScanRecord]:
-    """The class records of check_bicubic_bounds, then the 2rho
-    conjecture under the item's own family."""
-    records = check_bicubic_bounds(g, item.graph_id, budget)
-    # check_bicubic_bounds solved both; every record carries the values
-    gamma, rho = records[-1].gamma, records[-1].rho
-    return records + bounds.bound_records(
-        [("gamma-le-2rho", "conjecture", bounds.GAMMA_LE_2RHO)],
-        item.graph_id, item.family, g.n, gamma, rho)
-
 
 def _exp_records_tight(item: ScanItem, g: Graph, budget: int,
                        k: int) -> list[ScanRecord]:
@@ -473,15 +495,6 @@ def _exp_records_tight(item: ScanItem, g: Graph, budget: int,
     ]
 
 
-def _exp_records_mop(item: ScanItem, g: Graph, budget: int) -> list[ScanRecord]:
-    return mop_records(mop_facts(g, budget), item.graph_id)
-
-
-def _exp_records_biconvex(item: ScanItem, g: Graph,
-                          budget: int) -> list[ScanRecord]:
-    return check_biconvex_bound(g, item.ordering, item.graph_id, budget)
-
-
 def budget_record(graph_id: str, family: str, n: int,
                   exc: BudgetExceeded) -> ScanRecord:
     """The one info record that stands for a graph whose solve ran out of
@@ -493,23 +506,27 @@ def budget_record(graph_id: str, family: str, n: int,
 
 
 def _experiment_worker(args: tuple[str, ScanItem, int, dict]) -> list[ScanRecord]:
+    """The records of one job: the tight family's exact values, or the
+    class's `CERTIFY` records, which for bicubic-small gain the 2rho
+    conjecture under the item's own family."""
     kind, item, budget, params = args
     g = decode_graph6(item.graph6)
     try:
-        if kind == "bicubic":
-            return _exp_records_bicubic(item, g, budget)
         if kind == "tight":
             return _exp_records_tight(item, g, budget, params["k"])
-        if kind == "mop":
-            return _exp_records_mop(item, g, budget)
-        if kind == "biconvex":
-            return _exp_records_biconvex(item, g, budget)
+        _, records = CERTIFY[kind](item.graph_id, g, item.ordering, budget)
     except BudgetExceeded as exc:
         return [budget_record(item.graph_id, item.family, g.n, exc)]
-    raise ValueError(f"unknown experiment job kind {kind!r}")
+    if kind == "bicubic":
+        # every class record carries the exact values
+        records += bounds.bound_records(
+            [("gamma-le-2rho", "conjecture", bounds.GAMMA_LE_2RHO)],
+            item.graph_id, item.family, g.n, records[-1].gamma,
+            records[-1].rho)
+    return records
 
 
-def _experiment_jobs(name: str, corpus: Sequence[str] | None,
+def _experiment_jobs(name: str, corpus: Sequence[Graph] | None,
                      budget: int) -> list[tuple[str, ScanItem, int, dict]]:
     jobs: list[tuple[str, ScanItem, int, dict]] = []
     if name == "bicubic-small":
@@ -517,11 +534,9 @@ def _experiment_jobs(name: str, corpus: Sequence[str] | None,
             for i, g in enumerate(enumerate_bicubic(n)):
                 item = make_item(f"bicubic-{n}-{i}", "bicubic-exhaustive", g)
                 jobs.append(("bicubic", item, budget, {}))
-        if corpus:
-            for i, line in enumerate(corpus):
-                g = decode_graph6(line.strip())
-                item = make_item(f"bicubic-corpus-{i}", "bicubic-corpus", g)
-                jobs.append(("bicubic", item, budget, {}))
+        for i, g in enumerate(corpus or ()):
+            item = make_item(f"bicubic-corpus-{i}", "bicubic-corpus", g)
+            jobs.append(("bicubic", item, budget, {}))
     elif name == "tight-family":
         for k in range(1, 7):
             g, ordering = gen_tight_family(k)
@@ -550,8 +565,9 @@ EXPERIMENTS = ("bicubic-small", "tight-family", "mop-theorem4",
 
 
 def run_experiment(name: str, budget: int = DEFAULT_BUDGET, jobs: int = 1,
-                   corpus: Sequence[str] | None = None) -> list[ScanRecord]:
-    """Re-run one of the canned verification experiments end to end."""
+                   corpus: Sequence[Graph] | None = None) -> list[ScanRecord]:
+    """Re-run one of the canned verification experiments end to end;
+    bicubic-small also takes the graphs of `corpus`."""
     work = _experiment_jobs(name, corpus, budget)
     outcomes = map_items(_experiment_worker, work, jobs)
     return [r for out in outcomes for r in out]

@@ -15,9 +15,10 @@ packings) are independent of the clipping order.
 
 `mop_facts` builds a graph's whole certificate state once: the
 triangulation, dual tree, clique graph and Tokunaga colors, and exact
-gamma and rho of the graph and of its clique graph.  `mop_records` reads
-the class's rows of the bound table (`gammarho.bounds`) and the two
-certificate checks off it for the `certify` and `reproduce` paths.
+gamma and rho of the graph and of its clique graph.  `certify_mop` reads
+the projected and averaged dominating sets, the class's rows of the bound
+table (`gammarho.bounds`) and the two certificate checks off it for the
+`certify` and `reproduce` paths.
 
 None of the four numbers needs search.  The dual tree is a tree
 decomposition of width 2, so one dynamic programme over it, with three
@@ -621,20 +622,32 @@ _RECORDS = (
 )
 
 
-def mop_records(f: MopFacts, graph_id: str) -> list[ScanRecord]:
-    """Exact gamma and rho against the five bound records, then
-    tokunaga-4cycle (the colors, which tokunaga_color has verified) and
-    lift-packing-size (the clique graph's maximum packing lifted to the
-    graph)."""
-    t = f.triangulation
-    g = t.graph
-    lifted = lift_packing(t, f.dual, f.cg_rho.witness, f.clique_graph)
+def certify_mop(g: Graph, graph_id: str = "mop",
+                budget: int = DEFAULT_BUDGET
+                ) -> tuple[dict, list[ScanRecord]]:
+    """The certificates of g (triangulation, Tokunaga colors, the clique
+    graph's minimum dominating set, its projection to g and the averaged
+    one) and seven records: exact gamma and rho against the five bound
+    records, then tokunaga-4cycle (the colors, which tokunaga_color has
+    verified) and lift-packing-size (the clique graph's maximum packing
+    lifted to the graph)."""
+    f = mop_facts(g, budget)
+    t, cg = f.triangulation, f.clique_graph
+    projected = project_dominating(t, cg, f.cg_gamma.witness)
+    averaged = averaged_dominating(t, projected, f.colors)
+    lifted = lift_packing(t, f.dual, f.cg_rho.witness, cg)
+    certs = dict(boundary=list(t.boundary),
+                 triangles=[list(tri) for tri in t.triangles],
+                 colors=list(f.colors),
+                 clique_dominating=list(f.cg_gamma.witness),
+                 projected_dominating=list(projected),
+                 averaged_dominating=list(averaged))
     records = bounds.bound_records(
         _RECORDS, graph_id, "mop", g.n, f.gamma.value, f.rho.value,
         t=low_degree_count(g), cg_gamma=f.cg_gamma.value,
         cg_rho=f.cg_rho.value)
     base = dict(graph_id=graph_id, family="mop", n=g.n)
-    return records + [
+    return certs, records + [
         # tokunaga_color raised CertificateError unless verify_tokunaga
         # found no problem with f.colors
         ScanRecord(check="tokunaga-4cycle", kind="theorem", holds=True,

@@ -3,7 +3,7 @@ import pytest
 from gammarho.biconvex import (
     ConvexOrdering,
     cb_decompose,
-    check_biconvex_bound,
+    certify_biconvex,
     construct_dominating,
     construct_packing,
     trim_core,
@@ -192,7 +192,7 @@ def test_certificates_bracket_brute_force():
 
 def test_check_biconvex_bound_records():
     g, o = path7()
-    records = check_biconvex_bound(g, o, "p7")
+    _, records = certify_biconvex(g, o, "p7")
     assert [r.check for r in records] == [
         "gamma-le-2rho", "certified-gamma-le-2rho", "certificates-bracket"]
     assert all(r.holds for r in records)
@@ -204,5 +204,12 @@ def test_check_biconvex_bound_records():
 
 def test_check_biconvex_bound_single_vertex():
     g = Graph.from_edges(1, [])
-    records = check_biconvex_bound(g, ConvexOrdering((0,), ()), "k1")
+    _, records = certify_biconvex(g, ConvexOrdering((0,), ()), "k1")
     assert all(r.holds for r in records)
+
+
+def test_single_vertex_ordering_is_validated():
+    # the ordering must name the lone vertex, as for every other order
+    with pytest.raises(ValueError):
+        certify_biconvex(Graph.from_edges(1, []),
+                         ConvexOrdering((5, 9), (3,)))

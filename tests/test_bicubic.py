@@ -4,7 +4,7 @@ import pytest
 from conftest import to_nx
 from gammarho.bicubic import (
     brooks_color,
-    check_bicubic_bounds,
+    certify_bicubic,
     combined_packing,
     layer_decompose,
     maximal_packing_in,
@@ -146,12 +146,12 @@ def test_layer_decompose_rejects_bad_p():
 
 def test_check_bicubic_bounds_record_set():
     g = gen_random_bicubic(16, 5)
-    records = check_bicubic_bounds(g, "x")
+    _, records = certify_bicubic(g, "x")
     names = [r.check for r in records]
     assert names == ["gamma-le-5n-14", "rho-ge-7n-48",
                      "gamma-le-120-49-rho", "gamma-le-2rho-plus-1"]
     assert all(r.holds for r in records)
-    small = check_bicubic_bounds(gen_complete_bipartite(3, 3), "k33")
+    _, small = certify_bicubic(gen_complete_bipartite(3, 3), "k33")
     assert [r.check for r in small] == ["gamma-le-120-49-rho",
                                         "gamma-le-2rho-plus-1"]
     assert all(r.holds for r in small)

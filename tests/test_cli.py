@@ -4,8 +4,14 @@ from collections import Counter
 import pytest
 
 from gammarho import cli, harness, outerplanar, solvers
-from gammarho.biconvex import ConvexOrdering, check_biconvex_bound
-from gammarho.formats import encode_graph6, iter_graph6_stream, write_graph6_stream
+from gammarho.biconvex import ConvexOrdering, certify_biconvex
+from gammarho.formats import (
+    decode_graph6,
+    decode_sparse6,
+    encode_graph6,
+    iter_graph6_stream,
+    write_graph6_stream,
+)
 from gammarho.generators import (
     gen_cycle,
     gen_path,
@@ -239,14 +245,14 @@ def test_certify_biconvex(tmp_path, capsys):
 
 def test_certify_biconvex_single_vertex(tmp_path, capsys):
     # trim_core needs two nonempty sides; the bundle carries the same n = 1
-    # records as check_biconvex_bound
+    # records as certify_biconvex
     path = tmp_path / "k1.txt"
     path.write_text("1 0\nxorder 0\nyorder\n")
     assert cli.main(["certify", "--class", "biconvex", "--format",
                      "edgelist", "--input", str(path)]) == 0
     bundle = json.loads(capsys.readouterr().out)
-    expected = check_biconvex_bound(Graph.from_edges(1, []),
-                                    ConvexOrdering((0,), ()), "biconvex-0")
+    _, expected = certify_biconvex(Graph.from_edges(1, []),
+                                   ConvexOrdering((0,), ()), "biconvex-0")
     assert bundle["records"] == [r.as_dict() for r in expected]
     assert bundle["width"] == 0
     assert bundle["packing"] == {"vertices": [0], "method": "singleton"}
@@ -376,3 +382,46 @@ def test_certificate_error_is_exit_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_compute", boom)
     path = write_g6(tmp_path, "in.g6", [gen_path(3)])
     assert cli.main(["compute", "--input", path]) == 3
+
+
+def test_reproduce_corpus_reads_what_certify_reads(tmp_path, capsys):
+    # a comment line and a sparse6 line are valid `certify --input`
+    # corpus lines, and `reproduce --corpus` reads the file the same way
+    s6 = ":QhCEFbDE_CG`AB_@G_@FbFGaCDaDE"
+    assert decode_sparse6(s6) == gen_random_bicubic(18, 2)
+    path = tmp_path / "corpus.g6"
+    path.write_text("# two bicubic graphs\n"
+                    + encode_graph6(gen_random_bicubic(16, 1)) + "\n"
+                    + s6 + "\n")
+    assert cli.main(["certify", "--class", "bicubic",
+                     "--input", str(path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["reproduce", "--name", "bicubic-small",
+                     "--corpus", str(path)]) == 0
+    records, _ = read_report(capsys.readouterr().out.splitlines())
+    corpus = {r.graph_id: r.n for r in records
+              if r.graph_id.startswith("bicubic-corpus-")}
+    assert corpus == {"bicubic-corpus-0": 16, "bicubic-corpus-1": 18}
+
+
+@pytest.mark.parametrize("name, cls", [("bicubic-small", "bicubic"),
+                                       ("mop-theorem4", "mop"),
+                                       ("biconvex-theorem12", "biconvex")])
+def test_certify_and_reproduce_agree(name, cls):
+    # a graph's certify bundle carries the records its experiment reports,
+    # apart from the graph id and bicubic-small's 2rho conjecture record
+    corpus = [gen_random_bicubic(16, 1)] if cls == "bicubic" else None
+    jobs = harness._experiment_jobs(name, corpus, solvers.DEFAULT_BUDGET)
+    for i, job in enumerate(jobs[::7] + jobs[-1:]):
+        kind, item, budget, _ = job
+        reproduced = [r.as_dict() for r in harness._experiment_worker(job)]
+        if cls == "bicubic":
+            assert reproduced.pop()["check"] == "gamma-le-2rho"
+        g = decode_graph6(item.graph6)
+        bundle, _ = cli._certify_one(i, g, item.ordering, kind, budget)
+        certified = bundle["records"]
+        assert certified and len(certified) == len(reproduced)
+        for c, r in zip(certified, reproduced):
+            assert (c.pop("graph_id"), r.pop("graph_id")) == (
+                f"{cls}-{i}", item.graph_id)
+            assert c == r

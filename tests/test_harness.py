@@ -4,8 +4,8 @@ import json
 import pytest
 
 from gammarho import bounds, harness, outerplanar
-from gammarho.biconvex import ConvexOrdering, check_biconvex_bound
-from gammarho.bicubic import check_bicubic_bounds
+from gammarho.biconvex import ConvexOrdering, certify_biconvex
+from gammarho.bicubic import certify_bicubic
 from gammarho.generators import (
     gen_complete_bipartite,
     gen_cycle,
@@ -18,7 +18,7 @@ from gammarho.generators import (
 )
 from gammarho.formats import decode_graph6
 from gammarho.graphs import CertificateError, Graph
-from gammarho.outerplanar import mop_facts, mop_records
+from gammarho.outerplanar import certify_mop
 from gammarho.harness import (
     DEFAULT_PREDICATES,
     EXPERIMENTS,
@@ -88,15 +88,15 @@ def _class_cases(cls):
     if cls == "bicubic":
         for n in (6, 8, 10, 14, 16, 20):
             g = gen_random_bicubic(n, 50 + n)
-            yield g, None, check_bicubic_bounds(g)
+            yield g, None, certify_bicubic(g)[1]
     elif cls == "mop":
         for n in (3, 4, 9, 17):
             g = gen_random_mop(n, 60 + n)
-            yield g, None, mop_records(mop_facts(g), "mop")
+            yield g, None, certify_mop(g)[1]
     else:
         for s in range(6):
             g, o = gen_random_biconvex(2 + s, 3 + s % 3, 70 + s)
-            yield g, o, check_biconvex_bound(g, o)
+            yield g, o, certify_biconvex(g, o)[1]
 
 
 @pytest.mark.parametrize("cls", sorted(AGREEING))

@@ -8,11 +8,11 @@ from gammarho.outerplanar import (
     averaged_dominating,
     build_clique_graph,
     build_dual,
+    certify_mop,
     clique_graph_numbers,
     lift_packing,
     low_degree_count,
     mop_facts,
-    mop_records,
     project_dominating,
     recognize_mop,
     tokunaga_color,
@@ -172,7 +172,7 @@ MOP_CHECKS = ["clique-graph-gamma-eq-rho", "rho-ge-clique-rho",
 
 
 def test_mop_records_record_set():
-    records = mop_records(mop_facts(gen_sun()), "sun")
+    _, records = certify_mop(gen_sun(), "sun")
     assert [r.check for r in records] == MOP_CHECKS
     assert all(r.holds for r in records)
     assert records[0].gamma == 2 and records[0].rho == 1
@@ -200,7 +200,7 @@ def test_mop_facts_share_one_build_with_every_consumer():
             assert len(res.witness) == res.value and res.nodes == 0
             assert is_packing(graph, res.witness)
         assert verify_tokunaga(t, f.colors, f.dual) == []
-        records = mop_records(f, f"mop-{s}")
+        _, records = certify_mop(g, f"mop-{s}")
         assert [r.check for r in records] == MOP_CHECKS
         assert all(r.holds for r in records if r.kind == "theorem")
 
