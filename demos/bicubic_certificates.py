@@ -22,7 +22,7 @@ g = gen_random_bicubic(20, seed=11)
 lab = validate_bicubic(g)
 print(f"random bicubic graph: n = {g.n}, sides {len(lab.side_x)} + {len(lab.side_y)}")
 
-p0 = side_packing(g, lab.side_x)
+p0 = side_packing(g, lab, lab.side_x)
 print(f"side packing inside X: {list(p0)}   (6 * {len(p0)} >= {len(lab.side_x)})")
 
 p = maximal_packing_in(g, lab.side_x, p0)

@@ -17,7 +17,8 @@ pieces:
   them.
 
 certify_bicubic builds the side packing and the layers once
-(`bicubic_layers`, which `decompose` shares) and evaluates the exact numbers against the rows of the bound table
+(`bicubic_layers`, which `decompose` shares) and evaluates the exact
+numbers against the rows of the bound table
 (`gammarho.bounds`) that the class carries: gamma <= 5n/14 for n >= 9,
 rho >= 7n/48 for n >= 16 and 49*gamma <= 120*rho, plus the open
 conjecture gamma <= 2*rho + 1.
@@ -240,14 +241,17 @@ def validate_bicubic(g: Graph) -> BipartiteLabeling:
     return labeling
 
 
-def side_packing(g: Graph, side: Sequence[int]) -> tuple[int, ...]:
+def side_packing(g: Graph, labeling: BipartiteLabeling,
+                 side: Sequence[int]) -> tuple[int, ...]:
     """Packing inside one bipartition side with 6 * |result| >= |side|.
 
     Requires a bicubic graph on n >= 16 vertices (below that the
     restricted square can be complete and the 1/6 guarantee is void; the
-    small orders are handled exhaustively by the exact solver instead).
+    small orders are handled exhaustively by the exact solver instead),
+    and `labeling` is what `validate_bicubic(g)` returned.  The result is
+    still checked: a packing of g inside `side` with 6 * |result| >=
+    |side|, or CertificateError.
     """
-    labeling = validate_bicubic(g)
     if g.n < 16:
         raise ValueError("side_packing needs n >= 16")
     side_t = tuple(sorted(side))
@@ -296,10 +300,10 @@ def layer_decompose(g: Graph, labeling: BipartiteLabeling,
                     p: Sequence[int]) -> LayerDecomposition:
     """Peel the P, Q, R, S, T, W layers from a maximal packing P in side X.
 
-    Verifies every identity the counting argument uses; violations on
-    validated input are implementation bugs and raise CertificateError.
+    `labeling` is what `validate_bicubic(g)` returned.  Verifies every
+    identity the counting argument uses; violations on validated input are
+    implementation bugs and raise CertificateError.
     """
-    validate_bicubic(g)
     x_set = set(labeling.side_x)
     y_set = set(labeling.side_y)
     p_t = tuple(sorted(set(p)))
@@ -364,9 +368,10 @@ def bicubic_layers(g: Graph) -> tuple[BipartiteLabeling, tuple[int, ...],
                                      LayerDecomposition]:
     """The bipartition of the bicubic graph g, its side packing (empty
     below 16 vertices), and the layer decomposition of that packing
-    extended to a maximal one."""
+    extended to a maximal one.  g is validated once, here; the labeling
+    that the validation returns is handed on to the certificates."""
     labeling = validate_bicubic(g)
-    p = side_packing(g, labeling.side_x) if g.n >= 16 else ()
+    p = side_packing(g, labeling, labeling.side_x) if g.n >= 16 else ()
     full = maximal_packing_in(g, labeling.side_x, p)
     return labeling, p, layer_decompose(g, labeling, full)
 

@@ -231,14 +231,14 @@ def cmd_scan(args) -> int:
 def cmd_reproduce(args) -> int:
     corpus = None
     if args.corpus:
+        if args.name != "bicubic-small":
+            raise ValueError("--corpus applies to --name bicubic-small only")
         corpus = [g for g, _ in _load(args.corpus, "graph6")]
     names = EXPERIMENTS if args.name == "all" else (args.name,)
     records = []
     for name in names:
-        records.extend(
-            run_experiment(name, budget=args.budget, jobs=args.jobs,
-                           corpus=corpus if name == "bicubic-small" else None)
-        )
+        records.extend(run_experiment(name, budget=args.budget,
+                                      jobs=args.jobs, corpus=corpus))
     with _out_sink(args.out) as sink:
         write_report(records, sink)
     return scan_verdict(records)

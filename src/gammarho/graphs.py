@@ -24,9 +24,12 @@ class CertificateError(RuntimeError):
 
 
 class Graph:
-    """Undirected simple graph, immutable after construction."""
+    """Undirected simple graph, immutable after construction.
 
-    __slots__ = ("n", "adj", "closed_masks")
+    The connected components are found on first use and kept, since
+    classification, validation and the solvers all ask for them."""
+
+    __slots__ = ("n", "adj", "closed_masks", "_components")
 
     def __init__(self, n: int, adj: Sequence[Sequence[int]]):
         if n < 0:
@@ -46,6 +49,7 @@ class Graph:
                 m |= 1 << u
             masks.append(m)
         self.closed_masks = tuple(masks)
+        self._components: tuple[tuple[int, ...], ...] | None = None
         # symmetry check; from_edges always satisfies it, hand-built adj may not
         for v in range(n):
             for u in self.adj[v]:
@@ -96,7 +100,14 @@ class Graph:
             return False
         return True if k is None else degs == {k}
 
-    def components(self) -> list[tuple[int, ...]]:
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """Vertex sets of the connected components, each sorted, in order
+        of their smallest vertex."""
+        if self._components is None:
+            self._components = self._find_components()
+        return self._components
+
+    def _find_components(self) -> tuple[tuple[int, ...], ...]:
         seen = [False] * self.n
         comps = []
         for s in range(self.n):
@@ -113,7 +124,7 @@ class Graph:
                         seen[u] = True
                         queue.append(u)
             comps.append(tuple(sorted(comp)))
-        return comps
+        return tuple(comps)
 
     def is_connected(self) -> bool:
         if self.n == 0:

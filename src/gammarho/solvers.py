@@ -33,6 +33,28 @@ The two searches:
   a greedy clique cover of the remaining candidates: each clique can
   contribute at most one vertex.
 
+Neither search recurses.  Each is a depth-first loop over an explicit
+stack, which pops nodes in the order a recursive search would visit them,
+so its depth is bounded by memory, not by the interpreter's recursion
+limit (every leaf of gamma's search on C_n is at least n/3 levels deep).
+Each node costs work in proportion to what it finds, not to the number of
+vertices left:
+
+* The packing bound takes the lowest undominated vertex and clears its
+  distance-2 ball, once per packing vertex.
+* The branching vertex is the lowest undominated bit of the first of the
+  degree classes (one vertex mask per degree, ascending) that has one.
+* Each clique of the cover is a chain: the lowest uncovered candidate,
+  then the lowest uncovered one in conflict with every member so far.
+  That is exactly the first-fit cover over candidates in id order.
+* rho's branching vertex is sought by conflict degree classes,
+  descending, and the scan stops where no candidate left can beat it.
+* Both bounds stop counting at the value that decides the prune, and are
+  skipped before the first incumbent, when they cannot prune.
+
+These reproduce the values, witnesses and node counts of the plain scans
+over all vertices that they replaced, node for node.
+
 `nodes` in a result counts search nodes only: an answer found without
 search (the forest certificate here, or the dual-tree walk and clique-graph
 certificate that `outerplanar` uses for maximal outerplanar graphs) reports
@@ -87,20 +109,32 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _greedy_packing_bound(masks, undominated: int) -> int:
-    """Size of a greedy packing among the undominated vertices: an
-    admissible lower bound on how many more dominators are needed."""
+def _packing_bound(near, undominated: int, cap: int) -> int:
+    """Size of a greedy packing among the undominated vertices, or `cap`
+    if that is smaller: an admissible lower bound on how many more
+    dominators are needed.  A search asks only whether the bound reaches
+    the cap, so the greedy stops there.
+
+    The greedy takes the lowest vertex whose closed neighbourhood misses
+    those of the vertices taken so far.  That is the lowest vertex at
+    distance >= 3 from all of them, so each step takes the lowest vertex
+    left and clears its distance-2 ball `near[v]`; the loop runs once per
+    packing vertex."""
     count = 0
-    taken = 0
     m = undominated
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        m ^= low
-        if taken & masks[v] == 0:
-            taken |= masks[v]
-            count += 1
+    while m and count < cap:
+        count += 1
+        m &= ~near[(m & -m).bit_length() - 1]
     return count
+
+
+def _degree_classes(degrees) -> list[tuple[int, int]]:
+    """(degree, mask of the vertices of that degree) for each distinct
+    value in `degrees` (vertex v's at position v), by ascending degree."""
+    by_degree: dict[int, int] = {}
+    for v, d in enumerate(degrees):
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    return sorted(by_degree.items())
 
 
 def _tree_certificate(sub: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -153,58 +187,6 @@ def _tree_certificate(sub: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | N
     return d, pk
 
 
-def _solve_gamma_component(sub: Graph, budget: int,
-                           spent: int) -> tuple[tuple[int, ...], int]:
-    """Minimum dominating set of the connected graph `sub` and the nodes
-    searched; witnesses, here and in its BudgetExceeded, are in sub's ids."""
-    n = sub.n
-    masks = sub.closed_masks
-    full = (1 << n) - 1
-    degrees = [sub.degree(v) for v in range(n)]
-    nodes = 0
-    best_size: int | None = None
-    best_set: tuple[int, ...] = ()
-
-    def rec(chosen: tuple[int, ...], dominated: int, banned: int) -> None:
-        nonlocal nodes, best_size, best_set
-        nodes += 1
-        if spent + nodes > budget:
-            raise BudgetExceeded(
-                "gamma",
-                lower=_greedy_packing_bound(masks, full),
-                upper=best_size,
-                witness=best_set,
-                nodes=spent + nodes,
-            )
-        if dominated == full:
-            if best_size is None or len(chosen) < best_size:
-                best_size = len(chosen)
-                best_set = chosen
-            return
-        if best_size is not None:
-            bound = len(chosen) + _greedy_packing_bound(masks, full & ~dominated)
-            if bound >= best_size:
-                return
-        # undominated vertex of minimum degree, smallest id on ties
-        pick = -1
-        pick_deg = n + 1
-        m = full & ~dominated
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            if degrees[v] < pick_deg:
-                pick_deg = degrees[v]
-                pick = v
-        local_banned = banned
-        for u in _bits(masks[pick] & ~banned):
-            rec(chosen + (u,), dominated | masks[u], local_banned)
-            local_banned |= 1 << u
-
-    rec((), 0, 0)
-    return best_set, nodes
-
-
 def _conflict_masks(g: Graph) -> list[int]:
     """cmask[v] = vertices at distance <= 2 from v, including v."""
     out = []
@@ -216,71 +198,160 @@ def _conflict_masks(g: Graph) -> list[int]:
     return out
 
 
-def _greedy_clique_cover_bound(cmasks, candidates: int) -> int:
+def _unwind(chosen) -> tuple[int, ...]:
+    """The vertices of a chosen-list, in the order they were chosen.  A
+    search keeps each node's choices as a cons list (vertex, parent list),
+    so that a child costs one pair however deep it sits."""
+    out = []
+    while chosen is not None:
+        v, chosen = chosen
+        out.append(v)
+    return tuple(reversed(out))
+
+
+def _solve_gamma_component(sub: Graph, budget: int,
+                           spent: int) -> tuple[tuple[int, ...], int]:
+    """Minimum dominating set of the connected graph `sub` and the nodes
+    searched; witnesses, here and in its BudgetExceeded, are in sub's ids.
+
+    Depth-first over an explicit stack of nodes (chosen, size, dominated,
+    banned): a node pushes its children in reverse, so they are popped,
+    and counted, in branching order."""
+    n = sub.n
+    masks = sub.closed_masks
+    near = _conflict_masks(sub)
+    # the lowest bit of the first class meeting a set is that set's vertex
+    # of minimum degree, smallest id on ties
+    classes = [m for _, m in _degree_classes(map(len, sub.adj))]
+    full = (1 << n) - 1
+    limit = budget - spent
+    nodes = 0
+    best_size = n + 1  # no dominating set found yet
+    best_set: tuple[int, ...] = ()
+    stack = [(None, 0, 0, 0)]
+    while stack:
+        chosen, size, dominated, banned = stack.pop()
+        nodes += 1
+        if nodes > limit:
+            raise BudgetExceeded(
+                "gamma",
+                lower=_packing_bound(near, full, n),
+                upper=best_size if best_size <= n else None,
+                witness=best_set,
+                nodes=spent + nodes,
+            )
+        if dominated == full:
+            if size < best_size:
+                best_size = size
+                best_set = _unwind(chosen)
+            continue
+        undominated = full & ~dominated
+        room = best_size - size  # prune when the packing bound fills it
+        if best_size <= n and _packing_bound(near, undominated, room) >= room:
+            continue
+        # undominated vertex of minimum degree, smallest id on ties
+        for cls in classes:
+            low = cls & undominated
+            if low:
+                break
+        pick = (low & -low).bit_length() - 1
+        # branch on each dominator u of pick; later branches ban earlier u
+        children = []
+        for u in _bits(masks[pick] & ~banned):
+            children.append(((u, chosen), size + 1, dominated | masks[u], banned))
+            banned |= 1 << u
+        children.reverse()
+        stack += children
+    return best_set, nodes
+
+
+def _clique_cover_bound(near, candidates: int, cap: int) -> int:
     """Number of cliques in a greedy clique cover of the conflict graph
-    restricted to `candidates`: an admissible upper bound on rho there."""
-    cliques: list[int] = []  # mask of vertices adjacent to every member
+    restricted to `candidates`, or `cap` if that is smaller: an admissible
+    upper bound on rho there.  As for `_packing_bound`, the cover stops
+    once it reaches the cap.
+
+    Each clique is a chain: start at the lowest uncovered candidate, then
+    keep taking the lowest uncovered candidate in conflict with every
+    member so far.  That is the first-fit cover (each candidate in id
+    order joins the first clique it is in conflict with throughout),
+    built clique by clique without a list of cliques."""
     count = 0
     m = candidates
-    while m:
+    while m and count < cap:
+        count += 1
         low = m & -m
-        v = low.bit_length() - 1
         m ^= low
-        for i, common in enumerate(cliques):
-            if common & low:
-                cliques[i] = common & cmasks[v]
-                break
-        else:
-            cliques.append(cmasks[v] & ~low)
-            count += 1
+        common = near[low.bit_length() - 1] & m
+        while common:
+            low = common & -common
+            m ^= low
+            common &= near[low.bit_length() - 1] ^ low
     return count
+
+
+def _max_conflict_pick(near, classes, candidates: int) -> int:
+    """The candidate with the most conflicts among the candidates, smallest
+    id on ties.  `classes` are the conflict degree classes, by descending
+    degree; a vertex's conflict degree inside the candidates is at most its
+    class's.  The scan stops where no unscanned candidate can beat or
+    tie-break the pick: at a class whose degree is below the pick's, or in
+    a class whose degree equals the pick's, at ids past the pick's."""
+    pick = -1
+    pick_deg = -1
+    for top, cls in classes:
+        if top < pick_deg:
+            break
+        m = cls & candidates
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            if top == pick_deg and v > pick:
+                break
+            m ^= low
+            d = (near[v] & candidates).bit_count() - 1
+            if d > pick_deg or (d == pick_deg and v < pick):
+                pick = v
+                pick_deg = d
+    return pick
 
 
 def _solve_rho_component(sub: Graph, budget: int,
                          spent: int) -> tuple[tuple[int, ...], int]:
     """Maximum packing of the connected graph `sub` and the nodes searched,
-    in sub's ids as for gamma."""
+    in sub's ids as for gamma; the same explicit stack, with nodes
+    (chosen, size, candidates) and the include branch popped first."""
     n = sub.n
-    cmasks = _conflict_masks(sub)
+    near = _conflict_masks(sub)
+    classes = _degree_classes(m.bit_count() - 1 for m in near)[::-1]
     full = (1 << n) - 1
+    limit = budget - spent
     nodes = 0
     best_size = -1
     best_set: tuple[int, ...] = ()
-
-    def rec(chosen: tuple[int, ...], candidates: int) -> None:
-        nonlocal nodes, best_size, best_set
+    stack = [(None, 0, full)]
+    while stack:
+        chosen, size, candidates = stack.pop()
         nodes += 1
-        if spent + nodes > budget:
+        if nodes > limit:
             raise BudgetExceeded(
                 "rho",
                 lower=max(best_size, 0),
-                upper=_greedy_clique_cover_bound(cmasks, full),
+                upper=_clique_cover_bound(near, full, n),
                 witness=best_set,
                 nodes=spent + nodes,
             )
         if candidates == 0:
-            if len(chosen) > best_size:
-                best_size = len(chosen)
-                best_set = chosen
-            return
-        if len(chosen) + _greedy_clique_cover_bound(cmasks, candidates) <= best_size:
-            return
-        # candidate with most remaining conflicts, smallest id on ties
-        pick = -1
-        pick_deg = -1
-        m = candidates
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            d = (cmasks[v] & candidates).bit_count() - 1
-            if d > pick_deg:
-                pick_deg = d
-                pick = v
-        rec(chosen + (pick,), candidates & ~cmasks[pick])
-        rec(chosen, candidates & ~(1 << pick))
-
-    rec((), full)
+            if size > best_size:
+                best_size = size
+                best_set = _unwind(chosen)
+            continue
+        room = best_size - size  # prune when the cover fits in it
+        if _clique_cover_bound(near, candidates, room + 1) <= room:
+            continue
+        pick = _max_conflict_pick(near, classes, candidates)
+        stack.append((chosen, size, candidates & ~(1 << pick)))
+        stack.append(((pick, chosen), size + 1, candidates & ~near[pick]))
     return best_set, nodes
 
 

@@ -153,7 +153,7 @@ def test_criterion_5_side_packing_certificate():
         for g in bicubic_corpus_16_24():
             lab = validate_bicubic(g)
             for side in (lab.side_x, lab.side_y):
-                p = side_packing(g, side)
+                p = side_packing(g, lab, side)
                 assert set(p) <= set(side)
                 assert is_packing(g, p)
                 assert 6 * len(p) >= len(side)

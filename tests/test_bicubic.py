@@ -86,21 +86,22 @@ def test_side_packing_guarantee():
     for g in bicubic_corpus():
         lab = validate_bicubic(g)
         for side in (lab.side_x, lab.side_y):
-            p = side_packing(g, side)
+            p = side_packing(g, lab, side)
             assert set(p) <= set(side)
             assert is_packing(g, p)
             assert 6 * len(p) >= len(side)
 
 
 def test_side_packing_needs_sixteen_vertices():
+    lab = validate_bicubic(heawood())
     with pytest.raises(ValueError):
-        side_packing(heawood(), validate_bicubic(heawood()).side_x)
+        side_packing(heawood(), lab, lab.side_x)
 
 
 def test_side_packing_rejects_non_side():
     g = gen_random_bicubic(16, 3)
     with pytest.raises(ValueError):
-        side_packing(g, (0, 1, 2))
+        side_packing(g, validate_bicubic(g), (0, 1, 2))
 
 
 def test_maximal_packing_in():
@@ -119,7 +120,7 @@ def test_maximal_packing_in():
 def test_layer_decompose_identities():
     for g in bicubic_corpus():
         lab = validate_bicubic(g)
-        base = side_packing(g, lab.side_x)
+        base = side_packing(g, lab, lab.side_x)
         p = maximal_packing_in(g, lab.side_x, base)
         layers = layer_decompose(g, lab, p)
         assert set(layers.p) | set(layers.r) == set(lab.side_x)

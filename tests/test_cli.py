@@ -3,16 +3,18 @@ from collections import Counter
 
 import pytest
 
-from gammarho import cli, harness, outerplanar, solvers
+from gammarho import bicubic, cli, harness, outerplanar, solvers
 from gammarho.biconvex import ConvexOrdering, certify_biconvex
 from gammarho.formats import (
     decode_graph6,
     decode_sparse6,
     encode_graph6,
     iter_graph6_stream,
+    write_edgelist,
     write_graph6_stream,
 )
 from gammarho.generators import (
+    gen_complete,
     gen_cycle,
     gen_path,
     gen_random_biconvex,
@@ -57,6 +59,20 @@ def test_compute_budget_inconclusive(tmp_path, capsys):
     assert "range" in rows[0]
     assert graphs[1].is_tree()
     assert rows[1]["gamma"] == rows[1]["rho"] and rows[1]["nodes"] == 0
+
+
+def test_compute_deep_cycle_is_inconclusive(tmp_path, capsys):
+    # gamma's search on C_3300 goes 1100 levels deep, past the default
+    # recursion limit; it runs out of budget instead, with bounds
+    path = tmp_path / "c.txt"
+    path.write_text(write_edgelist(gen_cycle(3300)))
+    assert cli.main(["compute", "--input", str(path), "--format", "edgelist",
+                     "--budget", "20000"]) == 0
+    out, err = capsys.readouterr()
+    (row,) = [json.loads(ln) for ln in out.splitlines()]
+    assert row["inconclusive"] is True and row["quantity"] == "gamma"
+    assert row["range"] == [1100, 3150]
+    assert "Traceback" not in err
 
 
 def test_certify_tree(tmp_path, capsys):
@@ -402,6 +418,37 @@ def test_reproduce_corpus_reads_what_certify_reads(tmp_path, capsys):
     corpus = {r.graph_id: r.n for r in records
               if r.graph_id.startswith("bicubic-corpus-")}
     assert corpus == {"bicubic-corpus-0": 16, "bicubic-corpus-1": 18}
+
+
+def test_reproduce_corpus_needs_bicubic_small(tmp_path, capsys):
+    # only bicubic-small takes a corpus; elsewhere it would be ignored
+    path = write_g6(tmp_path, "k4.g6", [gen_complete(4)])
+    assert cli.main(["reproduce", "--name", "tight-family",
+                     "--corpus", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--corpus applies to --name bicubic-small only" in captured.err
+
+
+def test_bicubic_graphs_are_validated_once(tmp_path, capsys, monkeypatch):
+    # the labeling from the one validation is handed to the certificates
+    seen = Counter()
+    original = bicubic.validate_bicubic
+
+    def counting(g):
+        seen[encode_graph6(g)] += 1
+        return original(g)
+
+    monkeypatch.setattr(bicubic, "validate_bicubic", counting)
+    graphs = [gen_random_bicubic(16, 1), gen_random_bicubic(20, 2)]
+    path = write_g6(tmp_path, "b.g6", graphs)
+    assert cli.main(["certify", "--class", "bicubic", "--input", path]) == 0
+    assert sorted(seen.values()) == [1, 1]
+    seen.clear()
+    assert cli.main(["reproduce", "--name", "bicubic-small",
+                     "--corpus", path]) == 0
+    jobs = harness._experiment_jobs("bicubic-small", graphs, 1)
+    assert len(seen) == len(jobs) and set(seen.values()) == {1}
 
 
 @pytest.mark.parametrize("name, cls", [("bicubic-small", "bicubic"),

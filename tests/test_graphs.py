@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -62,6 +63,10 @@ def test_components_and_connectivity():
     assert sorted(map(sorted, comps)) == [[0, 1, 2], [3, 4], [5]]
     assert not g.is_connected()
     assert path(5).is_connected()
+    # the kept components travel with the graph to pool workers
+    for h in (g, Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)])):
+        copy = pickle.loads(pickle.dumps(h))
+        assert copy == h and copy.components() == comps
 
 
 def test_is_tree():

@@ -344,3 +344,19 @@ def test_budget_exhaustion_keeps_the_families():
         "gamma-le-delta-minus-1-rho-plus-1", "gamma-le-relaxed-delta",
         "bicubic-gamma-le-5n-14", "bicubic-rho-ge-7n-48",
         "bicubic-49gamma-le-120rho"}
+
+
+def test_default_scan_finds_each_graphs_components_once(monkeypatch):
+    # classification, validation and both solves all ask a graph for its
+    # components; the graph finds them once and keeps them
+    found = []
+    original = Graph._find_components
+
+    def counting(g):
+        found.append(g)  # keeps g alive, so ids stay distinct
+        return original(g)
+
+    items = default_scan_items()
+    monkeypatch.setattr(Graph, "_find_components", counting)
+    run_scan(items)
+    assert len({id(g) for g in found}) == len(found) >= len(items)

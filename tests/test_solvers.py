@@ -176,6 +176,15 @@ def test_long_paths_and_large_trees_do_not_recurse():
         assert len(rho.witness) == rho.value and is_packing(t, rho.witness)
 
 
+def test_deep_cyclic_searches_run_out_of_budget_not_stack():
+    # rho's include branch on C_3300 goes deeper than the default
+    # recursion limit before its first leaf
+    with pytest.raises(BudgetExceeded) as err:
+        packing_number(gen_cycle(3300), 20_000)
+    assert err.value.nodes == 20_001
+    assert err.value.lower <= cycle_rho(3300) <= err.value.upper
+
+
 def test_forest_components_inside_cyclic_graphs_use_no_budget():
     # P_3 + C_5: the path is certified, only the cycle is searched
     g = Graph.from_edges(8, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 7), (3, 7)])
