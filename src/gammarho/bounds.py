@@ -6,9 +6,10 @@ A row is a `Bound`.  `evaluate(gamma, rho, n, **extras)` returns
 `bound_str` text, and what a report shows beside them.  The extras are
 the further numbers a row reads, named in its `needs`: the maximum degree
 `delta`, the number `t` of vertices of degree at most 3, and the clique
-graph's `cg_gamma` and `cg_rho`.  A row is claimed only for graphs on at
-least `min_n` vertices.  Comparisons stay in integers; a fractional bound
-is compared cross-multiplied and printed as a Fraction.
+graph's `cg_gamma` and `cg_rho`.  `Bound.claimed` says for which graphs
+a row is claimed: from `min_n` vertices on, and, for a row that reads
+`delta`, only where delta >= 1.  Comparisons stay in integers; a
+fractional bound is compared cross-multiplied and printed as a Fraction.
 
 The scan's predicates (`harness.PREDICATES`) and the class records
 (`certify_bicubic`, `certify_mop` and `certify_biconvex`, which
@@ -37,20 +38,28 @@ class Bound:
     needs: tuple[str, ...] = ()  # the extras evaluate takes by keyword
     min_n: int = 0
 
+    def claimed(self, n: int, **extras) -> bool:
+        """Whether the row is claimed for a graph on n vertices with these
+        extras.  A row that reads delta scales its right-hand side with
+        it, so it says nothing on an edgeless graph (gamma = rho = n while
+        delta = 0); delta >= 1 also implies n >= 2, which keeps K1 out."""
+        return n >= self.min_n and ("delta" not in self.needs
+                                    or extras["delta"] >= 1)
+
 
 # every graph
 RHO_LE_GAMMA = Bound(lambda gamma, rho, n: _at_most(rho, gamma))
 GAMMA_EQ_RHO = Bound(lambda gamma, rho, n: (gamma == rho, bound_str(rho), {}))
 GAMMA_LE_DELTA_RHO = Bound(
     lambda gamma, rho, n, delta: _at_most(gamma, delta * rho),
-    ("delta",), min_n=2)
+    ("delta",))
 GAMMA_LE_DELTA_MINUS_1_RHO_PLUS_1 = Bound(
     lambda gamma, rho, n, delta: _at_most(gamma, (delta - 1) * rho + 1),
-    ("delta",), min_n=2)
+    ("delta",))
 GAMMA_LE_RELAXED_DELTA = Bound(
     lambda gamma, rho, n, delta: _at_most(
         gamma, max((delta - 1) * rho, delta * (rho - 1)) + 1),
-    ("delta",), min_n=2)
+    ("delta",))
 GAMMA_LE_2RHO_PLUS_1 = Bound(
     lambda gamma, rho, n: _at_most(gamma, 2 * rho + 1))
 GAMMA_LE_2RHO = Bound(lambda gamma, rho, n: _at_most(gamma, 2 * rho))
@@ -95,7 +104,7 @@ def bound_records(rows: Sequence[tuple[str, str, Bound]], graph_id: str,
     carrying gamma and rho; `extras` holds every extra the rows need."""
     records = []
     for check, kind, row in rows:
-        if n < row.min_n:
+        if not row.claimed(n, **extras):
             continue
         holds, bound, details = row.evaluate(
             gamma, rho, n, **{name: extras[name] for name in row.needs})

@@ -10,7 +10,7 @@ the same graph on any platform.
 from __future__ import annotations
 
 import random
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .biconvex import ConvexOrdering, cb_decompose, trim_core
 from .graphs import Graph
@@ -236,25 +236,70 @@ def gen_tight_family(k: int) -> tuple[Graph, ConvexOrdering]:
 def _bicubic_canonical(rows: tuple[int, ...], m: int) -> tuple:
     """Canonical form of a bicubic bipartite adjacency matrix (rows as
     bitmasks) under row permutations, column permutations, and swapping
-    the sides.  Column order is normalized by sorting the column vectors,
-    so minimizing over row permutations (and the transpose) is complete."""
+    the sides: the least column-major reading of any relabelling, as m
+    column tuples of m bits.
 
-    def transpose(rs: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(
-            sum(((rs[i] >> j) & 1) << i for i in range(m)) for j in range(m)
-        )
+    For a fixed column order, the least reading sorts the rows by their
+    bits in that order, so the form is the least reading over the column
+    orders of the matrix and of its transpose.  The search picks columns
+    one at a time over an ordered partition of the rows, whose cells are
+    the rows that agree on every column picked so far.  Picking column c
+    reads each cell's rows without c (zeros), then its rows with c (ones),
+    and splits the cell the same way.  A reading is an m-bit int whose
+    first row is its top bit, so ints compare as the column tuples do.
+    Only the columns with the least reading at a depth can start the least
+    form below it, so only they are branched on, once per distinct
+    column; a branch whose prefix exceeds the best form found is dropped,
+    and once every cell is one row the rest of the form is the remaining
+    readings in ascending order.  That is McKay's individualisation and
+    refinement, with the least leaf as the canonical form.
+    """
+    cols = tuple(sum(((r >> j) & 1) << i for i, r in enumerate(rows))
+                 for j in range(m))
+    best: list[int] = []
+    for vectors in (cols, tuple(rows)):
+        _least_reading(vectors, m, best)
+    return tuple(tuple((r >> (m - 1 - i)) & 1 for i in range(m)) for r in best)
 
-    best = None
-    for mat in (rows, transpose(rows)):
-        for perm in permutations(range(m)):
-            permuted = [mat[p] for p in perm]
-            cols = tuple(sorted(
-                tuple((permuted[i] >> j) & 1 for i in range(m))
-                for j in range(m)
-            ))
-            if best is None or cols < best:
-                best = cols
-    return best
+
+def _least_reading(vectors: tuple[int, ...], m: int, best: list[int]) -> None:
+    """Lower `best` (a finished form, or empty) to the least column-major
+    reading of the columns `vectors` (row bitmasks) over their column
+    orders; see _bicubic_canonical."""
+    prefix: list[int] = []
+
+    def descend(cells: list[int], left: list[int]) -> None:
+        readings = []
+        for c in left:
+            reading = 0
+            for cell in cells:
+                ones = (cell & c).bit_count()
+                reading = reading << cell.bit_count() | ((1 << ones) - 1)
+            readings.append(reading)
+        if not left or len(cells) == m:  # no column can split a cell
+            form = prefix + sorted(readings)
+            if not best or form < best:
+                best[:] = form
+            return
+        low = min(readings)
+        prefix.append(low)
+        if not best or prefix <= best[:len(prefix)]:
+            tried = set()
+            for c, reading in zip(left, readings):
+                if reading != low or c in tried:
+                    continue
+                tried.add(c)
+                split = []
+                for cell in cells:
+                    for part in (cell & ~c, cell & c):
+                        if part:
+                            split.append(part)
+                rest = left.copy()
+                rest.remove(c)
+                descend(split, rest)
+        prefix.pop()
+
+    descend([(1 << m) - 1], list(vectors))
 
 
 def _connected_isomorphic(g: Graph, h: Graph) -> bool:
@@ -325,9 +370,9 @@ def enumerate_bicubic(n: int) -> list[Graph]:
     with column sums 3, starting from the row {0, 1, 2} (every class has a
     labelling with that row, and it sorts first).  Connected candidates are
     bucketed by their common-neighbour profile and kept only if an exact
-    isomorphism test rejects every representative in the bucket, so the
-    costly _bicubic_canonical, which defines the output order and labels,
-    runs once per class.
+    isomorphism test rejects every representative in the bucket, which is
+    cheaper than canonicalising every candidate; _bicubic_canonical, which
+    defines the output order and labels, then runs once per class.
     """
     if n not in (6, 8, 10, 12, 14):
         raise ValueError("exhaustive enumeration supports n in {6, 8, 10, 12, 14}")

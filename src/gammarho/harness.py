@@ -176,7 +176,7 @@ def graph_facts(item: ScanItem, g: Graph, budget: int) -> GraphFacts:
 @dataclass(frozen=True)
 class Predicate:
     """A scan check: the table row `bound`, claimed as `kind` for every
-    graph that `applies` admits and that meets the row's `min_n`."""
+    graph that `applies` admits and that the row is claimed for."""
 
     name: str
     kind: str  # "theorem" | "conjecture"
@@ -184,7 +184,8 @@ class Predicate:
     bound: bounds.Bound
 
     def covers(self, c: Classified) -> bool:
-        return c.graph.n >= self.bound.min_n and self.applies(c)
+        return (self.bound.claimed(c.graph.n, delta=c.delta)
+                and self.applies(c))
 
     def verdict(self, f: GraphFacts) -> bounds.Verdict:
         return self.bound.evaluate(f.gamma, f.rho, f.graph.n,

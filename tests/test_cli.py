@@ -356,6 +356,16 @@ def test_scan_honours_predicate_list(tmp_path, capsys):
                      "--predicates", "rho-le-gamma"]) == 0
 
 
+@pytest.mark.parametrize("argv", [["scan"], ["certify", "--class", "any"]])
+def test_edgeless_graph_claims_no_delta_row(argv, tmp_path, capsys):
+    # B? is three isolated vertices: gamma = rho = 3 and delta = 0
+    path = tmp_path / "e3.g6"
+    path.write_text("B?\n")
+    assert cli.main(argv + ["--input", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "delta" not in out and '"holds":false' not in out.replace(" ", "")
+
+
 def test_reproduce_tight_family(tmp_path):
     report = tmp_path / "tight.jsonl"
     assert cli.main(["reproduce", "--name", "tight-family",

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, permutations
 
 import networkx as nx
 import pytest
@@ -169,6 +169,11 @@ ENUMERATED_G6 = {
     10: ["I??xuROw?", "I??ytROw?"],
     12: ["K???wwksF?[?", "K???wxciE_[?", "K???xXSiE_[?", "K???xXSkEO[?",
          "K???xXokEGX?"],
+    14: ["M????[MD`oY?w?w??", "M????[MDbOU?s?w??", "M????[MK`gX?s?w??",
+         "M????[MKagR?w?w??", "M????[MKagT?s?w??", "M????[UEbGT?s?w??",
+         "M????[UIagT?s?w??", "M????[UIagU?q?w??", "M????[UIaoU?p?w??",
+         "M????[UIb_U?p?q??", "M????[UMBCS_q?s??", "M????[UMBCT?p?s??",
+         "M????[qTBOR?h?o_?"],
 }
 
 
@@ -177,9 +182,33 @@ def test_enumerate_bicubic_output_is_pinned():
         assert [encode_graph6(g) for g in enumerate_bicubic(n)] == expected
 
 
+def _permutation_canonical(rows: tuple[int, ...], m: int) -> tuple:
+    """The original canonical form, kept here as the oracle of
+    _bicubic_canonical: the least sorted tuple of column vectors over the
+    matrix, its transpose and every row permutation."""
+
+    def transpose(rs: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(
+            sum(((rs[i] >> j) & 1) << i for i in range(m)) for j in range(m)
+        )
+
+    best = None
+    for mat in (rows, transpose(rows)):
+        for perm in permutations(range(m)):
+            permuted = [mat[p] for p in perm]
+            cols = tuple(sorted(
+                tuple((permuted[i] >> j) & 1 for i in range(m))
+                for j in range(m)
+            ))
+            if best is None or cols < best:
+                best = cols
+    return best
+
+
 def _forms_of_every_labelled_candidate(n: int) -> set:
     """The original method: every nondecreasing row multiset with column
-    sums 3 that gives a connected graph, canonicalised one by one."""
+    sums 3 that gives a connected graph, canonicalised one by one by the
+    original permutation scan."""
     m = n // 2
     row_types = [sum(1 << c for c in combo) for combo in combinations(range(m), 3)]
     forms = set()
@@ -190,7 +219,7 @@ def _forms_of_every_labelled_candidate(n: int) -> set:
             g = Graph.from_edges(n, [(i, m + j) for i, r in enumerate(chosen)
                                      for j in range(m) if (r >> j) & 1])
             if all(s == 3 for s in sums) and g.is_connected():
-                forms.add(_bicubic_canonical(tuple(chosen), m))
+                forms.add(_permutation_canonical(tuple(chosen), m))
             return
         if any(s > 3 or 3 - s > m - len(chosen) for s in sums):
             return
@@ -201,16 +230,51 @@ def _forms_of_every_labelled_candidate(n: int) -> set:
     return forms
 
 
+def _rows(g: Graph) -> tuple[int, ...]:
+    """The biadjacency matrix of a bicubic graph with sides 0..m-1 and
+    m..2m-1, rows as bitmasks."""
+    m = g.n // 2
+    return tuple(sum(1 << (u - m) for u in g.neighbors(i)) for i in range(m))
+
+
 def test_enumerate_bicubic_matches_per_candidate_canonicalisation():
     for n in (6, 8, 10):
         m = n // 2
-        rows = [
-            tuple(sum(1 << (u - m) for u in g.neighbors(i)) for i in range(m))
-            for g in enumerate_bicubic(n)
-        ]
+        rows = [_rows(g) for g in enumerate_bicubic(n)]
         expected = _forms_of_every_labelled_candidate(n)
         assert {_bicubic_canonical(r, m) for r in rows} == expected
         assert len(rows) == len(expected)
+
+
+def _draw_relabelling(data, rows: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """The matrix with drawn row and column permutations, then transposed
+    (its sides swapped) if a drawn flag says so."""
+    row_perm = data.draw(st.permutations(range(m)))
+    col_perm = data.draw(st.permutations(range(m)))
+    out = tuple(sum(((rows[row_perm[i]] >> col_perm[j]) & 1) << j
+                    for j in range(m)) for i in range(m))
+    if data.draw(st.booleans()):
+        out = tuple(sum(((out[i] >> j) & 1) << i for i in range(m))
+                    for j in range(m))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_canonical_form_matches_the_permutation_scan(data):
+    m = data.draw(st.integers(3, 6))
+    g = gen_random_bicubic(2 * m, data.draw(st.integers(0, 10**6)))
+    rows = _draw_relabelling(data, _rows(g), m)
+    assert _bicubic_canonical(rows, m) == _permutation_canonical(rows, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_canonical_form_is_invariant_beyond_the_oracle(data):
+    m = data.draw(st.sampled_from([7, 8]))
+    rows = _rows(gen_random_bicubic(2 * m, data.draw(st.integers(0, 10**6))))
+    relabelled = _draw_relabelling(data, rows, m)
+    assert _bicubic_canonical(relabelled, m) == _bicubic_canonical(rows, m)
 
 
 def _relabel(g: Graph, perm: list[int], swap_sides: bool) -> Graph:

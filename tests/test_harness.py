@@ -55,6 +55,24 @@ def test_empty_graph_is_in_no_class():
     assert not any(r.check.startswith("bicubic-") for r in records)
 
 
+DELTA_ROWS = {"gamma-le-delta-rho", "gamma-le-delta-minus-1-rho-plus-1",
+              "gamma-le-relaxed-delta"}
+
+
+def test_delta_rows_are_claimed_only_where_delta_is_positive():
+    # an edgeless graph has gamma = rho = n and delta = 0, so every delta
+    # row's right-hand side falls below n; K2 is the smallest graph they
+    # are claimed on
+    for n in range(1, 6):
+        edgeless = Graph.from_edges(n, [])
+        records, ces = run_scan([make_item("e", "any", edgeless)])
+        assert not DELTA_ROWS & {r.check for r in records}
+        assert scan_verdict(records) == 0 and ces == []
+    records, _ = run_scan([make_item("k2", "any", gen_path(2))])
+    assert DELTA_ROWS <= {r.check for r in records}
+    assert scan_verdict(records) == 0
+
+
 def test_predicate_table():
     assert "gamma-eq-rho" in PREDICATES
     assert "gamma-eq-rho" not in DEFAULT_PREDICATES
