@@ -42,11 +42,12 @@ print(f"bounds: 48 rho = {48 * rho} >= 7n = {7 * g.n}, "
       f"49 gamma = {49 * gamma} <= 120 rho = {120 * rho}")
 
 # the small orders can be checked exhaustively instead
-print("\nexhaustive check of every connected bicubic graph up to n = 14:")
-for n in (6, 8, 10, 12, 14):
+print("\nexhaustive check of every connected bicubic graph up to n = 16:")
+for n in (6, 8, 10, 12, 14, 16):
     graphs = enumerate_bicubic(n)
-    worst = max(
-        (domination_number(h).value, packing_number(h).value) for h in graphs
-    )
+    pairs = [(domination_number(h).value, packing_number(h).value)
+             for h in graphs]
+    assert all(gamma <= 2 * rho for gamma, rho in pairs)
+    worst = max(pairs)
     print(f"  n = {n:>2}: {len(graphs)} graphs, all satisfy gamma <= 2 rho "
           f"(worst pair {worst})")

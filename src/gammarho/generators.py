@@ -302,115 +302,56 @@ def _least_reading(vectors: tuple[int, ...], m: int, best: list[int]) -> None:
     descend([(1 << m) - 1], list(vectors))
 
 
-def _connected_isomorphic(g: Graph, h: Graph) -> bool:
-    """Exact isomorphism test for a connected graph g against a graph h.
-
-    Backtracking over g's vertices in BFS order: the root may map anywhere,
-    every later vertex maps to an unused neighbour of its parent's image
-    with the same degree and the same adjacency to everything mapped so
-    far.  Meant for the small graphs of the exhaustive lists; the recursion
-    is as deep as g has vertices.
-    """
-    n = g.n
-    if n != h.n or sorted(map(len, g.adj)) != sorted(map(len, h.adj)):
-        return False
-    if n == 0:
-        return True
-    order, parent = [0], {0: 0}
-    for v in order:
-        for u in g.adj[v]:
-            if u not in parent:
-                parent[u] = v
-                order.append(u)
-    if len(order) < n:
-        raise ValueError("isomorphism test needs a connected first graph")
-    h_masks = [sum(1 << u for u in nbrs) for nbrs in h.adj]
-    image = [0] * n
-
-    def extend(i: int, mapped: int, used: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        want = 0
-        for u in g.adj[v]:
-            if (mapped >> u) & 1:
-                want |= 1 << image[u]
-        for y in h.adj[image[parent[v]]]:
-            if ((used >> y) & 1 or len(h.adj[y]) != len(g.adj[v])
-                    or h_masks[y] & used != want):
-                continue
-            image[v] = y
-            if extend(i + 1, mapped | 1 << v, used | 1 << y):
-                return True
-        return False
-
-    for y in range(n):
-        if len(h.adj[y]) == len(g.adj[0]):
-            image[0] = y
-            if extend(1, 1, 1 << y):
-                return True
-    return False
-
-
-def _common_neighbour_profile(g: Graph) -> tuple:
-    """Isomorphism invariant: for each vertex the sorted counts of common
-    neighbours with every other vertex, sorted over the vertices."""
-    masks = [sum(1 << u for u in nbrs) for nbrs in g.adj]
-    return tuple(sorted(
-        tuple(sorted(bin(a & b).count("1") for b in masks)) for a in masks
-    ))
-
-
 def enumerate_bicubic(n: int) -> list[Graph]:
     """Every connected cubic bipartite graph on n vertices, one per
     isomorphism class, in a deterministic order.  Supported for
-    n in {6, 8, 10, 12, 14}; larger orders come from external corpora.
+    n in {6, 8, ..., 16}; larger orders come from external corpora.
 
-    The search lists biadjacency matrices as nondecreasing row multisets
-    with column sums 3, starting from the row {0, 1, 2} (every class has a
-    labelling with that row, and it sorts first).  Connected candidates are
-    bucketed by their common-neighbour profile and kept only if an exact
-    isomorphism test rejects every representative in the bucket, which is
-    cheaper than canonicalising every candidate; _bicubic_canonical, which
-    defines the output order and labels, then runs once per class.
+    The search visits only doubly lexical biadjacency matrices: rows and
+    columns both nonincreasing, each read as a bit string with row 0 and
+    column 0 most significant.  Every class has such a labelling: sorting
+    the rows in decreasing order, or the columns, never lowers the
+    row-major reading of the matrix, and a sort that moves anything raises
+    it strictly, so alternating the two sorts ends at a matrix with both
+    sorted (Lubiw, "Doubly lexical orderings of matrices", SIAM J. Comput.
+    1987).  Rows are picked in nonincreasing order with column sums at most
+    3 and room left to reach 3; a mask of the adjacent column pairs still
+    equal on the rows so far forbids a row reading 0 then 1 on a tied pair.
+    The connected candidates are deduplicated by _bicubic_canonical, which
+    also defines the output order and labels.
     """
-    if n not in (6, 8, 10, 12, 14):
-        raise ValueError("exhaustive enumeration supports n in {6, 8, 10, 12, 14}")
+    if n not in (6, 8, 10, 12, 14, 16):
+        raise ValueError("exhaustive enumeration supports n in {6, 8, ..., 16}")
     m = n // 2
-    combos = list(combinations(range(m), 3))
-    row_types = [sum(1 << c for c in combo) for combo in combos]
+    full = (1 << m) - 1
+    # column j is bit m-1-j, so a row's bit string reads as its int value;
+    # bit p of a tie mask stands for the column pair at bits p+1 and p, and
+    # ge1, ge2, ge3 mask the columns whose sum is at least 1, 2, 3
+    row_types = sorted((sum(1 << c for c in combo)
+                        for combo in combinations(range(m), 3)), reverse=True)
+    forms = set()
+    chosen: list[int] = []
 
-    buckets: dict[tuple, list[Graph]] = {}
-    forms: list[tuple] = []
-    chosen = [row_types[0]]
-    sums = [1 if j < 3 else 0 for j in range(m)]
-
-    def extend(start: int) -> None:
-        left = m - len(chosen)
-        if any(s > 3 or 3 - s > left for s in sums):
-            return
-        if not left:  # every column sum is 3
-            g = Graph.from_edges(
-                n,
-                [(i, m + j) for i, r in enumerate(chosen)
-                 for j in range(m) if (r >> j) & 1],
-            )
-            if g.is_connected():
-                bucket = buckets.setdefault(_common_neighbour_profile(g), [])
-                if not any(_connected_isomorphic(g, h) for h in bucket):
-                    bucket.append(g)
-                    forms.append(_bicubic_canonical(tuple(chosen), m))
-            return
+    def extend(start: int, ties: int, ge1: int, ge2: int, ge3: int) -> None:
+        left = m - len(chosen) - 1  # rows still to pick after this one
         for idx in range(start, len(row_types)):
-            chosen.append(row_types[idx])
-            for j in combos[idx]:
-                sums[j] += 1
-            extend(idx)  # rows kept nondecreasing
-            for j in combos[idx]:
-                sums[j] -= 1
+            r = row_types[idx]
+            if r & ge3 or r & ~(r >> 1) & ties:
+                continue
+            sums = (ge1 | r, ge2 | ge1 & r, ge3 | ge2 & r)
+            if left < 3 and sums[2 - left] != full:  # a sum below 3 - left
+                continue
+            chosen.append(r)
+            if left:
+                extend(idx, ties & ~(r ^ r >> 1), *sums)
+            else:
+                g = Graph.from_edges(n, [(i, m + j) for i, row in enumerate(chosen)
+                                         for j in range(m) if (row >> j) & 1])
+                if g.is_connected():
+                    forms.add(_bicubic_canonical(tuple(chosen), m))
             chosen.pop()
 
-    extend(0)
+    extend(0, full >> 1, 0, 0, 0)
 
     graphs = []
     for cols in sorted(forms):

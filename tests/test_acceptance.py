@@ -118,8 +118,8 @@ def test_criterion_2_trees_gamma_equals_rho():
 def test_criterion_3_exhaustive_small_bicubic():
     extra = os.environ.get("BICUBIC14_CORPUS")
     note = "with user n=14 corpus" if extra else "no extra corpus supplied"
-    with criterion(3, f"exhaustive bicubic n in 6..14: gamma <= 2 rho ({note})"):
-        for n in (6, 8, 10, 12, 14):
+    with criterion(3, f"exhaustive bicubic n in 6..16: gamma <= 2 rho ({note})"):
+        for n in (6, 8, 10, 12, 14, 16):
             graphs = enumerate_bicubic(n)
             assert graphs
             for g in graphs:

@@ -3,7 +3,7 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import to_nx
 from gammarho.formats import (
@@ -192,3 +192,65 @@ def test_decoders_raise_only_format_error(text):
                 decode(text)
             except (FormatError, _Huge):
                 pass
+
+
+@st.composite
+def _graphs(draw, max_n=70):
+    """Any simple graph on 0..max_n vertices; 70 crosses the 62/63 switch
+    of the graph6 size field."""
+    n = draw(st.integers(0, max_n))
+    if n < 2:
+        return Graph.from_edges(n, [])
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)), max_size=3 * n))
+    return Graph.from_edges(n, {(min(u, v), max(u, v)) for u, v in pairs
+                                if u != v})
+
+
+@st.composite
+def _orderings(draw, n):
+    """A split of 0..n-1 into two drawn sequences."""
+    perm = draw(st.permutations(range(n)))
+    cut = draw(st.integers(0, n))
+    return tuple(perm[:cut]), tuple(perm[cut:])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graphs(), st.booleans())
+@example(path(62), False)
+@example(cycle(63), True)
+def test_graph6_roundtrip_property(g, header):
+    line = encode_graph6(g, header=header)
+    ref = nx.to_graph6_bytes(to_nx(g), header=header).decode().strip()
+    assert line == ref
+    assert decode_graph6(line) == g
+    assert decode_any(line) == g
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graphs(), st.booleans())
+@example(path(62), True)
+@example(cycle(63), False)
+def test_sparse6_decoding_property(g, header):
+    line = nx.to_sparse6_bytes(to_nx(g), header=header).decode().strip()
+    assert decode_sparse6(line) == g
+    assert decode_any(line) == g
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_edgelist_roundtrip_property(data):
+    g = data.draw(_graphs())
+    orderings = data.draw(st.one_of(st.none(), _orderings(g.n)))
+    assert read_edgelist(write_edgelist(g, orderings)) == (g, orderings)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_graph6_stream_roundtrip_property(data):
+    items = []
+    for g in data.draw(st.lists(_graphs(max_n=20), max_size=5)):
+        items.append((g, data.draw(st.one_of(st.none(), _orderings(g.n)))))
+    sink = io.StringIO()
+    write_graph6_stream(items, sink)
+    assert list(iter_graph6_stream(sink.getvalue().splitlines())) == items

@@ -1,3 +1,4 @@
+import functools
 from itertools import combinations, permutations
 
 import networkx as nx
@@ -11,7 +12,6 @@ from gammarho.bicubic import validate_bicubic
 from gammarho.formats import encode_graph6
 from gammarho.generators import (
     _bicubic_canonical,
-    _connected_isomorphic,
     enumerate_bicubic,
     gen_complete,
     gen_complete_bipartite,
@@ -162,7 +162,8 @@ def test_enumerate_bicubic_is_deterministic():
 
 
 # enumerate_bicubic(n) as graph6, in order, from the original version that
-# canonicalised every labelled candidate; the output must never change
+# canonicalised every labelled candidate (n = 16 from the bucketed labelled
+# search with its order check lifted); the output must never change
 ENUMERATED_G6 = {
     6: ["EFz_"],
     8: ["G?]uf?"],
@@ -174,6 +175,19 @@ ENUMERATED_G6 = {
          "M????[UIagT?s?w??", "M????[UIagU?q?w??", "M????[UIaoU?p?w??",
          "M????[UIb_U?p?q??", "M????[UMBCS_q?s??", "M????[UMBCT?p?s??",
          "M????[qTBOR?h?o_?"],
+    16: ["O?????F@oUB_M?s?[?F??", "O?????F@oUB_Y?k?Y?F??", "O?????F@oUE_M?q?Y?F??",
+         "O?????F@oUE_U?i?Y?F??", "O?????F@oUE_U?k?X?F??", "O?????F@oUE_[?k?X?EO?",
+         "O?????F@oqBOX?i?Y?F??", "O?????F@oqDOL?q?Y?F??", "O?????F@oqDOM?p?Y?F??",
+         "O?????F@oqDOR?k?Y?F??", "O?????F@oqDOT?e?[?F??", "O?????F@oqDOT?i?Y?F??",
+         "O?????F@oqDOT?k?X?F??", "O?????F@oqDOU?k?W_F??", "O?????F@oqDO[?k?W_EO?",
+         "O?????FAoYAoY?k?Y?F??", "O?????FAoYEOT?i?Y?F??", "O?????FAoiDOT?i?Y?F??",
+         "O?????FAoiDOT?k?X?F??", "O?????FAoiDOU?h?Y?F??", "O?????FAoiDOU?k?W_F??",
+         "O?????FAoiDO[?k?W_EO?", "O?????FAoiD_S_k?X?F??", "O?????FAoiD_U?k?WOF??",
+         "O?????FAoiD_Y?k?WOE_?", "O?????FAoiD_[?k?WOEO?", "O?????FAoiF?U?g_W_F??",
+         "O?????FAoiF?W_h?X?E_?", "O?????FAoiF?W_i?W_E_?", "O?????FAoiF?W_k?W_EO?",
+         "O?????FAowD_[?k?WGEC?", "O?????FAowEGW_h?X?E_?", "O?????FAowEGW_k?W_EO?",
+         "O?????FAowEGX?i?WOE_?", "O?????FAowEGX?k?WOEO?", "O?????FApaI_U?h?T?EC?",
+         "O?????FApaI_Y?e?S_EC?", "O?????FEPSH_[?c_S_EA?"],
 }
 
 
@@ -205,10 +219,10 @@ def _permutation_canonical(rows: tuple[int, ...], m: int) -> tuple:
     return best
 
 
-def _forms_of_every_labelled_candidate(n: int) -> set:
+def _forms_of_every_labelled_candidate(n: int, canonical) -> set:
     """The original method: every nondecreasing row multiset with column
-    sums 3 that gives a connected graph, canonicalised one by one by the
-    original permutation scan."""
+    sums 3 that gives a connected graph, canonicalised one by one by
+    `canonical`."""
     m = n // 2
     row_types = [sum(1 << c for c in combo) for combo in combinations(range(m), 3)]
     forms = set()
@@ -219,7 +233,7 @@ def _forms_of_every_labelled_candidate(n: int) -> set:
             g = Graph.from_edges(n, [(i, m + j) for i, r in enumerate(chosen)
                                      for j in range(m) if (r >> j) & 1])
             if all(s == 3 for s in sums) and g.is_connected():
-                forms.add(_permutation_canonical(tuple(chosen), m))
+                forms.add(canonical(tuple(chosen), m))
             return
         if any(s > 3 or 3 - s > m - len(chosen) for s in sums):
             return
@@ -238,11 +252,16 @@ def _rows(g: Graph) -> tuple[int, ...]:
 
 
 def test_enumerate_bicubic_matches_per_candidate_canonicalisation():
-    for n in (6, 8, 10):
+    # the permutation scan up to n = 10; at n = 12 the labelled search
+    # alone is the oracle, canonicalised per candidate
+    for n, canonical in ((6, _permutation_canonical),
+                         (8, _permutation_canonical),
+                         (10, _permutation_canonical),
+                         (12, _bicubic_canonical)):
         m = n // 2
         rows = [_rows(g) for g in enumerate_bicubic(n)]
-        expected = _forms_of_every_labelled_candidate(n)
-        assert {_bicubic_canonical(r, m) for r in rows} == expected
+        expected = _forms_of_every_labelled_candidate(n, canonical)
+        assert {canonical(r, m) for r in rows} == expected
         assert len(rows) == len(expected)
 
 
@@ -277,30 +296,46 @@ def test_canonical_form_is_invariant_beyond_the_oracle(data):
     assert _bicubic_canonical(relabelled, m) == _bicubic_canonical(rows, m)
 
 
-def _relabel(g: Graph, perm: list[int], swap_sides: bool) -> Graph:
-    half = g.n // 2
-    shift = half if swap_sides else 0
-    image = [perm[(v + shift) % g.n] for v in range(g.n)]
-    return Graph.from_edges(g.n, [(image[u], image[v]) for u, v in g.edges()])
+def _sorted_rows(matrix: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    return sorted(matrix, reverse=True)
+
+
+def _sorted_columns(matrix: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    return [tuple(r) for r in zip(*sorted(zip(*matrix), reverse=True))]
+
+
+@functools.cache
+def _enumerated_forms(n: int) -> frozenset:
+    return frozenset(_bicubic_canonical(_rows(g), n // 2)
+                     for g in enumerate_bicubic(n))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_isomorphism_helper_accepts_relabelled_copies(data):
-    n = data.draw(st.sampled_from([6, 8, 10, 12, 14, 16]))
-    g = gen_random_bicubic(n, data.draw(st.integers(0, 10**6)))
-    perm = data.draw(st.permutations(range(n)))
-    h = _relabel(g, perm, data.draw(st.booleans()))
-    assert _connected_isomorphic(g, h) and _connected_isomorphic(h, g)
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.sampled_from([8, 10, 12, 14]), st.integers(0, 10**6),
-       st.integers(0, 10**6))
-def test_isomorphism_helper_agrees_with_networkx(n, seed_a, seed_b):
-    g = gen_random_bicubic(n, seed_a)
-    h = gen_random_bicubic(n, seed_b)
-    assert _connected_isomorphic(g, h) == nx.is_isomorphic(to_nx(g), to_nx(h))
+def test_alternating_sorts_reach_a_doubly_lexical_matrix(data):
+    # the completeness argument of enumerate_bicubic: sorting the rows or
+    # the columns in decreasing order never lowers the row-major reading,
+    # and raises it whenever it moves something, so alternating the two
+    # sorts stops at a matrix with rows and columns both nonincreasing
+    m = data.draw(st.integers(3, 8))
+    g = gen_random_bicubic(2 * m, data.draw(st.integers(0, 10**6)))
+    rows = _draw_relabelling(data, _rows(g), m)
+    matrix = [tuple((r >> j) & 1 for j in range(m)) for r in rows]
+    moved = True
+    while moved:
+        moved = False
+        for sort in (_sorted_rows, _sorted_columns):
+            after = sort(matrix)
+            if after != matrix:
+                assert sum(after, ()) > sum(matrix, ())
+                matrix, moved = after, True
+    columns = list(zip(*matrix))
+    assert all(a >= b for a, b in zip(matrix, matrix[1:]))
+    assert all(a >= b for a, b in zip(columns, columns[1:]))
+    assert all(sum(c) == 3 for c in columns)
+    assert all(sum(r) == 3 for r in matrix)
+    fixpoint = tuple(sum(bit << j for j, bit in enumerate(r)) for r in matrix)
+    assert _bicubic_canonical(fixpoint, m) in _enumerated_forms(2 * m)
 
 
 # gen_random_mop(n, seed) as graph6 from the original recursive sampler
