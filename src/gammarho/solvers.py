@@ -20,12 +20,18 @@ the cheapest exact method:
 The two searches:
 
 * gamma solves the covering IP  min sum x_v  s.t.  x(N[v]) >= 1.  At each
-  node it picks an undominated vertex of minimum degree (ties to the
-  smallest id) and branches on the members of its closed neighborhood,
-  excluding already-tried members in later branches.  The admissible lower
-  bound is a greedily built packing of the undominated vertices: distinct
-  packing vertices need distinct dominators because their closed
-  neighborhoods are disjoint.
+  node it branches on the undominated vertex with the fewest unbanned
+  dominators (members of its closed neighborhood), smallest id on ties:
+  the most constrained element first, as in exact set cover and
+  dominating set branching (Fomin, Grandoni and Kratsch, J. ACM 2009).
+  A vertex with no dominator left ends the node.  The children take its
+  dominators by how many undominated vertices each covers, most first
+  (smallest id on ties), and later children ban the earlier ones.  Two
+  admissible lower bounds prune: the counting bound
+  ceil(|undominated| / (Delta + 1)), since one dominator covers at most
+  Delta + 1 vertices, and a greedily built packing of the undominated
+  vertices, since distinct packing vertices need distinct dominators
+  because their closed neighborhoods are disjoint.
 
 * rho is a maximum independent set search on the conflict graph whose
   edges join vertices at distance <= 2.  It branches in/out on the
@@ -42,18 +48,24 @@ vertices left:
 
 * The packing bound takes the lowest undominated vertex and clears its
   distance-2 ball, once per packing vertex.
-* The branching vertex is the lowest undominated bit of the first of the
-  degree classes (one vertex mask per degree, ascending) that has one.
+* gamma's branching vertex: a vertex with no banned vertex in N[v] has
+  deg + 1 dominators, so the best of those is the lowest undominated bit
+  of the first of the degree classes (one vertex mask per degree,
+  ascending) that has one outside `touched`, the union of N[u] over the
+  banned u that each node carries.  Only the undominated vertices inside
+  `touched` are counted one by one.
 * Each clique of the cover is a chain: the lowest uncovered candidate,
   then the lowest uncovered one in conflict with every member so far.
   That is exactly the first-fit cover over candidates in id order.
 * rho's branching vertex is sought by conflict degree classes,
   descending, and the scan stops where no candidate left can beat it.
-* Both bounds stop counting at the value that decides the prune, and are
-  skipped before the first incumbent, when they cannot prune.
+* The packing and clique-cover bounds stop counting at the value that
+  decides the prune, and every bound is skipped before the first
+  incumbent, when it cannot prune.
 
-These reproduce the values, witnesses and node counts of the plain scans
-over all vertices that they replaced, node for node.
+The packing bound, the cover and rho's branching vertex compute exactly
+what the plain scans over all vertices that they replaced did, so rho's
+search keeps those scans' values, witnesses and node counts node for node.
 
 `nodes` in a result counts search nodes only: an answer found without
 search (the forest certificate here, or the dual-tree walk and clique-graph
@@ -209,33 +221,57 @@ def _unwind(chosen) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
+def _fewest_dominators_pick(masks, classes, undominated: int, banned: int,
+                            touched: int) -> tuple[int, int]:
+    """(v, c): the undominated vertex v with the fewest unbanned members of
+    N[v], smallest id on ties, and that count c.  `classes` are the degree
+    classes, ascending, and `touched` is the union of N[u] over the banned
+    u.  An untouched vertex keeps all deg + 1 of its dominators, so the
+    best untouched one is the lowest bit of the first class that has one;
+    only the touched undominated vertices are counted one by one."""
+    pick = -1
+    count = len(masks) + 1
+    rest = undominated & ~touched
+    for deg, cls in classes:
+        low = cls & rest
+        if low:
+            pick = (low & -low).bit_length() - 1
+            count = deg + 1
+            break
+    free = ~banned
+    for v in _bits(undominated & touched):
+        c = (masks[v] & free).bit_count()
+        if c < count or (c == count and v < pick):
+            pick, count = v, c
+    return pick, count
+
+
 def _solve_gamma_component(sub: Graph, budget: int,
                            spent: int) -> tuple[tuple[int, ...], int]:
     """Minimum dominating set of the connected graph `sub` and the nodes
     searched; witnesses, here and in its BudgetExceeded, are in sub's ids.
 
     Depth-first over an explicit stack of nodes (chosen, size, dominated,
-    banned): a node pushes its children in reverse, so they are popped,
-    and counted, in branching order."""
+    banned, touched): a node pushes its children in reverse, so they are
+    popped, and counted, in branching order."""
     n = sub.n
     masks = sub.closed_masks
     near = _conflict_masks(sub)
-    # the lowest bit of the first class meeting a set is that set's vertex
-    # of minimum degree, smallest id on ties
-    classes = [m for _, m in _degree_classes(map(len, sub.adj))]
+    classes = _degree_classes(map(len, sub.adj))
+    reach = classes[-1][0] + 1  # Delta + 1: the most one dominator covers
     full = (1 << n) - 1
     limit = budget - spent
     nodes = 0
     best_size = n + 1  # no dominating set found yet
     best_set: tuple[int, ...] = ()
-    stack = [(None, 0, 0, 0)]
+    stack = [(None, 0, 0, 0, 0)]
     while stack:
-        chosen, size, dominated, banned = stack.pop()
+        chosen, size, dominated, banned, touched = stack.pop()
         nodes += 1
         if nodes > limit:
             raise BudgetExceeded(
                 "gamma",
-                lower=_packing_bound(near, full, n),
+                lower=max(-(-n // reach), _packing_bound(near, full, n)),
                 upper=best_size if best_size <= n else None,
                 witness=best_set,
                 nodes=spent + nodes,
@@ -246,20 +282,25 @@ def _solve_gamma_component(sub: Graph, budget: int,
                 best_set = _unwind(chosen)
             continue
         undominated = full & ~dominated
-        room = best_size - size  # prune when the packing bound fills it
-        if best_size <= n and _packing_bound(near, undominated, room) >= room:
+        room = best_size - size  # prune when a lower bound fills it
+        if best_size <= n and (
+                -(-undominated.bit_count() // reach) >= room
+                or _packing_bound(near, undominated, room) >= room):
             continue
-        # undominated vertex of minimum degree, smallest id on ties
-        for cls in classes:
-            low = cls & undominated
-            if low:
-                break
-        pick = (low & -low).bit_length() - 1
-        # branch on each dominator u of pick; later branches ban earlier u
+        pick, count = _fewest_dominators_pick(masks, classes, undominated,
+                                              banned, touched)
+        if count == 0:  # every dominator of pick is banned: a dead end
+            continue
+        # branch on each unbanned dominator u of pick, most newly dominated
+        # first (smallest id on ties); later branches ban earlier u
+        order = sorted(_bits(masks[pick] & ~banned),
+                       key=lambda u: (-(masks[u] & undominated).bit_count(), u))
         children = []
-        for u in _bits(masks[pick] & ~banned):
-            children.append(((u, chosen), size + 1, dominated | masks[u], banned))
+        for u in order:
+            children.append(((u, chosen), size + 1, dominated | masks[u],
+                             banned, touched))
             banned |= 1 << u
+            touched |= masks[u]
         children.reverse()
         stack += children
     return best_set, nodes

@@ -1,6 +1,8 @@
 """Shared helpers: conversion to networkx, which the tests use as an
-independent oracle for isomorphism and the graph6 codec."""
+independent oracle for isomorphism and the graph6 codec, and a reader for
+the concatenated JSON bundles that `gammarho certify` prints."""
 
+import json
 import sys
 
 import networkx as nx
@@ -21,6 +23,17 @@ def from_nx(G) -> Graph:
         G.number_of_nodes(),
         [(relabel[u], relabel[v]) for u, v in G.edges()],
     )
+
+
+def json_bundles(text):
+    decoder = json.JSONDecoder()
+    pos, out = 0, []
+    text = text.strip()
+    while pos < len(text):
+        obj, pos = decoder.raw_decode(text, pos)
+        out.append(obj)
+        pos = len(text) - len(text[pos:].lstrip())
+    return out
 
 
 def pytest_terminal_summary(terminalreporter):

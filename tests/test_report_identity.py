@@ -15,14 +15,22 @@ order, gamma, rho, bound and verdict stayed the same.
 The bicubic-small, tight-family and certify any/tree digests were taken
 before each class bound moved into one table in `gammarho.bounds`, so
 they pin that the scan predicates and the class records kept their
-bytes through that change."""
+bytes through that change.
+
+The certify any digest was retaken when the gamma search came to branch on
+the undominated vertex with the fewest unbanned dominators.  Only the
+`dominating` list of 6 of its 34 bundles changed, to another minimum
+dominating set; every other field of every bundle kept its bytes, and
+`test_certify_any_witnesses_are_minimum_dominating_sets` checks the new
+witnesses.  Every other digest here held through that change."""
 
 import hashlib
 import io
 
 import pytest
 
-from gammarho import cli
+from conftest import json_bundles
+from gammarho import cli, domination_number
 from gammarho.formats import write_graph6_stream
 from gammarho.generators import (
     gen_random_biconvex,
@@ -31,6 +39,7 @@ from gammarho.generators import (
     gen_random_mop,
     gen_random_tree,
 )
+from gammarho.graphs import is_dominating
 from gammarho.harness import default_scan_items, run_scan
 from gammarho.reports import write_report
 
@@ -115,7 +124,7 @@ def _certify_corpus(cls):
     ("biconvex",
      "ae673d018d7138fb9ad3bf767ea21dfb21451f90106ff04554292b82b1a44231"),
     ("any",
-     "d76b08aa4804737379243babf19ea424dcb210d718d5916bf702d28260be9772"),
+     "de385dfac997d7b63841411cd2a18010dff04d598abe8c48ffa346a6e6381bdd"),
     ("tree",
      "de734b5765f120dd3abe1d1959216f0055425597c91a9de4bc98b682296c2d3f"),
 ])
@@ -125,6 +134,20 @@ def test_certify_output_is_byte_identical(cls, digest, tmp_path, capsys):
         write_graph6_stream(_certify_corpus(cls), fh)
     assert cli.main(["certify", "--class", cls, "--input", str(path)]) == 0
     assert _sha256(capsys.readouterr().out) == digest
+
+
+def test_certify_any_witnesses_are_minimum_dominating_sets(tmp_path, capsys):
+    corpus = _certify_corpus("any")
+    path = tmp_path / "any.g6"
+    with open(path, "w") as fh:
+        write_graph6_stream(corpus, fh)
+    assert cli.main(["certify", "--class", "any", "--input", str(path)]) == 0
+    bundles = json_bundles(capsys.readouterr().out)
+    assert len(bundles) == len(corpus)
+    for (g, _), bundle in zip(corpus, bundles):
+        assert is_dominating(g, bundle["dominating"])
+        assert len(bundle["dominating"]) == bundle["gamma"]
+        assert bundle["gamma"] == domination_number(g).value
 
 
 @pytest.mark.parametrize("cls, digest", [

@@ -1,16 +1,26 @@
 """Pins the gamma and rho searches node for node.
 
-The digest below was taken from the recursive searches that the
-explicit-stack ones replaced.  It covers value, witness and node count of
-every answer, and every field of every BudgetExceeded, over a seeded
-corpus, so a change to the branching order, a tie-break or a bound shows
-up here even when the values stay right.  Run this file as a script to
-print the digest of the code in the working tree.
+The digests below cover value, witness and node count of every answer,
+and every field of every BudgetExceeded, over a seeded corpus, so a change
+to the branching order, a tie-break or a bound shows up here even when
+the values stay right.  Run this file as a script to print the digests of
+the code in the working tree.
+
+The rho digest was taken from the recursive search that the explicit-stack
+one replaced, and still holds.  The gamma digest was retaken when gamma
+came to branch on the undominated vertex with the fewest unbanned
+dominators, with coverage-ordered children and a counting bound: that
+changes which nodes are visited and so the node counts, the witnesses
+where several are optimal, and the bounds of exhausted searches.  The
+tables of the former search's outcomes below pin that every value it
+found is unchanged, that no row costs more nodes, and that every value
+now found lies within the bounds it reported.
 """
 
 import hashlib
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gammarho import solvers
@@ -27,7 +37,46 @@ from gammarho.generators import (
 )
 
 PIN_BUDGET = 40_000
-PINNED_DIGEST = "7d60a4a6ef0af982d957fcb2677eb0303cdb5e1a46c5f583025f5fff690799a9"
+RHO_DIGEST = "a4a4c9d4ab35ee7a69f5c56725c2364f04d08d4403a78f62c42020c22dfe138b"
+GAMMA_DIGEST = "518d7e4507b74376a0a2f20a9d53a6da03ff21d2e65ecb9482cec25e256c60cf"
+
+# The former gamma search's answers: (graph, budget, gamma, nodes) ...
+FORMER_GAMMA_SOLVED = [
+    ("bicubic-16", 40000, 5, 109), ("bicubic-24", 40000, 7, 300),
+    ("bicubic-32", 40000, 9, 1409), ("bicubic-40", 40000, 11, 2400),
+    ("bicubic-48", 40000, 13, 10599), ("biconvex-6x6", 40000, 4, 24),
+    ("biconvex-9x7", 40000, 3, 92), ("biconvex-12x12", 40000, 5, 80),
+    ("biconvex-18x14", 40000, 7, 243), ("biconvex-24x24", 40000, 12, 2322),
+    ("connected-10", 40000, 2, 6), ("connected-16", 40000, 3, 52),
+    ("connected-22", 40000, 3, 113), ("connected-28", 40000, 3, 212),
+    ("connected-34", 40000, 3, 183), ("connected-40", 40000, 3, 841),
+    ("mop-6", 40000, 2, 7), ("mop-10", 40000, 2, 10),
+    ("mop-14", 40000, 3, 21), ("mop-18", 40000, 4, 44),
+    ("mop-22", 40000, 6, 25), ("mop-26", 40000, 6, 202),
+    ("mop-30", 40000, 7, 47), ("cycle-30", 40000, 10, 301),
+    ("cycle-31", 40000, 11, 304), ("cycle-32", 40000, 11, 334),
+    ("cycle-60", 40000, 20, 1201), ("cycle-100", 40000, 34, 3271),
+    ("cycle-150", 40000, 50, 7501), ("cycle-300", 40000, 100, 30001),
+    ("petersen", 40000, 3, 32), ("rook-5", 40000, 5, 1913),
+    ("union", 40000, 16, 336), ("bicubic-32", 5000, 9, 1409),
+    ("biconvex-18x14", 5000, 7, 243), ("connected-40", 5000, 3, 841),
+    ("mop-30", 50, 7, 47), ("mop-30", 5000, 7, 47),
+    ("cycle-100", 5000, 34, 3271), ("rook-5", 5000, 5, 1913),
+    ("union", 5000, 16, 336),
+]
+# ... and the bounds of its exhausted searches: (graph, budget, lower, upper)
+FORMER_GAMMA_EXHAUSTED = [
+    ("bicubic-56", 40000, 11, 17), ("bicubic-64", 40000, 13, 18),
+    ("bicubic-32", 1, 6, 32), ("bicubic-32", 50, 6, 14),
+    ("bicubic-64", 1, 13, 64), ("bicubic-64", 50, 13, 31),
+    ("bicubic-64", 5000, 13, 19), ("biconvex-18x14", 1, 5, 32),
+    ("biconvex-18x14", 50, 5, 13), ("connected-40", 1, 1, 40),
+    ("connected-40", 50, 1, 6), ("mop-30", 1, 6, 30),
+    ("cycle-100", 1, 33, 100), ("cycle-100", 50, 33, 100),
+    ("cycle-300", 1, 100, 300), ("cycle-300", 50, 100, 300),
+    ("cycle-300", 5000, 100, 220), ("rook-5", 1, 1, 25), ("rook-5", 50, 1, 5),
+    ("union", 1, 1, 46), ("union", 50, 15, 36),
+]
 
 
 def _disjoint_union(*parts):
@@ -84,9 +133,34 @@ def search_digest(rows) -> str:
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
-def test_search_matches_pinned_digest():
-    rows = search_records()
-    assert search_digest(rows) == PINNED_DIGEST
+def _quantity_digest(rows, quantity) -> str:
+    return search_digest([row for row in rows if row[1] == quantity])
+
+
+@pytest.fixture(scope="module")
+def records():
+    return search_records()
+
+
+def test_search_matches_pinned_digest(records):
+    assert _quantity_digest(records, "rho") == RHO_DIGEST
+    assert _quantity_digest(records, "gamma") == GAMMA_DIGEST
+
+
+def test_gamma_keeps_the_former_values_in_no_more_nodes(records):
+    outcomes = {(row[0], row[2]): row[3]
+                for row in records if row[1] == "gamma"}
+    assert len(outcomes) == (len(FORMER_GAMMA_SOLVED)
+                             + len(FORMER_GAMMA_EXHAUSTED))
+    for name, budget, value, nodes in FORMER_GAMMA_SOLVED:
+        now = outcomes[name, budget]
+        assert now[0] == value and now[2] <= nodes, (name, budget, now)
+    for name, budget, lower, upper in FORMER_GAMMA_EXHAUSTED:
+        now = outcomes[name, budget]
+        if now[0] == "budget":  # the two searches' bounds must overlap
+            assert max(lower, now[2]) <= min(upper, now[3]), (name, budget)
+        else:
+            assert lower <= now[0] <= upper, (name, budget, now)
 
 
 # The per-node helpers against inline copies of the loops they replaced.
@@ -126,6 +200,21 @@ def _old_min_degree_pick(g, undominated):
             pick_deg = g.degree(v)
             pick = v
     return pick
+
+
+def _naive_fewest_dominators_pick(g, undominated, banned):
+    pick = -1
+    pick_count = g.n + 1
+    m = undominated
+    while m:
+        low = m & -m
+        v = low.bit_length() - 1
+        m ^= low
+        count = (g.closed_masks[v] & ~banned).bit_count()
+        if count < pick_count:
+            pick_count = count
+            pick = v
+    return pick, pick_count
 
 
 def _old_clique_cover_bound(cmasks, candidates):
@@ -182,6 +271,22 @@ def test_degree_classes_pick_the_min_degree_vertex(case):
 
 
 @settings(max_examples=300, deadline=None)
+@given(graph_and_mask(), st.integers(0, 1 << 40))
+def test_fewest_dominators_pick_matches_the_naive_scan(case, banned):
+    g, undominated = case
+    banned &= (1 << g.n) - 1
+    touched = 0
+    for u in range(g.n):
+        if banned >> u & 1:
+            touched |= g.closed_masks[u]
+    if undominated:
+        classes = solvers._degree_classes(map(len, g.adj))
+        assert solvers._fewest_dominators_pick(
+            g.closed_masks, classes, undominated, banned, touched) == (
+            _naive_fewest_dominators_pick(g, undominated, banned))
+
+
+@settings(max_examples=300, deadline=None)
 @given(graph_and_mask(), st.integers(0, 12), st.booleans())
 def test_clique_chains_match_the_first_fit_cover(case, cap, conflict):
     # any graph's closed masks are a conflict relation too
@@ -209,4 +314,5 @@ if __name__ == "__main__":
         out = row[3]
         print(row[0], row[1], row[2], out[:1] + out[2:] if out[0] == "budget"
               else [out[0], out[2]])
-    print(search_digest(rows))
+    print("rho", _quantity_digest(rows, "rho"))
+    print("gamma", _quantity_digest(rows, "gamma"))

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -183,6 +184,40 @@ def test_deep_cyclic_searches_run_out_of_budget_not_stack():
         packing_number(gen_cycle(3300), 20_000)
     assert err.value.nodes == 20_001
     assert err.value.lower <= cycle_rho(3300) <= err.value.upper
+
+
+def test_deep_cycle_gamma_answers_within_budget():
+    # the counting bound n/3 meets the first dive's 1100 at the root, so
+    # the search ends after that one dive of 3300 nodes
+    g = gen_cycle(3300)
+    gamma = domination_number(g, 20_000)
+    assert gamma.value == cycle_gamma(3300) == 1100 == len(gamma.witness)
+    assert is_dominating(g, gamma.witness)
+
+
+@st.composite
+def small_graphs(draw):
+    """Any graph on at most 14 vertices: every density, with isolated
+    vertices and several components among the draws."""
+    n = draw(st.integers(0, 14))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_gamma_matches_brute_force_and_budget_bounds_bracket_it(g):
+    gamma = brute_gamma(g)
+    sol = domination_number(g)
+    assert sol.value == gamma == len(sol.witness)
+    assert is_dominating(g, sol.witness)
+    for budget in (1, 50):
+        try:
+            assert domination_number(g, budget).value == gamma
+        except BudgetExceeded as exc:
+            assert exc.lower <= gamma <= exc.upper
 
 
 def test_forest_components_inside_cyclic_graphs_use_no_budget():
