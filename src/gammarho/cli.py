@@ -2,7 +2,8 @@
 
 Subcommands:
   compute     exact gamma and rho with optimal witnesses, JSON per graph
-  certify     class-specific certificate bundles plus bound records
+  certify     class-specific certificate bundles plus bound records, one
+              JSON object per line
   decompose   text dump of the structural decomposition for one class
   generate    seeded graph corpora as graph6 (orderings as # sidecars)
   scan        evaluate bound predicates over a corpus, write a report
@@ -50,7 +51,7 @@ from .harness import (
     write_counterexamples,
 )
 from .outerplanar import build_dual, recognize_mop, tokunaga_color
-from .reports import write_report
+from .reports import ENCODER, write_report
 from .solvers import (
     BudgetExceeded,
     DEFAULT_BUDGET,
@@ -133,7 +134,7 @@ def cmd_certify(args) -> int:
     for idx, (g, ordering) in enumerate(_load(args.input, args.format)):
         bundle, records = _certify_one(idx, g, ordering, args.cls, args.budget)
         all_records.extend(records)
-        print(json.dumps(bundle, indent=2, sort_keys=True))
+        print(ENCODER.encode(bundle))
     return scan_verdict(all_records)
 
 

@@ -6,6 +6,13 @@ packed 6 bits per byte, each byte offset by 63.  Decoding validates byte
 range, payload length and that the padding bits are zero, so malformed
 lines fail loudly instead of producing a silently wrong graph.
 
+The decoder works a column at a time rather than a bit at a time: the
+payload bytes are mapped onto the base64 alphabet with `bytes.translate`
+and decoded by `binascii.a2b_base64` into one int holding the whole
+bit string, the padding bits are checked with one mask, and column j of
+the matrix (the j bits of pairs (0, j) .. (j - 1, j)) comes out of that
+int with one shift, of which only the set bits are walked.
+
 sparse6 is accepted on input only (graph databases ship large sparse
 graphs that way); we never emit it.
 
@@ -17,6 +24,7 @@ edges.  Blank lines and "#" comments are ignored.
 
 from __future__ import annotations
 
+import binascii
 from typing import Iterable, Sequence, TextIO
 
 from .graphs import Graph
@@ -64,10 +72,17 @@ def _decode_n(data: bytes) -> tuple[int, int]:
     return n, 4
 
 
+_PRINTABLE = bytes(range(63, 127))
+# graph6 byte 63 + v to the v-th base64 digit
+_TO_BASE64 = bytes.maketrans(
+    _PRINTABLE,
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/")
+
+
 def _check_bytes(data: bytes) -> None:
-    for b in data:
-        if not 63 <= b <= 126:
-            raise FormatError(f"byte {b} outside the printable graph6 range")
+    bad = data.translate(None, _PRINTABLE)
+    if bad:
+        raise FormatError(f"byte {bad[0]} outside the printable graph6 range")
 
 
 def encode_graph6(g: Graph, header: bool = False) -> str:
@@ -111,23 +126,27 @@ def decode_graph6(line: str) -> Graph:
         raise FormatError(
             f"graph6 payload is {len(payload)} bytes, expected {expected} for n={n}"
         )
-    edges = []
-    k = 0
-    i, j = 0, 1
-    for b in payload:
-        val = b - 63
-        for shift in range(5, -1, -1):
-            if k >= npairs:
-                if (val >> shift) & 1:
-                    raise FormatError("nonzero padding bits in graph6 line")
-                continue
-            if (val >> shift) & 1:
-                edges.append((i, j))
-            k += 1
-            i += 1
-            if i == j:
-                i, j = 0, j + 1
-    return Graph.from_edges(n, edges)
+    # whole base64 groups: 'A' digits append zero bits, shifted off again
+    fill = -len(payload) % 4
+    digits = payload.translate(_TO_BASE64) + b"A" * fill
+    bits = int.from_bytes(binascii.a2b_base64(digits), "big") >> 6 * fill
+    pad = 6 * len(payload) - npairs
+    if bits & ((1 << pad) - 1):
+        raise FormatError("nonzero padding bits in graph6 line")
+    bits >>= pad
+    # column j holds pairs (0, j) .. (j - 1, j), pair (i, j) at bit j - 1 - i
+    adj: list[list[int]] = [[] for _ in range(n)]
+    end = npairs
+    for j in range(1, n):
+        end -= j
+        col = (bits >> end) & ((1 << j) - 1)
+        while col:
+            low = col & -col
+            i = j - low.bit_length()
+            adj[i].append(j)
+            adj[j].append(i)
+            col ^= low
+    return Graph(n, adj)
 
 
 def decode_sparse6(line: str) -> Graph:

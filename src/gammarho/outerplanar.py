@@ -434,6 +434,31 @@ _STEP = {d: _step_rows(d) for d in (True, False)}
 _CLOSE = {d: _close_rows(d) for d in (True, False)}
 
 
+def _shape_rows(dominate: bool) -> tuple:
+    """`_STEP`'s rows specialised by the shape of a triangle, kept in
+    their order: the (table, picks) that every leaf gets; the
+    (iL, k, cost, row) rows of a triangle with only a left child and the
+    (iR, k, cost, row) rows of one with only a right child; and the
+    (iL, iR, k, cost, row) rows of one with both.  A row that reads an
+    absent child's _INF entry never wins, so it is dropped; the absent
+    child's other entries are 0 and drop out of the sum."""
+    step = _STEP[dominate]
+    table = [_INF] * 9
+    picks: list = [None] * 9
+    for row in step:
+        v = _NO_CHILD[row[0]] + _NO_CHILD[row[1]] + row[3]
+        if v < table[row[2]]:
+            table[row[2]] = v
+            picks[row[2]] = row
+    left = tuple((r[0], r[2], r[3], r) for r in step if _NO_CHILD[r[1]] == 0)
+    right = tuple((r[1], r[2], r[3], r) for r in step if _NO_CHILD[r[0]] == 0)
+    both = tuple((*r, r) for r in step)
+    return (tuple(table), tuple(picks)), left, right, both
+
+
+_SHAPES = {d: _shape_rows(d) for d in (True, False)}
+
+
 _Frame = tuple[int, int, int, int, int]
 
 
@@ -474,21 +499,37 @@ def _walk_dp(order: list[int], frames: list[_Frame], dominate: bool
     """Size and members of a minimum dominating set (`dominate`) or of a
     maximum packing of the mop walked by `_walk`: one bottom-up pass
     filling a 9-entry table per triangle, then one top-down pass reading
-    the best choices back."""
-    step = _STEP[dominate]
+    the best choices back.  Each triangle runs only the `_SHAPES` rows of
+    its shape (leaf, left child only, right child only, both children):
+    every leaf shares one precomputed table and picks, and the rows kept
+    are in `_STEP`'s order, so ties resolve as over all rows."""
+    (leaf_table, leaf_picks), left_rows, right_rows, both_rows = (
+        _SHAPES[dominate])
     tables: list = [None] * len(frames)
     picks: list = [None] * len(frames)
     for i in reversed(order):
         _, _, _, left, right = frames[i]
-        lt = _NO_CHILD if left < 0 else tables[left]
-        rt = _NO_CHILD if right < 0 else tables[right]
+        if left < 0 and right < 0:
+            tables[i] = leaf_table
+            picks[i] = leaf_picks
+            continue
         best = [_INF] * 9
         pick = [None] * 9
-        for row in step:
-            v = lt[row[0]] + rt[row[1]] + row[3]
-            if v < best[row[2]]:
-                best[row[2]] = v
-                pick[row[2]] = row
+        if left >= 0 and right >= 0:
+            lt, rt = tables[left], tables[right]
+            for a, b, k, cost, row in both_rows:
+                v = lt[a] + rt[b] + cost
+                if v < best[k]:
+                    best[k] = v
+                    pick[k] = row
+        else:
+            ct, rows = ((tables[left], left_rows) if left >= 0
+                        else (tables[right], right_rows))
+            for a, k, cost, row in rows:
+                v = ct[a] + cost
+                if v < best[k]:
+                    best[k] = v
+                    pick[k] = row
         tables[i] = best
         picks[i] = pick
     root = order[0]

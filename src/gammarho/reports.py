@@ -6,8 +6,10 @@ Exact bound values are serialized as Fraction strings ("120/49", "5").
 A final line {"summary": {...}} aggregates extremal ratios per family.
 
 Records are serialized through `ScanRecord.as_dict`, a shallow dict of the
-ten fields, and one shared encoder; a scan writes tens of thousands of
-them, so neither a deep copy nor a fresh encoder per record is paid.
+ten fields, and one shared encoder, `ENCODER`; a scan writes tens of
+thousands of them, so neither a deep copy nor a fresh encoder per record
+is paid.  `certify` writes its bundles, one per line, through the same
+encoder.
 """
 
 from __future__ import annotations
@@ -41,11 +43,11 @@ class ScanRecord:
                 "details": self.details}
 
     def to_json(self) -> str:
-        return _ENCODER.encode(self.as_dict())
+        return ENCODER.encode(self.as_dict())
 
 
 # what json.dumps(obj, sort_keys=True, separators=(",", ":")) builds per call
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def bound_str(value: Fraction | int) -> str:

@@ -254,3 +254,75 @@ def test_graph6_stream_roundtrip_property(data):
     sink = io.StringIO()
     write_graph6_stream(items, sink)
     assert list(iter_graph6_stream(sink.getvalue().splitlines())) == items
+
+
+def _bitwise_decode_graph6(line):
+    """The bit-by-bit graph6 decoder the column decoder replaced: a
+    reference for valid lines."""
+    line = line.strip()
+    if line.startswith(">>graph6<<"):
+        line = line[len(">>graph6<<"):]
+    data = line.encode("ascii")
+    if data[0] != 126:
+        n, used = data[0] - 63, 1
+    else:
+        n, used = 0, 4
+        for b in data[1:4]:
+            n = (n << 6) | (b - 63)
+    npairs = n * (n - 1) // 2
+    edges = []
+    k = 0
+    i, j = 0, 1
+    for b in data[used:]:
+        val = b - 63
+        for shift in range(5, -1, -1):
+            if k >= npairs:
+                assert not (val >> shift) & 1
+                continue
+            if (val >> shift) & 1:
+                edges.append((i, j))
+            k += 1
+            i += 1
+            if i == j:
+                i, j = 0, j + 1
+    return Graph.from_edges(n, edges)
+
+
+@st.composite
+def _dense_graphs(draw, max_n=130):
+    """Any graph on 0..max_n vertices, its edge set drawn as one integer
+    over the n(n-1)/2 pairs; 130 crosses the 62/63 size-field switch."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    bits = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return Graph.from_edges(n, [p for k, p in enumerate(pairs) if bits >> k & 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_dense_graphs(), st.booleans())
+@example(Graph.from_edges(62, [(a, b) for a in range(62)
+                               for b in range(a + 1, 62)]), False)
+@example(cycle(63), True)
+@example(Graph(0, []), False)
+@example(Graph(1, [[]]), True)
+def test_column_decoder_matches_bitwise_decoder(g, header):
+    line = encode_graph6(g, header=header)
+    ref = _bitwise_decode_graph6(line)
+    got = decode_graph6(line)
+    assert got.adj == ref.adj == g.adj
+    assert got.closed_masks == ref.closed_masks
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 9, 62, 63, 64, 100])
+def test_column_decoder_rejects_padding_and_length(n):
+    line = encode_graph6(Graph.from_edges(n, [(0, n - 1)]))
+    used = 1 if n <= 62 else 4
+    npairs = n * (n - 1) // 2
+    pad = 6 * (len(line) - used) - npairs
+    for bit in range(pad):
+        bad = line[:-1] + chr(63 + ((ord(line[-1]) - 63) | 1 << bit))
+        with pytest.raises(FormatError, match="padding"):
+            decode_graph6(bad)
+    for bad in (line[:-1], line + "?"):
+        with pytest.raises(FormatError, match="payload"):
+            decode_graph6(bad)

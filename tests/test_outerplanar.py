@@ -17,6 +17,14 @@ from gammarho.outerplanar import (
     recognize_mop,
     tokunaga_color,
     verify_tokunaga,
+    _CLOSE,
+    _IN,
+    _INF,
+    _NO_CHILD,
+    _SHAPES,
+    _STEP,
+    _walk,
+    _walk_dp,
 )
 from gammarho.solvers import brute_gamma, brute_rho, domination_number, packing_number
 
@@ -271,3 +279,61 @@ def test_clique_graph_numbers_match_mop_facts():
         t = f.triangulation
         assert clique_graph_numbers(t, f.dual, f.clique_graph) == (
             f.cg_gamma, f.cg_rho)
+
+
+def _all_rows_walk_dp(order, frames, dominate):
+    """The `_walk_dp` that ran every `_STEP` row at every triangle, with
+    `_NO_CHILD` for an absent child: a reference for the shape tables."""
+    step = _STEP[dominate]
+    tables, picks = _all_rows_tables(order, frames, step)
+    root = order[0]
+    k, cost = min(_CLOSE[dominate], key=lambda kc: tables[root][kc[0]] + kc[1])
+    size = tables[root][k] + cost
+    p1, p2 = frames[root][:2]
+    chosen = [v for v, s in ((p1, k // 3), (p2, k % 3)) if s == _IN]
+    need = [0] * len(frames)
+    need[root] = k
+    for i in order:
+        _, _, c, left, right = frames[i]
+        il, ir, _, _ = picks[i][need[i]]
+        if il % 3 == _IN:
+            chosen.append(c)
+        if left >= 0:
+            need[left] = il
+        if right >= 0:
+            need[right] = ir
+    return (size if dominate else -size), tuple(sorted(chosen))
+
+
+def _all_rows_tables(order, frames, step):
+    tables = [None] * len(frames)
+    picks = [None] * len(frames)
+    for i in reversed(order):
+        _, _, _, left, right = frames[i]
+        lt = _NO_CHILD if left < 0 else tables[left]
+        rt = _NO_CHILD if right < 0 else tables[right]
+        best = [_INF] * 9
+        pick = [None] * 9
+        for row in step:
+            v = lt[row[0]] + rt[row[1]] + row[3]
+            if v < best[row[2]]:
+                best[row[2]] = v
+                pick[row[2]] = row
+        tables[i] = best
+        picks[i] = pick
+    return tables, picks
+
+
+@pytest.mark.parametrize("dominate", [True, False])
+def test_shape_tables_match_all_rows(dominate):
+    for n in range(3, 81):
+        for seed in (n, 1000 + n):
+            t = recognize_mop(gen_random_mop(n, seed))
+            order, frames = _walk(t, build_dual(t))
+            assert _walk_dp(order, frames, dominate) == _all_rows_walk_dp(
+                order, frames, dominate)
+    # a lone triangle is a leaf: its table and picks are the leaf's
+    tables, picks = _all_rows_tables([0], [(0, 1, 2, -1, -1)],
+                                     _STEP[dominate])
+    leaf_table, leaf_picks = _SHAPES[dominate][0]
+    assert (leaf_table, leaf_picks) == (tuple(tables[0]), tuple(picks[0]))

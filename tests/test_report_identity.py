@@ -22,10 +22,18 @@ the undominated vertex with the fewest unbanned dominators.  Only the
 `dominating` list of 6 of its 34 bundles changed, to another minimum
 dominating set; every other field of every bundle kept its bytes, and
 `test_certify_any_witnesses_are_minimum_dominating_sets` checks the new
-witnesses.  Every other digest here held through that change."""
+witnesses.  Every other digest here held through that change.
+
+Since certify came to print each bundle as one compact line through the
+scan's encoder, the certify digests are content digests: they hash each
+parsed bundle as the two-space indented, key-sorted JSON that certify
+printed before, so they kept their values through that change.  The test
+also checks that there is one line per input graph and that each line is
+the encoder's output on its parsed bundle."""
 
 import hashlib
 import io
+import json
 
 import pytest
 
@@ -41,7 +49,7 @@ from gammarho.generators import (
 )
 from gammarho.graphs import is_dominating
 from gammarho.harness import default_scan_items, run_scan
-from gammarho.reports import write_report
+from gammarho.reports import ENCODER, write_report
 
 
 def _sha256(text: str) -> str:
@@ -129,11 +137,17 @@ def _certify_corpus(cls):
      "de734b5765f120dd3abe1d1959216f0055425597c91a9de4bc98b682296c2d3f"),
 ])
 def test_certify_output_is_byte_identical(cls, digest, tmp_path, capsys):
+    corpus = _certify_corpus(cls)
     path = tmp_path / f"{cls}.g6"
     with open(path, "w") as fh:
-        write_graph6_stream(_certify_corpus(cls), fh)
+        write_graph6_stream(corpus, fh)
     assert cli.main(["certify", "--class", cls, "--input", str(path)]) == 0
-    assert _sha256(capsys.readouterr().out) == digest
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(corpus)
+    bundles = [json.loads(line) for line in lines]
+    assert [ENCODER.encode(b) for b in bundles] == lines
+    assert _sha256("".join(json.dumps(b, indent=2, sort_keys=True) + "\n"
+                           for b in bundles)) == digest
 
 
 def test_certify_any_witnesses_are_minimum_dominating_sets(tmp_path, capsys):
