@@ -1,6 +1,7 @@
 """Small immutable graph type plus the handful of primitives everything
-else is built on: BFS distances, packing / domination checks, bipartition,
-and the restricted square graph used by the bicubic machinery.
+else is built on: a BFS tree and BFS distances, packing / domination
+checks, bipartition, and the restricted square graph used by the bicubic
+machinery.
 
 Vertices are dense integers 0..n-1.  Neighbor lists are kept sorted so that
 every iteration order in the package is deterministic and certificates are
@@ -175,17 +176,30 @@ class RestrictedSquare:
     index: dict[int, int] = field(hash=False)
 
 
+def bfs_tree(adj: Sequence[Sequence[int]], root: int
+             ) -> tuple[list[int], list[int]]:
+    """(order, parent): the BFS order of `root`'s component, visiting each
+    vertex's neighbours in list order, and each vertex's parent in that
+    BFS tree, -1 at the root and off the root's component."""
+    parent = [-1] * len(adj)
+    parent[root] = root  # marks the root seen until the walk ends
+    order = [root]
+    for v in order:  # the list grows while it is walked
+        for u in adj[v]:
+            if parent[u] < 0:
+                parent[u] = v
+                order.append(u)
+    parent[root] = -1
+    return order, parent
+
+
 def distances_from(g: Graph, source: int) -> list[float]:
     """BFS distances from `source`; unreachable vertices get math.inf."""
+    order, parent = bfs_tree(g.adj, source)
     dist: list[float] = [math.inf] * g.n
     dist[source] = 0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for u in g.adj[v]:
-            if dist[u] == math.inf:
-                dist[u] = dist[v] + 1
-                queue.append(u)
+    for v in order[1:]:
+        dist[v] = dist[parent[v]] + 1
     return dist
 
 

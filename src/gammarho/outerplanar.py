@@ -26,16 +26,16 @@ states per vertex of each shared edge, finds a minimum dominating set and,
 run with a second transition table, a maximum packing, in linear time
 (domination and packing are [sigma, rho]-problems in the sense of Telle
 and Proskurowski, SIAM J. Discrete Math. 1997).  On the clique graph every
-closed neighborhood is a subtree of the dual tree, and a greedy over those
-subtrees returns a dominating set and a packing of equal size, which
-proves both optimal.  Each witness is checked before use; these answers
-report nodes = 0.  Should a check ever fail, that number is searched for
-under the caller's budget instead, which shows as nodes > 0.
+closed neighborhood is a subtree of the dual tree, so the dual tree is a
+host tree for `solvers.host_tree_certificate`, gammarho's one gamma = rho
+certificate, which returns a dominating set and a packing of equal size.
+Each witness is checked before use; these answers report nodes = 0.
+Should a check ever fail, that number is searched for under the caller's
+budget instead, which shows as nodes > 0.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -43,6 +43,7 @@ from . import bounds
 from .graphs import (
     CertificateError,
     Graph,
+    bfs_tree,
     domination_violation,
     is_dominating,
     is_packing,
@@ -53,6 +54,7 @@ from .solvers import (
     DEFAULT_BUDGET,
     Solution,
     domination_number,
+    host_tree_certificate,
     packing_number,
 )
 
@@ -188,21 +190,6 @@ def build_clique_graph(t: Triangulation) -> Graph:
     return Graph.from_edges(len(t.triangles), edges)
 
 
-def _rooted_dual(dual: DualTree, root: int) -> tuple[dict[int, int], list[int]]:
-    """Parent map and BFS visit order of the dual tree rooted at `root`."""
-    parent = {root: -1}
-    order = [root]
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for u in dual.graph.adj[v]:
-            if u not in parent:
-                parent[u] = v
-                order.append(u)
-                queue.append(u)
-    return parent, order
-
-
 def tokunaga_color(t: Triangulation, dual: DualTree) -> tuple[int, ...]:
     """4-coloring (colors 0..3) in which every pair of edge-sharing
     triangles spans all four colors on its 4-cycle.
@@ -212,7 +199,7 @@ def tokunaga_color(t: Triangulation, dual: DualTree) -> tuple[int, ...]:
     which takes the unique color missing from {shared edge} + {parent's
     opposite vertex}.  `dual` is build_dual(t).
     """
-    parent, order = _rooted_dual(dual, 0)
+    order, parent = bfs_tree(dual.graph.adj, 0)
     colors = [-1] * t.graph.n
     for c, v in enumerate(t.triangles[0]):
         colors[v] = c
@@ -270,8 +257,10 @@ def project_dominating(t: Triangulation, cg: Graph,
     return tuple(x)
 
 
-def low_degree_count(g: Graph, cutoff: int = 3) -> int:
-    return sum(1 for v in range(g.n) if g.degree(v) <= cutoff)
+def low_degree_count(g: Graph) -> int:
+    """t of the bound 4 gamma <= 9 rho + t: the number of vertices of
+    degree at most 3."""
+    return sum(1 for nbrs in g.adj if len(nbrs) <= 3)
 
 
 _TRIPLES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
@@ -324,12 +313,11 @@ def lift_packing(t: Triangulation, dual: DualTree,
     if bad is not None:
         raise ValueError(f"z is not a packing of the clique graph: {bad}")
     root = z_t[0]
-    parent, order = _rooted_dual(dual, root)
+    order, parent = bfs_tree(dual.graph.adj, root)
 
-    children: dict[int, list[int]] = {i: [] for i in range(len(t.triangles))}
-    for v, p in parent.items():
-        if p != -1:
-            children[p].append(v)
+    children: list[list[int]] = [[] for _ in t.triangles]
+    for v in order[1:]:
+        children[parent[v]].append(v)
 
     zset = set(z_t)
     lifted = []
@@ -480,7 +468,7 @@ def _walk(t: Triangulation, dual: DualTree
         start = [y, z, x, -1, -1]
     else:  # a lone triangle
         start = [*tris[root], -1, -1]
-    parent, order = _rooted_dual(dual, root)
+    order, parent = bfs_tree(adj, root)
     frames: list = [None] * len(tris)
     frames[root] = start
     for u in order[1:]:
@@ -551,41 +539,6 @@ def _walk_dp(order: list[int], frames: list[_Frame], dominate: bool
     return (size if dominate else -size), tuple(sorted(chosen))
 
 
-def _clique_certificate(t: Triangulation, cg: Graph, order: list[int]
-                        ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Dominating set D and packing P of the clique graph with |D| = |P|,
-    which proves both optimal since rho <= gamma.
-
-    The triangles through one vertex form a path of the dual tree, so the
-    closed neighborhood of a triangle t in the clique graph, the union of
-    the three paths through its vertices, is a subtree; its top is the
-    first triangle of the dual tree's BFS `order` that meets t.  Taking
-    triangles by decreasing depth of their top, every t that no triangle
-    of D meets puts its top into D and itself into P.  Two subtrees that
-    meet contain the deeper one's top, so a later P triangle whose
-    neighborhood met t's would already be dominated by t's top.  The pair
-    is checked before it is returned; None means the check failed."""
-    tris = t.triangles
-    pos = [0] * len(tris)
-    first: dict[int, int] = {}
-    for p, i in enumerate(order):
-        pos[i] = p
-        for v in tris[i]:
-            first.setdefault(v, i)
-    top = [min((first[v] for v in tri), key=pos.__getitem__) for tri in tris]
-    covered: set[int] = set()
-    dom, pack = [], []
-    for i in sorted(range(len(tris)), key=lambda i: (-pos[top[i]], i)):
-        if covered.isdisjoint(tris[i]):
-            dom.append(top[i])
-            pack.append(i)
-            covered.update(tris[top[i]])
-    d, pk = tuple(sorted(dom)), tuple(sorted(pack))
-    if len(d) != len(pk) or not is_dominating(cg, d) or not is_packing(cg, pk):
-        return None
-    return d, pk
-
-
 @dataclass(frozen=True)
 class MopFacts:
     """Certificate state of one maximal outerplanar graph, built once."""
@@ -619,9 +572,26 @@ def _mop_numbers(g: Graph, order: list[int], frames: list[_Frame],
 
 def _clique_numbers(t: Triangulation, cg: Graph, order: list[int],
                     budget: int) -> tuple[Solution, Solution]:
-    """gamma and rho of the clique graph cg of t, from the certificate
-    (nodes = 0), else by search under `budget`."""
-    cert = _clique_certificate(t, cg, order)
+    """gamma and rho of the clique graph cg of t, from
+    `host_tree_certificate` with the dual tree as host tree (nodes = 0),
+    else by search under `budget`.  `order` is a BFS order of the dual
+    tree.
+
+    The triangles through one vertex form a path of the dual tree, so the
+    closed neighborhood of a triangle in the clique graph, the union of the
+    three paths through its vertices, is a subtree.  Its top is the first
+    triangle in `order` that meets it, and the visit takes the triangles
+    by decreasing position of their top, so by non-increasing depth."""
+    tris = t.triangles
+    pos = [0] * len(tris)
+    first: dict[int, int] = {}
+    for p, i in enumerate(order):
+        pos[i] = p
+        for v in tris[i]:
+            first.setdefault(v, i)
+    top = [min((first[v] for v in tri), key=pos.__getitem__) for tri in tris]
+    visit = sorted(range(len(tris)), key=lambda i: (-pos[top[i]], i))
+    cert = host_tree_certificate(cg, top, visit)
     if cert is None:
         return domination_number(cg, budget), packing_number(cg, budget)
     dom, pack = cert

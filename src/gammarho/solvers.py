@@ -6,12 +6,15 @@ are a dual pair (rho <= gamma, with equality on trees).  The driver solves
 each connected component, sums the answers, and routes each component to
 the cheapest exact method:
 
-* A forest component (a tree: m == n - 1) is solved without search by a
-  linear-time greedy that returns a dominating set and a packing of equal
-  size, which proves both optimal because rho <= gamma.  The pair is
-  validated before use; it reports nodes = 0 and spends none of the
-  budget.  Should the check ever fail, the component falls through to the
-  search.
+* A forest component (a tree: m == n - 1) is solved without search by
+  `host_tree_certificate`, the one gamma = rho certificate, which
+  `outerplanar` also uses for the clique graph of a maximal outerplanar
+  graph: a linear-time greedy over the closed neighbourhoods, each a
+  subtree of a host tree (here the tree itself), returns a dominating set
+  and a packing of equal size, which proves both optimal because
+  rho <= gamma.  The pair is validated before use; it reports nodes = 0
+  and spends none of the budget.  Should the check ever fail, the
+  component falls through to the search.
 
 * Every other component goes to that quantity's branch and bound over
   Python int bitmasks.  A component's BudgetExceeded is re-raised with
@@ -68,9 +71,8 @@ what the plain scans over all vertices that they replaced did, so rho's
 search keeps those scans' values, witnesses and node counts node for node.
 
 `nodes` in a result counts search nodes only: an answer found without
-search (the forest certificate here, or the dual-tree walk and clique-graph
-certificate that `outerplanar` uses for maximal outerplanar graphs) reports
-nodes = 0.
+search (the host-tree certificate, or the dual-tree walk that
+`outerplanar` uses for maximal outerplanar graphs) reports nodes = 0.
 
 Everything is deterministic: fixed branching order, fixed tie-breaks, so
 reruns return byte-identical witnesses.  A node budget (default 10^7)
@@ -82,8 +84,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterable, Sequence
 
-from .graphs import Graph, is_dominating, is_packing
+from .graphs import Graph, bfs_tree, is_dominating, is_packing
 
 DEFAULT_BUDGET = 10_000_000
 BRUTE_CAP = 24
@@ -149,54 +152,62 @@ def _degree_classes(degrees) -> list[tuple[int, int]]:
     return sorted(by_degree.items())
 
 
-def _tree_certificate(sub: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Dominating set D and packing P of the tree `sub` with |D| = |P|.
+def host_tree_certificate(g: Graph, top: Sequence[int], visit: Iterable[int]
+                          ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Dominating set D and packing P of g with |D| = |P|, which proves both
+    optimal since rho <= gamma; None when the pair fails its check.  This
+    is gammarho's one gamma = rho certificate: forest components use it
+    with the tree itself as host tree, and maximal outerplanar graphs with
+    the dual tree for their clique graph.
 
-    Since rho <= gamma always, equal sizes prove both optimal (on trees
-    gamma = rho, Meir-Moon 1975).  Deepest-first greedy in the style of
-    Cockayne-Goodman-Hedetniemi (1975): root at 0, walk a BFS order with
-    ascending neighbors from its end, and for each still undominated v put
-    v in P and its parent (v itself at the root) in D.  The pair is checked
-    before it is returned; None means the check failed and the caller must
-    search instead.
+    It needs a host tree: a rooted tree T on g's vertices in which every
+    closed neighbourhood N[v] induces a subtree (the graphs that have one
+    are the dually chordal graphs; Brandstaedt, Dragan, Chepoi and
+    Voloshin, SIAM J. Discrete Math. 1998).  `top[v]` is the vertex of N[v]
+    nearest T's root, and `visit` lists the vertices by non-increasing
+    depth of their top.  Each v in `visit` whose N[v] meets no D vertex
+    puts top[v] into D and v into P.
 
-    One refinement: when v's parent is the root and no neighbor of the
-    root is in D yet, the root goes into P in v's place.  Every earlier P
-    vertex then lies at depth >= 3, so N[root] misses its neighborhood, and
-    the root's entry into D ends the walk.  With it K2 gets the packing (0,)
-    that the search returns; the mop reports lift the clique-graph packing
-    of 4-vertex mops, whose clique graph is K2, so their bytes do not depend
-    on which of the two solved it.
-    """
-    n = sub.n
-    parent = [-1] * n
-    order = [0]
-    seen = [False] * n
-    seen[0] = True
-    for v in order:  # the list grows while it is walked: an iterative BFS
-        for u in sub.adj[v]:
-            if not seen[u]:
-                seen[u] = True
-                parent[u] = v
-                order.append(u)
-    dominated = [False] * n
+    D dominates: top[v] is in N[v], so each v is dominated once visited.
+    P packs, since subtrees of a tree have tau = nu: two subtrees that
+    meet contain the deeper one's top (both tops are ancestors of a common
+    vertex, so the deeper lies on the other's path to it).  So had a later
+    P vertex q's neighbourhood met an earlier p's, N[q] would contain
+    top[p], which was already in D.  The check before return (|D| = |P|,
+    D dominates, P packs) guards the caller's host tree."""
+    dominated = [False] * g.n
     dom: set[int] = set()
     pack: list[int] = []
-    for v in reversed(order):
+    for v in visit:
         if dominated[v]:
             continue
-        p = v if parent[v] < 0 else parent[v]
-        if p == 0 and dom.isdisjoint(sub.adj[0]):
-            v = 0
+        t = top[v]
+        dom.add(t)
         pack.append(v)
-        dom.add(p)
-        dominated[p] = True
-        for u in sub.adj[p]:
+        dominated[t] = True
+        for u in g.adj[t]:
             dominated[u] = True
     d, pk = tuple(sorted(dom)), tuple(sorted(pack))
-    if len(d) != len(pk) or not is_dominating(sub, d) or not is_packing(sub, pk):
+    if len(d) != len(pk) or not is_dominating(g, d) or not is_packing(g, pk):
         return None
     return d, pk
+
+
+def _tree_certificate(sub: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """`host_tree_certificate` of the tree `sub` (on trees gamma = rho,
+    Meir and Moon 1975), which is its own host tree: rooted at 0 by BFS,
+    N[v] is v's star, topped by v's parent (the root by the root itself).  The visit is the BFS order from its end,
+    deepest first as in Cockayne, Goodman and Hedetniemi (1975), except
+    that the root comes ahead of its children; their tops are all the root,
+    so the order stays valid.  With it K2 gets the packing (0,) that the
+    search returns; the mop reports lift the clique-graph packing of
+    4-vertex mops, whose clique graph is K2, so their bytes do not depend
+    on which of the two solved it."""
+    order, top = bfs_tree(sub.adj, 0)
+    top[0] = 0
+    k = len(sub.adj[0])  # the root's children are order[1:k + 1]
+    return host_tree_certificate(sub, top,
+                                 order[:k:-1] + [0] + order[k:0:-1])
 
 
 def _conflict_masks(g: Graph) -> list[int]:

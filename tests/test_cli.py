@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import sys
 from collections import Counter
+from itertools import combinations
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import json_bundles
 from gammarho import bicubic, cli, harness, outerplanar, solvers
@@ -22,6 +28,7 @@ from gammarho.generators import (
     gen_random_bicubic,
     gen_random_connected,
     gen_random_mop,
+    gen_random_tree,
     gen_sun,
     petersen,
 )
@@ -473,3 +480,62 @@ def test_certify_and_reproduce_agree(name, cls):
             assert (c.pop("graph_id"), r.pop("graph_id")) == (
                 f"{cls}-{i}", item.graph_id)
             assert c == r
+
+
+@st.composite
+def small_graph6_inputs(draw):
+    """One graph6 line with n <= 9: any graph, or a tree, mop, bicubic or
+    biconvex graph from the seeded generators.  A biconvex graph's
+    orderings are kept, shuffled, swapped or dropped."""
+    kind = draw(st.sampled_from(("any", "tree", "mop", "bicubic", "biconvex")))
+    seed = draw(st.integers(0, 10**6))
+    orderings = None
+    if kind == "any":
+        n = draw(st.integers(0, 9))
+        pairs = list(combinations(range(n), 2))
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                             max_size=len(pairs)))
+        g = Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+    elif kind == "tree":
+        g = gen_random_tree(draw(st.integers(1, 9)), seed)
+    elif kind == "mop":
+        g = gen_random_mop(draw(st.integers(3, 9)), seed)
+    elif kind == "bicubic":
+        g = gen_random_bicubic(draw(st.sampled_from((6, 8))), seed)
+    else:
+        nx = draw(st.integers(1, 5))
+        g, o = gen_random_biconvex(nx, draw(st.integers(1, 9 - nx)), seed)
+        how = draw(st.sampled_from(("keep", "shuffle", "swap", "drop")))
+        if how == "keep":
+            orderings = (o.x_order, o.y_order)
+        elif how == "shuffle":
+            orderings = (draw(st.permutations(o.x_order)),
+                         draw(st.permutations(o.y_order)))
+        elif how == "swap":
+            orderings = (o.y_order, o.x_order)
+    text = io.StringIO()
+    write_graph6_stream([(g, orderings)], text)
+    return text.getvalue()
+
+
+_COMMANDS = (
+    ["compute"],
+    *(["certify", "--class", c]
+      for c in ("any", "tree", "bicubic", "mop", "biconvex")),
+    *(["decompose", "--class", c] for c in ("bicubic", "mop", "biconvex")),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graph6_inputs())
+def test_cli_ends_every_small_input_with_a_documented_exit_code(text):
+    # an answer, a record or a message: exit 0, 1, 2 or 3, never an
+    # exception out of cli.main; exit 1 always says why on stderr
+    for argv in _COMMANDS:
+        err = io.StringIO()
+        with mock.patch.object(sys, "stdin", io.StringIO(text)), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = cli.main(argv + ["--input", "-"])
+        assert code in (0, 1, 2, 3), (argv, text)
+        assert code != 1 or err.getvalue(), (argv, text)

@@ -1,10 +1,15 @@
 import pickle
 import random
+from itertools import combinations
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import to_nx
 from gammarho.graphs import (
     Graph,
+    bfs_tree,
     bipartition,
     distances_from,
     domination_violation,
@@ -99,6 +104,30 @@ def test_distances():
     assert distances_from(g, 3) == [3, 2, 1, 0, 1, 2]
     h = Graph.from_edges(4, [(0, 1), (2, 3)])
     assert distances_from(h, 0) == [0, 1, float("inf"), float("inf")]
+
+
+@st.composite
+def rooted_graphs(draw):
+    """Any graph on 1..12 vertices, several components among the draws,
+    and a root."""
+    n = draw(st.integers(1, 12))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    g = Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+    return g, draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rooted_graphs())
+def test_bfs_tree_matches_networkx(case):
+    g, root = case
+    order, parent = bfs_tree(g.adj, root)
+    G = to_nx(g)
+    assert order == [root] + [v for _, v in
+                              nx.bfs_edges(G, root, sort_neighbors=sorted)]
+    pred = dict(nx.bfs_predecessors(G, root, sort_neighbors=sorted))
+    assert parent == [pred.get(v, -1) for v in range(g.n)]
 
 
 def test_packing_checks():

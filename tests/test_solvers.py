@@ -20,7 +20,13 @@ from gammarho.generators import (
     petersen,
 )
 from gammarho import solvers
-from gammarho.graphs import Graph, is_dominating, is_packing
+from gammarho.graphs import (
+    Graph,
+    bfs_tree,
+    distances_from,
+    is_dominating,
+    is_packing,
+)
 from gammarho.solvers import (
     BRUTE_CAP,
     BudgetExceeded,
@@ -29,6 +35,7 @@ from gammarho.solvers import (
     cycle_gamma,
     cycle_rho,
     domination_number,
+    host_tree_certificate,
     packing_number,
     path_gamma,
     path_rho,
@@ -338,3 +345,70 @@ def test_spanning_component_shortcut_on_fixed_graphs():
 @given(st.one_of(forests(), forests_plus_cycle()))
 def test_spanning_component_shortcut_on_forests_and_cycles(g):
     _assert_spanning_shortcut_changes_nothing(g)
+
+
+@st.composite
+def trees(draw, max_n=20):
+    """A labelled tree: each vertex after the first hangs off an earlier
+    one, then the labels are shuffled."""
+    n = draw(st.integers(1, max_n))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    perm = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _power(t, k):
+    """T^k: vertices at distance 1..k in the tree t are adjacent."""
+    edges = []
+    for v in range(t.n):
+        dist = distances_from(t, v)
+        edges += [(v, u) for u in range(v + 1, t.n) if dist[u] <= k]
+    return Graph.from_edges(t.n, edges)
+
+
+def _host_tree_inputs(t, g):
+    """top and visit for g, whose closed neighbourhoods are subtrees of the
+    tree t: root t at 0 by BFS, take the least deep vertex of each N[v]
+    as its top, and visit by decreasing depth of the top."""
+    order, parent = bfs_tree(t.adj, 0)
+    depth = [0] * t.n
+    for v in order[1:]:
+        depth[v] = depth[parent[v]] + 1
+    top = [min((v, *g.adj[v]), key=depth.__getitem__) for v in range(g.n)]
+    visit = sorted(range(g.n), key=lambda v: (-depth[top[v]], v))
+    return top, visit, order
+
+
+@settings(max_examples=80, deadline=None)
+@given(trees(), st.sampled_from((2, 3)))
+def test_host_tree_certificate_on_tree_powers_matches_brute_force(t, k):
+    # each closed neighbourhood of T^k is a ball of T, hence a subtree
+    g = _power(t, k)
+    top, visit, _ = _host_tree_inputs(t, g)
+    cert = host_tree_certificate(g, top, visit)
+    assert cert is not None
+    dom, pack = cert
+    assert len(dom) == len(pack) == brute_gamma(g) == brute_rho(g)
+    assert is_dominating(g, dom) and is_packing(g, pack)
+
+
+@settings(max_examples=80, deadline=None)
+@given(trees(), st.sampled_from((1, 2, 3)))
+def test_host_tree_certificate_never_returns_an_invalid_pair(t, k):
+    # the forward BFS order breaks the decreasing-depth rule; the check
+    # must turn any pair that is not a proof into None
+    g = t if k == 1 else _power(t, k)
+    top, _, order = _host_tree_inputs(t, g)
+    cert = host_tree_certificate(g, top, order)
+    if cert is not None:
+        dom, pack = cert
+        assert len(dom) == len(pack)
+        assert is_dominating(g, dom) and is_packing(g, pack)
+
+
+def test_host_tree_certificate_rejects_a_visit_against_depth():
+    # P_5 rooted at 0, visited root first: 0 and 2 enter P at distance 2
+    g = gen_path(5)
+    top = [0, 0, 1, 2, 3]
+    assert host_tree_certificate(g, top, range(5)) is None
+    assert host_tree_certificate(g, top, range(4, -1, -1)) == ((0, 3), (1, 4))
