@@ -6,12 +6,15 @@ packed 6 bits per byte, each byte offset by 63.  Decoding validates byte
 range, payload length and that the padding bits are zero, so malformed
 lines fail loudly instead of producing a silently wrong graph.
 
-The decoder works a column at a time rather than a bit at a time: the
+The codec works a column at a time rather than a bit at a time: the
 payload bytes are mapped onto the base64 alphabet with `bytes.translate`
 and decoded by `binascii.a2b_base64` into one int holding the whole
 bit string, the padding bits are checked with one mask, and column j of
 the matrix (the j bits of pairs (0, j) .. (j - 1, j)) comes out of that
-int with one shift, of which only the set bits are walked.
+int with one shift, of which only the set bits are walked.  The encoder
+runs the same steps backwards: it sets each column's bits from the
+vertex's lower neighbours in one packed bit string, and maps its
+`binascii.b2a_base64` digits back with `bytes.translate`.
 
 sparse6 is accepted on input only (graph databases ship large sparse
 graphs that way); we never emit it.
@@ -73,10 +76,10 @@ def _decode_n(data: bytes) -> tuple[int, int]:
 
 
 _PRINTABLE = bytes(range(63, 127))
-# graph6 byte 63 + v to the v-th base64 digit
-_TO_BASE64 = bytes.maketrans(
-    _PRINTABLE,
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/")
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+# graph6 byte 63 + v to the v-th base64 digit, and back
+_TO_BASE64 = bytes.maketrans(_PRINTABLE, _BASE64)
+_FROM_BASE64 = bytes.maketrans(_BASE64, _PRINTABLE)
 
 
 def _check_bytes(data: bytes) -> None:
@@ -89,21 +92,22 @@ def encode_graph6(g: Graph, header: bool = False) -> str:
     """Canonical graph6 line for g (no trailing newline)."""
     if g.n > 1 << 18:
         raise FormatError("encoder capped at n <= 2^18")
-    out = bytearray(_encode_n(g.n))
-    bits = 0
-    nbits = 0
-    for j in range(1, g.n):
-        row = g.closed_masks[j] & ~(1 << j)
-        for i in range(j):
-            bits = (bits << 1) | ((row >> i) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(bits + 63)
-                bits = 0
-                nbits = 0
-    if nbits:
-        out.append((bits << (6 - nbits)) + 63)
-    text = out.decode("ascii")
+    n = g.n
+    npairs = n * (n - 1) // 2
+    nbytes = (npairs + 5) // 6
+    # the bit string, packed 8 bits a byte and zero padded to whole base64
+    # groups: column j starts at bit j(j - 1)/2 and holds pairs (0, j) ..
+    # (j - 1, j), pair (i, j) at its i-th bit
+    packed = bytearray(3 * (nbytes + -nbytes % 4) // 4)
+    for j, nbrs in enumerate(g.adj):
+        start = j * (j - 1) // 2
+        for i in nbrs:
+            if i >= j:
+                break
+            bit = start + i
+            packed[bit >> 3] |= 128 >> (bit & 7)
+    digits = binascii.b2a_base64(packed, newline=False)
+    text = (_encode_n(n) + digits[:nbytes].translate(_FROM_BASE64)).decode("ascii")
     return GRAPH6_HEADER + text if header else text
 
 

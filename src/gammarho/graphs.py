@@ -27,10 +27,11 @@ class CertificateError(RuntimeError):
 class Graph:
     """Undirected simple graph, immutable after construction.
 
-    The connected components are found on first use and kept, since
-    classification, validation and the solvers all ask for them."""
+    The edge count `m` is stored at construction.  The connected
+    components are found on first use and kept, since classification,
+    validation and the solvers all ask for them."""
 
-    __slots__ = ("n", "adj", "closed_masks", "_components")
+    __slots__ = ("n", "m", "adj", "closed_masks", "_components")
 
     def __init__(self, n: int, adj: Sequence[Sequence[int]]):
         if n < 0:
@@ -39,6 +40,7 @@ class Graph:
             raise ValueError("adjacency list length does not match n")
         self.n = n
         self.adj = tuple(tuple(sorted(set(nbrs))) for nbrs in adj)
+        self.m = sum(map(len, self.adj)) // 2
         masks = []
         for v, nbrs in enumerate(self.adj):
             m = 1 << v
@@ -70,10 +72,6 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         return cls(n, adj)
-
-    @property
-    def m(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adj) // 2
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adj[v]

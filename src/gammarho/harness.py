@@ -52,8 +52,6 @@ from .generators import (
 from .graphs import Graph
 from .outerplanar import (
     Triangulation,
-    build_clique_graph,
-    build_dual,
     certify_mop,
     clique_graph_numbers,
     low_degree_count,
@@ -201,9 +199,7 @@ def _extras(f: GraphFacts, needs: tuple[str, ...]) -> dict:
     if "t" in needs:
         extras["t"] = low_degree_count(f.graph)
     if "cg_gamma" in needs or "cg_rho" in needs:
-        t = f.triangulation
-        cg_gamma, cg_rho = clique_graph_numbers(
-            t, build_dual(t), build_clique_graph(t), f.budget)
+        cg_gamma, cg_rho = clique_graph_numbers(f.triangulation, f.budget)
         extras.update(cg_gamma=cg_gamma.value, cg_rho=cg_rho.value)
     return {name: extras[name] for name in needs}
 

@@ -13,12 +13,17 @@ The triangle list is sorted lexicographically, so triangle indices (and
 everything derived from them: dual tree, clique graph, colorings, lifted
 packings) are independent of the clipping order.
 
-`mop_facts` builds a graph's whole certificate state once: the
-triangulation, dual tree, clique graph and Tokunaga colors, and exact
-gamma and rho of the graph and of its clique graph.  `certify_mop` reads
-the projected and averaged dominating sets, the class's rows of the bound
-table (`gammarho.bounds`) and the two certificate checks off it for the
-`certify` and `reproduce` paths.
+`mop_facts` builds a graph's whole certificate state from that one ear
+clipping, whose ears come off a min-heap of degree-2 vertices, smallest id
+first.  Each re-inserted ear hangs off the triangle on the boundary edge
+it goes onto: those links (`hinges`) are the dual tree, and a third
+triangle on one edge finds no owner, which the reconstruction rejects.
+`build_dual` and `build_clique_graph` make graphs of the links and of the
+triangles at each vertex, and one BFS of the dual tree (`_walk`) gives the
+frames that gamma and rho of the graph and of its clique graph are read
+from, and the Tokunaga colors, verified once.  `certify_mop` reads the
+projected and averaged dominating sets, the class's rows of the bound
+table (`gammarho.bounds`) and the two certificate checks off it.
 
 None of the four numbers needs search.  The dual tree is a tree
 decomposition of width 2, so one dynamic programme over it, with three
@@ -37,7 +42,8 @@ budget instead, which shows as nodes > 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from heapq import heappop, heappush
+from itertools import product
 
 from . import bounds
 from .graphs import (
@@ -69,6 +75,9 @@ class Triangulation:
     graph: Graph
     boundary: tuple[int, ...]  # Hamiltonian outer cycle, canonical rotation
     triangles: tuple[tuple[int, int, int], ...]  # sorted triples, sorted list
+    # one (i, j, u, w) per dual-tree edge, in clip order: triangles i < j
+    # share the graph edge u < w
+    hinges: tuple[tuple[int, int, int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -90,87 +99,84 @@ def recognize_mop(g: Graph) -> Triangulation:
     if g.m != 2 * n - 3:
         raise NotMaximalOuterplanar(f"edge count {g.m} != 2n-3 = {2 * n - 3}")
 
+    # the smallest-id ear goes first.  Degrees only fall, so a vertex joins
+    # the heap once, when its degree reaches 2, and one popped with another
+    # degree or with nonadjacent neighbors can never become an ear
     adj = [set(nbrs) for nbrs in g.adj]
-    active = set(range(n))
+    heap = [v for v in range(n) if len(adj[v]) == 2]  # sorted, so a heap
     clips: list[tuple[int, int, int]] = []
-    while len(active) > 3:
-        ear = None
-        for v in sorted(active):
-            if len(adj[v]) != 2:
-                continue
-            u, w = sorted(adj[v])
-            if w in adj[u]:
-                ear = (v, u, w)
-                break
-        if ear is None:
+    while len(clips) < n - 3:
+        if not heap:
             raise NotMaximalOuterplanar(
-                "no degree-2 vertex with adjacent neighbors to clip"
-            )
-        v, u, w = ear
-        clips.append(ear)
-        adj[u].discard(v)
-        adj[w].discard(v)
-        adj[v].clear()
-        active.remove(v)
+                "no degree-2 vertex with adjacent neighbors to clip")
+        v = heappop(heap)
+        if len(adj[v]) != 2:
+            continue
+        u, w = sorted(adj[v])
+        if w not in adj[u]:
+            continue
+        clips.append((v, u, w))
+        for x in (u, w):
+            adj[x].discard(v)
+            if len(adj[x]) == 2:
+                heappush(heap, x)
 
-    a, b, c = sorted(active)
+    a, b, c = sorted(set(range(n)).difference(v for v, _, _ in clips))
     if not (b in adj[a] and c in adj[a] and c in adj[b]):
         raise NotMaximalOuterplanar("clipping did not end on a triangle")
 
     # reconstruction: re-insert each ear between its two neighbors, which
-    # must be consecutive on the current boundary cycle
-    nxt = {a: b, b: c, c: a}
-    prv = {b: a, c: b, a: c}
-    for v, u, w in reversed(clips):
-        if nxt[u] == w:
-            nxt[u] = v
-            nxt[v] = w
-            prv[w] = v
-            prv[v] = u
-        elif nxt[w] == u:
-            nxt[w] = v
-            nxt[v] = u
-            prv[u] = v
-            prv[v] = w
-        else:
+    # must be consecutive on the boundary cycle; it hangs off own[u], the
+    # triangle (by clip index, the final one last) on boundary edge u -> w
+    k = n - 2
+    nxt = [0] * n
+    nxt[a], nxt[b], nxt[c] = b, c, a
+    own = [k - 1] * n
+    parent = [0] * (k - 1)
+    for idx in range(k - 2, -1, -1):
+        v, u, w = clips[idx]
+        if nxt[w] == u:
+            u, w = w, u
+        elif nxt[u] != w:
             raise NotMaximalOuterplanar(
                 f"vertices {u} and {w} are not consecutive on the boundary "
                 f"when re-inserting {v}; graph is not outerplanar"
             )
+        nxt[u], nxt[v] = v, w
+        parent[idx] = own[u]
+        own[u] = own[v] = idx
 
-    # canonical rotation: start at 0, walk toward the smaller neighbor
-    forward = nxt if nxt[0] < prv[0] else prv
     boundary = [0]
-    cur = forward[0]
-    while cur != 0:
-        boundary.append(cur)
-        cur = forward[cur]
+    while nxt[boundary[-1]] != 0:
+        boundary.append(nxt[boundary[-1]])
     if len(boundary) != n:
         raise NotMaximalOuterplanar("boundary reconstruction did not close a Hamiltonian cycle")
+    if boundary[-1] < boundary[1]:
+        # canonical rotation: start at 0, walk toward the smaller neighbor
+        boundary[1:] = boundary[:0:-1]
 
-    triangles = sorted(
-        [tuple(sorted(tri)) for tri in clips] + [(a, b, c)]
-    )
-    return Triangulation(g, tuple(boundary), tuple(triangles))
+    by_clip = [(v, u, w) if v < u else (u, v, w) if v < w else (u, w, v)
+               for v, u, w in clips]  # sorted, as u < w
+    by_clip.append((a, b, c))
+    triangles = sorted(by_clip)
+    index = {tri: i for i, tri in enumerate(triangles)}
+    hinges = []
+    for tri, par, (_, u, w) in zip(by_clip, parent, clips):
+        i, j = sorted((index[tri], index[by_clip[par]]))
+        hinges.append((i, j, u, w))
+    return Triangulation(g, tuple(boundary), tuple(triangles), tuple(hinges))
 
 
 def build_dual(t: Triangulation) -> DualTree:
     """Dual tree of the triangulation: triangles sharing an edge."""
-    edge_owner: dict[tuple[int, int], list[int]] = {}
-    for idx, tri in enumerate(t.triangles):
-        for u, v in combinations(tri, 2):
-            edge_owner.setdefault((u, v), []).append(idx)
-    dual_edges = []
-    shared = {}
-    for edge, owners in edge_owner.items():
-        if len(owners) > 2:
-            raise CertificateError(f"edge {edge} lies in {len(owners)} triangles")
-        if len(owners) == 2:
-            i, j = sorted(owners)
-            dual_edges.append((i, j))
-            shared[(i, j)] = edge
     k = len(t.triangles)
-    dual = Graph.from_edges(k, dual_edges)
+    adj: list[list[int]] = [[] for _ in range(k)]
+    shared = {}
+    for i, j, u, w in t.hinges:
+        adj[i].append(j)
+        adj[j].append(i)
+        shared[(i, j)] = (u, w)
+    dual = Graph(k, adj)
     if not (dual.is_connected() and dual.m == k - 1):
         raise CertificateError("triangle dual is not a tree")
     return DualTree(dual, shared)
@@ -179,47 +185,23 @@ def build_dual(t: Triangulation) -> DualTree:
 def build_clique_graph(t: Triangulation) -> Graph:
     """Graph on triangle indices, adjacent iff the triangles share a vertex.
     The dual tree is a spanning tree of this graph."""
-    members: dict[int, list[int]] = {}
+    members: list[list[int]] = [[] for _ in range(t.graph.n)]
     for idx, tri in enumerate(t.triangles):
         for v in tri:
-            members.setdefault(v, []).append(idx)
-    edges = set()
-    for owners in members.values():
-        for i, j in combinations(owners, 2):
-            edges.add((i, j))
-    return Graph.from_edges(len(t.triangles), edges)
+            members[v].append(idx)
+    adj = []
+    for idx, (x, y, z) in enumerate(t.triangles):
+        nbrs = set(members[x]).union(members[y], members[z])
+        nbrs.discard(idx)
+        adj.append(nbrs)
+    return Graph(len(adj), adj)
 
 
 def tokunaga_color(t: Triangulation, dual: DualTree) -> tuple[int, ...]:
-    """4-coloring (colors 0..3) in which every pair of edge-sharing
-    triangles spans all four colors on its 4-cycle.
-
-    Root the dual tree at triangle 0, color the root triangle 0,1,2 by
-    ascending vertex id; each child triangle introduces one new vertex,
-    which takes the unique color missing from {shared edge} + {parent's
-    opposite vertex}.  `dual` is build_dual(t).
-    """
-    order, parent = bfs_tree(dual.graph.adj, 0)
-    colors = [-1] * t.graph.n
-    for c, v in enumerate(t.triangles[0]):
-        colors[v] = c
-    for idx in order[1:]:
-        par = parent[idx]
-        key = (min(idx, par), max(idx, par))
-        eu, ev = dual.shared[key]
-        (d,) = [v for v in t.triangles[par] if v not in (eu, ev)]
-        (c_new,) = [v for v in t.triangles[idx] if v not in (eu, ev)]
-        if colors[c_new] != -1:
-            # triangles containing a vertex form a dual subtree, so the new
-            # vertex of a child is always fresh
-            raise CertificateError(f"vertex {c_new} colored twice")
-        blocked = {colors[eu], colors[ev], colors[d]}
-        (free,) = [c for c in range(4) if c not in blocked]
-        colors[c_new] = free
-    problems = verify_tokunaga(t, tuple(colors), dual)
-    if problems:
-        raise CertificateError("tokunaga coloring failed: " + "; ".join(problems))
-    return tuple(colors)
+    """4-coloring (colors 0..3), triangle 0 colored 0, 1, 2 by ascending
+    vertex id, in which every pair of edge-sharing triangles spans all four
+    colors on its 4-cycle; `_walk` verified it.  `dual` is build_dual(t)."""
+    return _walk(t, dual)[2]
 
 
 def verify_tokunaga(t: Triangulation, colors: tuple[int, ...],
@@ -228,13 +210,11 @@ def verify_tokunaga(t: Triangulation, colors: tuple[int, ...],
     all four colors.  In a maximal outerplanar graph every 4-cycle arises
     from such a pair, so this checks the full 4-cycle property.  `dual` is
     build_dual(t)."""
-    problems = []
-    for u, v in t.graph.edges():
-        if colors[u] == colors[v]:
-            problems.append(f"edge {u}-{v} monochromatic")
-    for (i, j), (eu, ev) in dual.shared.items():
-        quad = set(t.triangles[i]) | set(t.triangles[j])
-        seen = {colors[v] for v in quad}
+    problems = [f"edge {u}-{v} monochromatic"
+                for u, v in t.graph.edges() if colors[u] == colors[v]]
+    tris = t.triangles
+    for i, j in dual.shared:
+        seen = {colors[v] for v in tris[i] + tris[j]}
         if seen != {0, 1, 2, 3}:
             problems.append(f"triangle pair {i},{j} shows colors {sorted(seen)}")
     return problems
@@ -451,13 +431,16 @@ _Frame = tuple[int, int, int, int, int]
 
 
 def _walk(t: Triangulation, dual: DualTree
-          ) -> tuple[list[int], list[_Frame]]:
+          ) -> tuple[list[int], list[_Frame], tuple[int, ...]]:
     """The dual tree rooted at its first leaf, an ear: its triangles
-    parents first, and the frame (p1, p2, c, left, right) of each.
-    Triangle i adds vertex c below the edge p1-p2 it shares with its
-    parent, and its children lie across p1-c (left) and p2-c (right), -1
-    when absent.  The root's p1-p2 edge holds the ear's degree-2 vertex, so
-    the root has no right child."""
+    parents first, the frame (p1, p2, c, left, right) of each, and the
+    Tokunaga colors, verified.  Triangle i adds vertex c below the edge
+    p1-p2 it shares with its parent, and its children lie across p1-c
+    (left) and p2-c (right), -1 when absent.  The root's p1-p2 edge holds
+    the ear's degree-2 vertex, so the root has no right child.  Vertex c
+    takes the color its parent triangle lacks, 6 minus the sum of that
+    triangle's; every color is forced by the root's, so renaming them to
+    read 0, 1, 2 on triangle 0 gives the one such coloring."""
     tris = t.triangles
     adj = dual.graph.adj
     root = next(i for i in range(len(tris)) if len(adj[i]) <= 1)
@@ -468,18 +451,34 @@ def _walk(t: Triangulation, dual: DualTree
         start = [y, z, x, -1, -1]
     else:  # a lone triangle
         start = [*tris[root], -1, -1]
+    colors = [-1] * t.graph.n
+    for color, v in enumerate(start[:3]):
+        colors[v] = color
     order, parent = bfs_tree(adj, root)
     frames: list = [None] * len(tris)
     frames[root] = start
     for u in order[1:]:
-        i = parent[u]
-        p1, p2, c = frames[i][:3]
-        a, b = dual.shared[(min(i, u), max(i, u))]
-        (new,) = [v for v in tris[u] if v != a and v != b]
-        side, end = (3, p1) if p1 in (a, b) else (4, p2)
-        frames[i][side] = u
+        frame = frames[parent[u]]
+        p1, p2, c = frame[:3]
+        tri = tris[u]
+        # u shares p1-c (left) or p2-c (right) with its parent
+        side, end = (3, p1) if p1 in tri else (4, p2)
+        (new,) = [v for v in tri if v != end and v != c]
+        if colors[new] != -1:
+            # triangles containing a vertex form a dual subtree, so the new
+            # vertex of a child is always fresh
+            raise CertificateError(f"vertex {new} colored twice")
+        colors[new] = 6 - colors[p1] - colors[p2] - colors[c]
+        frame[side] = u
         frames[u] = [end, c, new, -1, -1]
-    return order, [tuple(f) for f in frames]
+    rename = [3] * 4
+    for color, v in enumerate(tris[0]):
+        rename[colors[v]] = color
+    colors = tuple(rename[color] for color in colors)
+    problems = verify_tokunaga(t, colors, dual)
+    if problems:
+        raise CertificateError("tokunaga coloring failed: " + "; ".join(problems))
+    return order, [tuple(f) for f in frames], colors
 
 
 def _walk_dp(order: list[int], frames: list[_Frame], dominate: bool
@@ -598,24 +597,24 @@ def _clique_numbers(t: Triangulation, cg: Graph, order: list[int],
     return Solution(len(dom), dom, 0), Solution(len(pack), pack, 0)
 
 
-def clique_graph_numbers(t: Triangulation, dual: DualTree, cg: Graph,
-                         budget: int = DEFAULT_BUDGET
+def clique_graph_numbers(t: Triangulation, budget: int = DEFAULT_BUDGET
                          ) -> tuple[Solution, Solution]:
-    """gamma and rho of cg = build_clique_graph(t), equal and certified
-    without search; `dual` is build_dual(t)."""
+    """gamma and rho of t's clique graph, equal and certified without
+    search, from the same builds and walk as `mop_facts`."""
+    dual = build_dual(t)
+    cg = build_clique_graph(t)
     return _clique_numbers(t, cg, _walk(t, dual)[0], budget)
 
 
 def mop_facts(g: Graph, budget: int = DEFAULT_BUDGET) -> MopFacts:
-    """Recognize g, build its dual tree, clique graph and Tokunaga colors,
-    and take gamma and rho of g and of the clique graph, in that order,
-    from one walk of the dual tree.  Search runs only where a check fails;
-    the first search to exhaust `budget` raises BudgetExceeded."""
+    """Recognize g, build its dual tree and clique graph, walk the dual tree
+    once for the frames and Tokunaga colors, and take gamma and rho of g and
+    of the clique graph, in that order, from that walk.  Search runs only
+    where a check fails; the first to exhaust `budget` raises BudgetExceeded."""
     t = recognize_mop(g)
     dual = build_dual(t)
     cg = build_clique_graph(t)
-    colors = tokunaga_color(t, dual)
-    order, frames = _walk(t, dual)
+    order, frames, colors = _walk(t, dual)
     return MopFacts(t, dual, cg, colors,
                     *_mop_numbers(g, order, frames, budget),
                     *_clique_numbers(t, cg, order, budget))

@@ -1,9 +1,11 @@
 """Shared helpers: conversion to networkx, which the tests use as an
-independent oracle for isomorphism and the graph6 codec, and a reader for
-the concatenated JSON bundles that `gammarho certify` prints."""
+independent oracle for isomorphism and the graph6 codec, a reader for
+the concatenated JSON bundles that `gammarho certify` prints, and a call
+counter for the mop builds."""
 
 import json
 import sys
+from collections import Counter
 
 import networkx as nx
 
@@ -34,6 +36,31 @@ def json_bundles(text):
         out.append(obj)
         pos = len(text) - len(text[pos:].lstrip())
     return out
+
+
+# every build of a mop's certificate state, and the searches it replaces
+MOP_BUILDS = ("recognize_mop", "build_dual", "build_clique_graph", "_walk",
+              "tokunaga_color", "verify_tokunaga", "domination_number",
+              "packing_number")
+
+
+def count_calls(monkeypatch, names=MOP_BUILDS):
+    """A Counter of calls to each named function of `outerplanar` (which
+    imports the two searches too), wrapped in every module that looks it
+    up by that name."""
+    from gammarho import cli, harness, outerplanar, solvers
+
+    counts = Counter()
+    for name in names:
+        def wrapper(*args, _fn=getattr(outerplanar, name), _name=name,
+                    **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in (solvers, outerplanar, harness, cli):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, wrapper)
+    return counts
 
 
 def pytest_terminal_summary(terminalreporter):

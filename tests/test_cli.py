@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import json_bundles
+from conftest import count_calls, json_bundles
 from gammarho import bicubic, cli, harness, outerplanar, solvers
 from gammarho.biconvex import ConvexOrdering, certify_biconvex
 from gammarho.formats import (
@@ -108,32 +108,18 @@ def test_certify_mop(tmp_path, capsys):
 
 
 def test_certify_mop_builds_and_solves_once(tmp_path, capsys, monkeypatch):
-    # gamma and rho of the mop and of its clique graph come from one walk
-    # of the dual tree, with no search; every structure is built once and
-    # shared by the bundle and the records
-    counts = Counter()
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for home, name in [(solvers, "domination_number"),
-                       (solvers, "packing_number"),
-                       (outerplanar, "recognize_mop"),
-                       (outerplanar, "build_dual"),
-                       (outerplanar, "build_clique_graph"),
-                       (outerplanar, "verify_tokunaga")]:
-        wrapped = counting(name, getattr(home, name))
-        for mod in (solvers, outerplanar, harness, cli):
-            if hasattr(mod, name):
-                monkeypatch.setattr(mod, name, wrapped)
-    path = write_g6(tmp_path, "m.g6", [gen_random_mop(12, 5)])
+    # one ear clipping per mop feeds one dual, one clique graph and one
+    # walk, which also colors and verifies; gamma and rho of the mop and of
+    # its clique graph come from that walk, with no search
+    counts = count_calls(monkeypatch)
+    mops = [gen_random_mop(n, 5) for n in (3, 12, 30)]
+    path = write_g6(tmp_path, "m.g6", mops)
     assert cli.main(["certify", "--class", "mop", "--input", path]) == 0
-    assert counts == {"recognize_mop": 1, "build_dual": 1,
-                      "build_clique_graph": 1, "verify_tokunaga": 1}
-    assert len(json.loads(capsys.readouterr().out)["records"]) == 7
+    assert counts == {"recognize_mop": 3, "build_dual": 3,
+                      "build_clique_graph": 3, "_walk": 3,
+                      "verify_tokunaga": 3}
+    bundles = json_bundles(capsys.readouterr().out)
+    assert [len(b["records"]) for b in bundles] == [7, 7, 7]
 
 
 def test_certify_mop_bad_colors_are_a_certificate_failure(tmp_path, capsys,

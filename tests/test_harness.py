@@ -35,6 +35,7 @@ from gammarho.harness import (
     write_counterexamples,
 )
 from gammarho.reports import ScanRecord, read_report, summarize, write_report
+from conftest import count_calls
 
 
 def test_detect_families():
@@ -328,6 +329,24 @@ def test_scan_recognizes_each_mop_once(monkeypatch):
     items.append(make_item("conn", "any", gen_random_connected(7, 1)))
     records, _ = run_scan(items)
     assert sorted(calls) == [5, 7, 9, 14]
+    clique = [r for r in records if r.check == "mop-clique-gamma-eq-rho"]
+    assert len(clique) == 3 and all(r.holds for r in clique)
+
+
+def test_scan_mop_clique_row_runs_one_pass(monkeypatch):
+    # the clique graph's numbers come from the triangulation the
+    # classification kept, through the same dual, clique graph and walk as
+    # certify, once per mop
+    counts = count_calls(monkeypatch, ("recognize_mop", "build_dual",
+                                       "build_clique_graph", "_walk",
+                                       "tokunaga_color", "verify_tokunaga"))
+    items = [make_item(f"mop-{n}", "mop", gen_random_mop(n, n))
+             for n in (3, 9, 14)]
+    items.append(make_item("conn", "any", gen_random_connected(7, 1)))
+    records, _ = run_scan(items)
+    assert counts == {"recognize_mop": 4, "build_dual": 3,
+                      "build_clique_graph": 3, "_walk": 3,
+                      "verify_tokunaga": 3}
     clique = [r for r in records if r.check == "mop-clique-gamma-eq-rho"]
     assert len(clique) == 3 and all(r.holds for r in clique)
 

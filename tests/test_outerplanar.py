@@ -1,8 +1,11 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gammarho.generators import gen_complete_bipartite, gen_cycle, gen_path, gen_random_mop, gen_sun
-from gammarho.graphs import Graph, is_dominating, is_packing
+from gammarho.graphs import Graph, bfs_tree, is_dominating, is_packing
 from gammarho.outerplanar import (
     NotMaximalOuterplanar,
     averaged_dominating,
@@ -277,8 +280,7 @@ def test_clique_graph_numbers_match_mop_facts():
     for g in mop_corpus():
         f = mop_facts(g)
         t = f.triangulation
-        assert clique_graph_numbers(t, f.dual, f.clique_graph) == (
-            f.cg_gamma, f.cg_rho)
+        assert clique_graph_numbers(t) == (f.cg_gamma, f.cg_rho)
 
 
 def _all_rows_walk_dp(order, frames, dominate):
@@ -329,7 +331,7 @@ def test_shape_tables_match_all_rows(dominate):
     for n in range(3, 81):
         for seed in (n, 1000 + n):
             t = recognize_mop(gen_random_mop(n, seed))
-            order, frames = _walk(t, build_dual(t))
+            order, frames, _ = _walk(t, build_dual(t))
             assert _walk_dp(order, frames, dominate) == _all_rows_walk_dp(
                 order, frames, dominate)
     # a lone triangle is a leaf: its table and picks are the leaf's
@@ -337,3 +339,225 @@ def test_shape_tables_match_all_rows(dominate):
                                      _STEP[dominate])
     leaf_table, leaf_picks = _SHAPES[dominate][0]
     assert (leaf_table, leaf_picks) == (tuple(tables[0]), tuple(picks[0]))
+
+
+# ------------------------------------------- reference builds, one each ----
+#
+# Each mop structure as it was built on its own before the one ear-clipping
+# pass: quadratic ear picking, an edge-owner dict for the dual, vertex-pair
+# sets for the clique graph, a BFS from triangle 0 for the colors and a
+# second BFS for the walk.  The fused pass must reproduce them exactly.
+
+def _reference_recognize(g):
+    """(boundary, triangles), or NotMaximalOuterplanar with its message."""
+    n = g.n
+    if n < 3:
+        raise NotMaximalOuterplanar(f"need n >= 3, got n={n}")
+    if not g.is_connected():
+        raise NotMaximalOuterplanar("graph is not connected")
+    if g.m != 2 * n - 3:
+        raise NotMaximalOuterplanar(f"edge count {g.m} != 2n-3 = {2 * n - 3}")
+    adj = [set(nbrs) for nbrs in g.adj]
+    active = set(range(n))
+    clips = []
+    while len(active) > 3:
+        ear = None
+        for v in sorted(active):
+            if len(adj[v]) != 2:
+                continue
+            u, w = sorted(adj[v])
+            if w in adj[u]:
+                ear = (v, u, w)
+                break
+        if ear is None:
+            raise NotMaximalOuterplanar(
+                "no degree-2 vertex with adjacent neighbors to clip")
+        v, u, w = ear
+        clips.append(ear)
+        adj[u].discard(v)
+        adj[w].discard(v)
+        adj[v].clear()
+        active.remove(v)
+    a, b, c = sorted(active)
+    if not (b in adj[a] and c in adj[a] and c in adj[b]):
+        raise NotMaximalOuterplanar("clipping did not end on a triangle")
+    nxt = {a: b, b: c, c: a}
+    prv = {b: a, c: b, a: c}
+    for v, u, w in reversed(clips):
+        if nxt[u] == w:
+            nxt[u], nxt[v], prv[w], prv[v] = v, w, v, u
+        elif nxt[w] == u:
+            nxt[w], nxt[v], prv[u], prv[v] = v, u, v, w
+        else:
+            raise NotMaximalOuterplanar(
+                f"vertices {u} and {w} are not consecutive on the boundary "
+                f"when re-inserting {v}; graph is not outerplanar")
+    forward = nxt if nxt[0] < prv[0] else prv
+    boundary = [0]
+    cur = forward[0]
+    while cur != 0:
+        boundary.append(cur)
+        cur = forward[cur]
+    if len(boundary) != n:
+        raise NotMaximalOuterplanar(
+            "boundary reconstruction did not close a Hamiltonian cycle")
+    triangles = sorted([tuple(sorted(tri)) for tri in clips] + [(a, b, c)])
+    return tuple(boundary), tuple(triangles)
+
+
+def _reference_dual(triangles):
+    edge_owner = {}
+    for idx, tri in enumerate(triangles):
+        for u, v in combinations(tri, 2):
+            edge_owner.setdefault((u, v), []).append(idx)
+    shared = {}
+    for edge, owners in edge_owner.items():
+        assert len(owners) <= 2
+        if len(owners) == 2:
+            shared[tuple(sorted(owners))] = edge
+    return Graph.from_edges(len(triangles), shared), shared
+
+
+def _reference_clique_graph(triangles):
+    members = {}
+    for idx, tri in enumerate(triangles):
+        for v in tri:
+            members.setdefault(v, []).append(idx)
+    edges = {pair for owners in members.values()
+             for pair in combinations(owners, 2)}
+    return Graph.from_edges(len(triangles), edges)
+
+
+def _reference_colors(n, triangles, dual, shared):
+    order, parent = bfs_tree(dual.adj, 0)
+    colors = [-1] * n
+    for c, v in enumerate(triangles[0]):
+        colors[v] = c
+    for idx in order[1:]:
+        par = parent[idx]
+        eu, ev = shared[(min(idx, par), max(idx, par))]
+        (d,) = [v for v in triangles[par] if v not in (eu, ev)]
+        (new,) = [v for v in triangles[idx] if v not in (eu, ev)]
+        assert colors[new] == -1
+        (colors[new],) = {0, 1, 2, 3} - {colors[eu], colors[ev], colors[d]}
+    return tuple(colors)
+
+
+def _reference_walk(triangles, dual, shared):
+    adj = dual.adj
+    root = next(i for i in range(len(triangles)) if len(adj[i]) <= 1)
+    if adj[root]:
+        child = adj[root][0]
+        x, y = shared[(min(root, child), max(root, child))]
+        (z,) = [v for v in triangles[root] if v != x and v != y]
+        start = [y, z, x, -1, -1]
+    else:
+        start = [*triangles[root], -1, -1]
+    order, parent = bfs_tree(adj, root)
+    frames = [None] * len(triangles)
+    frames[root] = start
+    for u in order[1:]:
+        i = parent[u]
+        p1, p2, c = frames[i][:3]
+        a, b = shared[(min(i, u), max(i, u))]
+        (new,) = [v for v in triangles[u] if v != a and v != b]
+        side, end = (3, p1) if p1 in (a, b) else (4, p2)
+        frames[i][side] = u
+        frames[u] = [end, c, new, -1, -1]
+    return order, [tuple(f) for f in frames]
+
+
+def _relabeled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 80), st.integers(0, 10**6), st.booleans())
+def test_fused_pass_matches_reference_builds(n, seed, relabel):
+    g = gen_random_mop(n, seed)
+    if relabel:
+        g = _relabeled(g, seed)
+    boundary, triangles = _reference_recognize(g)
+    ref_dual, ref_shared = _reference_dual(triangles)
+    f = mop_facts(g)
+    t = f.triangulation
+    assert (t.boundary, t.triangles) == (boundary, triangles)
+    assert f.dual.graph == ref_dual and f.dual.shared == ref_shared
+    assert f.clique_graph == _reference_clique_graph(triangles)
+    assert f.colors == _reference_colors(n, triangles, ref_dual, ref_shared)
+    order, frames, colors = _walk(t, f.dual)
+    assert (order, frames) == _reference_walk(triangles, ref_dual, ref_shared)
+    assert colors == f.colors
+
+
+def _outcome(recognize, g):
+    try:
+        return recognize(g)
+    except NotMaximalOuterplanar as exc:
+        return str(exc)
+
+
+def _random_two_tree(n, seed):
+    """Each vertex from 2 on joins both ends of a random earlier edge; most
+    of these have an edge in three triangles, so they are not outerplanar."""
+    rng = random.Random(seed)
+    edges = [(0, 1)]
+    for v in range(2, n):
+        u, w = rng.choice(edges)
+        edges += [(u, v), (w, v)]
+    return Graph.from_edges(n, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 30), st.integers(0, 10**6), st.integers(0, 3),
+       st.booleans())
+def test_recognition_rejects_as_the_reference(n, seed, moves, two_tree):
+    # a random mop or 2-tree with up to three edges moved to non-edges: the
+    # same edge count, so each reaches the ear clipping, which mostly finds
+    # no ear, or the reconstruction, which mostly rejects a 2-tree
+    start = _random_two_tree(n, seed) if two_tree else gen_random_mop(n, seed)
+    g = _relabeled(start, seed)
+    rng = random.Random(seed)
+    edges = set(g.edges())
+    for _ in range(moves):
+        missing = [(u, v) for u, v in combinations(range(n), 2)
+                   if (u, v) not in edges]
+        if not missing:
+            break
+        edges.remove(rng.choice(sorted(edges)))
+        edges.add(rng.choice(missing))
+    h = Graph.from_edges(n, edges)
+    ours = _outcome(recognize_mop, h)
+    if isinstance(ours, str):
+        assert ours == _outcome(_reference_recognize, h)
+    else:
+        assert (ours.boundary, ours.triangles) == _reference_recognize(h)
+
+
+@pytest.mark.parametrize("n, edges, message", [
+    # a 2-tree with a K_{2,3} inside
+    (5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)],
+     "vertices 0 and 1 are not consecutive on the boundary when "
+     "re-inserting 2; graph is not outerplanar"),
+    # gen_random_mop(9, 4) plus the chord 0-2, and minus the edge 0-1
+    (9, [*gen_random_mop(9, 4).edges(), (0, 2)], "edge count 16 != 2n-3 = 15"),
+    (9, [e for e in gen_random_mop(9, 4).edges() if e != (0, 1)],
+     "edge count 14 != 2n-3 = 15"),
+    # a triangle beside a K4
+    (7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 5), (3, 6),
+         (4, 6)], "graph is not connected"),
+    # the right edge count, but no ear
+    (7, [(0, 2), (0, 5), (0, 6), (1, 3), (1, 4), (2, 4), (2, 5), (2, 6),
+         (3, 4), (3, 5), (3, 6)],
+     "no degree-2 vertex with adjacent neighbors to clip"),
+    (7, [(0, 3), (0, 6), (1, 3), (1, 4), (2, 5), (2, 6), (3, 4), (3, 5),
+         (3, 6), (4, 6), (5, 6)],
+     "vertices 3 and 6 are not consecutive on the boundary when "
+     "re-inserting 0; graph is not outerplanar"),
+])
+def test_recognition_rejections_are_pinned(n, edges, message):
+    with pytest.raises(NotMaximalOuterplanar) as info:
+        recognize_mop(Graph.from_edges(n, edges))
+    assert str(info.value) == message
