@@ -425,6 +425,15 @@ def construct_dominating(g: Graph, decomp: CBDecomposition) -> Certificate:
     return finish(cand, method)
 
 
+# gamma <= 2*rho on the exact numbers, then on the certificate sizes, then
+# the bracket pack size <= rho, gamma <= dom size
+_RECORDS = (
+    ("gamma-le-2rho", "theorem", bounds.GAMMA_LE_2RHO),
+    ("certified-gamma-le-2rho", "theorem", bounds.CERTIFIED_GAMMA_LE_2RHO),
+    ("certificates-bracket", "theorem", bounds.CERTIFICATES_BRACKET),
+)
+
+
 def certify_biconvex(g: Graph, ordering: ConvexOrdering | None,
                      graph_id: str = "biconvex",
                      budget: int = DEFAULT_BUDGET
@@ -432,7 +441,9 @@ def certify_biconvex(g: Graph, ordering: ConvexOrdering | None,
     """The block decomposition's width and its packing and dominating
     certificates, then gamma <= 2*rho on the exact numbers and on the
     certificate sizes (which holds independently of the solvers), and the
-    bracket pack size <= rho, gamma <= dom size."""
+    bracket pack size <= rho, gamma <= dom size.  Every record carries the
+    certificates' detail; the lone vertex has no bracket, and its exact
+    record carries none."""
     if ordering is None:
         raise ValueError(
             "biconvex input needs #xorder/#yorder sidecars or an "
@@ -443,10 +454,12 @@ def certify_biconvex(g: Graph, ordering: ConvexOrdering | None,
         # certificates
         validate_convex(g, ordering)
         single = {"vertices": [0], "method": "singleton"}
-        detail = {"pack_size": 1, "dom_size": 1, "pack_method": "singleton",
-                  "dom_method": "singleton", "width": 0}
-        return (dict(width=0, packing=single, dominating=dict(single)),
-                _two_rho_records(graph_id, 1, 1, 1, 1, 1, {}, detail))
+        records = bounds.bound_records(_RECORDS[:2], graph_id, "biconvex", 1,
+                                       1, 1, pack_size=1, dom_size=1)
+        records[1].details = {"pack_size": 1, "dom_size": 1,
+                              "pack_method": "singleton",
+                              "dom_method": "singleton", "width": 0}
+        return dict(width=0, packing=single, dominating=dict(single)), records
     decomp = cb_decompose(g, trim_core(g, ordering))
     pack = construct_packing(g, decomp)
     dom = construct_dominating(g, decomp)
@@ -465,28 +478,8 @@ def certify_biconvex(g: Graph, ordering: ConvexOrdering | None,
         packing={"vertices": list(pack.vertices), "method": pack.method},
         dominating={"vertices": list(dom.vertices), "method": dom.method},
     )
-    return certs, _two_rho_records(graph_id, g.n, gamma, rho, pack.size,
-                                   dom.size, detail, detail) + [
-        ScanRecord(graph_id=graph_id, family="biconvex", n=g.n,
-                   check="certificates-bracket", kind="theorem",
-                   holds=pack.size <= rho and gamma <= dom.size,
-                   bound=f"{pack.size}..{dom.size}", gamma=gamma, rho=rho,
-                   details=detail),
-    ]
-
-
-def _two_rho_records(graph_id: str, n: int, gamma: int, rho: int,
-                     pack_size: int, dom_size: int, exact_detail: dict,
-                     certified_detail: dict) -> list[ScanRecord]:
-    """gamma <= 2*rho on the exact numbers, then on the certificate sizes;
-    both records carry the exact numbers."""
-    base = dict(graph_id=graph_id, family="biconvex", n=n, kind="theorem",
-                gamma=gamma, rho=rho)
-    holds, bound, _ = bounds.GAMMA_LE_2RHO.evaluate(gamma, rho, n)
-    c_holds, c_bound, _ = bounds.GAMMA_LE_2RHO.evaluate(dom_size, pack_size, n)
-    return [
-        ScanRecord(check="gamma-le-2rho", holds=holds, bound=bound,
-                   details=exact_detail, **base),
-        ScanRecord(check="certified-gamma-le-2rho", holds=c_holds,
-                   bound=c_bound, details=certified_detail, **base),
-    ]
+    records = bounds.bound_records(_RECORDS, graph_id, "biconvex", g.n, gamma,
+                                   rho, pack_size=pack.size, dom_size=dom.size)
+    for r in records:
+        r.details = detail
+    return certs, records

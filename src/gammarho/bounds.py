@@ -1,22 +1,33 @@
-"""The bound table: each inequality between gamma and rho that gammarho
-checks, written once, with the order from which it is claimed.
+"""The bound table, each inequality between gamma and rho that gammarho
+checks, written once with the order from which it is claimed, and
+`bound_records`, the one evaluator that turns rows into records.
 
 A row is a `Bound`.  `evaluate(gamma, rho, n, **extras)` returns
 (holds, bound, details): the verdict, the exact right-hand side as
 `bound_str` text, and what a report shows beside them.  The extras are
 the further numbers a row reads, named in its `needs`: the maximum degree
-`delta`, the number `t` of vertices of degree at most 3, and the clique
-graph's `cg_gamma` and `cg_rho`.  `Bound.claimed` says for which graphs
-a row is claimed: from `min_n` vertices on, and, for a row that reads
-`delta`, only where delta >= 1.  Comparisons stay in integers; a
-fractional bound is compared cross-multiplied and printed as a Fraction.
+`delta`, the number `t` of vertices of degree at most 3, the clique
+graph's `cg_gamma` and `cg_rho`, the sizes `pack_size` and `dom_size` of
+a biconvex graph's packing and dominating certificates, and the number
+`k` of blocks of the tight biconvex family.  `Bound.claimed` says for
+which graphs a row is claimed: from `min_n` vertices on, and, for a row
+that reads `delta`, only where delta >= 1.  Comparisons stay in integers;
+a fractional bound is compared cross-multiplied and printed as a Fraction.
 
-The scan's predicates (`harness.PREDICATES`) and the class records
-(`certify_bicubic`, `certify_mop` and `certify_biconvex`, which
-`harness.CERTIFY` serves to both `certify` and `reproduce`, and the
-bicubic experiment's conjecture record) name rows of this table, each
+`bound_records` is the only caller of `Bound.evaluate` and the only
+builder of a record that carries gamma, rho and a verdict.  The scan's
+predicates (`harness.PREDICATES`, which `verify_counterexamples` replays
+through the same call), the class records (`certify_bicubic`,
+`certify_mop` and `certify_biconvex`, which `harness.CERTIFY` serves to
+both `certify` and `reproduce`), the bicubic experiment's conjecture
+record and the tight family's records all name rows of this table, each
 under its own check name and kind, so a scan predicate and the class
-record of the same bound cannot disagree.
+record of the same bound cannot disagree.  An extra is handed in as a
+value or as a function of no arguments; a function is called at most
+once per call, and only for a claimed row that reads it.  A row whose
+extra raises BudgetExceeded gets an `inconclusive_records` record in its
+place, the same record that stands for every row of a graph whose gamma
+or rho search ran out.
 """
 
 from __future__ import annotations
@@ -26,6 +37,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .reports import ScanRecord, bound_str
+from .solvers import BudgetExceeded
 
 Verdict = tuple[bool, str, dict]
 
@@ -38,13 +50,13 @@ class Bound:
     needs: tuple[str, ...] = ()  # the extras evaluate takes by keyword
     min_n: int = 0
 
-    def claimed(self, n: int, **extras) -> bool:
-        """Whether the row is claimed for a graph on n vertices with these
-        extras.  A row that reads delta scales its right-hand side with
-        it, so it says nothing on an edgeless graph (gamma = rho = n while
-        delta = 0); delta >= 1 also implies n >= 2, which keeps K1 out."""
-        return n >= self.min_n and ("delta" not in self.needs
-                                    or extras["delta"] >= 1)
+    def claimed(self, n: int, delta: int | None) -> bool:
+        """Whether the row is claimed for a graph on n vertices of maximum
+        degree delta, which only a row that reads delta looks at.  Such a
+        row scales its right-hand side with delta, so it says nothing on
+        an edgeless graph (gamma = rho = n while delta = 0); delta >= 1
+        also implies n >= 2, which keeps K1 out."""
+        return n >= self.min_n and ("delta" not in self.needs or delta >= 1)
 
 
 # every graph
@@ -92,23 +104,79 @@ RHO_GE_CLIQUE_RHO = Bound(
     lambda gamma, rho, n, cg_rho: (rho >= cg_rho, bound_str(cg_rho), {}),
     ("cg_rho",))
 
+# biconvex graphs: 2 rho on the certificate sizes, which holds without the
+# solvers, and the bracket pack_size <= rho, gamma <= dom_size
+CERTIFIED_GAMMA_LE_2RHO = Bound(
+    lambda gamma, rho, n, pack_size, dom_size:
+        _at_most(dom_size, 2 * pack_size),
+    ("pack_size", "dom_size"))
+CERTIFICATES_BRACKET = Bound(
+    lambda gamma, rho, n, pack_size, dom_size: (
+        pack_size <= rho and gamma <= dom_size, f"{pack_size}..{dom_size}",
+        {}),
+    ("pack_size", "dom_size"))
+
+# the tight biconvex family of k blocks, where gamma = 2 rho; the reports
+# give the last row no bound text
+GAMMA_EQ_2K = Bound(
+    lambda gamma, rho, n, k: (gamma == 2 * k, bound_str(2 * k), {}), ("k",))
+RHO_EQ_K = Bound(lambda gamma, rho, n, k: (rho == k, bound_str(k), {}),
+                 ("k",))
+GAMMA_EQ_2RHO = Bound(lambda gamma, rho, n: (gamma == 2 * rho, "", {}))
+
 
 def _at_most(value: int, cap: int) -> Verdict:
     return value <= cap, bound_str(cap), {}
 
 
-def bound_records(rows: Sequence[tuple[str, str, Bound]], graph_id: str,
-                  family: str, n: int, gamma: int, rho: int,
-                  **extras) -> list[ScanRecord]:
+Row = tuple[str, str, Bound]  # (check name, kind, table row)
+
+
+def bound_records(rows: Sequence[Row], graph_id: str, family: str, n: int,
+                  gamma: int, rho: int, **extras) -> list[ScanRecord]:
     """One record per (check, kind, row) claimed at n, in order, each
-    carrying gamma and rho; `extras` holds every extra the rows need."""
+    carrying gamma and rho.  `extras` holds every extra the rows need,
+    each a value or a function of no arguments that gives it; a function
+    is called at most once, for the first claimed row that reads it.  A
+    row whose extra raises BudgetExceeded, there or for an earlier row,
+    gets an inconclusive record."""
+
+    def extra(name: str):
+        value = extras[name]
+        if callable(value):
+            try:
+                value = value()
+            except BudgetExceeded as exc:
+                value = exc
+            extras[name] = value
+        if isinstance(value, BudgetExceeded):
+            raise value
+        return value
+
     records = []
     for check, kind, row in rows:
-        if not row.claimed(n, **extras):
+        try:
+            if not row.claimed(
+                    n, extra("delta") if "delta" in row.needs else None):
+                continue
+            holds, bound, details = row.evaluate(
+                gamma, rho, n, **{name: extra(name) for name in row.needs})
+        except BudgetExceeded as exc:
+            records += inconclusive_records([(check, kind, row)], graph_id,
+                                            family, n, exc)
             continue
-        holds, bound, details = row.evaluate(
-            gamma, rho, n, **{name: extras[name] for name in row.needs})
         records.append(ScanRecord(
             graph_id=graph_id, family=family, n=n, check=check, kind=kind,
             holds=holds, bound=bound, gamma=gamma, rho=rho, details=details))
     return records
+
+
+def inconclusive_records(rows: Sequence[Row], graph_id: str, family: str,
+                         n: int, exc: BudgetExceeded) -> list[ScanRecord]:
+    """One record with no verdict per row, saying which search ran out
+    and the range it had proved."""
+    detail = {"reason": "node budget exhausted", "quantity": exc.quantity,
+              "range": [exc.lower, exc.upper]}
+    return [ScanRecord(graph_id=graph_id, family=family, n=n, check=check,
+                       kind=kind, holds=None, details=detail)
+            for check, kind, _ in rows]

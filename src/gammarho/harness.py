@@ -6,11 +6,20 @@ bad input, exit code 3 downstream) or conjectures (a failure is a genuine
 counterexample, exit code 2, and the offending graph is dumped with both
 optimal witnesses so the violation can be replayed from the dump alone).
 Each predicate names the row of the bound table (`gammarho.bounds`) it
-checks and the class condition under which it does.
+checks and the class condition under which it does.  `evaluate_predicates`
+hands the rows that apply to `bounds.bound_records`, the one evaluator,
+with Delta from the classification and with t and the clique graph's gamma
+and rho as functions, called only for a claimed row that reads them and
+once per graph.  It reads the counterexamples off the conjecture records
+that fail, and `verify_counterexamples` replays a dump through the same
+call.  When gamma or rho runs out of budget, every row that applies gets
+the record of `bounds.inconclusive_records`; when an extra does, only the
+rows that read it do.
 
 `CERTIFY` maps each `certify` class to the one function that builds its
 certificates and records; the class records read the same table rows as
 the predicates, and `reproduce` reaches each class through the same entry.
+The tight family's records are table rows too.
 
 Every parallel map goes through `map_items`: serial for one job, else one
 `multiprocessing.Pool.map` with the stdlib's default chunking, which hands
@@ -24,6 +33,7 @@ raises anything but `BudgetExceeded` becomes one `error` record (exit code
 
 from __future__ import annotations
 
+import functools
 import json
 import multiprocessing
 import traceback
@@ -57,7 +67,7 @@ from .outerplanar import (
     low_degree_count,
     recognize_mop,
 )
-from .reports import ScanRecord, bound_str
+from .reports import ScanRecord
 from .solvers import (
     BudgetExceeded,
     DEFAULT_BUDGET,
@@ -181,27 +191,12 @@ class Predicate:
     applies: Callable[[Classified], bool]
     bound: bounds.Bound
 
+    @property
+    def row(self) -> bounds.Row:
+        return self.name, self.kind, self.bound
+
     def covers(self, c: Classified) -> bool:
-        return (self.bound.claimed(c.graph.n, delta=c.delta)
-                and self.applies(c))
-
-    def verdict(self, f: GraphFacts) -> bounds.Verdict:
-        return self.bound.evaluate(f.gamma, f.rho, f.graph.n,
-                                   **_extras(f, self.bound.needs))
-
-
-def _extras(f: GraphFacts, needs: tuple[str, ...]) -> dict:
-    """The extras a bound row needs, from f; the clique graph's numbers
-    are found only for a row that reads them."""
-    extras = {}
-    if "delta" in needs:
-        extras["delta"] = f.delta
-    if "t" in needs:
-        extras["t"] = low_degree_count(f.graph)
-    if "cg_gamma" in needs or "cg_rho" in needs:
-        cg_gamma, cg_rho = clique_graph_numbers(f.triangulation, f.budget)
-        extras.update(cg_gamma=cg_gamma.value, cg_rho=cg_rho.value)
-    return {name: extras[name] for name in needs}
+        return self.bound.claimed(c.graph.n, c.delta) and self.applies(c)
 
 
 def _always(c: Classified) -> bool:
@@ -253,56 +248,36 @@ DEFAULT_PREDICATES = tuple(
 )
 
 
-def _inconclusive(item: ScanItem, g: Graph, names: Sequence[str],
-                  exc: BudgetExceeded) -> list[ScanRecord]:
-    detail = {"reason": "node budget exhausted", "quantity": exc.quantity,
-              "range": [exc.lower, exc.upper]}
-    return [
-        ScanRecord(graph_id=item.graph_id, family=item.family, n=g.n,
-                   check=name, kind=PREDICATES[name].kind, holds=None,
-                   details=detail)
-        for name in names
-    ]
-
-
 def evaluate_predicates(item: ScanItem, facts: GraphFacts,
                         names: Sequence[str]
                         ) -> tuple[list[ScanRecord], list[dict]]:
-    """Records of the named predicates that apply to the item, and a
-    counterexample for each conjecture that fails.  A predicate that runs
-    out of budget yields an inconclusive record."""
+    """Records of the named predicates that apply to the item, from
+    `bounds.bound_records`, and a counterexample for each conjecture that
+    fails.  The extras are found on demand, each at most once; a row whose
+    extra runs out of budget yields an inconclusive record."""
     g = facts.graph
-    records: list[ScanRecord] = []
-    counterexamples: list[dict] = []
-    for name in names:
-        pred = PREDICATES[name]
-        if not pred.covers(facts):
-            continue
-        try:
-            holds, bound, details = pred.verdict(facts)
-        except BudgetExceeded as exc:
-            records.extend(_inconclusive(item, g, [name], exc))
-            continue
-        records.append(
-            ScanRecord(graph_id=item.graph_id, family=item.family, n=g.n,
-                       check=name, kind=pred.kind, holds=holds, bound=bound,
-                       gamma=facts.gamma, rho=facts.rho, details=details)
-        )
-        if not holds and pred.kind == "conjecture":
-            o = item.ordering
-            counterexamples.append({
-                "graph_id": item.graph_id,
-                "family": item.family,
-                "predicate": name,
-                "graph6": item.graph6,
-                "gamma": facts.gamma,
-                "rho": facts.rho,
-                "bound": bound,
-                "dominating": list(facts.dominating),
-                "packing": list(facts.packing),
-                "x_order": list(o.x_order) if o else None,
-                "y_order": list(o.y_order) if o else None,
-            })
+    clique = functools.cache(
+        lambda: clique_graph_numbers(facts.triangulation, facts.budget))
+    rows = [PREDICATES[name].row for name in names
+            if PREDICATES[name].applies(facts)]
+    records = bounds.bound_records(
+        rows, item.graph_id, item.family, g.n, facts.gamma, facts.rho,
+        delta=facts.delta, t=lambda: low_degree_count(g),
+        cg_gamma=lambda: clique()[0].value, cg_rho=lambda: clique()[1].value)
+    o = item.ordering
+    counterexamples = [{
+        "graph_id": item.graph_id,
+        "family": item.family,
+        "predicate": r.check,
+        "graph6": item.graph6,
+        "gamma": facts.gamma,
+        "rho": facts.rho,
+        "bound": r.bound,
+        "dominating": list(facts.dominating),
+        "packing": list(facts.packing),
+        "x_order": list(o.x_order) if o else None,
+        "y_order": list(o.y_order) if o else None,
+    } for r in records if r.holds is False and r.kind == "conjecture"]
     return records, counterexamples
 
 
@@ -323,8 +298,10 @@ def _predicate_worker(
         try:
             facts = _solved(known)
         except BudgetExceeded as exc:
-            names = [n for n in names if PREDICATES[n].covers(known)]
-            return _inconclusive(item, g, names, exc), []
+            rows = [PREDICATES[name].row for name in names
+                    if PREDICATES[name].covers(known)]
+            return bounds.inconclusive_records(
+                rows, item.graph_id, item.family, g.n, exc), []
         return evaluate_predicates(item, facts, names)
     except Exception as exc:  # one failing item must not sink the scan
         traceback.print_exc()  # the record keeps only the type and message
@@ -386,10 +363,9 @@ def verify_counterexamples(lines: Iterable[str],
                                       tuple(ce["y_order"]))
         item = ScanItem(ce["graph_id"], ce["family"], ce["graph6"], ordering)
         facts = graph_facts(item, decode_graph6(item.graph6), budget)
-        pred = PREDICATES[ce["predicate"]]
+        records, _ = evaluate_predicates(item, facts, [ce["predicate"]])
         out = dict(ce)
-        out["still_violates"] = (pred.covers(facts)
-                                 and not pred.verdict(facts)[0])
+        out["still_violates"] = any(r.holds is False for r in records)
         results.append(out)
     return results
 
@@ -474,22 +450,21 @@ CERTIFY: dict[str, Callable[..., tuple[dict, list[ScanRecord]]]] = {
 
 # ---------------------------------------------------------- experiments ----
 
+# the tight family's exact values: k disjoint blocks, so the
+# connected-graph certificate machinery does not apply
+_TIGHT_RECORDS = (
+    ("tight-gamma-eq-2k", "theorem", bounds.GAMMA_EQ_2K),
+    ("tight-rho-eq-k", "theorem", bounds.RHO_EQ_K),
+    ("tight-gamma-eq-2rho", "theorem", bounds.GAMMA_EQ_2RHO),
+)
+
+
 def _exp_records_tight(item: ScanItem, g: Graph, budget: int,
                        k: int) -> list[ScanRecord]:
-    gamma = domination_number(g, budget)
-    rho = packing_number(g, budget)
-    base = dict(graph_id=item.graph_id, family=item.family, n=g.n,
-                gamma=gamma.value, rho=rho.value)
-    # k disjoint blocks, so the connected-graph certificate machinery does
-    # not apply; the point of the family is the pair of exact values.
-    return [
-        ScanRecord(check="tight-gamma-eq-2k", kind="theorem",
-                   holds=gamma.value == 2 * k, bound=bound_str(2 * k), **base),
-        ScanRecord(check="tight-rho-eq-k", kind="theorem",
-                   holds=rho.value == k, bound=bound_str(k), **base),
-        ScanRecord(check="tight-gamma-eq-2rho", kind="theorem",
-                   holds=gamma.value == 2 * rho.value, **base),
-    ]
+    gamma = domination_number(g, budget).value
+    rho = packing_number(g, budget).value
+    return bounds.bound_records(_TIGHT_RECORDS, item.graph_id, item.family,
+                                g.n, gamma, rho, k=k)
 
 
 def budget_record(graph_id: str, family: str, n: int,

@@ -196,13 +196,13 @@ def host_tree_certificate(g: Graph, top: Sequence[int], visit: Iterable[int]
 def _tree_certificate(sub: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """`host_tree_certificate` of the tree `sub` (on trees gamma = rho,
     Meir and Moon 1975), which is its own host tree: rooted at 0 by BFS,
-    N[v] is v's star, topped by v's parent (the root by the root itself).  The visit is the BFS order from its end,
-    deepest first as in Cockayne, Goodman and Hedetniemi (1975), except
-    that the root comes ahead of its children; their tops are all the root,
-    so the order stays valid.  With it K2 gets the packing (0,) that the
-    search returns; the mop reports lift the clique-graph packing of
-    4-vertex mops, whose clique graph is K2, so their bytes do not depend
-    on which of the two solved it."""
+    N[v] is v's star, topped by v's parent (the root by the root itself).
+    The visit is the BFS order from its end, deepest first as in Cockayne,
+    Goodman and Hedetniemi (1975), except that the root comes ahead of its
+    children; their tops are all the root, so the order stays valid.  With
+    it K2 gets the packing (0,) that the search returns; the mop reports
+    lift the clique-graph packing of 4-vertex mops, whose clique graph is
+    K2, so their bytes do not depend on which of the two solved it."""
     order, top = bfs_tree(sub.adj, 0)
     top[0] = 0
     k = len(sub.adj[0])  # the root's children are order[1:k + 1]

@@ -208,6 +208,23 @@ def test_check_biconvex_bound_single_vertex():
     assert all(r.holds for r in records)
 
 
+def test_single_vertex_records_are_pinned():
+    # the exact record carries no details, the certified one the singleton
+    # certificates, and there is no bracket
+    _, records = certify_biconvex(Graph.from_edges(1, []),
+                                  ConvexOrdering((0,), ()), "k1")
+    base = {"graph_id": "k1", "family": "biconvex", "n": 1,
+            "kind": "theorem", "holds": True, "bound": "2", "gamma": 1,
+            "rho": 1}
+    assert [r.as_dict() for r in records] == [
+        {**base, "check": "gamma-le-2rho", "details": {}},
+        {**base, "check": "certified-gamma-le-2rho",
+         "details": {"pack_size": 1, "dom_size": 1,
+                     "pack_method": "singleton", "dom_method": "singleton",
+                     "width": 0}},
+    ]
+
+
 def test_single_vertex_ordering_is_validated():
     # the ordering must name the lone vertex, as for every other order
     with pytest.raises(ValueError):

@@ -469,10 +469,10 @@ def test_certify_and_reproduce_agree(name, cls):
 
 
 @st.composite
-def small_graph6_inputs(draw):
-    """One graph6 line with n <= 9: any graph, or a tree, mop, bicubic or
-    biconvex graph from the seeded generators.  A biconvex graph's
-    orderings are kept, shuffled, swapped or dropped."""
+def small_graphs(draw):
+    """(graph, orderings or None) with n <= 9: any graph, or a tree, mop,
+    bicubic or biconvex graph from the seeded generators.  A biconvex
+    graph's orderings are kept, shuffled, swapped or dropped."""
     kind = draw(st.sampled_from(("any", "tree", "mop", "bicubic", "biconvex")))
     seed = draw(st.integers(0, 10**6))
     orderings = None
@@ -499,9 +499,29 @@ def small_graph6_inputs(draw):
                          draw(st.permutations(o.y_order)))
         elif how == "swap":
             orderings = (o.y_order, o.x_order)
+    return g, orderings
+
+
+def _graph6_text(drawn):
     text = io.StringIO()
-    write_graph6_stream([(g, orderings)], text)
+    write_graph6_stream([drawn], text)
     return text.getvalue()
+
+
+def small_graph6_inputs():
+    """One graph6 line of a `small_graphs` graph, with its orderings as
+    sidecar lines."""
+    return small_graphs().map(_graph6_text)
+
+
+@st.composite
+def small_edgelist_inputs(draw):
+    """A `small_graphs` graph in the edge-list format, whole or with one
+    line (header, order or edge) left out."""
+    lines = write_edgelist(*draw(small_graphs())).splitlines()
+    if draw(st.booleans()):
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    return "".join(line + "\n" for line in lines)
 
 
 _COMMANDS = (
@@ -512,16 +532,34 @@ _COMMANDS = (
 )
 
 
+def _documented_exit(argv, text):
+    # an answer, a record or a message: exit 0, 1, 2 or 3, never an
+    # exception out of cli.main; exit 1 always says why on stderr
+    err = io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3), (argv, text)
+    assert code != 1 or err.getvalue(), (argv, text)
+
+
 @settings(max_examples=100, deadline=None)
 @given(small_graph6_inputs())
 def test_cli_ends_every_small_input_with_a_documented_exit_code(text):
-    # an answer, a record or a message: exit 0, 1, 2 or 3, never an
-    # exception out of cli.main; exit 1 always says why on stderr
     for argv in _COMMANDS:
-        err = io.StringIO()
-        with mock.patch.object(sys, "stdin", io.StringIO(text)), \
-                contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(err):
-            code = cli.main(argv + ["--input", "-"])
-        assert code in (0, 1, 2, 3), (argv, text)
-        assert code != 1 or err.getvalue(), (argv, text)
+        _documented_exit(argv + ["--input", "-"], text)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_graph6_inputs(), small_edgelist_inputs())
+def test_scan_reproduce_and_edge_lists_end_with_a_documented_exit_code(
+        graph6, edgelist):
+    # the same promise for scan's and reproduce's corpora, and for every
+    # command that reads the edge-list format
+    for argv in (["scan", "--input", "-"],
+                 ["reproduce", "--name", "bicubic-small", "--corpus", "-"]):
+        _documented_exit(argv, graph6)
+    for argv in _COMMANDS + (["scan"],):
+        _documented_exit(argv + ["--format", "edgelist", "--input", "-"],
+                         edgelist)

@@ -35,6 +35,7 @@ from gammarho.harness import (
     write_counterexamples,
 )
 from gammarho.reports import ScanRecord, read_report, summarize, write_report
+from gammarho.solvers import BudgetExceeded
 from conftest import count_calls
 
 
@@ -349,6 +350,32 @@ def test_scan_mop_clique_row_runs_one_pass(monkeypatch):
                       "verify_tokunaga": 3}
     clique = [r for r in records if r.check == "mop-clique-gamma-eq-rho"]
     assert len(clique) == 3 and all(r.holds for r in clique)
+
+
+def test_scan_clique_row_out_of_budget_is_inconclusive_in_place(monkeypatch):
+    # only the row that reads the clique graph's numbers loses its verdict;
+    # every other mop row keeps its verdict and its place
+    item = make_item("mop-9", "mop", gen_random_mop(9, 9))
+    solved, _ = run_scan([item])
+    calls = []
+
+    def starved(t, budget):
+        calls.append(budget)
+        raise BudgetExceeded("gamma", 2, 4, (0, 1, 2, 3), 11)
+
+    monkeypatch.setattr(harness, "clique_graph_numbers", starved)
+    records, ces = run_scan([item], budget=77)
+    assert calls == [77] and ces == []
+    assert [r.check for r in records] == [r.check for r in solved]
+    (clique,) = [r for r in records if r.holds is None]
+    assert clique.as_dict() == {
+        "graph_id": "mop-9", "family": "mop", "n": 9,
+        "check": "mop-clique-gamma-eq-rho", "kind": "theorem", "holds": None,
+        "bound": "", "gamma": None, "rho": None,
+        "details": {"reason": "node budget exhausted", "quantity": "gamma",
+                    "range": [2, 4]}}
+    assert [r for r in records if r is not clique] == [
+        r for r in solved if r.check != "mop-clique-gamma-eq-rho"]
 
 
 def test_scan_reads_max_degree_once_per_item(monkeypatch):
