@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 
@@ -42,8 +43,8 @@ from .harness import (
     CERTIFY,
     DEFAULT_PREDICATES,
     EXPERIMENTS,
-    budget_record,
     default_scan_items,
+    guarded,
     make_item,
     run_experiment,
     run_scan,
@@ -117,14 +118,13 @@ def cmd_compute(args) -> int:
 
 def _certify_one(idx, g, ordering, cls, budget) -> tuple[dict, list]:
     """Certificate bundle and records of one graph, from the class's
-    `CERTIFY` entry.  A solve that exhausts the budget leaves the bundle
-    one solver-budget record and no certificates."""
+    `CERTIFY` entry through `harness.guarded`.  A solve that exhausts the
+    budget leaves the bundle one solver-budget record and no certificates,
+    any other failure but a ValueError one scan-error record."""
     gid = f"{cls}-{idx}"
-    try:
-        certs, records = CERTIFY[cls](gid, g, ordering, budget)
-    except BudgetExceeded as exc:
-        certs, records = {}, [budget_record(gid, cls, g.n, exc)]
-    bundle = {"graph_id": gid, "n": g.n, "m": g.m, **certs,
+    certs, records = guarded(gid, cls, g.n, functools.partial(
+        CERTIFY[cls], gid, g, ordering, budget))
+    bundle = {"graph_id": gid, "n": g.n, "m": g.m, **(certs or {}),
               "records": [r.as_dict() for r in records]}
     return bundle, records
 

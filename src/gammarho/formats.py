@@ -8,10 +8,13 @@ lines fail loudly instead of producing a silently wrong graph.
 
 The codec works a column at a time rather than a bit at a time: the
 payload bytes are mapped onto the base64 alphabet with `bytes.translate`
-and decoded by `binascii.a2b_base64` into one int holding the whole
-bit string, the padding bits are checked with one mask, and column j of
-the matrix (the j bits of pairs (0, j) .. (j - 1, j)) comes out of that
-int with one shift, of which only the set bits are walked.  The encoder
+and decoded by `binascii.a2b_base64` into the packed bit string, the
+padding bits are checked in the last payload byte, and column j of the
+matrix (the j bits of pairs (0, j) .. (j - 1, j)) comes out with one shift
+of an int read from a block of at least `_BLOCK` bytes around it, of which
+only the set bits are walked.  A shift never spans the whole string, so
+decoding is linear in the line's length; a bit string of up to `_BLOCK`
+bytes (n <= 90) is one block.  The encoder
 runs the same steps backwards: it sets each column's bits from the
 vertex's lower neighbours in one packed bit string, and maps its
 `binascii.b2a_base64` digits back with `bytes.translate`.
@@ -28,6 +31,7 @@ edges.  Blank lines and "#" comments are ignored.
 from __future__ import annotations
 
 import binascii
+from math import isqrt
 from typing import Iterable, Sequence, TextIO
 
 from .graphs import Graph
@@ -76,6 +80,7 @@ def _decode_n(data: bytes) -> tuple[int, int]:
 
 
 _PRINTABLE = bytes(range(63, 127))
+_BLOCK = 512  # bytes of bit string per int the decoder cuts columns from
 _BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 # graph6 byte 63 + v to the v-th base64 digit, and back
 _TO_BASE64 = bytes.maketrans(_PRINTABLE, _BASE64)
@@ -113,16 +118,14 @@ def encode_graph6(g: Graph, header: bool = False) -> str:
 
 def decode_graph6(line: str) -> Graph:
     """Parse one graph6 line (optional ">>graph6<<" prefix allowed)."""
-    line = line.strip()
-    if line.startswith(GRAPH6_HEADER):
-        line = line[len(GRAPH6_HEADER):]
+    line = line.strip().removeprefix(GRAPH6_HEADER)
     if not line:
         raise FormatError("empty graph6 line")
-    data = line.encode("ascii", errors="strict") if line.isascii() else None
-    if data is None:
+    if not line.isascii():
         raise FormatError("graph6 line contains non-ASCII bytes")
+    data = line.encode()
     _check_bytes(data)
-    n, used = _decode_n(data)
+    n, used = (data[0] - 63, 1) if data[0] != 126 else _decode_n(data)
     payload = data[used:]
     npairs = n * (n - 1) // 2
     expected = (npairs + 5) // 6
@@ -130,26 +133,40 @@ def decode_graph6(line: str) -> Graph:
         raise FormatError(
             f"graph6 payload is {len(payload)} bytes, expected {expected} for n={n}"
         )
-    # whole base64 groups: 'A' digits append zero bits, shifted off again
-    fill = -len(payload) % 4
-    digits = payload.translate(_TO_BASE64) + b"A" * fill
-    bits = int.from_bytes(binascii.a2b_base64(digits), "big") >> 6 * fill
-    pad = 6 * len(payload) - npairs
-    if bits & ((1 << pad) - 1):
+    # the fewer than 6 padding bits are the low bits of the last byte
+    if payload and (payload[-1] - 63) & ((1 << (6 * expected - npairs)) - 1):
         raise FormatError("nonzero padding bits in graph6 line")
-    bits >>= pad
-    # column j holds pairs (0, j) .. (j - 1, j), pair (i, j) at bit j - 1 - i
+    # whole base64 groups: 'A' digits decode to zero bits past the payload
+    raw = binascii.a2b_base64(payload.translate(_TO_BASE64)
+                              + b"A" * (-expected % 4))
+    # column j holds bits j(j - 1)/2 .. j(j + 1)/2 - 1 of the string, pair
+    # (i, j) at its i-th bit.  Columns are cut from one int per block of at
+    # least _BLOCK bytes, so a shift costs O(_BLOCK + j), not O(n^2).
     adj: list[list[int]] = [[] for _ in range(n)]
-    end = npairs
-    for j in range(1, n):
-        end -= j
-        col = (bits >> end) & ((1 << j) - 1)
-        while col:
-            low = col & -col
-            i = j - low.bit_length()
-            adj[i].append(j)
-            adj[j].append(i)
-            col ^= low
+    j = 1
+    while j < n:
+        start = j * (j - 1) // 2
+        first = start >> 3
+        last = first + _BLOCK + j // 8  # at least to column j's end
+        if last < len(raw):
+            # columns j .. stop - 1 end inside the block: column k ends at
+            # bit k(k + 1)/2, the block at bit 8 * last
+            stop = min(n, (isqrt(64 * last + 1) + 1) // 2)
+        else:
+            last, stop = len(raw), n
+        block = int.from_bytes(raw[first:last], "big")
+        end = 8 * last - start
+        for j in range(j, stop):
+            end -= j
+            # pair (i, j) at bit j - 1 - i of col
+            col = (block >> end) & ((1 << j) - 1)
+            while col:
+                low = col & -col
+                i = j - low.bit_length()
+                adj[i].append(j)
+                adj[j].append(i)
+                col ^= low
+        j = stop
     return Graph(n, adj)
 
 

@@ -19,14 +19,20 @@ rows that read it do.
 `CERTIFY` maps each `certify` class to the one function that builds its
 certificates and records; the class records read the same table rows as
 the predicates, and `reproduce` reaches each class through the same entry.
-The tight family's records are table rows too.
+The tight family's records are table rows too.  `certify` and `reproduce`
+call an entry through `guarded`: a budget run-out gives one solver-budget
+record, and any other exception but a ValueError (input outside the class,
+exit 1) gives the scan's error record, and the run goes on to exit 3.
 
 Every parallel map goes through `map_items`: serial for one job, else one
 `multiprocessing.Pool.map` with the stdlib's default chunking, which hands
 each worker about four contiguous chunks of items instead of one item per
 round trip.  Graphs travel between processes as graph6 strings; records
-come back in submission order, so a scan's report is byte-identical for a
-fixed corpus no matter how many workers ran it.  An item whose evaluation
+come back as flat tuples (`ScanRecord.__reduce__`: the class and the ten
+field values, no `__dict__` of field names), in submission order, so a
+scan's report is byte-identical for a fixed corpus no matter how many
+workers ran it.  `reports.write_report` writes each record's line from
+one fixed-key template.  An item whose evaluation
 raises anything but `BudgetExceeded` becomes one `error` record (exit code
 3) and the scan goes on.
 """
@@ -36,6 +42,7 @@ from __future__ import annotations
 import functools
 import json
 import multiprocessing
+import sys
 import traceback
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -281,8 +288,11 @@ def evaluate_predicates(item: ScanItem, facts: GraphFacts,
     return records, counterexamples
 
 
-def _error_record(item: ScanItem, g: Graph, exc: Exception) -> ScanRecord:
-    return ScanRecord(graph_id=item.graph_id, family=item.family, n=g.n,
+def _error_record(graph_id: str, family: str, n: int,
+                  exc: Exception) -> ScanRecord:
+    """The one error record that stands for a graph whose evaluation
+    raised; it keeps the exception's type and message."""
+    return ScanRecord(graph_id=graph_id, family=family, n=n,
                       check="scan-error", kind="error", holds=None,
                       details={"error": type(exc).__name__,
                                "message": str(exc)})
@@ -305,7 +315,7 @@ def _predicate_worker(
         return evaluate_predicates(item, facts, names)
     except Exception as exc:  # one failing item must not sink the scan
         traceback.print_exc()  # the record keeps only the type and message
-        return [_error_record(item, g, exc)], []
+        return [_error_record(item.graph_id, item.family, g.n, exc)], []
 
 
 def run_scan(items: Sequence[ScanItem],
@@ -459,12 +469,12 @@ _TIGHT_RECORDS = (
 )
 
 
-def _exp_records_tight(item: ScanItem, g: Graph, budget: int,
-                       k: int) -> list[ScanRecord]:
+def _certify_tight(item: ScanItem, g: Graph, budget: int,
+                   k: int) -> tuple[dict, list[ScanRecord]]:
     gamma = domination_number(g, budget).value
     rho = packing_number(g, budget).value
-    return bounds.bound_records(_TIGHT_RECORDS, item.graph_id, item.family,
-                                g.n, gamma, rho, k=k)
+    return {}, bounds.bound_records(_TIGHT_RECORDS, item.graph_id,
+                                    item.family, g.n, gamma, rho, k=k)
 
 
 def budget_record(graph_id: str, family: str, n: int,
@@ -477,19 +487,41 @@ def budget_record(graph_id: str, family: str, n: int,
                                "range": [exc.lower, exc.upper]})
 
 
+def guarded(graph_id: str, family: str, n: int,
+            certify: Callable[[], tuple[dict, list[ScanRecord]]]
+            ) -> tuple[dict | None, list[ScanRecord]]:
+    """`certify()`, a `CERTIFY` entry bound to one graph: its certificates
+    and records.  A solve that runs out of budget gives no certificates
+    and one solver-budget record.  Any other exception but a ValueError
+    (the graph is not in the class, which stops the run) gives none and
+    the scan's error record, and one line on stderr; the run goes on and
+    ends with exit 3."""
+    try:
+        return certify()
+    except BudgetExceeded as exc:
+        return None, [budget_record(graph_id, family, n, exc)]
+    except ValueError:
+        raise
+    except Exception as exc:  # one failing graph must not sink the run
+        print(f"gammarho: certificate failure: {graph_id}: "
+              f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return None, [_error_record(graph_id, family, n, exc)]
+
+
 def _experiment_worker(args: tuple[str, ScanItem, int, dict]) -> list[ScanRecord]:
     """The records of one job: the tight family's exact values, or the
     class's `CERTIFY` records, which for bicubic-small gain the 2rho
-    conjecture under the item's own family."""
+    conjecture under the item's own family; both through `guarded`."""
     kind, item, budget, params = args
     g = decode_graph6(item.graph6)
-    try:
-        if kind == "tight":
-            return _exp_records_tight(item, g, budget, params["k"])
-        _, records = CERTIFY[kind](item.graph_id, g, item.ordering, budget)
-    except BudgetExceeded as exc:
-        return [budget_record(item.graph_id, item.family, g.n, exc)]
-    if kind == "bicubic":
+    if kind == "tight":
+        certify = functools.partial(_certify_tight, item, g, budget,
+                                    params["k"])
+    else:
+        certify = functools.partial(CERTIFY[kind], item.graph_id, g,
+                                    item.ordering, budget)
+    certs, records = guarded(item.graph_id, item.family, g.n, certify)
+    if kind == "bicubic" and certs is not None:
         # every class record carries the exact values
         records += bounds.bound_records(
             [("gamma-le-2rho", "conjecture", bounds.GAMMA_LE_2RHO)],

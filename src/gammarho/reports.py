@@ -5,11 +5,17 @@ rerunning a scan with the same spec reproduces the file byte for byte.
 Exact bound values are serialized as Fraction strings ("120/49", "5").
 A final line {"summary": {...}} aggregates extremal ratios per family.
 
-Records are serialized through `ScanRecord.as_dict`, a shallow dict of the
-ten fields, and one shared encoder, `ENCODER`; a scan writes tens of
-thousands of them, so neither a deep copy nor a fresh encoder per record
-is paid.  `certify` writes its bundles, one per line, through the same
-encoder.
+A scan builds tens of thousands of records, so both of their trips are
+kept cheap.  A record crosses the process pool as a flat tuple: it pickles
+as its class and its ten field values (`ScanRecord.__reduce__`), not as a
+class plus a `__dict__` of field names.  A report line comes from one
+fixed-key template (`ScanRecord.to_json`): the ten keys in the sorted order
+of the shared encoder `ENCODER`, text through the C string escaper that
+`ENCODER` uses, and `details` through `ENCODER` itself when it is not
+empty; the line equals `ENCODER.encode(record.as_dict())` byte for byte.
+`write_report` streams the lines into its sink one record at a time.
+`certify` writes its bundles, one per line, through `ENCODER` and
+`as_dict`, a shallow dict of the ten fields.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _text
 from typing import Iterable, TextIO
 
 
@@ -42,8 +49,25 @@ class ScanRecord:
                 "gamma": self.gamma, "rho": self.rho,
                 "details": self.details}
 
+    def __reduce__(self):
+        # pickled as the class and its field values in declaration order
+        return ScanRecord, (self.graph_id, self.family, self.n, self.check,
+                            self.kind, self.holds, self.bound, self.gamma,
+                            self.rho, self.details)
+
     def to_json(self) -> str:
-        return ENCODER.encode(self.as_dict())
+        """`ENCODER.encode(self.as_dict())`, written from the fixed key
+        order; only a non-empty `details` goes through the encoder."""
+        holds, gamma, rho = self.holds, self.gamma, self.rho
+        return (
+            f'{{"bound":{_text(self.bound)},"check":{_text(self.check)},'
+            f'"details":{ENCODER.encode(self.details) if self.details else "{}"},'
+            f'"family":{_text(self.family)},'
+            f'"gamma":{"null" if gamma is None else gamma},'
+            f'"graph_id":{_text(self.graph_id)},'
+            f'"holds":{"null" if holds is None else "true" if holds else "false"},'
+            f'"kind":{_text(self.kind)},"n":{self.n},'
+            f'"rho":{"null" if rho is None else rho}}}')
 
 
 # what json.dumps(obj, sort_keys=True, separators=(",", ":")) builds per call
@@ -51,7 +75,8 @@ ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def bound_str(value: Fraction | int) -> str:
-    return str(Fraction(value))
+    # an int's text is its Fraction's text, without building the Fraction
+    return str(value) if type(value) is int else str(Fraction(value))
 
 
 def summarize(records: Iterable[ScanRecord]) -> dict:
@@ -89,8 +114,7 @@ def summarize(records: Iterable[ScanRecord]) -> dict:
 
 def write_report(records: Iterable[ScanRecord], sink: TextIO, summary: bool = True) -> None:
     records = list(records)
-    for r in records:
-        sink.write(r.to_json() + "\n")
+    sink.writelines(r.to_json() + "\n" for r in records)
     if summary:
         sink.write(json.dumps({"summary": summarize(records)}, sort_keys=True) + "\n")
 

@@ -125,7 +125,7 @@ def test_certify_mop_builds_and_solves_once(tmp_path, capsys, monkeypatch):
 def test_certify_mop_bad_colors_are_a_certificate_failure(tmp_path, capsys,
                                                           monkeypatch):
     # the colors are verified once, inside tokunaga_color, and a problem
-    # there fails the whole certify run
+    # there fails the certify run with exit 3
     monkeypatch.setattr(outerplanar, "verify_tokunaga",
                         lambda *args: ["edge 0-1 monochromatic"])
     path = write_g6(tmp_path, "m.g6", [gen_random_mop(12, 5)])
@@ -392,6 +392,70 @@ def test_certificate_error_is_exit_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_compute", boom)
     path = write_g6(tmp_path, "in.g6", [gen_path(3)])
     assert cli.main(["compute", "--input", path]) == 3
+
+
+def _raise_on_second(monkeypatch, cls, exc):
+    """Patch the CERTIFY entry of `cls` to raise `exc` for the graph ids
+    ending in -1 and to certify every other graph as before."""
+    real = harness.CERTIFY[cls]
+
+    def certify(graph_id, g, ordering, budget):
+        if graph_id.endswith("-1"):
+            raise exc
+        return real(graph_id, g, ordering, budget)
+    monkeypatch.setitem(harness.CERTIFY, cls, certify)
+
+
+def test_certify_records_an_error_and_goes_on(tmp_path, capsys, monkeypatch):
+    # an exception from a class's certificates that is neither a budget
+    # nor a bad input is the scan's error record; the run goes on, exit 3
+    graphs = [gen_random_mop(8, s) for s in range(3)]
+    path = write_g6(tmp_path, "in.g6", graphs)
+    assert cli.main(["certify", "--class", "mop", "--input", path]) == 0
+    clean = json_bundles(capsys.readouterr().out)
+    _raise_on_second(monkeypatch, "mop", RuntimeError("forced"))
+    assert cli.main(["certify", "--class", "mop", "--input", path]) == 3
+    out, err = capsys.readouterr()
+    bundles = json_bundles(out)
+    assert [bundles[0], bundles[2]] == [clean[0], clean[2]]
+    assert bundles[1] == {
+        "graph_id": "mop-1", "n": 8, "m": 13, "records": [{
+            "graph_id": "mop-1", "family": "mop", "n": 8,
+            "check": "scan-error", "kind": "error", "holds": None,
+            "bound": "", "gamma": None, "rho": None,
+            "details": {"error": "RuntimeError", "message": "forced"}}]}
+    assert "RuntimeError: forced" in err
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_reproduce_records_an_error_and_goes_on(tmp_path, capsys,
+                                               monkeypatch, jobs):
+    # the pool forks, so the workers see the patched table
+    out = tmp_path / "clean.jsonl"
+    argv = ["reproduce", "--name", "mop-theorem4", "--jobs", str(jobs)]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    clean, _ = read_report(out.read_text().splitlines())
+    _raise_on_second(monkeypatch, "mop", RuntimeError("forced"))
+    assert cli.main(argv + ["--out", str(out)]) == 3
+    records, _ = read_report(out.read_text().splitlines())
+    assert [r for r in records if r.graph_id != "mop-1"] == [
+        r for r in clean if r.graph_id != "mop-1"]
+    (err,) = [r for r in records if r.graph_id == "mop-1"]
+    assert (err.check, err.kind, err.family, err.n, err.details) == (
+        "scan-error", "error", "mop", 5,
+        {"error": "RuntimeError", "message": "forced"})
+    assert records.index(err) == [r.graph_id for r in clean].index("mop-1")
+
+
+def test_certify_and_reproduce_keep_exit_1_for_a_value_error(
+        tmp_path, capsys, monkeypatch):
+    # a ValueError says the input is outside the class: message, exit 1
+    _raise_on_second(monkeypatch, "mop", ValueError("not in the class"))
+    path = write_g6(tmp_path, "in.g6", [gen_random_mop(8, s) for s in range(3)])
+    assert cli.main(["certify", "--class", "mop", "--input", path]) == 1
+    assert "gammarho: not in the class" in capsys.readouterr().err
+    assert cli.main(["reproduce", "--name", "mop-theorem4"]) == 1
+    assert "gammarho: not in the class" in capsys.readouterr().err
 
 
 def test_reproduce_corpus_reads_what_certify_reads(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import base64
 import io
 import random
 
@@ -291,7 +292,8 @@ def _bitwise_decode_graph6(line):
 @st.composite
 def _dense_graphs(draw, max_n=130):
     """Any graph on 0..max_n vertices, its edge set drawn as one integer
-    over the n(n-1)/2 pairs; 130 crosses the 62/63 size-field switch."""
+    over the n(n-1)/2 pairs; 130 crosses the 62/63 size-field switch and
+    the decoder's one-block limit at 90/91."""
     n = draw(st.integers(0, max_n))
     pairs = [(i, j) for j in range(n) for i in range(j)]
     bits = draw(st.integers(0, (1 << len(pairs)) - 1))
@@ -313,7 +315,7 @@ def test_column_decoder_matches_bitwise_decoder(g, header):
     assert got.closed_masks == ref.closed_masks
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 9, 62, 63, 64, 100])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 9, 62, 63, 64, 100, 2000])
 def test_column_decoder_rejects_padding_and_length(n):
     line = encode_graph6(Graph.from_edges(n, [(0, n - 1)]))
     used = 1 if n <= 62 else 4
@@ -326,6 +328,64 @@ def test_column_decoder_rejects_padding_and_length(n):
     for bad in (line[:-1], line + "?"):
         with pytest.raises(FormatError, match="payload"):
             decode_graph6(bad)
+
+
+def _shift_decode_graph6(line):
+    """The column decoder the block decoder replaced: it shifts one int of
+    the whole bit string per column, O(n^3 / 64) word operations, and is a
+    reference for valid lines."""
+    line = line.strip()
+    if line.startswith(">>graph6<<"):
+        line = line[len(">>graph6<<"):]
+    data = line.encode("ascii")
+    if data[0] != 126:
+        n, used = data[0] - 63, 1
+    else:
+        n, used = 0, 4
+        for b in data[1:4]:
+            n = (n << 6) | (b - 63)
+    payload = data[used:]
+    npairs = n * (n - 1) // 2
+    fill = -len(payload) % 4
+    digits = payload.translate(bytes.maketrans(
+        bytes(range(63, 127)),
+        b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"))
+    bits = int.from_bytes(base64.b64decode(digits + b"A" * fill), "big")
+    bits >>= 6 * fill + 6 * len(payload) - npairs
+    adj = [[] for _ in range(n)]
+    end = npairs
+    for j in range(1, n):
+        end -= j
+        col = (bits >> end) & ((1 << j) - 1)
+        while col:
+            low = col & -col
+            i = j - low.bit_length()
+            adj[i].append(j)
+            adj[j].append(i)
+            col ^= low
+    return Graph(n, adj)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_graphs(max_n=300), _dense_graphs()), st.booleans())
+@example(cycle(90), False)  # the largest n whose bit string is one block
+@example(cycle(91), True)
+def test_block_decoder_matches_shift_decoder(g, header):
+    line = encode_graph6(g, header=header)
+    got = decode_graph6(line)
+    assert got.adj == _shift_decode_graph6(line).adj == g.adj
+
+
+def test_block_decoder_matches_shift_decoder_at_2000_vertices():
+    rng = random.Random(2000)
+    n = 2000
+    edges = {(i, i + 1) for i in range(n - 1)}
+    edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(6 * n)}
+    edges |= {(i, n - 1) for i in range(0, n - 1, 3)}  # one dense column
+    g = Graph.from_edges(n, edges)
+    line = encode_graph6(g)
+    got = decode_graph6(line)
+    assert got.adj == _shift_decode_graph6(line).adj == g.adj
 
 
 def _bitwise_encode_graph6(g, header=False):

@@ -1,10 +1,13 @@
+import copy
 import dataclasses
 import json
+import pickle
+import pickletools
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from gammarho.reports import ScanRecord, summarize
+from gammarho.reports import ENCODER, ScanRecord, bound_str, summarize
 
 fraction_strings = st.builds(
     lambda p, q: str(Fraction(p, q)),
@@ -57,10 +60,14 @@ def _summarize_with_fractions(records):
 
 @settings(max_examples=150, deadline=None)
 @given(records)
+# 1 == True and 0 == False: the counts must still print as numbers
+@example(ScanRecord("g", "f", 1, "c", "info", True, "1", 1, 0))
+@example(ScanRecord("\u00e9\n\"", "f", 0, "", "error", False, "", 0, 1,
+                    {"e": "\u2603", "\x00": [None, True, 0, 1.5]}))
 def test_to_json_matches_a_deep_copy(r):
     expected = json.dumps(dataclasses.asdict(r), sort_keys=True,
                           separators=(",", ":"))
-    assert r.to_json() == expected
+    assert r.to_json() == expected == ENCODER.encode(r.as_dict())
 
 
 @settings(max_examples=60, deadline=None)
@@ -78,3 +85,49 @@ def test_as_dict_shares_details():
     assert list(d) == [f.name for f in dataclasses.fields(ScanRecord)]
     assert d == dataclasses.asdict(r)
     assert d["details"] is r.details
+
+
+def _texts(value):
+    """Every str in a JSON-like value, dict keys included."""
+    if isinstance(value, str):
+        return {value}
+    if isinstance(value, dict):
+        return set().union(*map(_texts, value), *map(_texts, value.values()))
+    if isinstance(value, (list, tuple)):
+        return set().union(*map(_texts, value))
+    return set()
+
+
+@settings(max_examples=100, deadline=None)
+@given(records)
+def test_records_pickle_flat(r):
+    data = pickle.dumps(r)
+    back = pickle.loads(data)
+    assert back == r
+    assert back.to_json() == r.to_json()
+    # the ten values in declaration order, not a __dict__ of field names:
+    # no state is set after construction, and no field name is pickled
+    # unless it is also one of the record's own texts
+    ops = list(pickletools.genops(data))
+    assert "BUILD" not in {op.name for op, _, _ in ops}
+    names = {f.name for f in dataclasses.fields(ScanRecord)} - _texts(r.as_dict())
+    assert not names & {arg for _, arg, _ in ops if isinstance(arg, str)}
+    if "graph_id" in names:
+        assert b"graph_id" not in data
+
+
+def test_copy_shares_details_and_deepcopy_does_not():
+    r = ScanRecord(graph_id="g", family="f", n=3, check="c", kind="theorem",
+                   holds=True, details={"lifted": [0, 2]})
+    assert copy.copy(r) == r and copy.copy(r).details is r.details
+    assert copy.deepcopy(r) == r and copy.deepcopy(r).details is not r.details
+
+
+@given(st.integers(-10**30, 10**30)
+       | st.builds(Fraction, st.integers(-500, 500), st.integers(1, 60)))
+@example(0)
+@example(-7)
+@example(5)
+@example(Fraction(10, 2))
+def test_bound_str_is_the_fraction_text(v):
+    assert bound_str(v) == str(Fraction(v))
