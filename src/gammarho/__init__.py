@@ -41,6 +41,7 @@ from .solvers import (
     packing_number,
     path_gamma,
     path_rho,
+    solve_pair,
 )
 from .bicubic import (
     BrooksColoring,

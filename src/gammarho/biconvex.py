@@ -31,7 +31,7 @@ from .graphs import (
     packing_violation,
 )
 from .reports import ScanRecord
-from .solvers import DEFAULT_BUDGET, domination_number, packing_number
+from .solvers import DEFAULT_BUDGET, solve_pair
 
 
 @dataclass(frozen=True)
@@ -464,8 +464,9 @@ def certify_biconvex(g: Graph, ordering: ConvexOrdering | None,
     pack = construct_packing(g, decomp)
     dom = construct_dominating(g, decomp)
     core = decomp.core
-    gamma = domination_number(g, budget).value
-    rho = packing_number(g, budget).value
+    # the certificates' sizes bound the searches
+    gamma, rho = solve_pair(g, budget, packing=pack.vertices,
+                            dominating=dom.vertices)
     detail = {
         "width": decomp.width,
         "pack_size": pack.size, "pack_method": pack.method,
@@ -478,8 +479,9 @@ def certify_biconvex(g: Graph, ordering: ConvexOrdering | None,
         packing={"vertices": list(pack.vertices), "method": pack.method},
         dominating={"vertices": list(dom.vertices), "method": dom.method},
     )
-    records = bounds.bound_records(_RECORDS, graph_id, "biconvex", g.n, gamma,
-                                   rho, pack_size=pack.size, dom_size=dom.size)
+    records = bounds.bound_records(_RECORDS, graph_id, "biconvex", g.n,
+                                   gamma.value, rho.value,
+                                   pack_size=pack.size, dom_size=dom.size)
     for r in records:
         r.details = detail
     return certs, records

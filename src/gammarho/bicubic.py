@@ -40,7 +40,7 @@ from .graphs import (
     square_restricted,
 )
 from .reports import ScanRecord
-from .solvers import DEFAULT_BUDGET, domination_number, packing_number
+from .solvers import DEFAULT_BUDGET, solve_pair
 
 
 @dataclass(frozen=True)
@@ -386,8 +386,9 @@ def certify_bicubic(g: Graph, graph_id: str = "bicubic",
     _, p, layers = bicubic_layers(g)
     certs: dict = {"side_packing": list(p)} if g.n >= 16 else {}
     certs["layers"] = {tag: list(getattr(layers, tag)) for tag in "pqrstw"}
-    certs["combined_packing"] = list(combined_packing(g, layers))
-    gamma = domination_number(g, budget)
-    rho = packing_number(g, budget)
+    packing = combined_packing(g, layers)
+    certs["combined_packing"] = list(packing)
+    # the combined packing's size bounds rho's search from below
+    gamma, rho = solve_pair(g, budget, packing=packing)
     return certs, bounds.bound_records(_RECORDS, graph_id, "bicubic", g.n,
                                        gamma.value, rho.value)

@@ -53,12 +53,7 @@ from .harness import (
 )
 from .outerplanar import build_dual, recognize_mop, tokunaga_color
 from .reports import ENCODER, write_report
-from .solvers import (
-    BudgetExceeded,
-    DEFAULT_BUDGET,
-    domination_number,
-    packing_number,
-)
+from .solvers import BudgetExceeded, DEFAULT_BUDGET, solve_pair
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,8 +98,7 @@ def cmd_compute(args) -> int:
     for idx, (g, _) in enumerate(_load(args.input, args.format)):
         row = {"index": idx, "n": g.n, "m": g.m}
         try:
-            gamma = domination_number(g, args.budget)
-            rho = packing_number(g, args.budget)
+            gamma, rho = solve_pair(g, args.budget)
             row.update(gamma=gamma.value, rho=rho.value,
                        dominating=list(gamma.witness),
                        packing=list(rho.witness),

@@ -75,12 +75,7 @@ from .outerplanar import (
     recognize_mop,
 )
 from .reports import ScanRecord
-from .solvers import (
-    BudgetExceeded,
-    DEFAULT_BUDGET,
-    domination_number,
-    packing_number,
-)
+from .solvers import BudgetExceeded, DEFAULT_BUDGET, solve_pair
 
 
 @dataclass(frozen=True)
@@ -173,18 +168,19 @@ def _classified(item: ScanItem, g: Graph, budget: int) -> Classified:
 
 
 def _solved(c: Classified) -> GraphFacts:
-    """Solve gamma, then rho; a solve that exhausts the budget raises
-    BudgetExceeded."""
-    gamma = domination_number(c.graph, c.budget)
-    rho = packing_number(c.graph, c.budget)
+    """gamma and rho from one pair solve, which reuses the triangulation of
+    a mop and does not recognise g again; a solve that exhausts the budget
+    raises BudgetExceeded."""
+    gamma, rho = solve_pair(c.graph, c.budget, c.triangulation,
+                            recognize=False)
     return GraphFacts(c.graph_id, c.family, c.graph, c.ordering, c.families,
                       c.triangulation, c.budget, c.delta, gamma.value,
                       rho.value, gamma.witness, rho.witness)
 
 
 def graph_facts(item: ScanItem, g: Graph, budget: int) -> GraphFacts:
-    """Classify g (the decoded item) and solve gamma, then rho; a solve
-    that exhausts the budget raises BudgetExceeded."""
+    """Classify g (the decoded item) and solve gamma and rho; a solve that
+    exhausts the budget raises BudgetExceeded."""
     return _solved(_classified(item, g, budget))
 
 
@@ -471,10 +467,10 @@ _TIGHT_RECORDS = (
 
 def _certify_tight(item: ScanItem, g: Graph, budget: int,
                    k: int) -> tuple[dict, list[ScanRecord]]:
-    gamma = domination_number(g, budget).value
-    rho = packing_number(g, budget).value
+    gamma, rho = solve_pair(g, budget)
     return {}, bounds.bound_records(_TIGHT_RECORDS, item.graph_id,
-                                    item.family, g.n, gamma, rho, k=k)
+                                    item.family, g.n, gamma.value, rho.value,
+                                    k=k)
 
 
 def budget_record(graph_id: str, family: str, n: int,

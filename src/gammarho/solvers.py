@@ -1,24 +1,37 @@
 """Exact solvers for the domination number (gamma) and the packing number
 (rho), plus deliberately independent brute-force oracles.
 
-`domination_number` and `packing_number` share one driver, since the two
-are a dual pair (rho <= gamma, with equality on trees).  The driver solves
-each connected component, sums the answers, and routes each component to
+`solve_pair` is the one router.  Every caller that needs both numbers of
+a graph (the scan, `certify`, `compute`, the class records) calls it once.
+It splits the graph into components once and routes each component to
 the cheapest exact method:
 
-* A forest component (a tree: m == n - 1) is solved without search by
-  `host_tree_certificate`, the one gamma = rho certificate, which
-  `outerplanar` also uses for the clique graph of a maximal outerplanar
-  graph: a linear-time greedy over the closed neighbourhoods, each a
-  subtree of a host tree (here the tree itself), returns a dominating set
-  and a packing of equal size, which proves both optimal because
-  rho <= gamma.  The pair is validated before use; it reports nodes = 0
-  and spends none of the budget.  Should the check ever fail, the
-  component falls through to the search.
+1. A forest component (a tree: m == n - 1) is solved without search by
+   `host_tree_certificate`, the one gamma = rho certificate, which
+   `outerplanar` also uses for the clique graph of a maximal outerplanar
+   graph: a linear-time greedy over the closed neighbourhoods, each a
+   subtree of a host tree (here the tree itself), returns a dominating set
+   and a packing of equal size, which proves both optimal because
+   rho <= gamma.  One build serves both numbers.
+2. A maximal outerplanar component (a mop) is solved without search by
+   the memoized dynamic programme over its dual tree
+   (`triangulation.mop_pair`).
+3. Every other component goes to rho's branch and bound over Python int
+   bitmasks, then to gamma's with that rho as its lower bound: gamma's
+   search stops as soon as its incumbent meets rho.  Its first set of
+   that size is the one the full search keeps, so witnesses are those of
+   the one-quantity views.
 
-* Every other component goes to that quantity's branch and bound over
-  Python int bitmasks.  A component's BudgetExceeded is re-raised with
-  bounds for the whole graph.
+Certificates are validated before use; they report nodes = 0 and spend
+none of the budget.  Should a check ever fail, the component falls
+through to the search.  A budget run-out falls back to the views, so it
+keeps their outcome (see `solve_pair`).
+
+`domination_number` and `packing_number` are one-quantity views through
+`_solve`: forest components by the certificate, every other component,
+mops included, by that quantity's search alone, which the search pin
+fixes node for node.  A component's BudgetExceeded is re-raised with
+bounds for the whole graph.
 
 The two searches:
 
@@ -71,8 +84,9 @@ what the plain scans over all vertices that they replaced did, so rho's
 search keeps those scans' values, witnesses and node counts node for node.
 
 `nodes` in a result counts search nodes only: an answer found without
-search (the host-tree certificate, or the dual-tree walk that
-`outerplanar` uses for maximal outerplanar graphs) reports nodes = 0.
+search (the host-tree certificate, or the dual-tree walk of a maximal
+outerplanar graph) reports nodes = 0, and `method` says which route it
+took.
 
 Everything is deterministic: fixed branching order, fixed tie-breaks, so
 reruns return byte-identical witnesses.  A node budget (default 10^7)
@@ -87,6 +101,12 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .graphs import Graph, bfs_tree, is_dominating, is_packing
+from .triangulation import (
+    NotMaximalOuterplanar,
+    Triangulation,
+    mop_pair,
+    recognize_mop,
+)
 
 DEFAULT_BUDGET = 10_000_000
 BRUTE_CAP = 24
@@ -94,12 +114,16 @@ BRUTE_CAP = 24
 
 @dataclass(frozen=True)
 class Solution:
-    """An exact gamma or rho: the value, an optimal witness set and the
-    search nodes spent."""
+    """An exact gamma or rho: the value, an optimal witness set, the search
+    nodes spent, and how it was obtained: "tree" (every component by a
+    forest's certificate), "mop-walk" (no search, and some component by a
+    maximal outerplanar graph's dual-tree walk) or "search" (some
+    component searched).  The method never enters a report."""
 
     value: int
     witness: tuple[int, ...]
     nodes: int
+    method: str
 
 
 class BudgetExceeded(Exception):
@@ -257,14 +281,24 @@ def _fewest_dominators_pick(masks, classes, undominated: int, banned: int,
     return pick, count
 
 
-def _solve_gamma_component(sub: Graph, budget: int,
-                           spent: int) -> tuple[tuple[int, ...], int]:
+def _solve_gamma_component(sub: Graph, budget: int, spent: int,
+                           lower: int = 0, upper: int | None = None
+                           ) -> tuple[tuple[int, ...], int]:
     """Minimum dominating set of the connected graph `sub` and the nodes
     searched; witnesses, here and in its BudgetExceeded, are in sub's ids.
 
     Depth-first over an explicit stack of nodes (chosen, size, dominated,
     banned, touched): a node pushes its children in reverse, so they are
-    popped, and counted, in branching order."""
+    popped, and counted, in branching order.
+
+    `lower` is a proven lower bound on gamma (a pair solve passes rho):
+    the search stops at its first set of that size.  `upper` is the size
+    of a known dominating set: the search starts as if it had found one
+    of size upper + 1, so it prunes every subtree that cannot reach upper.
+    Neither can cut the path to the first minimum set in branching order,
+    which is the set the plain search returns: with a lower bound the
+    search visits a prefix of the plain search's nodes, with an upper
+    bound a subsequence."""
     n = sub.n
     masks = sub.closed_masks
     near = _conflict_masks(sub)
@@ -273,7 +307,8 @@ def _solve_gamma_component(sub: Graph, budget: int,
     full = (1 << n) - 1
     limit = budget - spent
     nodes = 0
-    best_size = n + 1  # no dominating set found yet
+    # n + 1: no dominating set found yet
+    best_size = n + 1 if upper is None else min(n, upper) + 1
     best_set: tuple[int, ...] = ()
     stack = [(None, 0, 0, 0, 0)]
     while stack:
@@ -283,7 +318,7 @@ def _solve_gamma_component(sub: Graph, budget: int,
             raise BudgetExceeded(
                 "gamma",
                 lower=max(-(-n // reach), _packing_bound(near, full, n)),
-                upper=best_size if best_size <= n else None,
+                upper=len(best_set) if best_set else None,
                 witness=best_set,
                 nodes=spent + nodes,
             )
@@ -291,6 +326,8 @@ def _solve_gamma_component(sub: Graph, budget: int,
             if size < best_size:
                 best_size = size
                 best_set = _unwind(chosen)
+                if size <= lower:
+                    break
             continue
         undominated = full & ~dominated
         room = best_size - size  # prune when a lower bound fills it
@@ -368,18 +405,23 @@ def _max_conflict_pick(near, classes, candidates: int) -> int:
     return pick
 
 
-def _solve_rho_component(sub: Graph, budget: int,
-                         spent: int) -> tuple[tuple[int, ...], int]:
+def _solve_rho_component(sub: Graph, budget: int, spent: int,
+                         lower: int = 0) -> tuple[tuple[int, ...], int]:
     """Maximum packing of the connected graph `sub` and the nodes searched,
     in sub's ids as for gamma; the same explicit stack, with nodes
-    (chosen, size, candidates) and the include branch popped first."""
+    (chosen, size, candidates) and the include branch popped first.
+
+    `lower` is the size of a known packing: the search starts as if it had
+    found one of size lower - 1, so it prunes every subtree that cannot
+    reach lower, and still returns the plain search's first maximum
+    packing, visiting a subsequence of its nodes."""
     n = sub.n
     near = _conflict_masks(sub)
     classes = _degree_classes(m.bit_count() - 1 for m in near)[::-1]
     full = (1 << n) - 1
     limit = budget - spent
     nodes = 0
-    best_size = -1
+    best_size = lower - 1
     best_set: tuple[int, ...] = ()
     stack = [(None, 0, full)]
     while stack:
@@ -407,12 +449,31 @@ def _solve_rho_component(sub: Graph, budget: int,
     return best_set, nodes
 
 
+def _whole_graph(exc: BudgetExceeded, witness: list[int],
+                 originals: tuple[int, ...],
+                 later: Sequence[tuple[int, ...]]) -> BudgetExceeded:
+    """A component's BudgetExceeded with bounds for the whole graph:
+    `witness` holds the answers of the components before it, `originals`
+    maps its ids to the graph's, and `later` are the components after it.
+    The witness is the best partial set seen and need not be a
+    solution."""
+    comp_upper = exc.upper if exc.upper is not None else len(originals)
+    return BudgetExceeded(
+        exc.quantity,
+        lower=len(witness) + exc.lower,
+        upper=len(witness) + comp_upper + sum(map(len, later)),
+        witness=tuple(sorted(witness + [originals[v] for v in exc.witness])),
+        nodes=exc.nodes,
+    )
+
+
 def _solve(g: Graph, budget: int, search, half: int) -> Solution:
     """Sum of the components' answers: a tree's certificate pair gives its
     `half` (0 dominating, 1 packing), any other component goes to `search`.
     Each search gets the budget left by the components before it."""
     witness: list[int] = []
     nodes = 0
+    method = "tree"
     comps = g.components()
     for i, comp in enumerate(comps):
         sub, originals = g.induced(comp)
@@ -420,34 +481,122 @@ def _solve(g: Graph, budget: int, search, half: int) -> Solution:
         if cert is not None:
             found, used = cert[half], 0
         else:
+            method = "search"
             try:
                 found, used = search(sub, budget, nodes)
             except BudgetExceeded as exc:
-                # rebuild bounds for the whole graph; the witness is the best
-                # partial set seen and need not be a solution
-                left = sum(len(c) for c in comps[i + 1:])
-                comp_upper = exc.upper if exc.upper is not None else len(comp)
-                partial = witness + [originals[v] for v in exc.witness]
-                raise BudgetExceeded(
-                    exc.quantity,
-                    lower=len(witness) + exc.lower,
-                    upper=len(witness) + comp_upper + left,
-                    witness=tuple(sorted(partial)),
-                    nodes=exc.nodes,
-                ) from None
+                raise _whole_graph(exc, witness, originals,
+                                   comps[i + 1:]) from None
         witness.extend(originals[v] for v in found)
         nodes += used
-    return Solution(len(witness), tuple(sorted(witness)), nodes)
+    return Solution(len(witness), tuple(sorted(witness)), nodes, method)
 
 
 def domination_number(g: Graph, budget: int = DEFAULT_BUDGET) -> Solution:
-    """Exact gamma(g) with a minimum dominating set witness."""
+    """Exact gamma(g) with a minimum dominating set witness: a forest
+    component's certificate, else search.  A one-quantity view; a caller
+    that needs both numbers calls `solve_pair`."""
     return _solve(g, budget, _solve_gamma_component, 0)
 
 
 def packing_number(g: Graph, budget: int = DEFAULT_BUDGET) -> Solution:
-    """Exact rho(g) with a maximum packing witness."""
+    """Exact rho(g) with a maximum packing witness; the other
+    one-quantity view."""
     return _solve(g, budget, _solve_rho_component, 1)
+
+
+_METHODS = ("tree", "mop-walk", "search")
+
+
+def solve_pair(g: Graph, budget: int = DEFAULT_BUDGET,
+               triangulation: Triangulation | None = None,
+               recognize: bool = True, packing: Sequence[int] = (),
+               dominating: Sequence[int] | None = None
+               ) -> tuple[Solution, Solution]:
+    """Exact gamma(g) and rho(g) with optimal witnesses, from one split of
+    g into components, each routed once:
+
+    1. a forest to `_tree_certificate`, both halves from one build;
+    2. a maximal outerplanar graph (mop) to `mop_pair`, the dual-tree walk
+       and programme, witnesses checked; `triangulation` is g's when the
+       caller has recognised g as a mop already, and a component with
+       2n - 3 edges is recognised here only while `recognize` holds (a
+       caller that classified g and found no mop passes False);
+    3. any other component, or one whose certificate fails its check, to
+       rho's search, then to gamma's with that rho as its lower bound.
+
+    `packing` and `dominating` are a packing and a dominating set of g
+    that a class certificate already built.  Each is checked, and only its
+    size, per component, is read: it bounds that component's search
+    (`_solve_rho_component`'s and `_solve_gamma_component`'s docstrings),
+    so no witness depends on it.
+
+    Each quantity's searches share the budget as in the one-quantity
+    views, and none visits a node that the views' searches would not, so
+    a budget run-out here means the views run out too, and the
+    BudgetExceeded that escapes is the views' own, gamma's first: the same
+    quantity, bounds and nodes.  While each of a quantity's searches so far
+    has been the view's, node for node (`exact`), the run-out is the
+    view's already: gamma's is raised as it is, and rho's once
+    `domination_number` has answered.  Otherwise the pair falls back to
+    `domination_number` and `packing_number`, in that order.  Only where a
+    search answers here within the budget (gamma stopping at rho, a
+    bounded search, a mop's walk) can a pair answer that the views leave
+    inconclusive."""
+    in_pack = set(packing) if packing and is_packing(g, packing) else set()
+    in_dom = (set(dominating) if dominating and is_dominating(g, dominating)
+              else None)
+    halves: tuple[list[int], list[int]] = ([], [])  # gamma's, rho's
+    nodes = [0, 0]
+    exact = [True, True]
+    route = 0
+    comps = g.components()
+    try:
+        for i, comp in enumerate(comps):
+            sub, originals = g.induced(comp)
+            pair, method = None, 0
+            if sub.m == sub.n - 1:
+                pair = _tree_certificate(sub)
+            else:
+                t = triangulation if len(comps) == 1 else None
+                if t is None and recognize and sub.m == 2 * sub.n - 3:
+                    try:
+                        t = recognize_mop(sub)
+                    except NotMaximalOuterplanar:
+                        pass
+                if t is not None:
+                    pair, method = mop_pair(t), 1
+                    exact = [False, False]  # the views search a mop
+            if pair is None:
+                method = 2
+                floor = len(in_pack.intersection(originals))
+                exact[1] &= floor == 0
+                pack, used = _solve_rho_component(sub, budget, nodes[1],
+                                                  floor)
+                nodes[1] += used
+                ceiling = (None if in_dom is None
+                           else len(in_dom.intersection(originals)))
+                exact[0] &= ceiling is None
+                dom, used = _solve_gamma_component(sub, budget, nodes[0],
+                                                   len(pack), ceiling)
+                nodes[0] += used
+                # stopping at rho may have saved nodes that the view spends
+                exact[0] &= len(dom) > len(pack)
+                pair = dom, pack
+            for half, found in zip(halves, pair):
+                half.extend(originals[v] for v in found)
+            route = max(route, method)
+    except BudgetExceeded as exc:
+        q = exc.quantity == "rho"
+        if not exact[q]:
+            return domination_number(g, budget), packing_number(g, budget)
+        whole = _whole_graph(exc, halves[q], originals, comps[i + 1:])
+        if q:
+            domination_number(g, budget)  # gamma's run-out comes first
+        raise whole from None
+    dom, pack = (tuple(sorted(half)) for half in halves)
+    return (Solution(len(dom), dom, nodes[0], _METHODS[route]),
+            Solution(len(pack), pack, nodes[1], _METHODS[route]))
 
 
 def brute_gamma(g: Graph) -> int:

@@ -1,7 +1,7 @@
 """Shared helpers: conversion to networkx, which the tests use as an
 independent oracle for isomorphism and the graph6 codec, a reader for
 the concatenated JSON bundles that `gammarho certify` prints, and a call
-counter for the mop builds."""
+counter for the mop builds and the solves."""
 
 import json
 import sys
@@ -38,26 +38,31 @@ def json_bundles(text):
     return out
 
 
-# every build of a mop's certificate state, and the searches it replaces
+# every build of a mop's certificate state, the pair solve, and the
+# searches and one-quantity views that its walk replaces
 MOP_BUILDS = ("recognize_mop", "build_dual", "build_clique_graph", "_walk",
-              "tokunaga_color", "verify_tokunaga", "domination_number",
-              "packing_number")
+              "tokunaga_color", "verify_tokunaga", "solve_pair",
+              "domination_number", "packing_number", "_solve_gamma_component",
+              "_solve_rho_component")
 
 
 def count_calls(monkeypatch, names=MOP_BUILDS):
-    """A Counter of calls to each named function of `outerplanar` (which
-    imports the two searches too), wrapped in every module that looks it
-    up by that name."""
-    from gammarho import cli, harness, outerplanar, solvers
+    """A Counter of calls to each named function of `triangulation`,
+    `solvers` or `outerplanar`, wrapped in every module that looks it up
+    by that name."""
+    from gammarho import cli, harness, outerplanar, solvers, triangulation
 
+    modules = (triangulation, solvers, outerplanar, harness, cli)
     counts = Counter()
     for name in names:
-        def wrapper(*args, _fn=getattr(outerplanar, name), _name=name,
-                    **kwargs):
+        original = next(getattr(mod, name) for mod in modules
+                        if hasattr(mod, name))
+
+        def wrapper(*args, _fn=original, _name=name, **kwargs):
             counts[_name] += 1
             return _fn(*args, **kwargs)
 
-        for mod in (solvers, outerplanar, harness, cli):
+        for mod in modules:
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, wrapper)
     return counts

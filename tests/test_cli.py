@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import count_calls, json_bundles
-from gammarho import bicubic, cli, harness, outerplanar, solvers
+from gammarho import bicubic, cli, harness, solvers, triangulation
 from gammarho.biconvex import ConvexOrdering, certify_biconvex
 from gammarho.formats import (
     decode_graph6,
@@ -69,6 +69,22 @@ def test_compute_budget_inconclusive(tmp_path, capsys):
     assert rows[1]["gamma"] == rows[1]["rho"] and rows[1]["nodes"] == 0
 
 
+def test_compute_answers_a_mop_without_search(tmp_path, capsys):
+    # gamma's search ran out on this mop with [23, 26]; the pair solve
+    # reads both numbers off the dual-tree walk
+    g = gen_random_mop(120, 1)
+    path = write_g6(tmp_path, "m.g6", [g])
+    assert cli.main(["compute", "--input", path, "--budget", "200000"]) == 0
+    (row,) = out_rows(capsys)
+    assert "inconclusive" not in row and row["nodes"] == 0
+    assert 23 <= row["gamma"] <= 26
+    assert len(row["dominating"]) == row["gamma"]
+    assert len(row["packing"]) == row["rho"]
+    with pytest.raises(solvers.BudgetExceeded) as err:
+        solvers.domination_number(g, 200000)
+    assert (err.value.lower, err.value.upper) == (23, 26)
+
+
 def test_compute_deep_cycle_is_inconclusive(tmp_path, capsys):
     # gamma's search on C_3300 answers 1100 levels deep, past the default
     # recursion limit; rho's runs out of budget instead, with bounds
@@ -109,15 +125,16 @@ def test_certify_mop(tmp_path, capsys):
 
 def test_certify_mop_builds_and_solves_once(tmp_path, capsys, monkeypatch):
     # one ear clipping per mop feeds one dual, one clique graph and one
-    # walk, which also colors and verifies; gamma and rho of the mop and of
-    # its clique graph come from that walk, with no search
+    # walk, which also colors and verifies; gamma and rho of the mop come
+    # from one pair solve that reads that walk, and those of its clique
+    # graph from the same walk, with no search
     counts = count_calls(monkeypatch)
     mops = [gen_random_mop(n, 5) for n in (3, 12, 30)]
     path = write_g6(tmp_path, "m.g6", mops)
     assert cli.main(["certify", "--class", "mop", "--input", path]) == 0
     assert counts == {"recognize_mop": 3, "build_dual": 3,
                       "build_clique_graph": 3, "_walk": 3,
-                      "verify_tokunaga": 3}
+                      "verify_tokunaga": 3, "solve_pair": 3}
     bundles = json_bundles(capsys.readouterr().out)
     assert [len(b["records"]) for b in bundles] == [7, 7, 7]
 
@@ -126,7 +143,7 @@ def test_certify_mop_bad_colors_are_a_certificate_failure(tmp_path, capsys,
                                                           monkeypatch):
     # the colors are verified once, inside tokunaga_color, and a problem
     # there fails the certify run with exit 3
-    monkeypatch.setattr(outerplanar, "verify_tokunaga",
+    monkeypatch.setattr(triangulation, "verify_tokunaga",
                         lambda *args: ["edge 0-1 monochromatic"])
     path = write_g6(tmp_path, "m.g6", [gen_random_mop(12, 5)])
     assert cli.main(["certify", "--class", "mop", "--input", path]) == 3
@@ -137,17 +154,13 @@ def test_certify_mop_bad_colors_are_a_certificate_failure(tmp_path, capsys,
                                    ("tree", gen_path(9))])
 def test_certify_any_and_tree_solve_once(cls, g, tmp_path, capsys,
                                          monkeypatch):
-    # the bundle's witnesses are the ones the records were checked with
-    counts = Counter()
-    for name in ("domination_number", "packing_number"):
-        def wrapper(*args, _fn=getattr(solvers, name), _name=name, **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
-        for mod in (solvers, harness, cli):
-            monkeypatch.setattr(mod, name, wrapper)
+    # one pair solve, and no one-quantity view; the bundle's witnesses are
+    # the ones the records were checked with
+    counts = count_calls(monkeypatch, ("solve_pair", "domination_number",
+                                       "packing_number"))
     path = write_g6(tmp_path, "g.g6", [g])
     assert cli.main(["certify", "--class", cls, "--input", path]) == 0
-    assert counts == {"domination_number": 1, "packing_number": 1}
+    assert counts == {"solve_pair": 1}
     bundle = json.loads(capsys.readouterr().out)
     assert len(bundle["dominating"]) == bundle["gamma"]
     assert len(bundle["packing"]) == bundle["rho"]
@@ -216,7 +229,7 @@ def test_certify_mop_search_fallback_budget_is_a_record(tmp_path, capsys,
                                                         monkeypatch):
     # should the walk's dominating set fail its check, the mop is searched
     # under the caller's budget, and running out of it is one record
-    monkeypatch.setattr(outerplanar, "_walk_dp", lambda *args: (0, ()))
+    monkeypatch.setattr(triangulation, "_walk_dp", lambda *args: (0, ()))
     path = write_g6(tmp_path, "m.g6", [gen_random_mop(30, 1)])
     assert cli.main(["certify", "--class", "mop", "--budget", "10",
                      "--input", path]) == 0

@@ -1,9 +1,11 @@
 import io
 import json
+import sys
+from collections import Counter
 
 import pytest
 
-from gammarho import bounds, harness, outerplanar
+from gammarho import bounds, harness, outerplanar, solvers
 from gammarho.biconvex import ConvexOrdering, certify_biconvex
 from gammarho.bicubic import certify_bicubic
 from gammarho.generators import (
@@ -424,3 +426,31 @@ def test_default_scan_finds_each_graphs_components_once(monkeypatch):
     monkeypatch.setattr(Graph, "_find_components", counting)
     run_scan(items)
     assert len({id(g) for g in found}) == len(found) >= len(items)
+
+
+def test_default_scan_splits_each_graph_once(monkeypatch):
+    # one pair solve per graph: each component is induced once, and each
+    # forest component gets one certificate for both numbers
+    induced, certified = [], []
+    original_induced = Graph.induced
+    original_certificate = solvers._tree_certificate
+
+    def counting_induced(g, vertices):
+        if sys._getframe(1).f_globals["__name__"] == "gammarho.solvers":
+            induced.append((g, tuple(vertices)))
+        return original_induced(g, vertices)
+
+    def counting_certificate(sub):
+        certified.append(sub)
+        return original_certificate(sub)
+
+    monkeypatch.setattr(Graph, "induced", counting_induced)
+    monkeypatch.setattr(solvers, "_tree_certificate", counting_certificate)
+    items = default_scan_items()
+    run_scan(items)
+    graphs = [decode_graph6(item.graph6) for item in items]
+    comps = [(g, comp) for g in graphs for comp in g.components()]
+    assert Counter(induced) == Counter(comps)
+    trees = [sub for sub in (g.induced(c)[0] for g, c in comps)
+             if sub.m == sub.n - 1]
+    assert len(trees) == 58 and Counter(certified) == Counter(trees)

@@ -4,9 +4,17 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gammarho import triangulation
 from gammarho.generators import gen_complete_bipartite, gen_cycle, gen_path, gen_random_mop, gen_sun
-from gammarho.graphs import Graph, bfs_tree, is_dominating, is_packing
+from gammarho.graphs import (
+    CertificateError,
+    Graph,
+    bfs_tree,
+    is_dominating,
+    is_packing,
+)
 from gammarho.outerplanar import (
+    DualTree,
     NotMaximalOuterplanar,
     averaged_dominating,
     build_clique_graph,
@@ -20,6 +28,8 @@ from gammarho.outerplanar import (
     recognize_mop,
     tokunaga_color,
     verify_tokunaga,
+)
+from gammarho.triangulation import (
     _CLOSE,
     _IN,
     _INF,
@@ -91,11 +101,24 @@ def test_dual_tree_of_sun_and_fan():
     assert sorted(dual2.shared) == [(0, 1), (1, 2), (2, 3)]
 
 
+def test_walk_rejects_a_dual_that_is_not_a_tree():
+    # the sun's dual is the star 2-{0, 1, 3}; drop the edge 2-3, then also
+    # put 0-1 in its place: one edge short, then k - 1 edges with a cycle
+    # and triangle 3 unreached
+    t = recognize_mop(gen_sun())
+    short = DualTree(((2,), (2,), (0, 1), ()), {(0, 2): (1, 5), (1, 2): (1, 3)})
+    cyclic = DualTree(((1, 2), (0, 2), (0, 1), ()),
+                      {(0, 1): (1, 5), (0, 2): (1, 5), (1, 2): (1, 3)})
+    for dual in (short, cyclic):
+        with pytest.raises(CertificateError, match="triangle dual is not a tree"):
+            _walk(t, dual)
+
+
 def test_dual_is_tree_on_corpus():
     for g in mop_corpus():
         t = recognize_mop(g)
         dual = build_dual(t)
-        assert dual.graph.is_tree()
+        assert Graph(len(t.triangles), dual.adj).is_tree()
         for (i, j), (a, b) in dual.shared.items():
             assert set((a, b)) <= set(t.triangles[i]) & set(t.triangles[j])
 
@@ -194,7 +217,7 @@ def test_mop_facts_share_one_build_with_every_consumer():
         f = mop_facts(g)
         t = f.triangulation
         assert t == recognize_mop(g)
-        assert f.dual.graph == build_dual(t).graph
+        assert f.dual.adj == build_dual(t).adj
         assert f.dual.shared == build_dual(t).shared
         assert f.clique_graph == build_clique_graph(t)
         assert f.colors == tokunaga_color(t, build_dual(t))
@@ -324,6 +347,112 @@ def _all_rows_tables(order, frames, step):
         tables[i] = best
         picks[i] = pick
     return tables, picks
+
+
+def _shape_rows_walk_dp(order, frames, dominate):
+    """`_walk_dp` before its memo: each triangle runs the `_SHAPES` rows of
+    its shape over its children's full tables.  A reference for the
+    memoized programme, which must give the same size and members."""
+    (leaf_table, leaf_picks), left_rows, right_rows, both_rows = (
+        _SHAPES[dominate])
+    tables = [None] * len(frames)
+    picks = [None] * len(frames)
+    for i in reversed(order):
+        _, _, _, left, right = frames[i]
+        if left < 0 and right < 0:
+            tables[i] = leaf_table
+            picks[i] = leaf_picks
+            continue
+        best = [_INF] * 9
+        pick = [None] * 9
+        if left >= 0 and right >= 0:
+            lt, rt = tables[left], tables[right]
+            for a, b, k, cost, row in both_rows:
+                v = lt[a] + rt[b] + cost
+                if v < best[k]:
+                    best[k] = v
+                    pick[k] = row
+        else:
+            ct, rows = ((tables[left], left_rows) if left >= 0
+                        else (tables[right], right_rows))
+            for a, k, cost, row in rows:
+                v = ct[a] + cost
+                if v < best[k]:
+                    best[k] = v
+                    pick[k] = row
+        tables[i] = best
+        picks[i] = pick
+    root = order[0]
+    k, cost = min(_CLOSE[dominate], key=lambda kc: tables[root][kc[0]] + kc[1])
+    size = tables[root][k] + cost
+    p1, p2 = frames[root][:2]
+    chosen = [v for v, s in ((p1, k // 3), (p2, k % 3)) if s == _IN]
+    need = [0] * len(frames)
+    need[root] = k
+    for i in order:
+        _, _, c, left, right = frames[i]
+        il, ir, _, _ = picks[i][need[i]]
+        if il % 3 == _IN:
+            chosen.append(c)
+        if left >= 0:
+            need[left] = il
+        if right >= 0:
+            need[right] = ir
+    return (size if dominate else -size), tuple(sorted(chosen))
+
+
+def _assert_memo_matches_row_loop(g):
+    t = recognize_mop(g)
+    order, frames, _ = t.walk
+    for dominate in (True, False):
+        assert _walk_dp(order, frames, dominate) == _shape_rows_walk_dp(
+            order, frames, dominate)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 60), st.integers(0, 10**6))
+def test_memoized_walk_matches_the_row_loop(n, seed):
+    _assert_memo_matches_row_loop(gen_random_mop(n, seed))
+
+
+def test_memoized_walk_matches_the_row_loop_on_a_large_mop():
+    _assert_memo_matches_row_loop(gen_random_mop(2000, 1))
+    _assert_memo_matches_row_loop(FAN6)
+
+
+def test_memo_stays_within_its_cap():
+    # 10^4 walks of mops with n = 3..60; the memo is shared across graphs
+    # and cleared before a walk that could take it past the cap, which
+    # these walks reach several times
+    memo = triangulation._MEMO
+    rng = random.Random(5)
+    cleared = 0
+    for i in range(10_000):
+        t = recognize_mop(gen_random_mop(rng.randint(3, 60), i))
+        order, frames, _ = t.walk
+        before = len(memo.steps)
+        _walk_dp(order, frames, True)
+        _walk_dp(order, frames, False)
+        cleared += len(memo.steps) < before
+        assert len(memo.steps) <= triangulation.MEMO_CAP
+        assert len(memo.tables) <= len(memo.steps) + 2
+        assert len(memo.picks) <= len(memo.steps) + 2
+    assert cleared > 0
+
+
+def test_a_small_cap_clears_the_memo_and_keeps_the_answers(monkeypatch):
+    monkeypatch.setattr(triangulation, "MEMO_CAP", 40)
+    triangulation._MEMO.clear()
+    cleared = 0
+    for seed in range(200):
+        g = gen_random_mop(3 + seed % 30, seed)
+        before = len(triangulation._MEMO.steps)
+        _assert_memo_matches_row_loop(g)
+        after = len(triangulation._MEMO.steps)
+        cleared += after < before
+        assert after <= 40
+    assert cleared > 0
+    triangulation._MEMO.clear()
 
 
 @pytest.mark.parametrize("dominate", [True, False])
@@ -484,7 +613,7 @@ def test_fused_pass_matches_reference_builds(n, seed, relabel):
     f = mop_facts(g)
     t = f.triangulation
     assert (t.boundary, t.triangles) == (boundary, triangles)
-    assert f.dual.graph == ref_dual and f.dual.shared == ref_shared
+    assert f.dual.adj == ref_dual.adj and f.dual.shared == ref_shared
     assert f.clique_graph == _reference_clique_graph(triangles)
     assert f.colors == _reference_colors(n, triangles, ref_dual, ref_shared)
     order, frames, colors = _walk(t, f.dual)

@@ -24,6 +24,14 @@ dominating set; every other field of every bundle kept its bytes, and
 `test_certify_any_witnesses_are_minimum_dominating_sets` checks the new
 witnesses.  Every other digest here held through that change.
 
+The certify any digest was retaken again when gamma and rho came from one
+pair solve that routes a maximal outerplanar graph to its dual-tree
+programme instead of search.  Only the `dominating` and `packing` lists
+changed, in 8 of its 34 bundles (any-0, any-9 and any-18 to any-23), all
+of them mops, to other optimal sets; every record and every other field
+kept its bytes, and the test named above checks both witnesses of every
+bundle.  Every other digest here held through that change.
+
 Since certify came to print each bundle as one compact line through the
 scan's encoder, the certify digests are content digests: they hash each
 parsed bundle as the two-space indented, key-sorted JSON that certify
@@ -38,7 +46,7 @@ import json
 import pytest
 
 from conftest import json_bundles
-from gammarho import cli, domination_number
+from gammarho import cli, domination_number, packing_number
 from gammarho.formats import write_graph6_stream
 from gammarho.generators import (
     gen_random_biconvex,
@@ -47,7 +55,7 @@ from gammarho.generators import (
     gen_random_mop,
     gen_random_tree,
 )
-from gammarho.graphs import is_dominating
+from gammarho.graphs import is_dominating, is_packing
 from gammarho.harness import default_scan_items, run_scan
 from gammarho.reports import ENCODER, write_report
 
@@ -132,7 +140,7 @@ def _certify_corpus(cls):
     ("biconvex",
      "ae673d018d7138fb9ad3bf767ea21dfb21451f90106ff04554292b82b1a44231"),
     ("any",
-     "de385dfac997d7b63841411cd2a18010dff04d598abe8c48ffa346a6e6381bdd"),
+     "9ca3cde36617ce0fafd37e3cfdeb666ef12c559fe96bdb5281b2b96743a87222"),
     ("tree",
      "de734b5765f120dd3abe1d1959216f0055425597c91a9de4bc98b682296c2d3f"),
 ])
@@ -162,6 +170,9 @@ def test_certify_any_witnesses_are_minimum_dominating_sets(tmp_path, capsys):
         assert is_dominating(g, bundle["dominating"])
         assert len(bundle["dominating"]) == bundle["gamma"]
         assert bundle["gamma"] == domination_number(g).value
+        assert is_packing(g, bundle["packing"])
+        assert len(bundle["packing"]) == bundle["rho"]
+        assert bundle["rho"] == packing_number(g).value
 
 
 @pytest.mark.parametrize("cls, digest", [

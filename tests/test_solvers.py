@@ -5,10 +5,18 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gammarho.biconvex import (
+    cb_decompose,
+    construct_dominating,
+    construct_packing,
+    trim_core,
+)
+from gammarho.bicubic import bicubic_layers, combined_packing
 from gammarho.generators import (
     gen_complete_bipartite,
     gen_cycle,
     gen_path,
+    gen_random_biconvex,
     gen_random_bicubic,
     gen_random_connected,
     gen_random_mop,
@@ -20,6 +28,7 @@ from gammarho.generators import (
     petersen,
 )
 from gammarho import solvers
+from gammarho.triangulation import NotMaximalOuterplanar, recognize_mop
 from gammarho.graphs import (
     Graph,
     bfs_tree,
@@ -412,3 +421,198 @@ def test_host_tree_certificate_rejects_a_visit_against_depth():
     top = [0, 0, 1, 2, 3]
     assert host_tree_certificate(g, top, range(5)) is None
     assert host_tree_certificate(g, top, range(4, -1, -1)) == ((0, 3), (1, 4))
+
+
+# ------------------------------------------------------ one pair solve ----
+
+def _views(g, budget=solvers.DEFAULT_BUDGET):
+    """gamma then rho from the one-quantity views, or the first
+    BudgetExceeded's fields."""
+    try:
+        return domination_number(g, budget), packing_number(g, budget)
+    except BudgetExceeded as exc:
+        return exc.quantity, exc.lower, exc.upper, exc.witness, exc.nodes
+
+
+def _pair(g, budget=solvers.DEFAULT_BUDGET, **kwargs):
+    try:
+        return solvers.solve_pair(g, budget, **kwargs)
+    except BudgetExceeded as exc:
+        return exc.quantity, exc.lower, exc.upper, exc.witness, exc.nodes
+
+
+def _is_mop(g):
+    try:
+        recognize_mop(g)
+    except NotMaximalOuterplanar:
+        return False
+    return True
+
+
+def _disjoint_union(graphs, perm):
+    edges, offset = [], 0
+    for h in graphs:
+        edges += [(perm[offset + u], perm[offset + v]) for u, v in h.edges()]
+        offset += h.n
+    return Graph.from_edges(offset, edges)
+
+
+@st.composite
+def mixed_graphs(draw, max_n=20):
+    """A disjoint union, labels shuffled, of up to four components drawn
+    from a random tree, a random mop, a cycle and a random connected
+    graph, at most `max_n` vertices in all."""
+    parts, room = [], max_n
+    for kind in draw(st.lists(st.sampled_from(("tree", "mop", "cycle", "any")),
+                              min_size=1, max_size=4)):
+        low = 3 if kind in ("mop", "cycle") else 1
+        if room < low:
+            break
+        n = draw(st.integers(low, min(room, 9)))
+        seed = draw(st.integers(0, 10**6))
+        parts.append({"tree": lambda: gen_random_tree(n, seed),
+                      "mop": lambda: gen_random_mop(n, seed),
+                      "cycle": lambda: gen_cycle(n),
+                      "any": lambda: gen_random_connected(n, seed)}[kind]())
+        room -= n
+    total = sum(h.n for h in parts)
+    return _disjoint_union(parts, draw(st.permutations(range(total))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_graphs())
+def test_solve_pair_matches_the_views_and_brute_force(g):
+    gamma, rho = solvers.solve_pair(g)
+    views = _views(g)
+    assert (gamma.value, rho.value) == (views[0].value, views[1].value)
+    assert (gamma.value, rho.value) == (brute_gamma(g), brute_rho(g))
+    assert len(gamma.witness) == gamma.value and is_dominating(g, gamma.witness)
+    assert len(rho.witness) == rho.value and is_packing(g, rho.witness)
+    # search runs on fewer components, and no searched component visits
+    # a node the views' searches do not
+    assert gamma.nodes <= views[0].nodes and rho.nodes <= views[1].nodes
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_graphs(), st.integers(1, 60))
+def test_solve_pair_runs_out_as_the_views_do(g, budget):
+    # a budget run-out is the views' own, gamma first; an answer is exact
+    pair, views = _pair(g, budget), _views(g, budget)
+    if isinstance(pair[0], str):
+        assert pair == views
+    elif not isinstance(views[0], str):
+        assert [s.value for s in pair] == [s.value for s in views]
+    else:
+        assert [s.value for s in pair] == [brute_gamma(g), brute_rho(g)]
+
+
+def test_solve_pair_keeps_the_search_witnesses_off_mops():
+    # gamma stops at rho and the class certificates bound the searches,
+    # but every witness is the one the views return
+    cases = [(gen_random_connected(4 + s % 12, s), {}) for s in range(60)]
+    for s in range(12):
+        g = gen_random_bicubic(16 + 2 * (s % 6), 500 + s)
+        cases.append((g, {"packing": combined_packing(g, bicubic_layers(g)[2])}))
+    for s in range(40):
+        g, o = gen_random_biconvex(2 + s % 9, 2 + (s // 9) % 9, s)
+        if g.is_connected():
+            decomp = cb_decompose(g, trim_core(g, o))
+            cases.append((g, {
+                "packing": construct_packing(g, decomp).vertices,
+                "dominating": construct_dominating(g, decomp).vertices}))
+    cases += [(gen_cycle(n), {}) for n in range(4, 40)]
+    for g, seeds in cases:
+        if _is_mop(g):
+            continue
+        pair, views = solvers.solve_pair(g, **seeds), _views(g)
+        for got, want in zip(pair, views):
+            assert (got.value, got.witness) == (want.value, want.witness)
+            assert got.nodes <= want.nodes
+
+
+def test_solve_pair_ignores_seeds_that_fail_their_check():
+    g = petersen()
+    pair = solvers.solve_pair(g)
+    assert solvers.solve_pair(g, packing=(0, 1), dominating=(0,)) == pair
+
+
+def test_solve_pair_methods():
+    mop = gen_random_mop(12, 3)
+    cases = [(gen_random_tree(15, 2), "tree", "tree"),
+             (Graph.from_edges(3, []), "tree", "tree"),
+             (mop, "mop-walk", "search"),
+             (_disjoint_union([gen_path(4), mop], range(16)), "mop-walk",
+              "search"),
+             (gen_cycle(7), "search", "search"),
+             (_disjoint_union([mop, gen_cycle(5)], range(17)), "search",
+              "search")]
+    for g, pair_method, view_method in cases:
+        gamma, rho = solvers.solve_pair(g)
+        assert gamma.method == rho.method == pair_method
+        assert domination_number(g).method == view_method
+        assert packing_number(g).method == view_method
+    assert mop.m == 2 * mop.n - 3
+    assert solvers.solve_pair(mop)[0].nodes == 0
+    # a caller that classified a graph and found no mop turns recognition
+    # off; the mop is then searched
+    gamma, rho = solvers.solve_pair(mop, recognize=False)
+    assert gamma.method == "search" and gamma.nodes > 0
+
+
+def test_gamma_eq_rho_graph_answers_where_the_views_run_out():
+    # gamma = rho = 6: the views' gamma search needs 172 nodes to prove its
+    # first set of 6 optimal, while the pair's stops there, at node 7,
+    # after rho's 65 nodes
+    g = gen_random_connected(21, 127)
+    with pytest.raises(BudgetExceeded) as err:
+        domination_number(g, 100)
+    assert (err.value.quantity, err.value.lower, err.value.nodes) == (
+        "gamma", 4, 101)
+    gamma, rho = solvers.solve_pair(g, 100)
+    assert (gamma.value, gamma.nodes, rho.value, rho.nodes) == (6, 7, 6, 65)
+    assert gamma.witness == domination_number(g).witness
+    assert rho.witness == packing_number(g).witness
+
+
+def test_a_run_out_the_views_share_is_not_searched_again(monkeypatch):
+    # C_60 at budget 100: gamma's view answers in 61 nodes and rho's runs
+    # out.  The pair's rho search is the view's, node for node, so its
+    # run-out is raised once gamma's view has answered, without a second
+    # rho search; with a packing seed it is not the view's any more, and
+    # the pair falls back to both views
+    g = gen_cycle(60)
+    views = _views(g, 100)
+    assert views[0] == "rho"
+    calls = []
+    original = solvers._solve_rho_component
+
+    def counting(*args):
+        calls.append(args[3:])
+        return original(*args)
+
+    monkeypatch.setattr(solvers, "_solve_rho_component", counting)
+    assert _pair(g, 100) == views
+    assert calls == [(0,)]
+    calls.clear()
+    assert _pair(g, 100, packing=(0, 3)) == views
+    assert calls == [(2,), ()]
+
+
+@pytest.mark.parametrize("parts, budget, seeds", [
+    # gamma = rho = 6 on the first component, where the pair's gamma stops
+    # at node 7 and the view's spends 172 and runs out; the pair's gamma
+    # runs out on the second component instead, with other bounds
+    ((gen_random_connected(21, 127), gen_random_connected(24, 3012)), 100,
+     {}),
+    # a mop, which the views search and the pair walks, to another
+    # packing, before a cycle on which rho runs out
+    ((gen_random_mop(6, 9801), gen_cycle(30)), 35, {}),
+    # a dominating set of size 3 bounds gamma's search, which runs out at
+    # another node than the view's
+    ((gen_random_connected(31, 5017),), 5, {"dominating": (3, 5, 10)}),
+])
+def test_a_run_out_the_views_reach_otherwise_falls_back(parts, budget, seeds):
+    g = _disjoint_union(parts, range(sum(h.n for h in parts)))
+    views = _views(g, budget)
+    assert isinstance(views[0], str)
+    assert _pair(g, budget, **seeds) == views
