@@ -62,6 +62,19 @@ limit (every leaf of gamma's search on C_n is at least n/3 levels deep).
 Each node costs work in proportion to what it finds, not to the number of
 vertices left:
 
+* gamma bounds each child when its parent makes it.  The parent counts
+  the undominated vertices each child covers to order the children, and
+  that count gives the child's counting bound.  Coverage falls along the
+  order, so the first child that fails the counting bound fails it for
+  all its later siblings too.  Each child left gets the packing bound.
+  A child that fails, or a run of them in a row, goes on the stack as an
+  int: popping it adds that many nodes to the count, and the budget is
+  checked against the sum.  A child that passes records the incumbent
+  size it passed against and is bounded again when popped only if the
+  incumbent has improved since.  The incumbent only shrinks, so a child
+  fails at birth exactly when it would fail when popped: the nodes, the
+  witnesses and the node at which the budget runs out are those of
+  bounding each node when it is popped.
 * The packing bound takes the lowest undominated vertex and clears its
   distance-2 ball, once per packing vertex.
 * gamma's branching vertex: a vertex with no banned vertex in N[v] has
@@ -76,8 +89,8 @@ vertices left:
 * rho's branching vertex is sought by conflict degree classes,
   descending, and the scan stops where no candidate left can beat it.
 * The packing and clique-cover bounds stop counting at the value that
-  decides the prune, and every bound is skipped before the first
-  incumbent, when it cannot prune.
+  decides the prune, and both are skipped before the first incumbent,
+  when they cannot prune.
 
 The packing bound, the cover and rho's branching vertex compute exactly
 what the plain scans over all vertices that they replaced did, so rho's
@@ -139,13 +152,6 @@ class BudgetExceeded(Exception):
         self.nodes = nodes
         ub = "?" if upper is None else str(upper)
         super().__init__(f"{quantity} search exhausted {nodes} nodes; bounds [{lower}, {ub}]")
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _packing_bound(near, undominated: int, cap: int) -> int:
@@ -256,40 +262,20 @@ def _unwind(chosen) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def _fewest_dominators_pick(masks, classes, undominated: int, banned: int,
-                            touched: int) -> tuple[int, int]:
-    """(v, c): the undominated vertex v with the fewest unbanned members of
-    N[v], smallest id on ties, and that count c.  `classes` are the degree
-    classes, ascending, and `touched` is the union of N[u] over the banned
-    u.  An untouched vertex keeps all deg + 1 of its dominators, so the
-    best untouched one is the lowest bit of the first class that has one;
-    only the touched undominated vertices are counted one by one."""
-    pick = -1
-    count = len(masks) + 1
-    rest = undominated & ~touched
-    for deg, cls in classes:
-        low = cls & rest
-        if low:
-            pick = (low & -low).bit_length() - 1
-            count = deg + 1
-            break
-    free = ~banned
-    for v in _bits(undominated & touched):
-        c = (masks[v] & free).bit_count()
-        if c < count or (c == count and v < pick):
-            pick, count = v, c
-    return pick, count
-
-
-def _solve_gamma_component(sub: Graph, budget: int, spent: int,
-                           lower: int = 0, upper: int | None = None
+def _solve_gamma_component(sub: Graph, near: list[int], budget: int,
+                           spent: int, lower: int = 0,
+                           upper: int | None = None
                            ) -> tuple[tuple[int, ...], int]:
     """Minimum dominating set of the connected graph `sub` and the nodes
     searched; witnesses, here and in its BudgetExceeded, are in sub's ids.
+    `near` is `_conflict_masks(sub)`.
 
     Depth-first over an explicit stack of nodes (chosen, size, dominated,
-    banned, touched): a node pushes its children in reverse, so they are
-    popped, and counted, in branching order.
+    banned, touched, checked) and of ints, each a run of children that
+    failed a bound when they were made (see the module docstring): a node
+    pushes its children in reverse, so they are popped, and counted, in
+    branching order.  `checked` is the incumbent size that the node's
+    bounds passed against.
 
     `lower` is a proven lower bound on gamma (a pair solve passes rho):
     the search stops at its first set of that size.  `upper` is the size
@@ -301,27 +287,39 @@ def _solve_gamma_component(sub: Graph, budget: int, spent: int,
     bound a subsequence."""
     n = sub.n
     masks = sub.closed_masks
-    near = _conflict_masks(sub)
     classes = _degree_classes(map(len, sub.adj))
     reach = classes[-1][0] + 1  # Delta + 1: the most one dominator covers
     full = (1 << n) - 1
     limit = budget - spent
     nodes = 0
-    # n + 1: no dominating set found yet
+    # n + 1: no dominating set found yet, and no bound can prune (a node
+    # of size s has at most n - s undominated vertices, room n + 1 - s)
     best_size = n + 1 if upper is None else min(n, upper) + 1
     best_set: tuple[int, ...] = ()
-    stack = [(None, 0, 0, 0, 0)]
+
+    def exhausted() -> BudgetExceeded:
+        return BudgetExceeded(
+            "gamma",
+            lower=max(-(-n // reach), _packing_bound(near, full, n)),
+            upper=len(best_set) if best_set else None,
+            witness=best_set,
+            nodes=spent + limit + 1,
+        )
+
+    # the root counts as checked against n + 1, where no bound prunes
+    stack: list = [(None, 0, 0, 0, 0, n + 1)]
+    pop = stack.pop
     while stack:
-        chosen, size, dominated, banned, touched = stack.pop()
+        node = pop()
+        if node.__class__ is int:  # children that failed a bound at birth
+            nodes += node
+            if nodes > limit:
+                raise exhausted()
+            continue
         nodes += 1
         if nodes > limit:
-            raise BudgetExceeded(
-                "gamma",
-                lower=max(-(-n // reach), _packing_bound(near, full, n)),
-                upper=len(best_set) if best_set else None,
-                witness=best_set,
-                nodes=spent + nodes,
-            )
+            raise exhausted()
+        chosen, size, dominated, banned, touched, checked = node
         if dominated == full:
             if size < best_size:
                 best_size = size
@@ -330,25 +328,79 @@ def _solve_gamma_component(sub: Graph, budget: int, spent: int,
                     break
             continue
         undominated = full & ~dominated
+        left = undominated.bit_count()
         room = best_size - size  # prune when a lower bound fills it
-        if best_size <= n and (
-                -(-undominated.bit_count() // reach) >= room
+        if checked != best_size and (
+                -(-left // reach) >= room
                 or _packing_bound(near, undominated, room) >= room):
             continue
-        pick, count = _fewest_dominators_pick(masks, classes, undominated,
-                                              banned, touched)
+        # branch on the undominated vertex with the fewest unbanned
+        # dominators, smallest id on ties.  An untouched vertex keeps all
+        # deg + 1 of them, so the best untouched one is the lowest bit of
+        # the first degree class that has one; only the touched
+        # undominated vertices are counted one by one.
+        pick = -1
+        count = n + 1
+        rest = undominated & ~touched
+        for deg, cls in classes:
+            m = cls & rest
+            if m:
+                pick = (m & -m).bit_length() - 1
+                count = deg + 1
+                break
+        m = undominated & touched
+        if m:
+            free = ~banned
+            while m:
+                low = m & -m
+                m ^= low
+                v = low.bit_length() - 1
+                c = (masks[v] & free).bit_count()
+                if c < count or (c == count and v < pick):
+                    pick, count = v, c
         if count == 0:  # every dominator of pick is banned: a dead end
             continue
         # branch on each unbanned dominator u of pick, most newly dominated
         # first (smallest id on ties); later branches ban earlier u
-        order = sorted(_bits(masks[pick] & ~banned),
-                       key=lambda u: (-(masks[u] & undominated).bit_count(), u))
-        children = []
-        for u in order:
-            children.append(((u, chosen), size + 1, dominated | masks[u],
-                             banned, touched))
+        order = []
+        m = masks[pick] & ~banned
+        while m:
+            low = m & -m
+            m ^= low
+            u = low.bit_length() - 1
+            order.append((-(masks[u] & undominated).bit_count(), u))
+        order.sort()
+        room -= 1  # each child's
+        # a child covering fewer than `need` fails the counting bound, and
+        # so do its later siblings, which cover no more
+        need = left - (room - 1) * reach
+        bounded = best_size <= n
+        children: list = []
+        dead = 0
+        unborn = len(order)
+        for key, u in order:  # key: minus the coverage
+            if -key < need:
+                dead += unborn
+                break
+            unborn -= 1
+            k = 0  # the packing bound, inline; room > 0 when unbounded
+            if bounded:
+                left_u = undominated & ~masks[u]
+                while left_u and k < room:
+                    k += 1
+                    left_u &= ~near[(left_u & -left_u).bit_length() - 1]
+            if k >= room:
+                dead += 1
+            else:
+                if dead:
+                    children.append(dead)
+                    dead = 0
+                children.append(((u, chosen), size + 1, dominated | masks[u],
+                                  banned, touched, best_size))
             banned |= 1 << u
             touched |= masks[u]
+        if dead:
+            children.append(dead)
         children.reverse()
         stack += children
     return best_set, nodes
@@ -405,18 +457,18 @@ def _max_conflict_pick(near, classes, candidates: int) -> int:
     return pick
 
 
-def _solve_rho_component(sub: Graph, budget: int, spent: int,
-                         lower: int = 0) -> tuple[tuple[int, ...], int]:
+def _solve_rho_component(sub: Graph, near: list[int], budget: int,
+                         spent: int, lower: int = 0
+                         ) -> tuple[tuple[int, ...], int]:
     """Maximum packing of the connected graph `sub` and the nodes searched,
-    in sub's ids as for gamma; the same explicit stack, with nodes
-    (chosen, size, candidates) and the include branch popped first.
+    in sub's ids as for gamma, with `near` as there; an explicit stack of
+    nodes (chosen, size, candidates), the include branch popped first.
 
     `lower` is the size of a known packing: the search starts as if it had
     found one of size lower - 1, so it prunes every subtree that cannot
     reach lower, and still returns the plain search's first maximum
     packing, visiting a subsequence of its nodes."""
     n = sub.n
-    near = _conflict_masks(sub)
     classes = _degree_classes(m.bit_count() - 1 for m in near)[::-1]
     full = (1 << n) - 1
     limit = budget - spent
@@ -483,7 +535,8 @@ def _solve(g: Graph, budget: int, search, half: int) -> Solution:
         else:
             method = "search"
             try:
-                found, used = search(sub, budget, nodes)
+                found, used = search(sub, _conflict_masks(sub), budget,
+                                     nodes)
             except BudgetExceeded as exc:
                 raise _whole_graph(exc, witness, originals,
                                    comps[i + 1:]) from None
@@ -569,16 +622,18 @@ def solve_pair(g: Graph, budget: int = DEFAULT_BUDGET,
                     exact = [False, False]  # the views search a mop
             if pair is None:
                 method = 2
+                near = _conflict_masks(sub)
                 floor = len(in_pack.intersection(originals))
                 exact[1] &= floor == 0
-                pack, used = _solve_rho_component(sub, budget, nodes[1],
-                                                  floor)
+                pack, used = _solve_rho_component(sub, near, budget,
+                                                  nodes[1], floor)
                 nodes[1] += used
                 ceiling = (None if in_dom is None
                            else len(in_dom.intersection(originals)))
                 exact[0] &= ceiling is None
-                dom, used = _solve_gamma_component(sub, budget, nodes[0],
-                                                   len(pack), ceiling)
+                dom, used = _solve_gamma_component(sub, near, budget,
+                                                   nodes[0], len(pack),
+                                                   ceiling)
                 nodes[0] += used
                 # stopping at rho may have saved nodes that the view spends
                 exact[0] &= len(dom) > len(pack)

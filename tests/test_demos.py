@@ -1,6 +1,8 @@
-"""Every demo script runs to completion against the package source."""
+"""Every demo script runs to completion against the package source, and
+the README's quick start prints what its comments say."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,3 +23,19 @@ def test_demo_runs(demo):
     done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_quick_start_shows_the_real_reprs():
+    readme = (ROOT / "README.md").read_text()
+    start = readme.index("## Library quick start")
+    block = re.search(r"```python\n(.*?)```", readme[start:], re.S).group(1)
+    namespace: dict = {}
+    checked = 0
+    for line in block.splitlines():
+        code, _, shown = line.partition("  # ")
+        if shown:  # an expression and the repr it shows
+            assert repr(eval(code, namespace)) == shown.strip(), line
+            checked += 1
+        else:
+            exec(line, namespace)
+    assert checked == 2

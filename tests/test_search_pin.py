@@ -3,8 +3,11 @@
 The digests below cover value, witness and node count of every answer,
 and every field of every BudgetExceeded, over a seeded corpus, so a change
 to the branching order, a tie-break or a bound shows up here even when
-the values stay right.  Run this file as a script to print the digests of
-the code in the working tree.
+the values stay right.  Run this file as a script
+(`PYTHONPATH=src python tests/test_search_pin.py`) to print the outcome of
+every row, the digests of the code in the working tree, and each
+quantity's total nodes and seconds over the corpus: nodes first, since
+they repeat exactly on any machine, then seconds.
 
 The rho digest was taken from the recursive search that the explicit-stack
 one replaced, and still holds.  The gamma digest was retaken when gamma
@@ -19,6 +22,7 @@ now found lies within the bounds it reported.
 
 import hashlib
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -110,22 +114,25 @@ def _outcome(solve, g, budget):
     return [s.value, list(s.witness), s.nodes]
 
 
-def search_records():
-    """(graph, quantity, budget, outcome) rows over the pinned corpus."""
-    rows = []
+def search_records(seconds=None):
+    """(graph, quantity, budget, outcome) rows over the pinned corpus; the
+    time of each quantity's solves is added to `seconds[quantity]` when a
+    dict is given."""
     corpus = _corpus()
-    for name, g in corpus:
+    small_budget = ("bicubic-32", "bicubic-64", "biconvex-18x14",
+                    "connected-40", "mop-30", "cycle-100", "cycle-300",
+                    "rook-5", "union")
+    runs = [(name, g, PIN_BUDGET) for name, g in corpus]
+    runs += [(name, g, budget) for name, g in corpus if name in small_budget
+             for budget in (1, 50, 5000)]
+    rows = []
+    for name, g, budget in runs:
         for q, solve in (("gamma", solvers.domination_number),
                          ("rho", solvers.packing_number)):
-            rows.append([name, q, PIN_BUDGET, _outcome(solve, g, PIN_BUDGET)])
-    small_budget = [c for c in corpus if c[0] in (
-        "bicubic-32", "bicubic-64", "biconvex-18x14", "connected-40",
-        "mop-30", "cycle-100", "cycle-300", "rook-5", "union")]
-    for name, g in small_budget:
-        for budget in (1, 50, 5000):
-            for q, solve in (("gamma", solvers.domination_number),
-                             ("rho", solvers.packing_number)):
-                rows.append([name, q, budget, _outcome(solve, g, budget)])
+            start = time.perf_counter()
+            rows.append([name, q, budget, _outcome(solve, g, budget)])
+            if seconds is not None:
+                seconds[q] = seconds.get(q, 0.0) + time.perf_counter() - start
     return rows
 
 
@@ -202,21 +209,6 @@ def _old_min_degree_pick(g, undominated):
     return pick
 
 
-def _naive_fewest_dominators_pick(g, undominated, banned):
-    pick = -1
-    pick_count = g.n + 1
-    m = undominated
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        m ^= low
-        count = (g.closed_masks[v] & ~banned).bit_count()
-        if count < pick_count:
-            pick_count = count
-            pick = v
-    return pick, pick_count
-
-
 def _old_clique_cover_bound(cmasks, candidates):
     cliques = []
     count = 0
@@ -271,22 +263,6 @@ def test_degree_classes_pick_the_min_degree_vertex(case):
 
 
 @settings(max_examples=300, deadline=None)
-@given(graph_and_mask(), st.integers(0, 1 << 40))
-def test_fewest_dominators_pick_matches_the_naive_scan(case, banned):
-    g, undominated = case
-    banned &= (1 << g.n) - 1
-    touched = 0
-    for u in range(g.n):
-        if banned >> u & 1:
-            touched |= g.closed_masks[u]
-    if undominated:
-        classes = solvers._degree_classes(map(len, g.adj))
-        assert solvers._fewest_dominators_pick(
-            g.closed_masks, classes, undominated, banned, touched) == (
-            _naive_fewest_dominators_pick(g, undominated, banned))
-
-
-@settings(max_examples=300, deadline=None)
 @given(graph_and_mask(), st.integers(0, 12), st.booleans())
 def test_clique_chains_match_the_first_fit_cover(case, cap, conflict):
     # any graph's closed masks are a conflict relation too
@@ -308,11 +284,134 @@ def test_conflict_classes_pick_the_max_conflict_candidate(case, conflict):
             _old_max_conflict_pick(near, candidates))
 
 
+# gamma's search loop against a verbatim copy of the one that bounded each
+# node when it was popped, with the pick and bit helpers it called
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _fewest_dominators_pick(masks, classes, undominated: int, banned: int,
+                            touched: int) -> tuple[int, int]:
+    pick = -1
+    count = len(masks) + 1
+    rest = undominated & ~touched
+    for deg, cls in classes:
+        low = cls & rest
+        if low:
+            pick = (low & -low).bit_length() - 1
+            count = deg + 1
+            break
+    free = ~banned
+    for v in _bits(undominated & touched):
+        c = (masks[v] & free).bit_count()
+        if c < count or (c == count and v < pick):
+            pick, count = v, c
+    return pick, count
+
+
+def _former_gamma_component(sub, budget, spent, lower=0, upper=None):
+    n = sub.n
+    masks = sub.closed_masks
+    near = solvers._conflict_masks(sub)
+    classes = solvers._degree_classes(map(len, sub.adj))
+    reach = classes[-1][0] + 1  # Delta + 1: the most one dominator covers
+    full = (1 << n) - 1
+    limit = budget - spent
+    nodes = 0
+    # n + 1: no dominating set found yet
+    best_size = n + 1 if upper is None else min(n, upper) + 1
+    best_set = ()
+    stack = [(None, 0, 0, 0, 0)]
+    while stack:
+        chosen, size, dominated, banned, touched = stack.pop()
+        nodes += 1
+        if nodes > limit:
+            raise solvers.BudgetExceeded(
+                "gamma",
+                lower=max(-(-n // reach), solvers._packing_bound(near, full, n)),
+                upper=len(best_set) if best_set else None,
+                witness=best_set,
+                nodes=spent + nodes,
+            )
+        if dominated == full:
+            if size < best_size:
+                best_size = size
+                best_set = solvers._unwind(chosen)
+                if size <= lower:
+                    break
+            continue
+        undominated = full & ~dominated
+        room = best_size - size  # prune when a lower bound fills it
+        if best_size <= n and (
+                -(-undominated.bit_count() // reach) >= room
+                or solvers._packing_bound(near, undominated, room) >= room):
+            continue
+        pick, count = _fewest_dominators_pick(masks, classes, undominated,
+                                              banned, touched)
+        if count == 0:  # every dominator of pick is banned: a dead end
+            continue
+        # branch on each unbanned dominator u of pick, most newly dominated
+        # first (smallest id on ties); later branches ban earlier u
+        order = sorted(_bits(masks[pick] & ~banned),
+                       key=lambda u: (-(masks[u] & undominated).bit_count(), u))
+        children = []
+        for u in order:
+            children.append(((u, chosen), size + 1, dominated | masks[u],
+                             banned, touched))
+            banned |= 1 << u
+            touched |= masks[u]
+        children.reverse()
+        stack += children
+    return best_set, nodes
+
+
+def _search_outcome(search, *args):
+    try:
+        return search(*args)
+    except solvers.BudgetExceeded as exc:
+        return exc.quantity, exc.lower, exc.upper, exc.witness, exc.nodes
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_gamma_search_matches_the_former_loop_node_for_node(data):
+    # hypothesis's own lists shrink towards forests, whose searches are
+    # trivial; a seeded draw gives average degree 2 to 4
+    rng = data.draw(st.randoms(use_true_random=False))
+    n = rng.randint(1, 30)
+    edges = [(rng.randrange(n), rng.randrange(n))
+             for _ in range(rng.randint(n, 2 * n))]
+    g = Graph.from_edges(n, [(u, v) for u, v in edges if u != v])
+    near = solvers._conflict_masks(g)
+    # as the one-quantity view calls it, or as solve_pair does: rho as the
+    # lower bound, and maybe the size of a certificate's dominating set
+    lower, upper = 0, None
+    if data.draw(st.booleans()):
+        gamma = len(_former_gamma_component(g, 10 ** 9, 0)[0])
+        lower = len(solvers._solve_rho_component(g, near, 10 ** 9, 0)[0])
+        upper = data.draw(st.none() | st.integers(gamma, n))
+    full = _former_gamma_component(g, 10 ** 9, 0, lower, upper)[1]
+    spent = data.draw(st.integers(0, 2))
+    budget = spent + data.draw(st.integers(1, full + 1))
+    assert _search_outcome(solvers._solve_gamma_component, g, near, budget,
+                           spent, lower, upper) == _search_outcome(
+        _former_gamma_component, g, budget, spent, lower, upper)
+
+
 if __name__ == "__main__":
-    rows = search_records()
+    seconds = {}
+    rows = search_records(seconds)
     for row in rows:
         out = row[3]
         print(row[0], row[1], row[2], out[:1] + out[2:] if out[0] == "budget"
               else [out[0], out[2]])
     print("rho", _quantity_digest(rows, "rho"))
     print("gamma", _quantity_digest(rows, "gamma"))
+    for q in ("gamma", "rho"):
+        nodes = sum(row[3][-1] for row in rows if row[1] == q)
+        print(f"{q} total: {nodes} nodes, {seconds[q]:.3f} s")

@@ -5,6 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import count_calls
 from gammarho.biconvex import (
     cb_decompose,
     construct_dominating,
@@ -574,6 +575,15 @@ def test_gamma_eq_rho_graph_answers_where_the_views_run_out():
     assert rho.witness == packing_number(g).witness
 
 
+def test_pair_builds_conflict_masks_once_per_searched_component(monkeypatch):
+    # Petersen and C_31 are searched, the path between them is a tree; rho's
+    # and gamma's searches of a component share one build
+    g = _disjoint_union((petersen(), gen_path(5), gen_cycle(31)), range(46))
+    counts = count_calls(monkeypatch, ("_conflict_masks",))
+    solvers.solve_pair(g)
+    assert counts["_conflict_masks"] == 2
+
+
 def test_a_run_out_the_views_share_is_not_searched_again(monkeypatch):
     # C_60 at budget 100: gamma's view answers in 61 nodes and rho's runs
     # out.  The pair's rho search is the view's, node for node, so its
@@ -587,7 +597,7 @@ def test_a_run_out_the_views_share_is_not_searched_again(monkeypatch):
     original = solvers._solve_rho_component
 
     def counting(*args):
-        calls.append(args[3:])
+        calls.append(args[4:])  # after (sub, near, budget, spent)
         return original(*args)
 
     monkeypatch.setattr(solvers, "_solve_rho_component", counting)
