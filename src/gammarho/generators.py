@@ -10,6 +10,7 @@ the same graph on any platform.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator, Sequence
 from itertools import combinations
 
 from .biconvex import ConvexOrdering, cb_decompose, trim_core
@@ -262,13 +263,23 @@ def _bicubic_canonical(rows: tuple[int, ...], m: int) -> tuple:
     return tuple(tuple((r >> (m - 1 - i)) & 1 for i in range(m)) for r in best)
 
 
-def _least_reading(vectors: tuple[int, ...], m: int, best: list[int]) -> None:
+def _least_reading(vectors: Sequence[int], m: int, best: list[int],
+                   first: bool = False) -> bool:
     """Lower `best` (a finished form, or empty) to the least column-major
     reading of the columns `vectors` (row bitmasks) over their column
-    orders; see _bicubic_canonical."""
+    orders, and return whether some reading lies below it; see
+    _bicubic_canonical.
+
+    With `first`, return True at the first prefix that reads below `best`,
+    which is left as it was: no leaf under that prefix can read at or above
+    `best`, since refining the cells below it reorders rows only inside
+    cells, where every column read so far is constant.  Seeded with a
+    matrix's own reading, this is enumerate_bicubic's test that no
+    relabelling reads below the matrix.
+    """
     prefix: list[int] = []
 
-    def descend(cells: list[int], left: list[int]) -> None:
+    def descend(cells: list[int], left: list[int]) -> bool:
         readings = []
         for c in left:
             reading = 0
@@ -278,12 +289,16 @@ def _least_reading(vectors: tuple[int, ...], m: int, best: list[int]) -> None:
             readings.append(reading)
         if not left or len(cells) == m:  # no column can split a cell
             form = prefix + sorted(readings)
-            if not best or form < best:
+            if best and form >= best:
+                return False
+            if not first:
                 best[:] = form
-            return
+            return True
         low = min(readings)
         prefix.append(low)
-        if not best or prefix <= best[:len(prefix)]:
+        head = best[:len(prefix)]
+        lowered = first and prefix < head
+        if not lowered and (not best or prefix <= head):
             tried = set()
             for c, reading in zip(left, readings):
                 if reading != low or c in tried:
@@ -296,10 +311,66 @@ def _least_reading(vectors: tuple[int, ...], m: int, best: list[int]) -> None:
                             split.append(part)
                 rest = left.copy()
                 rest.remove(c)
-                descend(split, rest)
+                if descend(split, rest):
+                    lowered = True
+                    if first:
+                        break
         prefix.pop()
+        return lowered
 
-    descend([(1 << m) - 1], list(vectors))
+    return descend([(1 << m) - 1], list(vectors))
+
+
+def _bicubic_candidates(m: int) -> Iterator[tuple[int, ...]]:
+    """Every m x m 0/1 matrix with row and column sums 3 whose rows and
+    columns are both in ascending order, as its rows: m-bit ints whose top
+    bit is column 0, so a row's bit string reads as its int value.  A
+    column reads top to bottom, row 0 first.
+
+    Rows are picked in ascending order with column sums at most 3 and room
+    left to reach 3.  Bit p of a tie mask stands for the column pair at
+    bits p+1 and p, still equal on the rows so far; a row reading 1 then 0
+    on a tied pair would put that pair out of order, so it is skipped.
+    ge1, ge2 and ge3 mask the columns whose sum is at least 1, 2 and 3.
+    """
+    full = (1 << m) - 1
+    row_types = sorted(sum(1 << c for c in combo)
+                       for combo in combinations(range(m), 3))
+    chosen: list[int] = []
+
+    def extend(start: int, ties: int, ge1: int, ge2: int,
+               ge3: int) -> Iterator[tuple[int, ...]]:
+        left = m - len(chosen) - 1  # rows still to pick after this one
+        for idx in range(start, len(row_types)):
+            r = row_types[idx]
+            if r & ge3 or (r >> 1) & ~r & ties:
+                continue
+            sums = (ge1 | r, ge2 | ge1 & r, ge3 | ge2 & r)
+            if left < 3 and sums[2 - left] != full:  # a sum below 3 - left
+                continue
+            chosen.append(r)
+            if left:
+                yield from extend(idx, ties & ~(r ^ r >> 1), *sums)
+            else:
+                yield tuple(chosen)
+            chosen.pop()
+
+    yield from extend(0, full >> 1, 0, 0, 0)
+
+
+def _orderly_form(rows: tuple[int, ...], m: int) -> list[int] | None:
+    """The column readings of a candidate of _bicubic_candidates if no
+    relabelling of it reads below them, else None: then they are the
+    candidate's _bicubic_canonical form, as m-bit ints."""
+    form = [0] * m
+    for i, r in enumerate(rows):
+        while r:  # three columns per row
+            top = r.bit_length() - 1
+            form[m - 1 - top] |= 1 << (m - 1 - i)
+            r ^= 1 << top
+    if _least_reading(form, m, form, True) or _least_reading(rows, m, form, True):
+        return None
+    return form
 
 
 def enumerate_bicubic(n: int) -> list[Graph]:
@@ -307,59 +378,34 @@ def enumerate_bicubic(n: int) -> list[Graph]:
     isomorphism class, in a deterministic order.  Supported for
     n in {6, 8, ..., 16}; larger orders come from external corpora.
 
-    The search visits only doubly lexical biadjacency matrices: rows and
-    columns both nonincreasing, each read as a bit string with row 0 and
-    column 0 most significant.  Every class has such a labelling: sorting
-    the rows in decreasing order, or the columns, never lowers the
-    row-major reading of the matrix, and a sort that moves anything raises
-    it strictly, so alternating the two sorts ends at a matrix with both
-    sorted (Lubiw, "Doubly lexical orderings of matrices", SIAM J. Comput.
-    1987).  Rows are picked in nonincreasing order with column sums at most
-    3 and room left to reach 3; a mask of the adjacent column pairs still
-    equal on the rows so far forbids a row reading 0 then 1 on a tied pair.
-    The connected candidates are deduplicated by _bicubic_canonical, which
-    also defines the output order and labels.
+    An orderly generator (McKay, "Isomorph-free exhaustive generation",
+    J. Algorithms 1998).  The candidates are the doubly lexical
+    biadjacency matrices with rows and columns both in ascending order
+    (_bicubic_candidates), and a
+    candidate is kept only if no relabelling, by row and column
+    permutations with or without swapping the sides, reads strictly below
+    it column-major.  _least_reading's refinement search, seeded with the
+    candidate's own reading, stops at the first prefix that reads lower,
+    so most candidates are rejected after a few columns.
+
+    Each class's canonical form, the least column-major reading of any
+    relabelling (_bicubic_canonical), is one of the candidates: for its
+    column order the least reading has the rows in ascending order, and a
+    column pair out of ascending order could be swapped to read lower.  No
+    other candidate of the class passes, so each class is kept exactly
+    once, as its canonical form, which also defines the output order and
+    labels.  Connectivity is tested on the kept candidates only.
     """
     if n not in (6, 8, 10, 12, 14, 16):
         raise ValueError("exhaustive enumeration supports n in {6, 8, ..., 16}")
     m = n // 2
-    full = (1 << m) - 1
-    # column j is bit m-1-j, so a row's bit string reads as its int value;
-    # bit p of a tie mask stands for the column pair at bits p+1 and p, and
-    # ge1, ge2, ge3 mask the columns whose sum is at least 1, 2, 3
-    row_types = sorted((sum(1 << c for c in combo)
-                        for combo in combinations(range(m), 3)), reverse=True)
-    forms = set()
-    chosen: list[int] = []
-
-    def extend(start: int, ties: int, ge1: int, ge2: int, ge3: int) -> None:
-        left = m - len(chosen) - 1  # rows still to pick after this one
-        for idx in range(start, len(row_types)):
-            r = row_types[idx]
-            if r & ge3 or r & ~(r >> 1) & ties:
-                continue
-            sums = (ge1 | r, ge2 | ge1 & r, ge3 | ge2 & r)
-            if left < 3 and sums[2 - left] != full:  # a sum below 3 - left
-                continue
-            chosen.append(r)
-            if left:
-                extend(idx, ties & ~(r ^ r >> 1), *sums)
-            else:
-                g = Graph.from_edges(n, [(i, m + j) for i, row in enumerate(chosen)
-                                         for j in range(m) if (row >> j) & 1])
-                if g.is_connected():
-                    forms.add(_bicubic_canonical(tuple(chosen), m))
-            chosen.pop()
-
-    extend(0, full >> 1, 0, 0, 0)
-
-    graphs = []
-    for cols in sorted(forms):
-        edges = [
-            (i, m + j)
-            for j, col in enumerate(cols)
-            for i, bit in enumerate(col)
-            if bit
-        ]
-        graphs.append(Graph.from_edges(n, edges))
-    return graphs
+    kept = []
+    for rows in _bicubic_candidates(m):
+        form = _orderly_form(rows, m)
+        if form is not None:
+            g = Graph.from_edges(n, [(i, m + j) for j, col in enumerate(form)
+                                     for i in range(m) if (col >> (m - 1 - i)) & 1])
+            if g.is_connected():
+                kept.append((form, g))
+    kept.sort(key=lambda pair: pair[0])
+    return [g for _, g in kept]

@@ -1,4 +1,14 @@
+"""Generators against their references, and enumerate_bicubic pinned.
+
+Run this file as a script (`PYTHONPATH=src python tests/test_generators.py`)
+to print, for each order n = 6-16, the orderly generator's candidates
+visited, the candidates kept, the classes and the seconds of
+enumerate_bicubic(n): counts first, since they repeat exactly on any
+machine, then seconds.
+"""
+
 import functools
+import time
 from itertools import combinations, permutations
 
 import networkx as nx
@@ -11,7 +21,9 @@ from gammarho.biconvex import validate_convex
 from gammarho.bicubic import validate_bicubic
 from gammarho.formats import encode_graph6
 from gammarho.generators import (
+    _bicubic_candidates,
     _bicubic_canonical,
+    _orderly_form,
     enumerate_bicubic,
     gen_complete,
     gen_complete_bipartite,
@@ -296,46 +308,65 @@ def test_canonical_form_is_invariant_beyond_the_oracle(data):
     assert _bicubic_canonical(relabelled, m) == _bicubic_canonical(rows, m)
 
 
-def _sorted_rows(matrix: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    return sorted(matrix, reverse=True)
-
-
-def _sorted_columns(matrix: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    return [tuple(r) for r in zip(*sorted(zip(*matrix), reverse=True))]
-
-
 @functools.cache
-def _enumerated_forms(n: int) -> frozenset:
-    return frozenset(_bicubic_canonical(_rows(g), n // 2)
-                     for g in enumerate_bicubic(n))
+def _candidates(m: int) -> frozenset:
+    return frozenset(_bicubic_candidates(m))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_alternating_sorts_reach_a_doubly_lexical_matrix(data):
-    # the completeness argument of enumerate_bicubic: sorting the rows or
-    # the columns in decreasing order never lowers the row-major reading,
-    # and raises it whenever it moves something, so alternating the two
-    # sorts stops at a matrix with rows and columns both nonincreasing
+def test_canonical_forms_are_orderly_candidates(data):
+    # the completeness argument of enumerate_bicubic: for its column order
+    # the least reading has the rows in ascending order, and its columns
+    # are in ascending order, or a swap would read lower; so every class's
+    # form is a candidate, and the one its class keeps
     m = data.draw(st.integers(3, 8))
     g = gen_random_bicubic(2 * m, data.draw(st.integers(0, 10**6)))
-    rows = _draw_relabelling(data, _rows(g), m)
-    matrix = [tuple((r >> j) & 1 for j in range(m)) for r in rows]
-    moved = True
-    while moved:
-        moved = False
-        for sort in (_sorted_rows, _sorted_columns):
-            after = sort(matrix)
-            if after != matrix:
-                assert sum(after, ()) > sum(matrix, ())
-                matrix, moved = after, True
-    columns = list(zip(*matrix))
-    assert all(a >= b for a, b in zip(matrix, matrix[1:]))
-    assert all(a >= b for a, b in zip(columns, columns[1:]))
-    assert all(sum(c) == 3 for c in columns)
-    assert all(sum(r) == 3 for r in matrix)
-    fixpoint = tuple(sum(bit << j for j, bit in enumerate(r)) for r in matrix)
-    assert _bicubic_canonical(fixpoint, m) in _enumerated_forms(2 * m)
+    form = _bicubic_canonical(_draw_relabelling(data, _rows(g), m), m)
+    matrix = list(zip(*form))
+    assert matrix == sorted(matrix) and list(form) == sorted(form)
+    assert all(sum(c) == 3 for c in form) and all(sum(r) == 3 for r in matrix)
+    rows = tuple(int("".join(map(str, r)), 2) for r in matrix)
+    assert rows in _candidates(m)
+    assert _orderly_form(rows, m) == [int("".join(map(str, c)), 2) for c in form]
+
+
+def _reading(rows: tuple[int, ...], m: int) -> tuple:
+    """A candidate's column-major reading in _bicubic_canonical's shape."""
+    return tuple(tuple((r >> (m - 1 - j)) & 1 for r in rows) for j in range(m))
+
+
+def test_orderly_test_keeps_exactly_the_canonical_candidates():
+    for m in range(3, 7):
+        for rows in _bicubic_candidates(m):
+            canonical = _reading(rows, m) == _bicubic_canonical(rows, m)
+            assert (_orderly_form(rows, m) is not None) == canonical
+
+
+def _enumeration_counts(n: int) -> tuple[int, int, int]:
+    """The candidates visited, the candidates kept (connected or not) and
+    the connected ones kept, which are enumerate_bicubic(n)'s classes."""
+    m = n // 2
+    visited = kept = 0
+    for rows in _bicubic_candidates(m):
+        visited += 1
+        kept += _orderly_form(rows, m) is not None
+    return visited, kept, len(enumerate_bicubic(n))
+
+
+# (visited, kept, classes): the classes are OEIS A006823; the kept
+# disconnected candidates are K_{3,3} twice (n = 12), K_{3,3} with the
+# cube (14), and K_{3,3} with either n = 10 class or the cube twice (16)
+ENUMERATION_COUNTS = {6: (1, 1, 1), 8: (1, 1, 1), 10: (3, 2, 2),
+                      12: (25, 6, 5), 14: (272, 14, 13), 16: (4070, 41, 38)}
+
+
+def test_orderly_generator_keeps_each_class_once():
+    for n, counts in ENUMERATION_COUNTS.items():
+        assert _enumeration_counts(n) == counts
+        graphs = enumerate_bicubic(n)
+        assert len({_bicubic_canonical(_rows(g), n // 2) for g in graphs}) \
+            == len(graphs) == counts[2]
 
 
 # gen_random_mop(n, seed) as graph6 from the original recursive sampler
@@ -364,3 +395,14 @@ def test_random_mop_beyond_42_vertices():
         recognize_mop(g)
     big = gen_random_mop(3000, 1)
     assert big.n == 3000 and big.m == 2 * 3000 - 3 and big.is_connected()
+
+
+if __name__ == "__main__":
+    # deterministic counts first, then seconds for enumerate_bicubic(n)
+    for n in ENUMERATION_COUNTS:
+        visited, kept, classes = _enumeration_counts(n)
+        start = time.perf_counter()
+        enumerate_bicubic(n)
+        seconds = time.perf_counter() - start
+        print(f"n={n}: {visited} visited, {kept} kept, {classes} classes, "
+              f"{seconds:.4f} s")

@@ -175,10 +175,14 @@ def test_gamma_keeps_the_former_values_in_no_more_nodes(records):
 
 @st.composite
 def graph_and_mask(draw):
-    n = draw(st.integers(1, 40))
-    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    edges = [(u, v) for u, v in draw(st.lists(pairs, max_size=3 * n)) if u != v]
-    return Graph.from_edges(n, edges), draw(st.integers(0, (1 << n) - 1))
+    # as in the gamma loop's property below: hypothesis's own edge lists
+    # shrink towards near-forests, a seeded draw gives average degree 2 to 4
+    rng = draw(st.randoms(use_true_random=False))
+    n = rng.randint(1, 40)
+    edges = [(rng.randrange(n), rng.randrange(n))
+             for _ in range(rng.randint(n, 2 * n))]
+    g = Graph.from_edges(n, [(u, v) for u, v in edges if u != v])
+    return g, draw(st.integers(0, (1 << n) - 1))
 
 
 def _old_packing_bound(masks, undominated):
