@@ -56,7 +56,6 @@ from .bicubic import (
 )
 from .outerplanar import (
     DualTree,
-    MopFacts,
     NotMaximalOuterplanar,
     Triangulation,
     averaged_dominating,
@@ -66,7 +65,6 @@ from .outerplanar import (
     clique_graph_numbers,
     lift_packing,
     low_degree_count,
-    mop_facts,
     project_dominating,
     recognize_mop,
     tokunaga_color,

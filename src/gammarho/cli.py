@@ -51,7 +51,7 @@ from .harness import (
     scan_verdict,
     write_counterexamples,
 )
-from .outerplanar import build_dual, recognize_mop, tokunaga_color
+from .outerplanar import recognize_mop
 from .reports import ENCODER, write_report
 from .solvers import BudgetExceeded, DEFAULT_BUDGET, solve_pair
 
@@ -144,14 +144,12 @@ def cmd_decompose(args) -> int:
             print(f"combined packing: {list(combined_packing(g, layers))}")
         elif args.cls == "mop":
             t = recognize_mop(g)
-            dual = build_dual(t)
-            colors = tokunaga_color(t, dual)
             print(f"boundary: {list(t.boundary)}")
             for i, tri in enumerate(t.triangles):
                 print(f"triangle {i}: {list(tri)}")
-            for (i, j), edge in sorted(dual.shared.items()):
+            for (i, j), edge in sorted(t.dual.shared.items()):
                 print(f"dual edge {i}-{j} shares {edge[0]}-{edge[1]}")
-            print(f"colors: {list(colors)}")
+            print(f"colors: {list(t.walk[2])}")
         elif args.cls == "biconvex":
             if ordering is None:
                 raise ValueError("biconvex input needs orderings")

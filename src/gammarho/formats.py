@@ -306,7 +306,7 @@ def iter_graph6_stream(
 
     '#xorder' / '#yorder' sidecar lines attach to the preceding graph, which
     is how generated biconvex corpora travel in an otherwise standard
-    graph6 file.
+    graph6 file; those before the first graph are dropped.
     """
     current: Graph | None = None
     ox: tuple[int, ...] | None = None
@@ -314,12 +314,12 @@ def iter_graph6_stream(
 
     def flush():
         nonlocal current, ox, oy
+        result = None
         if current is not None:
             orderings = (ox, oy) if ox is not None and oy is not None else None
             result = (current, orderings)
-            current, ox, oy = None, None, None
-            return result
-        return None
+        current, ox, oy = None, None, None
+        return result
 
     for ln in lines:
         stripped = ln.strip()

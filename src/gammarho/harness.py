@@ -6,15 +6,18 @@ bad input, exit code 3 downstream) or conjectures (a failure is a genuine
 counterexample, exit code 2, and the offending graph is dumped with both
 optimal witnesses so the violation can be replayed from the dump alone).
 Each predicate names the row of the bound table (`gammarho.bounds`) it
-checks and the class condition under which it does.  `evaluate_predicates`
-hands the rows that apply to `bounds.bound_records`, the one evaluator,
-with Delta from the classification and with t and the clique graph's gamma
-and rho as functions, called only for a claimed row that reads them and
-once per graph.  It reads the counterexamples off the conjecture records
-that fail, and `verify_counterexamples` replays a dump through the same
-call.  When gamma or rho runs out of budget, every row that applies gets
-the record of `bounds.inconclusive_records`; when an extra does, only the
-rows that read it do.
+checks and the class condition under which it does.  `graph_facts` builds
+one graph's `GraphFacts` in one step: its families (with the triangulation
+of a mop), its maximum degree, and gamma and rho with optimal witnesses
+from one pair solve, or the budget run-out in their place.
+`evaluate_predicates` hands the rows that apply to `bounds.bound_records`,
+the one evaluator, with Delta from the facts and with t and the clique
+graph's gamma and rho as functions, called only for a claimed row that
+reads them and once per graph.  It reads the counterexamples off the
+conjecture records that fail, and `verify_counterexamples` replays a dump
+through the same call.  When gamma or rho ran out of budget, every claimed
+row that applies gets the record of `bounds.inconclusive_records`; when an
+extra does, only the rows that read it do.
 
 `CERTIFY` maps each `certify` class to the one function that builds its
 certificates and records; the class records read the same table rows as
@@ -24,17 +27,17 @@ call an entry through `guarded`: a budget run-out gives one solver-budget
 record, and any other exception but a ValueError (input outside the class,
 exit 1) gives the scan's error record, and the run goes on to exit 3.
 
-Every parallel map goes through `map_items`: serial for one job, else one
-`multiprocessing.Pool.map` with the stdlib's default chunking, which hands
-each worker about four contiguous chunks of items instead of one item per
-round trip.  Graphs travel between processes as graph6 strings; records
-come back as flat tuples (`ScanRecord.__reduce__`: the class and the ten
-field values, no `__dict__` of field names), in submission order, so a
-scan's report is byte-identical for a fixed corpus no matter how many
-workers ran it.  `reports.write_report` writes each record's line from
-one fixed-key template.  An item whose evaluation
-raises anything but `BudgetExceeded` becomes one `error` record (exit code
-3) and the scan goes on.
+Every parallel map goes through `map_items`: serial for one job or one
+item, else one `multiprocessing.Pool.map` on at most one process per item,
+with the stdlib's default chunking, which hands each worker about four
+contiguous chunks of items instead of one item per round trip.  Graphs
+travel between processes as graph6 strings; records come back as flat
+tuples (`ScanRecord.__reduce__`: the class and the ten field values, no
+`__dict__` of field names), in submission order, so a scan's report is
+byte-identical for a fixed corpus no matter how many workers ran it.
+`reports.write_report` writes each record's line from one fixed-key
+template.  An item whose evaluation raises becomes one `error` record
+(exit code 3) and the scan goes on.
 """
 
 from __future__ import annotations
@@ -95,9 +98,11 @@ def make_item(graph_id: str, family: str, g: Graph,
 
 
 def map_items(fn: Callable, items: Sequence, jobs: int) -> list:
-    """[fn(x) for x in items], on a pool of `jobs` processes when jobs > 1.
-    The pool's default chunking sends each worker about four contiguous
-    chunks; results come back in submission order either way."""
+    """[fn(x) for x in items], on a pool of min(jobs, len(items)) processes
+    when that is more than one.  The pool's default chunking sends each
+    worker about four contiguous chunks; results come back in submission
+    order either way."""
+    jobs = min(jobs, len(items))
     if jobs <= 1:
         return [fn(x) for x in items]
     with multiprocessing.Pool(processes=jobs) as pool:
@@ -105,10 +110,12 @@ def map_items(fn: Callable, items: Sequence, jobs: int) -> list:
 
 
 @dataclass(frozen=True)
-class Classified:
-    """One graph, its maximum degree and its families, before any solve;
-    `triangulation` is set exactly when "mop" is a family.  A predicate
-    decides whether it applies from these fields alone."""
+class GraphFacts:
+    """One graph, its families and maximum degree, and its exact gamma and
+    rho with optimal witnesses; `triangulation` is set exactly when "mop"
+    is a family.  When the solve ran out of budget, `exhausted` holds the
+    BudgetExceeded, gamma and rho are None and the witnesses are empty.  A
+    predicate decides whether it applies from the fields before `gamma`."""
 
     graph_id: str
     family: str
@@ -118,17 +125,11 @@ class Classified:
     triangulation: Triangulation | None
     budget: int
     delta: int
-
-
-@dataclass(frozen=True)
-class GraphFacts(Classified):
-    """A classified graph with its exact gamma and rho and optimal
-    witnesses."""
-
-    gamma: int
-    rho: int
+    gamma: int | None
+    rho: int | None
     dominating: tuple[int, ...]
     packing: tuple[int, ...]
+    exhausted: BudgetExceeded | None = None
 
 
 def _classify(g: Graph, ordering: ConvexOrdering | None
@@ -161,27 +162,20 @@ def detect_families(g: Graph, ordering: ConvexOrdering | None) -> frozenset[str]
     return _classify(g, ordering)[0]
 
 
-def _classified(item: ScanItem, g: Graph, budget: int) -> Classified:
-    families, triangulation = _classify(g, item.ordering)
-    return Classified(item.graph_id, item.family, g, item.ordering, families,
-                      triangulation, budget, g.max_degree())
-
-
-def _solved(c: Classified) -> GraphFacts:
-    """gamma and rho from one pair solve, which reuses the triangulation of
-    a mop and does not recognise g again; a solve that exhausts the budget
-    raises BudgetExceeded."""
-    gamma, rho = solve_pair(c.graph, c.budget, c.triangulation,
-                            recognize=False)
-    return GraphFacts(c.graph_id, c.family, c.graph, c.ordering, c.families,
-                      c.triangulation, c.budget, c.delta, gamma.value,
-                      rho.value, gamma.witness, rho.witness)
-
-
-def graph_facts(item: ScanItem, g: Graph, budget: int) -> GraphFacts:
-    """Classify g (the decoded item) and solve gamma and rho; a solve that
-    exhausts the budget raises BudgetExceeded."""
-    return _solved(_classified(item, g, budget))
+def graph_facts(graph_id: str, family: str, g: Graph,
+                ordering: ConvexOrdering | None, budget: int) -> GraphFacts:
+    """Classify g and solve gamma and rho in one pair solve, which reuses
+    the triangulation of a mop and does not recognise g again; a solve
+    that exhausts the budget is kept in `exhausted`."""
+    families, triangulation = _classify(g, ordering)
+    known = (graph_id, family, g, ordering, families, triangulation, budget,
+             g.max_degree())
+    try:
+        gamma, rho = solve_pair(g, budget, triangulation, recognize=False)
+    except BudgetExceeded as exc:
+        return GraphFacts(*known, None, None, (), (), exc)
+    return GraphFacts(*known, gamma.value, rho.value, gamma.witness,
+                      rho.witness)
 
 
 @dataclass(frozen=True)
@@ -191,22 +185,19 @@ class Predicate:
 
     name: str
     kind: str  # "theorem" | "conjecture"
-    applies: Callable[[Classified], bool]
+    applies: Callable[[GraphFacts], bool]
     bound: bounds.Bound
 
     @property
     def row(self) -> bounds.Row:
         return self.name, self.kind, self.bound
 
-    def covers(self, c: Classified) -> bool:
-        return self.bound.claimed(c.graph.n, c.delta) and self.applies(c)
 
-
-def _always(c: Classified) -> bool:
+def _always(c: GraphFacts) -> bool:
     return True
 
 
-def _in(family: str) -> Callable[[Classified], bool]:
+def _in(family: str) -> Callable[[GraphFacts], bool]:
     return lambda c: family in c.families
 
 
@@ -251,28 +242,32 @@ DEFAULT_PREDICATES = tuple(
 )
 
 
-def evaluate_predicates(item: ScanItem, facts: GraphFacts,
-                        names: Sequence[str]
+def evaluate_predicates(facts: GraphFacts, names: Sequence[str]
                         ) -> tuple[list[ScanRecord], list[dict]]:
-    """Records of the named predicates that apply to the item, from
+    """Records of the named predicates that apply to the graph, from
     `bounds.bound_records`, and a counterexample for each conjecture that
     fails.  The extras are found on demand, each at most once; a row whose
-    extra runs out of budget yields an inconclusive record."""
+    extra runs out of budget yields an inconclusive record, and when gamma
+    or rho ran out, every claimed row does."""
     g = facts.graph
-    clique = functools.cache(
-        lambda: clique_graph_numbers(facts.triangulation, facts.budget))
     rows = [PREDICATES[name].row for name in names
             if PREDICATES[name].applies(facts)]
+    if facts.exhausted is not None:
+        rows = [row for row in rows if row[2].claimed(g.n, facts.delta)]
+        return bounds.inconclusive_records(
+            rows, facts.graph_id, facts.family, g.n, facts.exhausted), []
+    clique = functools.cache(
+        lambda: clique_graph_numbers(facts.triangulation, facts.budget))
     records = bounds.bound_records(
-        rows, item.graph_id, item.family, g.n, facts.gamma, facts.rho,
+        rows, facts.graph_id, facts.family, g.n, facts.gamma, facts.rho,
         delta=facts.delta, t=lambda: low_degree_count(g),
         cg_gamma=lambda: clique()[0].value, cg_rho=lambda: clique()[1].value)
-    o = item.ordering
+    o = facts.ordering
     counterexamples = [{
-        "graph_id": item.graph_id,
-        "family": item.family,
+        "graph_id": facts.graph_id,
+        "family": facts.family,
         "predicate": r.check,
-        "graph6": item.graph6,
+        "graph6": encode_graph6(g),
         "gamma": facts.gamma,
         "rho": facts.rho,
         "bound": r.bound,
@@ -300,15 +295,9 @@ def _predicate_worker(
     item, names, budget = args
     g = decode_graph6(item.graph6)  # written by make_item, so it decodes
     try:
-        known = _classified(item, g, budget)
-        try:
-            facts = _solved(known)
-        except BudgetExceeded as exc:
-            rows = [PREDICATES[name].row for name in names
-                    if PREDICATES[name].covers(known)]
-            return bounds.inconclusive_records(
-                rows, item.graph_id, item.family, g.n, exc), []
-        return evaluate_predicates(item, facts, names)
+        return evaluate_predicates(
+            graph_facts(item.graph_id, item.family, g, item.ordering, budget),
+            names)
     except Exception as exc:  # one failing item must not sink the scan
         traceback.print_exc()  # the record keeps only the type and message
         return [_error_record(item.graph_id, item.family, g.n, exc)], []
@@ -367,9 +356,11 @@ def verify_counterexamples(lines: Iterable[str],
         if ce.get("x_order") is not None:
             ordering = ConvexOrdering(tuple(ce["x_order"]),
                                       tuple(ce["y_order"]))
-        item = ScanItem(ce["graph_id"], ce["family"], ce["graph6"], ordering)
-        facts = graph_facts(item, decode_graph6(item.graph6), budget)
-        records, _ = evaluate_predicates(item, facts, [ce["predicate"]])
+        facts = graph_facts(ce["graph_id"], ce["family"],
+                            decode_graph6(ce["graph6"]), ordering, budget)
+        if facts.exhausted is not None:
+            raise facts.exhausted
+        records, _ = evaluate_predicates(facts, [ce["predicate"]])
         out = dict(ce)
         out["still_violates"] = any(r.holds is False for r in records)
         results.append(out)
@@ -424,9 +415,10 @@ def _certify_any(graph_id: str, g: Graph, ordering: ConvexOrdering | None,
                  budget: int, family: str = "any") -> tuple[dict, list]:
     """Exact gamma and rho with optimal witnesses, and the records of every
     default predicate that applies to g."""
-    item = make_item(graph_id, family, g, ordering)
-    facts = graph_facts(item, g, budget)
-    records, _ = evaluate_predicates(item, facts, DEFAULT_PREDICATES)
+    facts = graph_facts(graph_id, family, g, ordering, budget)
+    if facts.exhausted is not None:
+        raise facts.exhausted
+    records, _ = evaluate_predicates(facts, DEFAULT_PREDICATES)
     return {"gamma": facts.gamma, "rho": facts.rho,
             "dominating": list(facts.dominating),
             "packing": list(facts.packing)}, records

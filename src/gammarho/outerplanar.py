@@ -1,17 +1,18 @@
-"""Maximal outerplanar graphs (mops): the clique graph of the triangles,
-the dominating/packing transfers between the graph and that clique graph,
-and the class's certificate bundle.  Recognition, the dual tree, its walk
-with the Tokunaga 4-coloring, and the dynamic programme for gamma and rho
-live in `gammarho.triangulation`, below `solvers`; their public names are
-re-exported here.
+"""Maximal outerplanar graphs (mops): the dominating/packing transfers
+between the graph and the clique graph of its triangles, the clique
+graph's gamma and rho, and the class's certificate bundle.  Recognition,
+the dual tree, its walk with the Tokunaga 4-coloring, the clique graph and
+the dynamic programme for gamma and rho live in `gammarho.triangulation`,
+below `solvers`; their public names are re-exported here.
 
-`mop_facts` builds a graph's whole certificate state from one ear
-clipping.  The triangulation keeps its dual tree and its walk, so the pair
-solve (`solvers.solve_pair`, which routes the mop to the dual-tree
-programme) and the clique graph's numbers read the same walk.
-`build_clique_graph` joins the triangles at each vertex.  `certify_mop`
-reads the projected and averaged dominating sets, the class's rows of the
-bound table (`gammarho.bounds`) and the two certificate checks off it.
+Every function here takes the `Triangulation` of one ear clipping and
+reads the dual tree, the walk and the clique graph that it keeps, so the
+pair solve (`solvers.solve_pair`, which routes the mop to the dual-tree
+programme), the clique graph's numbers and the transfers share one build
+of each.  `certify_mop` recognises g once and reads gamma and rho, the
+projected and averaged dominating sets, the lifted packing, the class's
+rows of the bound table (`gammarho.bounds`) and the two certificate checks
+off that triangulation.
 
 None of the four numbers needs search.  On the clique graph every closed
 neighborhood is a subtree of the dual tree, so the dual tree is a host
@@ -24,8 +25,6 @@ under the caller's budget instead, which shows as nodes > 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import bounds
 from .graphs import (
     CertificateError,
@@ -37,11 +36,13 @@ from .graphs import (
 )
 from .reports import ScanRecord, bound_str
 from .solvers import DEFAULT_BUDGET, Solution, host_tree_certificate, solve_pair
-# the recognition, dual tree and colouring names are re-exported here
+# the recognition, dual tree, clique graph and colouring names are
+# re-exported here
 from .triangulation import (
     DualTree,
     NotMaximalOuterplanar,
     Triangulation,
+    build_clique_graph,
     build_dual,
     recognize_mop,
     tokunaga_color,
@@ -49,27 +50,12 @@ from .triangulation import (
 )
 
 
-def build_clique_graph(t: Triangulation) -> Graph:
-    """Graph on triangle indices, adjacent iff the triangles share a vertex.
-    The dual tree is a spanning tree of this graph."""
-    members: list[list[int]] = [[] for _ in range(t.graph.n)]
-    for idx, tri in enumerate(t.triangles):
-        for v in tri:
-            members[v].append(idx)
-    adj = []
-    for idx, (x, y, z) in enumerate(t.triangles):
-        nbrs = set(members[x]).union(members[y], members[z])
-        nbrs.discard(idx)
-        adj.append(nbrs)
-    return Graph(len(adj), adj)
-
-
-def project_dominating(t: Triangulation, cg: Graph,
+def project_dominating(t: Triangulation,
                        nodes: tuple[int, ...] | list[int]) -> tuple[int, ...]:
     """Union of the triangles of a clique-graph dominating set: a
     dominating set of the graph of at most 3x the size."""
     nodes = tuple(sorted(set(nodes)))
-    bad = domination_violation(cg, nodes)
+    bad = domination_violation(t.clique_graph, nodes)
     if bad is not None:
         raise ValueError(f"nodes do not dominate the clique graph: triangle {bad} uncovered")
     x = sorted({v for idx in nodes for v in t.triangles[idx]})
@@ -90,9 +76,9 @@ def low_degree_count(g: Graph) -> int:
 _TRIPLES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 
 
-def averaged_dominating(t: Triangulation, x_set: tuple[int, ...] | list[int],
-                        colors: tuple[int, ...]) -> tuple[int, ...]:
-    """Best of the four color-triple prunings of X.
+def averaged_dominating(t: Triangulation, x_set: tuple[int, ...] | list[int]
+                        ) -> tuple[int, ...]:
+    """Best of the four color-triple prunings of X, by t's Tokunaga colors.
 
     For each color triple ijk, keep C = X restricted to those colors and
     add back U = vertices C misses.  The four U sets are pairwise disjoint
@@ -100,6 +86,7 @@ def averaged_dominating(t: Triangulation, x_set: tuple[int, ...] | list[int],
     size at most (3|X| + t)/4.
     """
     g = t.graph
+    colors = t.walk[2]
     x_sorted = tuple(sorted(set(x_set)))
     bad = domination_violation(g, x_sorted)
     if bad is not None:
@@ -123,17 +110,16 @@ def averaged_dominating(t: Triangulation, x_set: tuple[int, ...] | list[int],
     return best
 
 
-def lift_packing(t: Triangulation, dual: DualTree,
-                 z: tuple[int, ...] | list[int],
-                 cg: Graph) -> tuple[int, ...]:
+def lift_packing(t: Triangulation,
+                 z: tuple[int, ...] | list[int]) -> tuple[int, ...]:
     """Lift a packing Z of the clique graph to an equal-size packing of the
     graph: root the dual tree at a Z-node; every Z-node contributes the one
-    vertex it does not share with the edge to its parent.  `cg` is
-    build_clique_graph(t)."""
+    vertex it does not share with the edge to its parent."""
     z_t = tuple(sorted(set(z)))
     if not z_t:
         raise ValueError("z must be nonempty")
-    bad = packing_violation(cg, z_t)
+    dual = t.dual
+    bad = packing_violation(t.clique_graph, z_t)
     if bad is not None:
         raise ValueError(f"z is not a packing of the clique graph: {bad}")
     root = z_t[0]
@@ -173,67 +159,33 @@ def lift_packing(t: Triangulation, dual: DualTree,
     return result
 
 
-@dataclass(frozen=True)
-class MopFacts:
-    """Certificate state of one maximal outerplanar graph, built once."""
-
-    triangulation: Triangulation
-    dual: DualTree
-    clique_graph: Graph
-    colors: tuple[int, ...]
-    gamma: Solution
-    rho: Solution
-    cg_gamma: Solution
-    cg_rho: Solution
-
-
-def _clique_numbers(t: Triangulation, cg: Graph, order: list[int],
-                    budget: int) -> tuple[Solution, Solution]:
-    """gamma and rho of the clique graph cg of t, from
-    `host_tree_certificate` with the dual tree as host tree (nodes = 0),
-    else from `solve_pair` under `budget`.  `order` is a BFS order of the
-    dual tree.
+def clique_graph_numbers(t: Triangulation, budget: int = DEFAULT_BUDGET
+                         ) -> tuple[Solution, Solution]:
+    """gamma and rho of t's clique graph, equal and certified without
+    search: `host_tree_certificate` with the dual tree as host tree
+    (nodes = 0), else `solve_pair` under `budget`.
 
     The triangles through one vertex form a path of the dual tree, so the
     closed neighborhood of a triangle in the clique graph, the union of the
     three paths through its vertices, is a subtree.  Its top is the first
-    triangle in `order` that meets it, and the visit takes the triangles
-    by decreasing position of their top, so by non-increasing depth."""
+    triangle in the walk's BFS order that meets it, and the visit takes the
+    triangles by decreasing position of their top, so by non-increasing
+    depth."""
     tris = t.triangles
     pos = [0] * len(tris)
     first: dict[int, int] = {}
-    for p, i in enumerate(order):
+    for p, i in enumerate(t.walk[0]):
         pos[i] = p
         for v in tris[i]:
             first.setdefault(v, i)
     top = [min((first[v] for v in tri), key=pos.__getitem__) for tri in tris]
     visit = sorted(range(len(tris)), key=lambda i: (-pos[top[i]], i))
-    cert = host_tree_certificate(cg, top, visit)
+    cert = host_tree_certificate(t.clique_graph, top, visit)
     if cert is None:
-        return solve_pair(cg, budget)
+        return solve_pair(t.clique_graph, budget)
     dom, pack = cert
     return (Solution(len(dom), dom, 0, "mop-walk"),
             Solution(len(pack), pack, 0, "mop-walk"))
-
-
-def clique_graph_numbers(t: Triangulation, budget: int = DEFAULT_BUDGET
-                         ) -> tuple[Solution, Solution]:
-    """gamma and rho of t's clique graph, equal and certified without
-    search, from the walk that t keeps."""
-    return _clique_numbers(t, build_clique_graph(t), t.walk[0], budget)
-
-
-def mop_facts(g: Graph, budget: int = DEFAULT_BUDGET) -> MopFacts:
-    """Recognize g, build its clique graph, walk the dual tree once for the
-    frames and Tokunaga colors, and take gamma and rho of g (through
-    `solve_pair`, which reads the same walk) and of the clique graph, in
-    that order.  Search runs only where a check fails; the first to
-    exhaust `budget` raises BudgetExceeded."""
-    t = recognize_mop(g)
-    cg = build_clique_graph(t)
-    order, _, colors = t.walk
-    return MopFacts(t, t.dual, cg, colors, *solve_pair(g, budget, t),
-                    *_clique_numbers(t, cg, order, budget))
 
 
 # the clique-graph equality, the 3rho and (9rho + t)/4 bounds, and the
@@ -254,32 +206,33 @@ def certify_mop(g: Graph, graph_id: str = "mop",
     """The certificates of g (triangulation, Tokunaga colors, the clique
     graph's minimum dominating set, its projection to g and the averaged
     one) and seven records: exact gamma and rho against the five bound
-    records, then tokunaga-4cycle (the colors, which tokunaga_color has
+    records, then tokunaga-4cycle (the colors, which the walk has
     verified) and lift-packing-size (the clique graph's maximum packing
     lifted to the graph)."""
-    f = mop_facts(g, budget)
-    t, cg = f.triangulation, f.clique_graph
-    projected = project_dominating(t, cg, f.cg_gamma.witness)
-    averaged = averaged_dominating(t, projected, f.colors)
-    lifted = lift_packing(t, f.dual, f.cg_rho.witness, cg)
+    t = recognize_mop(g)
+    gamma, rho = solve_pair(g, budget, t)
+    cg_gamma, cg_rho = clique_graph_numbers(t, budget)
+    projected = project_dominating(t, cg_gamma.witness)
+    averaged = averaged_dominating(t, projected)
+    lifted = lift_packing(t, cg_rho.witness)
     certs = dict(boundary=list(t.boundary),
                  triangles=[list(tri) for tri in t.triangles],
-                 colors=list(f.colors),
-                 clique_dominating=list(f.cg_gamma.witness),
+                 colors=list(t.walk[2]),
+                 clique_dominating=list(cg_gamma.witness),
                  projected_dominating=list(projected),
                  averaged_dominating=list(averaged))
     records = bounds.bound_records(
-        _RECORDS, graph_id, "mop", g.n, f.gamma.value, f.rho.value,
-        t=low_degree_count(g), cg_gamma=f.cg_gamma.value,
-        cg_rho=f.cg_rho.value)
+        _RECORDS, graph_id, "mop", g.n, gamma.value, rho.value,
+        t=low_degree_count(g), cg_gamma=cg_gamma.value,
+        cg_rho=cg_rho.value)
     base = dict(graph_id=graph_id, family="mop", n=g.n)
     return certs, records + [
-        # tokunaga_color raised CertificateError unless verify_tokunaga
-        # found no problem with f.colors
+        # the walk raised CertificateError unless verify_tokunaga found no
+        # problem with its colors
         ScanRecord(check="tokunaga-4cycle", kind="theorem", holds=True,
                    details={"problems": []}, **base),
         ScanRecord(check="lift-packing-size", kind="theorem",
-                   holds=len(lifted) == f.cg_rho.value,
-                   bound=bound_str(f.cg_rho.value),
+                   holds=len(lifted) == cg_rho.value,
+                   bound=bound_str(cg_rho.value),
                    details={"lifted": list(lifted)}, **base),
     ]

@@ -1,6 +1,7 @@
 """Maximal outerplanar graphs (mops) as triangulations: recognition, the
-dual tree, one walk of it, and the dynamic programme over that walk that
-gives gamma and rho of a mop without search.
+dual tree, one walk of it, the clique graph of the triangles, and the
+dynamic programme over the walk that gives gamma and rho of a mop without
+search.
 
 This module sits below `solvers`, which routes every mop component of a
 pair solve through `mop_pair`, and below `outerplanar`, which builds the
@@ -24,9 +25,10 @@ packings) are independent of the clipping order.
 
 One BFS of the dual tree (`_walk`) gives the frames that the programme
 reads and the Tokunaga colors, verified once.  A triangulation builds its
-dual tree and its walk on first use and keeps them (`Triangulation.dual`,
-`Triangulation.walk`), so the pair solve and the certificates of one mop
-share them.
+dual tree, its walk and its clique graph on first use and keeps them
+(`Triangulation.dual`, `Triangulation.walk`, `Triangulation.clique_graph`),
+so the pair solve and the certificates of one mop share them, and every
+function over a mop takes the triangulation alone.
 
 The dual tree is a tree decomposition of width 2, so one dynamic
 programme over it, with three states per vertex of each shared edge,
@@ -83,6 +85,10 @@ class Triangulation:
     def walk(self) -> tuple[list[int], list[_Frame], tuple[int, ...]]:
         """`_walk` of the dual tree: order, frames and verified colors."""
         return _walk(self, self.dual)
+
+    @cached_property
+    def clique_graph(self) -> Graph:
+        return build_clique_graph(self)
 
 
 def recognize_mop(g: Graph) -> Triangulation:
@@ -175,23 +181,36 @@ def build_dual(t: Triangulation) -> DualTree:
     return DualTree(tuple(tuple(sorted(nbrs)) for nbrs in adj), shared)
 
 
-def tokunaga_color(t: Triangulation, dual: DualTree) -> tuple[int, ...]:
+def build_clique_graph(t: Triangulation) -> Graph:
+    """Graph on triangle indices, adjacent iff the triangles share a vertex.
+    The dual tree is a spanning tree of this graph."""
+    members: list[list[int]] = [[] for _ in range(t.graph.n)]
+    for idx, tri in enumerate(t.triangles):
+        for v in tri:
+            members[v].append(idx)
+    adj = []
+    for idx, (x, y, z) in enumerate(t.triangles):
+        nbrs = set(members[x]).union(members[y], members[z])
+        nbrs.discard(idx)
+        adj.append(nbrs)
+    return Graph(len(adj), adj)
+
+
+def tokunaga_color(t: Triangulation) -> tuple[int, ...]:
     """4-coloring (colors 0..3), triangle 0 colored 0, 1, 2 by ascending
     vertex id, in which every pair of edge-sharing triangles spans all four
-    colors on its 4-cycle; `_walk` verified it.  `dual` is build_dual(t)."""
-    return _walk(t, dual)[2]
+    colors on its 4-cycle; the walk verified it."""
+    return t.walk[2]
 
 
-def verify_tokunaga(t: Triangulation, colors: tuple[int, ...],
-                    dual: DualTree) -> list[str]:
+def verify_tokunaga(t: Triangulation, colors: tuple[int, ...]) -> list[str]:
     """Empty list when proper and every edge-sharing triangle pair carries
     all four colors.  In a maximal outerplanar graph every 4-cycle arises
-    from such a pair, so this checks the full 4-cycle property.  `dual` is
-    build_dual(t)."""
+    from such a pair, so this checks the full 4-cycle property."""
     problems = [f"edge {u}-{v} monochromatic"
                 for u, v in t.graph.edges() if colors[u] == colors[v]]
     tris = t.triangles
-    for i, j in dual.shared:
+    for i, j in t.dual.shared:
         seen = {colors[v] for v in tris[i] + tris[j]}
         if seen != {0, 1, 2, 3}:
             problems.append(f"triangle pair {i},{j} shows colors {sorted(seen)}")
@@ -349,7 +368,7 @@ def _walk(t: Triangulation, dual: DualTree
     for color, v in enumerate(tris[0]):
         rename[colors[v]] = color
     colors = tuple(rename[color] for color in colors)
-    problems = verify_tokunaga(t, colors, dual)
+    problems = verify_tokunaga(t, colors)
     if problems:
         raise CertificateError("tokunaga coloring failed: " + "; ".join(problems))
     return order, [tuple(f) for f in frames], colors

@@ -38,7 +38,6 @@ from gammarho.harness import (
 )
 from gammarho.outerplanar import (
     build_clique_graph,
-    build_dual,
     lift_packing,
     low_degree_count,
     recognize_mop,
@@ -174,7 +173,7 @@ def test_criterion_6_mop_bounds_and_lift():
             cg_gamma = domination_number(cg)
             cg_rho = packing_number(cg)
             assert cg_gamma.value == cg_rho.value
-            lifted = lift_packing(t, build_dual(t), cg_rho.witness, cg)
+            lifted = lift_packing(t, cg_rho.witness)
             assert len(lifted) == cg_rho.value
             assert is_packing(g, lifted)
 
@@ -184,9 +183,7 @@ def test_criterion_7_tokunaga_four_cycles():
                       "carries all four colors"):
         for g in mop_corpus():
             t = recognize_mop(g)
-            dual = build_dual(t)
-            colors = tokunaga_color(t, dual)
-            assert verify_tokunaga(t, colors, dual) == []
+            assert verify_tokunaga(t, tokunaga_color(t)) == []
 
 
 def test_criterion_8_biconvex_tightness_and_certificates():

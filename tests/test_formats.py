@@ -148,6 +148,11 @@ def test_stream_ignores_dangling_sidecar():
     assert list(iter_graph6_stream(["#xorder 0 1"])) == []
     out = list(iter_graph6_stream(["#yorder 9", encode_graph6(path(3))]))
     assert out == [(path(3), None)]
+    # a full pair before the first graph is dropped too
+    out = list(iter_graph6_stream(["#xorder 0 2", "#yorder 1",
+                                   encode_graph6(path(3)),
+                                   encode_graph6(cycle(4))]))
+    assert out == [(path(3), None), (cycle(4), None)]
 
 
 class _Huge(Exception):

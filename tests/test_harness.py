@@ -1,7 +1,9 @@
+import importlib.util
 import io
 import json
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +30,7 @@ from gammarho.harness import (
     Predicate,
     default_scan_items,
     detect_families,
+    graph_facts,
     make_item,
     map_items,
     run_experiment,
@@ -271,6 +274,45 @@ def test_map_items_keeps_order():
     assert map_items(str, [], 2) == []
 
 
+def test_map_items_starts_no_more_workers_than_items(monkeypatch):
+    # a fake pool records its size and maps in this process
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(harness.multiprocessing, "Pool", FakePool)
+    assert map_items(str, [7], 8) == ["7"]
+    assert map_items(str, [], 8) == []
+    assert sizes == []
+    assert map_items(str, [1, 2, 3], 8) == ["1", "2", "3"]
+    assert map_items(str, list(range(5)), 2) == [str(x) for x in range(5)]
+    assert sizes == [3, 2]
+
+
+def test_every_traced_span_names_a_function_of_the_package():
+    # perfbench's tracer looks each (module, function) up by name, so a
+    # deleted or renamed function would break every traced run
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.SPANS
+    for module, fn in spans.SPANS:
+        assert callable(getattr(importlib.import_module(f"gammarho.{module}"),
+                                fn, None)), (module, fn)
+
+
 @pytest.mark.parametrize("jobs", [2, 3])
 def test_default_scan_is_the_same_on_any_number_of_workers(jobs):
     # hundreds of items: every worker gets several chunks
@@ -402,14 +444,36 @@ def test_budget_exhaustion_keeps_the_families():
     items = [make_item("b30", "bicubic", gen_random_bicubic(30, 1))]
     starved, _ = run_scan(items, budget=5)
     solved, _ = run_scan(items)
-    assert all(r.holds is None for r in starved)
     assert [r.check for r in starved] == [r.check for r in solved]
-    assert {r.check for r in starved} == {
-        "rho-le-gamma", "gamma-le-delta-rho",
-        "subcubic-gamma-le-2rho-plus-1",
-        "gamma-le-delta-minus-1-rho-plus-1", "gamma-le-relaxed-delta",
-        "bicubic-gamma-le-5n-14", "bicubic-rho-ge-7n-48",
-        "bicubic-49gamma-le-120rho"}
+    detail = {"reason": "node budget exhausted", "quantity": "gamma",
+              "range": [8, 30]}
+    assert [r.as_dict() for r in starved] == [
+        {"graph_id": "b30", "family": "bicubic", "n": 30, "check": check,
+         "kind": kind, "holds": None, "bound": "", "gamma": None,
+         "rho": None, "details": detail}
+        for check, kind in (
+            ("bicubic-49gamma-le-120rho", "theorem"),
+            ("bicubic-gamma-le-5n-14", "theorem"),
+            ("bicubic-rho-ge-7n-48", "theorem"),
+            ("gamma-le-delta-minus-1-rho-plus-1", "conjecture"),
+            ("gamma-le-delta-rho", "theorem"),
+            ("gamma-le-relaxed-delta", "conjecture"),
+            ("rho-le-gamma", "theorem"),
+            ("subcubic-gamma-le-2rho-plus-1", "conjecture"))]
+
+
+def test_graph_facts_keep_a_budget_run_out():
+    g = gen_random_bicubic(30, 1)
+    facts = graph_facts("b30", "bicubic", g, None, 5)
+    assert isinstance(facts.exhausted, BudgetExceeded)
+    assert (facts.exhausted.quantity, facts.exhausted.lower,
+            facts.exhausted.upper) == ("gamma", 8, 30)
+    assert (facts.gamma, facts.rho) == (None, None)
+    assert facts.families == {"any", "bicubic"} and facts.delta == 3
+    solved = graph_facts("b30", "bicubic", g, None, solvers.DEFAULT_BUDGET)
+    assert solved.exhausted is None
+    assert (solved.gamma, solved.rho) == (len(solved.dominating),
+                                          len(solved.packing))
 
 
 def test_default_scan_finds_each_graphs_components_once(monkeypatch):

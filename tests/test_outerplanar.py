@@ -23,7 +23,6 @@ from gammarho.outerplanar import (
     clique_graph_numbers,
     lift_packing,
     low_degree_count,
-    mop_facts,
     project_dominating,
     recognize_mop,
     tokunaga_color,
@@ -39,7 +38,14 @@ from gammarho.triangulation import (
     _walk,
     _walk_dp,
 )
-from gammarho.solvers import brute_gamma, brute_rho, domination_number, packing_number
+from gammarho.solvers import (
+    DEFAULT_BUDGET,
+    brute_gamma,
+    brute_rho,
+    domination_number,
+    packing_number,
+    solve_pair,
+)
 
 
 FAN6 = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4),
@@ -137,30 +143,27 @@ def test_clique_graph_contains_dual():
 
 def test_tokunaga_coloring_fixed_examples():
     t = recognize_mop(gen_sun())
-    dual = build_dual(t)
-    colors = tokunaga_color(t, dual)
+    colors = tokunaga_color(t)
     assert colors == (0, 1, 0, 3, 0, 2)
-    assert verify_tokunaga(t, colors, dual) == []
+    assert verify_tokunaga(t, colors) == []
     t2 = recognize_mop(FAN6)
-    dual2 = build_dual(t2)
-    colors2 = tokunaga_color(t2, dual2)
-    assert verify_tokunaga(t2, colors2, dual2) == []
+    colors2 = tokunaga_color(t2)
+    assert verify_tokunaga(t2, colors2) == []
     assert len(set(colors2)) <= 4
 
 
 def test_tokunaga_on_corpus_and_corruption():
     for g in mop_corpus():
         t = recognize_mop(g)
-        dual = build_dual(t)
-        colors = tokunaga_color(t, dual)
-        assert verify_tokunaga(t, colors, dual) == []
+        colors = tokunaga_color(t)
+        assert verify_tokunaga(t, colors) == []
         # proper on edges
         for u, v in g.edges():
             assert colors[u] != colors[v]
         # corrupt one vertex: the checker must notice
         broken = list(colors)
         broken[t.triangles[0][0]] = (broken[t.triangles[0][0]] + 1) % 4
-        assert verify_tokunaga(t, tuple(broken), dual) != []
+        assert verify_tokunaga(t, tuple(broken)) != []
 
 
 def test_low_degree_count():
@@ -174,11 +177,10 @@ def test_project_and_average_dominate():
         t = recognize_mop(g)
         cg = build_clique_graph(t)
         cg_gamma = domination_number(cg)
-        projected = project_dominating(t, cg, cg_gamma.witness)
+        projected = project_dominating(t, cg_gamma.witness)
         assert is_dominating(g, projected)
         assert len(projected) <= 3 * cg_gamma.value
-        colors = tokunaga_color(t, build_dual(t))
-        averaged = averaged_dominating(t, projected, colors)
+        averaged = averaged_dominating(t, projected)
         assert is_dominating(g, averaged)
         assert 4 * len(averaged) <= 3 * len(projected) + low_degree_count(g)
 
@@ -186,10 +188,8 @@ def test_project_and_average_dominate():
 def test_lift_packing_preserves_size():
     for g in mop_corpus():
         t = recognize_mop(g)
-        dual = build_dual(t)
-        cg = build_clique_graph(t)
-        cg_rho = packing_number(cg)
-        lifted = lift_packing(t, dual, cg_rho.witness, cg)
+        cg_rho = packing_number(build_clique_graph(t))
+        lifted = lift_packing(t, cg_rho.witness)
         assert len(lifted) == cg_rho.value
         assert is_packing(g, lifted)
 
@@ -212,28 +212,40 @@ def test_mop_records_record_set():
     assert records[0].gamma == 2 and records[0].rho == 1
 
 
-def test_mop_facts_share_one_build_with_every_consumer():
+def _certified_numbers(g):
+    """gamma and rho of the mop g and of its clique graph, from one
+    triangulation: each came without search, with a witness of the
+    reported size that checks out."""
+    t = recognize_mop(g)
+    gamma, rho = solve_pair(g, DEFAULT_BUDGET, t)
+    cg_gamma, cg_rho = clique_graph_numbers(t)
+    cg = t.clique_graph
+    for res, graph, valid in ((gamma, g, is_dominating),
+                              (rho, g, is_packing),
+                              (cg_gamma, cg, is_dominating),
+                              (cg_rho, cg, is_packing)):
+        assert res.nodes == 0
+        assert len(res.witness) == res.value
+        assert valid(graph, res.witness)
+    assert cg_gamma.value == cg_rho.value
+    return t, gamma, rho, cg_gamma, cg_rho
+
+
+def test_triangulation_shares_one_build_with_every_consumer():
     for s, g in enumerate(mop_corpus()):
-        f = mop_facts(g)
-        t = f.triangulation
+        t, gamma, rho, cg_gamma, cg_rho = _certified_numbers(g)
         assert t == recognize_mop(g)
-        assert f.dual.adj == build_dual(t).adj
-        assert f.dual.shared == build_dual(t).shared
-        assert f.clique_graph == build_clique_graph(t)
-        assert f.colors == tokunaga_color(t, build_dual(t))
-        # the same values as search, with valid witnesses and no search
-        cg = f.clique_graph
-        assert f.gamma.value == domination_number(g).value
-        assert f.rho.value == packing_number(g).value
-        assert f.cg_gamma.value == domination_number(cg).value
-        assert f.cg_rho.value == packing_number(cg).value
-        for res, graph in ((f.gamma, g), (f.cg_gamma, cg)):
-            assert len(res.witness) == res.value and res.nodes == 0
-            assert is_dominating(graph, res.witness)
-        for res, graph in ((f.rho, g), (f.cg_rho, cg)):
-            assert len(res.witness) == res.value and res.nodes == 0
-            assert is_packing(graph, res.witness)
-        assert verify_tokunaga(t, f.colors, f.dual) == []
+        assert t.dual.adj == build_dual(t).adj
+        assert t.dual.shared == build_dual(t).shared
+        assert t.clique_graph == build_clique_graph(t)
+        assert tokunaga_color(t) == _walk(t, build_dual(t))[2]
+        # the same values as search
+        cg = t.clique_graph
+        assert gamma.value == domination_number(g).value
+        assert rho.value == packing_number(g).value
+        assert cg_gamma.value == domination_number(cg).value
+        assert cg_rho.value == packing_number(cg).value
+        assert verify_tokunaga(t, tokunaga_color(t)) == []
         _, records = certify_mop(g, f"mop-{s}")
         assert [r.check for r in records] == MOP_CHECKS
         assert all(r.holds for r in records if r.kind == "theorem")
@@ -250,40 +262,25 @@ def test_bounds_hold_against_brute_force():
         assert gamma <= 2 * rho
 
 
-def _assert_certified(f):
-    """gamma and rho of the mop and of its clique graph came without
-    search, with witnesses of the reported size that check out."""
-    g, cg = f.triangulation.graph, f.clique_graph
-    for res, graph, valid in ((f.gamma, g, is_dominating),
-                              (f.rho, g, is_packing),
-                              (f.cg_gamma, cg, is_dominating),
-                              (f.cg_rho, cg, is_packing)):
-        assert res.nodes == 0
-        assert len(res.witness) == res.value
-        assert valid(graph, res.witness)
-    assert f.cg_gamma.value == f.cg_rho.value
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.integers(3, 20), st.integers(0, 10**6))
 def test_walk_matches_brute_force(n, seed):
-    f = mop_facts(gen_random_mop(n, seed))
-    _assert_certified(f)
-    g, cg = f.triangulation.graph, f.clique_graph
-    assert (f.gamma.value, f.rho.value) == (brute_gamma(g), brute_rho(g))
-    assert f.cg_gamma.value == brute_gamma(cg) == brute_rho(cg)
+    g = gen_random_mop(n, seed)
+    t, gamma, rho, cg_gamma, _ = _certified_numbers(g)
+    cg = t.clique_graph
+    assert (gamma.value, rho.value) == (brute_gamma(g), brute_rho(g))
+    assert cg_gamma.value == brute_gamma(cg) == brute_rho(cg)
 
 
 @pytest.mark.parametrize("n, seed", [(20, 1), (24, 7), (29, 3), (33, 12),
                                      (38, 5), (42, 2), (47, 9), (53, 4),
                                      (60, 8)])
 def test_walk_matches_search(n, seed):
-    f = mop_facts(gen_random_mop(n, seed))
-    _assert_certified(f)
-    g, cg = f.triangulation.graph, f.clique_graph
-    assert f.gamma.value == domination_number(g).value
-    assert f.rho.value == packing_number(g).value
-    assert f.cg_gamma.value == domination_number(cg).value
+    g = gen_random_mop(n, seed)
+    t, gamma, rho, cg_gamma, _ = _certified_numbers(g)
+    assert gamma.value == domination_number(g).value
+    assert rho.value == packing_number(g).value
+    assert cg_gamma.value == domination_number(t.clique_graph).value
 
 
 def test_walk_edge_cases():
@@ -292,18 +289,22 @@ def test_walk_edge_cases():
     for g, values in ((gen_cycle(3), (1, 1, 1)),
                       (gen_random_mop(4, 0), (1, 1, 1)),
                       (FAN6, (1, 1, 1))):
-        f = mop_facts(g)
-        _assert_certified(f)
-        assert (f.gamma.value, f.rho.value, f.cg_rho.value) == values
-    assert mop_facts(FAN6).clique_graph.m == 6
-    assert mop_facts(gen_random_mop(4, 0)).clique_graph.m == 1
+        _, gamma, rho, _, cg_rho = _certified_numbers(g)
+        assert (gamma.value, rho.value, cg_rho.value) == values
+    assert recognize_mop(FAN6).clique_graph.m == 6
+    assert recognize_mop(gen_random_mop(4, 0)).clique_graph.m == 1
 
 
-def test_clique_graph_numbers_match_mop_facts():
+def test_clique_graph_numbers_do_not_depend_on_which_consumer_walks_first():
+    # the pair solve and the clique graph's numbers share t's walk; either
+    # may build it, with the same answers
     for g in mop_corpus():
-        f = mop_facts(g)
-        t = f.triangulation
-        assert clique_graph_numbers(t) == (f.cg_gamma, f.cg_rho)
+        t = recognize_mop(g)
+        first = clique_graph_numbers(t)
+        pair = solve_pair(g, DEFAULT_BUDGET, t)
+        t2 = recognize_mop(g)
+        assert solve_pair(g, DEFAULT_BUDGET, t2) == pair
+        assert clique_graph_numbers(t2) == first
 
 
 def _all_rows_walk_dp(order, frames, dominate):
@@ -610,15 +611,15 @@ def test_fused_pass_matches_reference_builds(n, seed, relabel):
         g = _relabeled(g, seed)
     boundary, triangles = _reference_recognize(g)
     ref_dual, ref_shared = _reference_dual(triangles)
-    f = mop_facts(g)
-    t = f.triangulation
+    t = recognize_mop(g)
     assert (t.boundary, t.triangles) == (boundary, triangles)
-    assert f.dual.adj == ref_dual.adj and f.dual.shared == ref_shared
-    assert f.clique_graph == _reference_clique_graph(triangles)
-    assert f.colors == _reference_colors(n, triangles, ref_dual, ref_shared)
-    order, frames, colors = _walk(t, f.dual)
+    assert t.dual.adj == ref_dual.adj and t.dual.shared == ref_shared
+    assert t.clique_graph == _reference_clique_graph(triangles)
+    assert tokunaga_color(t) == _reference_colors(n, triangles, ref_dual,
+                                                  ref_shared)
+    order, frames, colors = _walk(t, t.dual)
     assert (order, frames) == _reference_walk(triangles, ref_dual, ref_shared)
-    assert colors == f.colors
+    assert colors == tokunaga_color(t)
 
 
 def _outcome(recognize, g):
