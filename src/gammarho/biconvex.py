@@ -464,9 +464,7 @@ def certify_biconvex(g: Graph, ordering: ConvexOrdering | None,
     pack = construct_packing(g, decomp)
     dom = construct_dominating(g, decomp)
     core = decomp.core
-    # the certificates' sizes bound the searches
-    gamma, rho = solve_pair(g, budget, packing=pack.vertices,
-                            dominating=dom.vertices)
+    gamma, rho = solve_pair(g, budget)
     detail = {
         "width": decomp.width,
         "pack_size": pack.size, "pack_method": pack.method,

@@ -386,9 +386,7 @@ def certify_bicubic(g: Graph, graph_id: str = "bicubic",
     _, p, layers = bicubic_layers(g)
     certs: dict = {"side_packing": list(p)} if g.n >= 16 else {}
     certs["layers"] = {tag: list(getattr(layers, tag)) for tag in "pqrstw"}
-    packing = combined_packing(g, layers)
-    certs["combined_packing"] = list(packing)
-    # the combined packing's size bounds rho's search from below
-    gamma, rho = solve_pair(g, budget, packing=packing)
+    certs["combined_packing"] = list(combined_packing(g, layers))
+    gamma, rho = solve_pair(g, budget)
     return certs, bounds.bound_records(_RECORDS, graph_id, "bicubic", g.n,
                                        gamma.value, rho.value)

@@ -93,8 +93,8 @@ def _check_bytes(data: bytes) -> None:
         raise FormatError(f"byte {bad[0]} outside the printable graph6 range")
 
 
-def encode_graph6(g: Graph, header: bool = False) -> str:
-    """Canonical graph6 line for g (no trailing newline)."""
+def encode_graph6(g: Graph) -> str:
+    """Canonical graph6 line for g (no header, no trailing newline)."""
     if g.n > 1 << 18:
         raise FormatError("encoder capped at n <= 2^18")
     n = g.n
@@ -112,8 +112,7 @@ def encode_graph6(g: Graph, header: bool = False) -> str:
             bit = start + i
             packed[bit >> 3] |= 128 >> (bit & 7)
     digits = binascii.b2a_base64(packed, newline=False)
-    text = (_encode_n(n) + digits[:nbytes].translate(_FROM_BASE64)).decode("ascii")
-    return GRAPH6_HEADER + text if header else text
+    return (_encode_n(n) + digits[:nbytes].translate(_FROM_BASE64)).decode("ascii")
 
 
 def decode_graph6(line: str) -> Graph:
@@ -306,7 +305,8 @@ def iter_graph6_stream(
 
     '#xorder' / '#yorder' sidecar lines attach to the preceding graph, which
     is how generated biconvex corpora travel in an otherwise standard
-    graph6 file; those before the first graph are dropped.
+    graph6 file; those before the first graph are dropped.  A graph
+    followed by only one of the two is a FormatError.
     """
     current: Graph | None = None
     ox: tuple[int, ...] | None = None
@@ -316,8 +316,10 @@ def iter_graph6_stream(
         nonlocal current, ox, oy
         result = None
         if current is not None:
-            orderings = (ox, oy) if ox is not None and oy is not None else None
-            result = (current, orderings)
+            if (ox is None) != (oy is None):
+                raise FormatError(
+                    "#xorder and #yorder lines must appear together")
+            result = (current, None if ox is None else (ox, oy))
         current, ox, oy = None, None, None
         return result
 

@@ -165,13 +165,13 @@ def detect_families(g: Graph, ordering: ConvexOrdering | None) -> frozenset[str]
 def graph_facts(graph_id: str, family: str, g: Graph,
                 ordering: ConvexOrdering | None, budget: int) -> GraphFacts:
     """Classify g and solve gamma and rho in one pair solve, which reuses
-    the triangulation of a mop and does not recognise g again; a solve
-    that exhausts the budget is kept in `exhausted`."""
+    the triangulation of a mop; a solve that exhausts the budget is kept
+    in `exhausted`."""
     families, triangulation = _classify(g, ordering)
     known = (graph_id, family, g, ordering, families, triangulation, budget,
              g.max_degree())
     try:
-        gamma, rho = solve_pair(g, budget, triangulation, recognize=False)
+        gamma, rho = solve_pair(g, budget, triangulation)
     except BudgetExceeded as exc:
         return GraphFacts(*known, None, None, (), (), exc)
     return GraphFacts(*known, gamma.value, rho.value, gamma.witness,
@@ -345,7 +345,9 @@ def verify_counterexamples(lines: Iterable[str],
                            budget: int = DEFAULT_BUDGET) -> list[dict]:
     """Replay a counterexample dump: re-solve each graph from its graph6
     alone and re-evaluate the named predicate.  Each returned entry gains
-    a `still_violates` flag."""
+    a `still_violates` flag; an entry whose solve runs out of budget gets
+    None there, plus the run-out's `quantity` and `range` as `compute`
+    reports them, and the replay goes on."""
     results = []
     for line in lines:
         line = line.strip()
@@ -358,11 +360,14 @@ def verify_counterexamples(lines: Iterable[str],
                                       tuple(ce["y_order"]))
         facts = graph_facts(ce["graph_id"], ce["family"],
                             decode_graph6(ce["graph6"]), ordering, budget)
-        if facts.exhausted is not None:
-            raise facts.exhausted
-        records, _ = evaluate_predicates(facts, [ce["predicate"]])
         out = dict(ce)
-        out["still_violates"] = any(r.holds is False for r in records)
+        exc = facts.exhausted
+        if exc is not None:
+            out.update(still_violates=None, quantity=exc.quantity,
+                       range=[exc.lower, exc.upper])
+        else:
+            records, _ = evaluate_predicates(facts, [ce["predicate"]])
+            out["still_violates"] = any(r.holds is False for r in records)
         results.append(out)
     return results
 

@@ -112,11 +112,10 @@ def summarize(records: Iterable[ScanRecord]) -> dict:
     return {"families": fams}
 
 
-def write_report(records: Iterable[ScanRecord], sink: TextIO, summary: bool = True) -> None:
+def write_report(records: Iterable[ScanRecord], sink: TextIO) -> None:
     records = list(records)
     sink.writelines(r.to_json() + "\n" for r in records)
-    if summary:
-        sink.write(json.dumps({"summary": summarize(records)}, sort_keys=True) + "\n")
+    sink.write(json.dumps({"summary": summarize(records)}, sort_keys=True) + "\n")
 
 
 def read_report(lines: Iterable[str]) -> tuple[list[ScanRecord], dict | None]:

@@ -15,12 +15,15 @@ the cheapest exact method:
    rho <= gamma.  One build serves both numbers.
 2. A maximal outerplanar component (a mop) is solved without search by
    the memoized dynamic programme over its dual tree
-   (`triangulation.mop_pair`).
+   (`triangulation.mop_pair`).  Every component with 2n - 3 edges is
+   tried, so every caller gets the same routing.
 3. Every other component goes to rho's branch and bound over Python int
    bitmasks, then to gamma's with that rho as its lower bound: gamma's
    search stops as soon as its incumbent meets rho.  Its first set of
    that size is the one the full search keeps, so witnesses are those of
-   the one-quantity views.
+   the one-quantity views.  Nothing else enters a search: a class's own
+   certificates (a bicubic or biconvex packing, say) go to the output,
+   not to the search.
 
 Certificates are validated before use; they report nodes = 0 and spend
 none of the budget.  Should a check ever fail, the component falls
@@ -263,8 +266,7 @@ def _unwind(chosen) -> tuple[int, ...]:
 
 
 def _solve_gamma_component(sub: Graph, near: list[int], budget: int,
-                           spent: int, lower: int = 0,
-                           upper: int | None = None
+                           spent: int, lower: int = 0
                            ) -> tuple[tuple[int, ...], int]:
     """Minimum dominating set of the connected graph `sub` and the nodes
     searched; witnesses, here and in its BudgetExceeded, are in sub's ids.
@@ -278,13 +280,10 @@ def _solve_gamma_component(sub: Graph, near: list[int], budget: int,
     bounds passed against.
 
     `lower` is a proven lower bound on gamma (a pair solve passes rho):
-    the search stops at its first set of that size.  `upper` is the size
-    of a known dominating set: the search starts as if it had found one
-    of size upper + 1, so it prunes every subtree that cannot reach upper.
-    Neither can cut the path to the first minimum set in branching order,
-    which is the set the plain search returns: with a lower bound the
-    search visits a prefix of the plain search's nodes, with an upper
-    bound a subsequence."""
+    the search stops at its first set of that size.  That set is the
+    first minimum set in branching order, the one the plain search
+    returns, and the search visits a prefix of the plain search's
+    nodes."""
     n = sub.n
     masks = sub.closed_masks
     classes = _degree_classes(map(len, sub.adj))
@@ -294,7 +293,7 @@ def _solve_gamma_component(sub: Graph, near: list[int], budget: int,
     nodes = 0
     # n + 1: no dominating set found yet, and no bound can prune (a node
     # of size s has at most n - s undominated vertices, room n + 1 - s)
-    best_size = n + 1 if upper is None else min(n, upper) + 1
+    best_size = n + 1
     best_set: tuple[int, ...] = ()
 
     def exhausted() -> BudgetExceeded:
@@ -458,22 +457,16 @@ def _max_conflict_pick(near, classes, candidates: int) -> int:
 
 
 def _solve_rho_component(sub: Graph, near: list[int], budget: int,
-                         spent: int, lower: int = 0
-                         ) -> tuple[tuple[int, ...], int]:
+                         spent: int) -> tuple[tuple[int, ...], int]:
     """Maximum packing of the connected graph `sub` and the nodes searched,
     in sub's ids as for gamma, with `near` as there; an explicit stack of
-    nodes (chosen, size, candidates), the include branch popped first.
-
-    `lower` is the size of a known packing: the search starts as if it had
-    found one of size lower - 1, so it prunes every subtree that cannot
-    reach lower, and still returns the plain search's first maximum
-    packing, visiting a subsequence of its nodes."""
+    nodes (chosen, size, candidates), the include branch popped first."""
     n = sub.n
     classes = _degree_classes(m.bit_count() - 1 for m in near)[::-1]
     full = (1 << n) - 1
     limit = budget - spent
     nodes = 0
-    best_size = lower - 1
+    best_size = -1
     best_set: tuple[int, ...] = ()
     stack = [(None, 0, full)]
     while stack:
@@ -562,9 +555,7 @@ _METHODS = ("tree", "mop-walk", "search")
 
 
 def solve_pair(g: Graph, budget: int = DEFAULT_BUDGET,
-               triangulation: Triangulation | None = None,
-               recognize: bool = True, packing: Sequence[int] = (),
-               dominating: Sequence[int] | None = None
+               triangulation: Triangulation | None = None
                ) -> tuple[Solution, Solution]:
     """Exact gamma(g) and rho(g) with optimal witnesses, from one split of
     g into components, each routed once:
@@ -572,17 +563,10 @@ def solve_pair(g: Graph, budget: int = DEFAULT_BUDGET,
     1. a forest to `_tree_certificate`, both halves from one build;
     2. a maximal outerplanar graph (mop) to `mop_pair`, the dual-tree walk
        and programme, witnesses checked; `triangulation` is g's when the
-       caller has recognised g as a mop already, and a component with
-       2n - 3 edges is recognised here only while `recognize` holds (a
-       caller that classified g and found no mop passes False);
+       caller has recognised g as a mop already, and any other component
+       with 2n - 3 edges is recognised here;
     3. any other component, or one whose certificate fails its check, to
        rho's search, then to gamma's with that rho as its lower bound.
-
-    `packing` and `dominating` are a packing and a dominating set of g
-    that a class certificate already built.  Each is checked, and only its
-    size, per component, is read: it bounds that component's search
-    (`_solve_rho_component`'s and `_solve_gamma_component`'s docstrings),
-    so no witness depends on it.
 
     Each quantity's searches share the budget as in the one-quantity
     views, and none visits a node that the views' searches would not, so
@@ -593,12 +577,8 @@ def solve_pair(g: Graph, budget: int = DEFAULT_BUDGET,
     view's already: gamma's is raised as it is, and rho's once
     `domination_number` has answered.  Otherwise the pair falls back to
     `domination_number` and `packing_number`, in that order.  Only where a
-    search answers here within the budget (gamma stopping at rho, a
-    bounded search, a mop's walk) can a pair answer that the views leave
-    inconclusive."""
-    in_pack = set(packing) if packing and is_packing(g, packing) else set()
-    in_dom = (set(dominating) if dominating and is_dominating(g, dominating)
-              else None)
+    search answers here within the budget (gamma stopping at rho, a mop's
+    walk) can a pair answer that the views leave inconclusive."""
     halves: tuple[list[int], list[int]] = ([], [])  # gamma's, rho's
     nodes = [0, 0]
     exact = [True, True]
@@ -612,7 +592,7 @@ def solve_pair(g: Graph, budget: int = DEFAULT_BUDGET,
                 pair = _tree_certificate(sub)
             else:
                 t = triangulation if len(comps) == 1 else None
-                if t is None and recognize and sub.m == 2 * sub.n - 3:
+                if t is None and sub.m == 2 * sub.n - 3:
                     try:
                         t = recognize_mop(sub)
                     except NotMaximalOuterplanar:
@@ -623,17 +603,10 @@ def solve_pair(g: Graph, budget: int = DEFAULT_BUDGET,
             if pair is None:
                 method = 2
                 near = _conflict_masks(sub)
-                floor = len(in_pack.intersection(originals))
-                exact[1] &= floor == 0
-                pack, used = _solve_rho_component(sub, near, budget,
-                                                  nodes[1], floor)
+                pack, used = _solve_rho_component(sub, near, budget, nodes[1])
                 nodes[1] += used
-                ceiling = (None if in_dom is None
-                           else len(in_dom.intersection(originals)))
-                exact[0] &= ceiling is None
                 dom, used = _solve_gamma_component(sub, near, budget,
-                                                   nodes[0], len(pack),
-                                                   ceiling)
+                                                   nodes[0], len(pack))
                 nodes[0] += used
                 # stopping at rho may have saved nodes that the view spends
                 exact[0] &= len(dom) > len(pack)

@@ -167,6 +167,30 @@ def test_certify_any_and_tree_solve_once(cls, g, tmp_path, capsys,
     assert all(r["gamma"] == bundle["gamma"] for r in bundle["records"])
 
 
+def test_compute_certify_any_and_scan_walk_a_mop_component_alike(tmp_path,
+                                                                  capsys):
+    # a mop beside C_5: compute, certify any and a scan dump all walk the
+    # mop component, so all three print the same witnesses
+    mop = gen_random_mop(9, 0)
+    g = Graph.from_edges(14, list(mop.edges())
+                         + [(9 + u, 9 + v) for u, v in gen_cycle(5).edges()])
+    path = write_g6(tmp_path, "u.g6", [g])
+    assert cli.main(["compute", "--input", path]) == 0
+    (row,) = out_rows(capsys)
+    assert (row["dominating"], row["packing"]) == ([2, 4, 9, 11], [2, 7, 9])
+    assert cli.main(["certify", "--class", "any", "--input", path]) == 0
+    bundle = json.loads(capsys.readouterr().out)
+    assert (bundle["dominating"], bundle["packing"]) == (row["dominating"],
+                                                         row["packing"])
+    dump = tmp_path / "ces.jsonl"
+    assert cli.main(["scan", "--input", path, "--predicates", "gamma-eq-rho",
+                     "--out", str(tmp_path / "r.jsonl"),
+                     "--dump", str(dump)]) == 2
+    (ce,) = map(json.loads, dump.read_text().splitlines())
+    assert (ce["dominating"], ce["packing"]) == (row["dominating"],
+                                                 row["packing"])
+
+
 def _biconvex_items(*seeds):
     items = []
     for seed in seeds:
@@ -300,6 +324,24 @@ def test_generate_roundtrip(tmp_path, capsys):
                      "--seed", "7", "--samples", "3",
                      "--out", str(tmp_path / "gen2.g6")]) == 0
     assert out.read_text() == (tmp_path / "gen2.g6").read_text()
+
+
+def test_scan_rejects_a_half_sidecar_pair(tmp_path, capsys):
+    # without its #yorder line the graph would be scanned with no
+    # ordering, and its biconvex row silently dropped
+    out = tmp_path / "gen.g6"
+    assert cli.main(["generate", "--class", "biconvex", "--n", "5",
+                     "--seed", "2", "--out", str(out)]) == 0
+    report = tmp_path / "report.jsonl"
+    assert cli.main(["scan", "--input", str(out), "--out", str(report)]) == 0
+    records, _ = read_report(report.read_text().splitlines())
+    assert [r.check for r in records].count("biconvex-gamma-le-2rho") == 1
+    half = tmp_path / "half.g6"
+    half.write_text("".join(ln + "\n" for ln in out.read_text().splitlines()
+                            if not ln.startswith("#yorder")))
+    capsys.readouterr()
+    assert cli.main(["scan", "--input", str(half)]) == 1
+    assert "#xorder and #yorder" in capsys.readouterr().err
 
 
 def test_generate_tight(capsys):

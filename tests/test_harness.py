@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import io
 import json
@@ -6,6 +7,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gammarho import bounds, harness, outerplanar, solvers
 from gammarho.biconvex import ConvexOrdering, certify_biconvex
@@ -42,6 +44,7 @@ from gammarho.harness import (
 from gammarho.reports import ScanRecord, read_report, summarize, write_report
 from gammarho.solvers import BudgetExceeded
 from conftest import count_calls
+from test_solvers import mixed_graphs
 
 
 def test_detect_families():
@@ -195,6 +198,31 @@ def test_verify_counterexamples_resolves_from_graph6_alone():
     doctored = dict(ces[0], gamma=1, rho=1)
     out = verify_counterexamples([json.dumps(doctored)])
     assert out[0]["still_violates"] is True
+
+
+def test_verify_counterexamples_goes_on_after_a_run_out():
+    # three mops, which the walk answers without search, around a bicubic
+    # graph whose solve runs out at budget 5: that entry gets no verdict
+    # but compute's quantity and range, and the replay goes on
+    items = [make_item("sun", "probe", gen_sun()),
+             make_item("b30", "bicubic", gen_random_bicubic(30, 1)),
+             make_item("mop6", "probe", gen_random_mop(6, 4)),
+             make_item("mop10", "probe", gen_random_mop(10, 1))]
+    _, ces = run_scan(items, ("gamma-eq-rho",))
+    assert [ce["graph_id"] for ce in ces] == ["sun", "b30", "mop6", "mop10"]
+    sink = io.StringIO()
+    write_counterexamples(ces, sink)
+    replayed = verify_counterexamples(sink.getvalue().splitlines(), 5)
+    assert [out["still_violates"] for out in replayed] == [True, None,
+                                                           True, True]
+    with pytest.raises(BudgetExceeded) as err:
+        solvers.solve_pair(gen_random_bicubic(30, 1), 5)
+    assert replayed[1] == dict(ces[1], still_violates=None,
+                               quantity=err.value.quantity,
+                               range=[err.value.lower, err.value.upper])
+    assert (replayed[1]["quantity"], replayed[1]["range"]) == ("gamma",
+                                                              [8, 30])
+    assert all("quantity" not in replayed[i] for i in (0, 2, 3))
 
 
 def test_scan_verdict_precedence():
@@ -474,6 +502,51 @@ def test_graph_facts_keep_a_budget_run_out():
     assert solved.exhausted is None
     assert (solved.gamma, solved.rho) == (len(solved.dominating),
                                           len(solved.packing))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_graphs())
+def test_graph_facts_witnesses_are_the_pair_solves(g):
+    # the scan, certify any and compute route every component alike, a
+    # mop beside other components included
+    facts = graph_facts("g", "any", g, None, solvers.DEFAULT_BUDGET)
+    gamma, rho = solvers.solve_pair(g)
+    assert (facts.gamma, facts.dominating) == (gamma.value, gamma.witness)
+    assert (facts.rho, facts.packing) == (rho.value, rho.witness)
+
+
+@st.composite
+def _class_members(draw):
+    """("bicubic", g, None) with n = 16..22, or ("biconvex", g, ordering)
+    for a small connected biconvex graph."""
+    seed = draw(st.integers(0, 10 ** 6))
+    if draw(st.booleans()):
+        return "bicubic", gen_random_bicubic(draw(st.sampled_from(
+            (16, 18, 20, 22))), seed), None
+    g, o = gen_random_biconvex(draw(st.integers(2, 7)),
+                               draw(st.integers(2, 7)), seed)
+    assume(g.is_connected())
+    return "biconvex", g, o
+
+
+@settings(max_examples=150, deadline=None)
+@given(_class_members(), st.integers(1, 200))
+def test_class_entries_answer_or_give_the_views_run_out(member, budget):
+    # a CERTIFY class entry either answers with the exact values, or gives
+    # the solver-budget record of domination_number, then packing_number
+    cls, g, o = member
+    certs, records = harness.guarded("x", cls, g.n, functools.partial(
+        harness.CERTIFY[cls], "x", g, o, budget))
+    if certs is None:
+        with pytest.raises(BudgetExceeded) as err:
+            solvers.domination_number(g, budget)
+            solvers.packing_number(g, budget)
+        assert [r.as_dict() for r in records] == [
+            harness.budget_record("x", cls, g.n, err.value).as_dict()]
+    else:
+        exact = (solvers.domination_number(g).value,
+                 solvers.packing_number(g).value)
+        assert all((r.gamma, r.rho) == exact for r in records)
 
 
 def test_default_scan_finds_each_graphs_components_once(monkeypatch):

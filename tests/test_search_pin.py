@@ -318,7 +318,7 @@ def _fewest_dominators_pick(masks, classes, undominated: int, banned: int,
     return pick, count
 
 
-def _former_gamma_component(sub, budget, spent, lower=0, upper=None):
+def _former_gamma_component(sub, budget, spent, lower=0):
     n = sub.n
     masks = sub.closed_masks
     near = solvers._conflict_masks(sub)
@@ -328,7 +328,7 @@ def _former_gamma_component(sub, budget, spent, lower=0, upper=None):
     limit = budget - spent
     nodes = 0
     # n + 1: no dominating set found yet
-    best_size = n + 1 if upper is None else min(n, upper) + 1
+    best_size = n + 1
     best_set = ()
     stack = [(None, 0, 0, 0, 0)]
     while stack:
@@ -393,18 +393,16 @@ def test_gamma_search_matches_the_former_loop_node_for_node(data):
     g = Graph.from_edges(n, [(u, v) for u, v in edges if u != v])
     near = solvers._conflict_masks(g)
     # as the one-quantity view calls it, or as solve_pair does: rho as the
-    # lower bound, and maybe the size of a certificate's dominating set
-    lower, upper = 0, None
+    # lower bound
+    lower = 0
     if data.draw(st.booleans()):
-        gamma = len(_former_gamma_component(g, 10 ** 9, 0)[0])
         lower = len(solvers._solve_rho_component(g, near, 10 ** 9, 0)[0])
-        upper = data.draw(st.none() | st.integers(gamma, n))
-    full = _former_gamma_component(g, 10 ** 9, 0, lower, upper)[1]
+    full = _former_gamma_component(g, 10 ** 9, 0, lower)[1]
     spent = data.draw(st.integers(0, 2))
     budget = spent + data.draw(st.integers(1, full + 1))
     assert _search_outcome(solvers._solve_gamma_component, g, near, budget,
-                           spent, lower, upper) == _search_outcome(
-        _former_gamma_component, g, budget, spent, lower, upper)
+                           spent, lower) == _search_outcome(
+        _former_gamma_component, g, budget, spent, lower)
 
 
 if __name__ == "__main__":

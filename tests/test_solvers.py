@@ -6,13 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import count_calls
-from gammarho.biconvex import (
-    cb_decompose,
-    construct_dominating,
-    construct_packing,
-    trim_core,
-)
-from gammarho.bicubic import bicubic_layers, combined_packing
 from gammarho.generators import (
     gen_complete_bipartite,
     gen_cycle,
@@ -435,9 +428,9 @@ def _views(g, budget=solvers.DEFAULT_BUDGET):
         return exc.quantity, exc.lower, exc.upper, exc.witness, exc.nodes
 
 
-def _pair(g, budget=solvers.DEFAULT_BUDGET, **kwargs):
+def _pair(g, budget=solvers.DEFAULT_BUDGET):
     try:
-        return solvers.solve_pair(g, budget, **kwargs)
+        return solvers.solve_pair(g, budget)
     except BudgetExceeded as exc:
         return exc.quantity, exc.lower, exc.upper, exc.witness, exc.nodes
 
@@ -508,33 +501,22 @@ def test_solve_pair_runs_out_as_the_views_do(g, budget):
 
 
 def test_solve_pair_keeps_the_search_witnesses_off_mops():
-    # gamma stops at rho and the class certificates bound the searches,
-    # but every witness is the one the views return
-    cases = [(gen_random_connected(4 + s % 12, s), {}) for s in range(60)]
-    for s in range(12):
-        g = gen_random_bicubic(16 + 2 * (s % 6), 500 + s)
-        cases.append((g, {"packing": combined_packing(g, bicubic_layers(g)[2])}))
+    # gamma stops at rho, but every witness is the one the views return
+    cases = [gen_random_connected(4 + s % 12, s) for s in range(60)]
+    cases += [gen_random_bicubic(16 + 2 * (s % 6), 500 + s)
+              for s in range(12)]
     for s in range(40):
-        g, o = gen_random_biconvex(2 + s % 9, 2 + (s // 9) % 9, s)
+        g, _ = gen_random_biconvex(2 + s % 9, 2 + (s // 9) % 9, s)
         if g.is_connected():
-            decomp = cb_decompose(g, trim_core(g, o))
-            cases.append((g, {
-                "packing": construct_packing(g, decomp).vertices,
-                "dominating": construct_dominating(g, decomp).vertices}))
-    cases += [(gen_cycle(n), {}) for n in range(4, 40)]
-    for g, seeds in cases:
+            cases.append(g)
+    cases += [gen_cycle(n) for n in range(4, 40)]
+    for g in cases:
         if _is_mop(g):
             continue
-        pair, views = solvers.solve_pair(g, **seeds), _views(g)
+        pair, views = solvers.solve_pair(g), _views(g)
         for got, want in zip(pair, views):
             assert (got.value, got.witness) == (want.value, want.witness)
             assert got.nodes <= want.nodes
-
-
-def test_solve_pair_ignores_seeds_that_fail_their_check():
-    g = petersen()
-    pair = solvers.solve_pair(g)
-    assert solvers.solve_pair(g, packing=(0, 1), dominating=(0,)) == pair
 
 
 def test_solve_pair_methods():
@@ -554,10 +536,6 @@ def test_solve_pair_methods():
         assert packing_number(g).method == view_method
     assert mop.m == 2 * mop.n - 3
     assert solvers.solve_pair(mop)[0].nodes == 0
-    # a caller that classified a graph and found no mop turns recognition
-    # off; the mop is then searched
-    gamma, rho = solvers.solve_pair(mop, recognize=False)
-    assert gamma.method == "search" and gamma.nodes > 0
 
 
 def test_gamma_eq_rho_graph_answers_where_the_views_run_out():
@@ -588,41 +566,26 @@ def test_a_run_out_the_views_share_is_not_searched_again(monkeypatch):
     # C_60 at budget 100: gamma's view answers in 61 nodes and rho's runs
     # out.  The pair's rho search is the view's, node for node, so its
     # run-out is raised once gamma's view has answered, without a second
-    # rho search; with a packing seed it is not the view's any more, and
-    # the pair falls back to both views
+    # rho search
     g = gen_cycle(60)
     views = _views(g, 100)
     assert views[0] == "rho"
-    calls = []
-    original = solvers._solve_rho_component
-
-    def counting(*args):
-        calls.append(args[4:])  # after (sub, near, budget, spent)
-        return original(*args)
-
-    monkeypatch.setattr(solvers, "_solve_rho_component", counting)
+    counts = count_calls(monkeypatch, ("_solve_rho_component",))
     assert _pair(g, 100) == views
-    assert calls == [(0,)]
-    calls.clear()
-    assert _pair(g, 100, packing=(0, 3)) == views
-    assert calls == [(2,), ()]
+    assert counts["_solve_rho_component"] == 1
 
 
-@pytest.mark.parametrize("parts, budget, seeds", [
+@pytest.mark.parametrize("parts, budget", [
     # gamma = rho = 6 on the first component, where the pair's gamma stops
     # at node 7 and the view's spends 172 and runs out; the pair's gamma
     # runs out on the second component instead, with other bounds
-    ((gen_random_connected(21, 127), gen_random_connected(24, 3012)), 100,
-     {}),
+    ((gen_random_connected(21, 127), gen_random_connected(24, 3012)), 100),
     # a mop, which the views search and the pair walks, to another
     # packing, before a cycle on which rho runs out
-    ((gen_random_mop(6, 9801), gen_cycle(30)), 35, {}),
-    # a dominating set of size 3 bounds gamma's search, which runs out at
-    # another node than the view's
-    ((gen_random_connected(31, 5017),), 5, {"dominating": (3, 5, 10)}),
+    ((gen_random_mop(6, 9801), gen_cycle(30)), 35),
 ])
-def test_a_run_out_the_views_reach_otherwise_falls_back(parts, budget, seeds):
+def test_a_run_out_the_views_reach_otherwise_falls_back(parts, budget):
     g = _disjoint_union(parts, range(sum(h.n for h in parts)))
     views = _views(g, budget)
     assert isinstance(views[0], str)
-    assert _pair(g, budget, **seeds) == views
+    assert _pair(g, budget) == views
