@@ -132,41 +132,48 @@ def cmd_certify(args) -> int:
     return scan_verdict(all_records)
 
 
+def _decomposition(cls: str, g: Graph, ordering) -> list[str]:
+    """The dump lines of g's structure for `cls`, all built before the
+    caller prints any, so a graph outside the class prints nothing."""
+    if cls == "bicubic":
+        labeling, _, layers = bicubic_layers(g)
+        lines = [f"side X: {list(labeling.side_x)}",
+                 f"side Y: {list(labeling.side_y)}"]
+        lines += [f"{tag.upper()}: {list(getattr(layers, tag))}"
+                  for tag in ("p", "q", "r", "s", "t", "w")]
+        lines.append(f"combined packing: {list(combined_packing(g, layers))}")
+    elif cls == "mop":
+        t = recognize_mop(g)
+        lines = [f"boundary: {list(t.boundary)}"]
+        lines += [f"triangle {i}: {list(tri)}"
+                  for i, tri in enumerate(t.triangles)]
+        lines += [f"dual edge {i}-{j} shares {edge[0]}-{edge[1]}"
+                  for (i, j), edge in sorted(t.dual.shared.items())]
+        lines.append(f"colors: {list(t.walk[2])}")
+    elif cls == "biconvex":
+        if ordering is None:
+            raise ValueError("biconvex input needs orderings")
+        decomp = cb_decompose(g, trim_core(g, ordering))
+        core = decomp.core
+        lines = [f"x order: {list(core.ordering.x_order)}"
+                 f"{' (reversed)' if core.x_reversed else ''}",
+                 f"trimmed: left={list(core.trimmed_left)} "
+                 f"right={list(core.trimmed_right)}"]
+        for i, blk in enumerate(decomp.blocks):
+            j = decomp.j_sets[i]
+            extra = f" J={list(j)} (side {decomp.j_sides[i]})" if j else ""
+            lines.append(f"block {i + 1}: X={list(blk.x_side)} "
+                         f"Y={list(blk.y_side)}{extra}")
+    else:
+        raise ValueError(f"decompose does not support class {cls!r}")
+    return lines
+
+
 def cmd_decompose(args) -> int:
     for idx, (g, ordering) in enumerate(_load(args.input, args.format)):
+        lines = _decomposition(args.cls, g, ordering)
         print(f"# graph {idx}: n={g.n} m={g.m}")
-        if args.cls == "bicubic":
-            labeling, _, layers = bicubic_layers(g)
-            print(f"side X: {list(labeling.side_x)}")
-            print(f"side Y: {list(labeling.side_y)}")
-            for tag in ("p", "q", "r", "s", "t", "w"):
-                print(f"{tag.upper()}: {list(getattr(layers, tag))}")
-            print(f"combined packing: {list(combined_packing(g, layers))}")
-        elif args.cls == "mop":
-            t = recognize_mop(g)
-            print(f"boundary: {list(t.boundary)}")
-            for i, tri in enumerate(t.triangles):
-                print(f"triangle {i}: {list(tri)}")
-            for (i, j), edge in sorted(t.dual.shared.items()):
-                print(f"dual edge {i}-{j} shares {edge[0]}-{edge[1]}")
-            print(f"colors: {list(t.walk[2])}")
-        elif args.cls == "biconvex":
-            if ordering is None:
-                raise ValueError("biconvex input needs orderings")
-            decomp = cb_decompose(g, trim_core(g, ordering))
-            core = decomp.core
-            print(f"x order: {list(core.ordering.x_order)}"
-                  f"{' (reversed)' if core.x_reversed else ''}")
-            print(f"trimmed: left={list(core.trimmed_left)} "
-                  f"right={list(core.trimmed_right)}")
-            for i, blk in enumerate(decomp.blocks):
-                j = decomp.j_sets[i]
-                side = decomp.j_sides[i]
-                extra = f" J={list(j)} (side {side})" if j else ""
-                print(f"block {i + 1}: X={list(blk.x_side)} "
-                      f"Y={list(blk.y_side)}{extra}")
-        else:
-            raise ValueError(f"decompose does not support class {args.cls!r}")
+        print("\n".join(lines))
     return 0
 
 
@@ -210,7 +217,7 @@ def cmd_scan(args) -> int:
             items = [it for it in items if it.family == args.cls]
     predicates = (
         tuple(p.strip() for p in args.predicates.split(",") if p.strip())
-        if args.predicates else DEFAULT_PREDICATES
+        if args.predicates is not None else DEFAULT_PREDICATES
     )
     records, counterexamples = run_scan(items, predicates, args.budget, args.jobs)
     with _out_sink(args.out) as sink:

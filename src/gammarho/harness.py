@@ -308,7 +308,11 @@ def run_scan(items: Sequence[ScanItem],
              budget: int = DEFAULT_BUDGET,
              jobs: int = 1) -> tuple[list[ScanRecord], list[dict]]:
     """Evaluate the named predicates on every item.  Returns the records
-    (submission order) and the conjecture counterexamples found."""
+    (submission order) and the conjecture counterexamples found.  An
+    empty predicate list is a ValueError: a scan that checks nothing
+    passes nothing."""
+    if not predicates:
+        raise ValueError("no predicate to check")
     for name in predicates:
         if name not in PREDICATES:
             raise ValueError(f"unknown predicate {name!r}")

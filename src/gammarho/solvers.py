@@ -27,14 +27,13 @@ the cheapest exact method:
 
 Certificates are validated before use; they report nodes = 0 and spend
 none of the budget.  Should a check ever fail, the component falls
-through to the search.  A budget run-out falls back to the views, so it
-keeps their outcome (see `solve_pair`).
+through to the search.  The first search to run out ends the pair, with
+bounds for the whole graph (see `solve_pair`).
 
 `domination_number` and `packing_number` are one-quantity views through
 `_solve`: forest components by the certificate, every other component,
 mops included, by that quantity's search alone, which the search pin
-fixes node for node.  A component's BudgetExceeded is re-raised with
-bounds for the whole graph.
+fixes node for node.
 
 The two searches:
 
@@ -568,20 +567,13 @@ def solve_pair(g: Graph, budget: int = DEFAULT_BUDGET,
     3. any other component, or one whose certificate fails its check, to
        rho's search, then to gamma's with that rho as its lower bound.
 
-    Each quantity's searches share the budget as in the one-quantity
-    views, and none visits a node that the views' searches would not, so
-    a budget run-out here means the views run out too, and the
-    BudgetExceeded that escapes is the views' own, gamma's first: the same
-    quantity, bounds and nodes.  While each of a quantity's searches so far
-    has been the view's, node for node (`exact`), the run-out is the
-    view's already: gamma's is raised as it is, and rho's once
-    `domination_number` has answered.  Otherwise the pair falls back to
-    `domination_number` and `packing_number`, in that order.  Only where a
-    search answers here within the budget (gamma stopping at rho, a mop's
-    walk) can a pair answer that the views leave inconclusive."""
+    Each quantity's searches share that quantity's budget, so each budget
+    is spent at most once and no component is searched twice.  The
+    BudgetExceeded that escapes is the first search's to run out, in
+    component order and rho before gamma within a component, with bounds
+    for the whole graph."""
     halves: tuple[list[int], list[int]] = ([], [])  # gamma's, rho's
     nodes = [0, 0]
-    exact = [True, True]
     route = 0
     comps = g.components()
     try:
@@ -599,7 +591,6 @@ def solve_pair(g: Graph, budget: int = DEFAULT_BUDGET,
                         pass
                 if t is not None:
                     pair, method = mop_pair(t), 1
-                    exact = [False, False]  # the views search a mop
             if pair is None:
                 method = 2
                 near = _conflict_masks(sub)
@@ -608,20 +599,13 @@ def solve_pair(g: Graph, budget: int = DEFAULT_BUDGET,
                 dom, used = _solve_gamma_component(sub, near, budget,
                                                    nodes[0], len(pack))
                 nodes[0] += used
-                # stopping at rho may have saved nodes that the view spends
-                exact[0] &= len(dom) > len(pack)
                 pair = dom, pack
             for half, found in zip(halves, pair):
                 half.extend(originals[v] for v in found)
             route = max(route, method)
     except BudgetExceeded as exc:
-        q = exc.quantity == "rho"
-        if not exact[q]:
-            return domination_number(g, budget), packing_number(g, budget)
-        whole = _whole_graph(exc, halves[q], originals, comps[i + 1:])
-        if q:
-            domination_number(g, budget)  # gamma's run-out comes first
-        raise whole from None
+        raise _whole_graph(exc, halves[exc.quantity == "rho"], originals,
+                           comps[i + 1:]) from None
     dom, pack = (tuple(sorted(half)) for half in halves)
     return (Solution(len(dom), dom, nodes[0], _METHODS[route]),
             Solution(len(pack), pack, nodes[1], _METHODS[route]))

@@ -262,7 +262,8 @@ def test_certify_mop_search_fallback_budget_is_a_record(tmp_path, capsys,
     (rec,) = bundle["records"]
     assert (rec["check"], rec["kind"], rec["holds"]) == ("solver-budget",
                                                         "info", None)
-    assert rec["details"]["quantity"] == "gamma"
+    assert (rec["details"]["quantity"], rec["details"]["range"]) == ("rho",
+                                                                  [5, 7])
 
 
 def test_certify_biconvex(tmp_path, capsys):
@@ -307,6 +308,18 @@ def test_decompose_mop(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "triangle 0: [0, 1, 5]" in out
     assert "dual edge" in out and "colors:" in out
+
+
+def test_decompose_prints_no_header_for_a_graph_outside_the_class(tmp_path,
+                                                                 capsys):
+    # K4 is no mop: the run stops with exit 1, and stdout holds graph 0's
+    # dump alone, with no header for graph 1
+    mop = write_g6(tmp_path, "m.g6", [gen_sun()])
+    assert cli.main(["decompose", "--class", "mop", "--input", mop]) == 0
+    alone = capsys.readouterr().out
+    both = write_g6(tmp_path, "mk.g6", [gen_sun(), gen_complete(4)])
+    assert cli.main(["decompose", "--class", "mop", "--input", both]) == 1
+    assert capsys.readouterr().out == alone
 
 
 def test_generate_roundtrip(tmp_path, capsys):
@@ -393,6 +406,17 @@ def test_scan_honours_predicate_list(tmp_path, capsys):
     # same graph, equality conjecture not requested: clean exit
     assert cli.main(["scan", "--input", path,
                      "--predicates", "rho-le-gamma"]) == 0
+
+
+@pytest.mark.parametrize("names", [",", ""])
+def test_scan_with_no_predicate_is_a_usage_error(names, tmp_path, capsys):
+    # neither names a predicate; a scan that checks nothing must not pass
+    path = write_g6(tmp_path, "c4.g6", [gen_cycle(4)])
+    report = tmp_path / "report.jsonl"
+    assert cli.main(["scan", "--input", path, "--predicates", names,
+                     "--out", str(report)]) == 1
+    assert "no predicate" in capsys.readouterr().err
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("argv", [["scan"], ["certify", "--class", "any"]])

@@ -20,6 +20,7 @@ from gammarho.generators import (
     gen_random_bicubic,
     gen_random_connected,
     gen_random_mop,
+    gen_random_tree,
     gen_sun,
 )
 from gammarho.formats import decode_graph6
@@ -220,9 +221,15 @@ def test_verify_counterexamples_goes_on_after_a_run_out():
     assert replayed[1] == dict(ces[1], still_violates=None,
                                quantity=err.value.quantity,
                                range=[err.value.lower, err.value.upper])
-    assert (replayed[1]["quantity"], replayed[1]["range"]) == ("gamma",
-                                                              [8, 30])
+    assert (replayed[1]["quantity"], replayed[1]["range"]) == ("rho",
+                                                              [4, 10])
     assert all("quantity" not in replayed[i] for i in (0, 2, 3))
+
+
+def test_run_scan_rejects_an_empty_predicate_list():
+    items = [make_item("c4", "probe", gen_cycle(4))]
+    with pytest.raises(ValueError, match="no predicate"):
+        run_scan(items, ())
 
 
 def test_scan_verdict_precedence():
@@ -473,8 +480,8 @@ def test_budget_exhaustion_keeps_the_families():
     starved, _ = run_scan(items, budget=5)
     solved, _ = run_scan(items)
     assert [r.check for r in starved] == [r.check for r in solved]
-    detail = {"reason": "node budget exhausted", "quantity": "gamma",
-              "range": [8, 30]}
+    detail = {"reason": "node budget exhausted", "quantity": "rho",
+              "range": [4, 10]}
     assert [r.as_dict() for r in starved] == [
         {"graph_id": "b30", "family": "bicubic", "n": 30, "check": check,
          "kind": kind, "holds": None, "bound": "", "gamma": None,
@@ -495,7 +502,7 @@ def test_graph_facts_keep_a_budget_run_out():
     facts = graph_facts("b30", "bicubic", g, None, 5)
     assert isinstance(facts.exhausted, BudgetExceeded)
     assert (facts.exhausted.quantity, facts.exhausted.lower,
-            facts.exhausted.upper) == ("gamma", 8, 30)
+            facts.exhausted.upper) == ("rho", 4, 10)
     assert (facts.gamma, facts.rho) == (None, None)
     assert facts.families == {"any", "bicubic"} and facts.delta == 3
     solved = graph_facts("b30", "bicubic", g, None, solvers.DEFAULT_BUDGET)
@@ -517,36 +524,44 @@ def test_graph_facts_witnesses_are_the_pair_solves(g):
 
 @st.composite
 def _class_members(draw):
-    """("bicubic", g, None) with n = 16..22, or ("biconvex", g, ordering)
-    for a small connected biconvex graph."""
+    """(cls, g, ordering) for each `CERTIFY` class: a bicubic graph with
+    n = 16..22, a small connected biconvex graph with its ordering, a
+    random mop or tree, or a `mixed_graphs` union for "any"."""
+    cls = draw(st.sampled_from(sorted(harness.CERTIFY)))
     seed = draw(st.integers(0, 10 ** 6))
-    if draw(st.booleans()):
-        return "bicubic", gen_random_bicubic(draw(st.sampled_from(
+    if cls == "bicubic":
+        return cls, gen_random_bicubic(draw(st.sampled_from(
             (16, 18, 20, 22))), seed), None
-    g, o = gen_random_biconvex(draw(st.integers(2, 7)),
-                               draw(st.integers(2, 7)), seed)
-    assume(g.is_connected())
-    return "biconvex", g, o
+    if cls == "biconvex":
+        g, o = gen_random_biconvex(draw(st.integers(2, 7)),
+                                   draw(st.integers(2, 7)), seed)
+        assume(g.is_connected())
+        return cls, g, o
+    if cls == "mop":
+        return cls, gen_random_mop(draw(st.integers(3, 20)), seed), None
+    if cls == "tree":
+        return cls, gen_random_tree(draw(st.integers(1, 20)), seed), None
+    return cls, draw(mixed_graphs()), None
 
 
 @settings(max_examples=150, deadline=None)
 @given(_class_members(), st.integers(1, 200))
-def test_class_entries_answer_or_give_the_views_run_out(member, budget):
+def test_class_entries_answer_or_give_the_pairs_run_out(member, budget):
     # a CERTIFY class entry either answers with the exact values, or gives
-    # the solver-budget record of domination_number, then packing_number
+    # the solver-budget record of solve_pair's run-out
     cls, g, o = member
     certs, records = harness.guarded("x", cls, g.n, functools.partial(
         harness.CERTIFY[cls], "x", g, o, budget))
     if certs is None:
         with pytest.raises(BudgetExceeded) as err:
-            solvers.domination_number(g, budget)
-            solvers.packing_number(g, budget)
+            solvers.solve_pair(g, budget)
         assert [r.as_dict() for r in records] == [
             harness.budget_record("x", cls, g.n, err.value).as_dict()]
     else:
         exact = (solvers.domination_number(g).value,
                  solvers.packing_number(g).value)
-        assert all((r.gamma, r.rho) == exact for r in records)
+        valued = [r for r in records if r.gamma is not None]
+        assert valued and all((r.gamma, r.rho) == exact for r in valued)
 
 
 def test_default_scan_finds_each_graphs_components_once(monkeypatch):

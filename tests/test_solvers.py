@@ -419,13 +419,9 @@ def test_host_tree_certificate_rejects_a_visit_against_depth():
 
 # ------------------------------------------------------ one pair solve ----
 
-def _views(g, budget=solvers.DEFAULT_BUDGET):
-    """gamma then rho from the one-quantity views, or the first
-    BudgetExceeded's fields."""
-    try:
-        return domination_number(g, budget), packing_number(g, budget)
-    except BudgetExceeded as exc:
-        return exc.quantity, exc.lower, exc.upper, exc.witness, exc.nodes
+def _views(g):
+    """gamma then rho from the one-quantity views."""
+    return domination_number(g), packing_number(g)
 
 
 def _pair(g, budget=solvers.DEFAULT_BUDGET):
@@ -489,15 +485,18 @@ def test_solve_pair_matches_the_views_and_brute_force(g):
 
 @settings(max_examples=150, deadline=None)
 @given(mixed_graphs(), st.integers(1, 60))
-def test_solve_pair_runs_out_as_the_views_do(g, budget):
-    # a budget run-out is the views' own, gamma first; an answer is exact
-    pair, views = _pair(g, budget), _views(g, budget)
-    if isinstance(pair[0], str):
-        assert pair == views
-    elif not isinstance(views[0], str):
-        assert [s.value for s in pair] == [s.value for s in views]
-    else:
-        assert [s.value for s in pair] == [brute_gamma(g), brute_rho(g)]
+def test_solve_pair_answers_exactly_or_brackets_its_run_out(g, budget):
+    # an answer is exact; a run-out's range brackets its quantity's value,
+    # and a rho run-out carries a packing of its lower end
+    pair = _pair(g, budget)
+    truth = {"gamma": brute_gamma(g), "rho": brute_rho(g)}
+    if not isinstance(pair[0], str):
+        assert [s.value for s in pair] == [truth["gamma"], truth["rho"]]
+        return
+    quantity, lower, upper, witness, nodes = pair
+    assert lower <= truth[quantity] <= upper and nodes == budget + 1
+    if quantity == "rho":
+        assert len(witness) == lower and is_packing(g, witness)
 
 
 def test_solve_pair_keeps_the_search_witnesses_off_mops():
@@ -562,30 +561,25 @@ def test_pair_builds_conflict_masks_once_per_searched_component(monkeypatch):
     assert counts["_conflict_masks"] == 2
 
 
-def test_a_run_out_the_views_share_is_not_searched_again(monkeypatch):
-    # C_60 at budget 100: gamma's view answers in 61 nodes and rho's runs
-    # out.  The pair's rho search is the view's, node for node, so its
-    # run-out is raised once gamma's view has answered, without a second
-    # rho search
-    g = gen_cycle(60)
-    views = _views(g, 100)
-    assert views[0] == "rho"
-    counts = count_calls(monkeypatch, ("_solve_rho_component",))
-    assert _pair(g, 100) == views
-    assert counts["_solve_rho_component"] == 1
-
-
-@pytest.mark.parametrize("parts, budget", [
-    # gamma = rho = 6 on the first component, where the pair's gamma stops
-    # at node 7 and the view's spends 172 and runs out; the pair's gamma
-    # runs out on the second component instead, with other bounds
-    ((gen_random_connected(21, 127), gen_random_connected(24, 3012)), 100),
-    # a mop, which the views search and the pair walks, to another
-    # packing, before a cycle on which rho runs out
-    ((gen_random_mop(6, 9801), gen_cycle(30)), 35),
+@pytest.mark.parametrize("parts, budget, record, searches", [
+    # rho runs out on C_60; gamma is never searched
+    ((gen_cycle(60),), 100, ("rho", 15, 20), (1, 0)),
+    # gamma = rho = 6 on the first component, where gamma stops at rho;
+    # gamma runs out on the second, after rho has answered there
+    ((gen_random_connected(21, 127), gen_random_connected(24, 3012)), 100,
+     ("gamma", 8, 11), (2, 2)),
+    # a mop, which the pair walks, before a cycle on which rho runs out
+    ((gen_random_mop(6, 9801), gen_cycle(30)), 35, ("rho", 9, 11), (1, 0)),
+    # rho runs out first on a bicubic graph
+    ((gen_random_bicubic(30, 1),), 5, ("rho", 4, 10), (1, 0)),
 ])
-def test_a_run_out_the_views_reach_otherwise_falls_back(parts, budget):
+def test_a_run_out_searches_each_component_once_and_calls_no_view(
+        monkeypatch, parts, budget, record, searches):
     g = _disjoint_union(parts, range(sum(h.n for h in parts)))
-    views = _views(g, budget)
-    assert isinstance(views[0], str)
-    assert _pair(g, budget) == views
+    counts = count_calls(monkeypatch, (
+        "domination_number", "packing_number", "_solve_rho_component",
+        "_solve_gamma_component"))
+    assert _pair(g, budget)[:3] == record
+    done = counts["_solve_rho_component"], counts["_solve_gamma_component"]
+    assert done == searches and max(done) <= len(parts)
+    assert counts["domination_number"] == counts["packing_number"] == 0
