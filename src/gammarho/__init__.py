@@ -44,9 +44,7 @@ from .solvers import (
     solve_pair,
 )
 from .bicubic import (
-    BrooksColoring,
     LayerDecomposition,
-    brooks_color,
     certify_bicubic,
     combined_packing,
     layer_decompose,

@@ -44,13 +44,6 @@ from .solvers import DEFAULT_BUDGET, solve_pair
 
 
 @dataclass(frozen=True)
-class BrooksColoring:
-    colors: tuple[int, ...]
-    num_colors: int
-    method: str
-
-
-@dataclass(frozen=True)
 class LayerDecomposition:
     labeling: BipartiteLabeling
     p: tuple[int, ...]
@@ -105,126 +98,36 @@ def _reverse_bfs_order(g: Graph, root: int, allowed: set[int]) -> list[int]:
     return order[::-1]
 
 
-def _articulation_vertex(g: Graph) -> int | None:
-    """Smallest cut vertex, None when 2-connected.  Plain n connectivity
-    checks, fine at the sizes this package handles."""
-    for c in range(g.n):
-        if not _connected_without(g, {c}):
-            return c
-    return None
+def _brooks_color(g: Graph) -> list[int]:
+    """Colours of a restricted square g (see `side_packing`), at most
+    max_degree of them, constructively as in Brooks' theorem.  A
+    non-regular g is coloured greedily in smallest-last order: every
+    subgraph of a connected non-regular graph has a vertex of degree below
+    Delta.  A regular g gets the same colour on two nonadjacent neighbours
+    u, w of a vertex v such that g - {u, w} is connected (a splice triple),
+    and the rest greedily in reverse BFS order from v, so each vertex but v
+    has an uncoloured neighbour when coloured and v sees u and w alike.
 
-
-def _cycle_walk(g: Graph) -> list[int]:
-    walk = [0]
-    prev = -1
-    cur = 0
-    while True:
-        nxt = [u for u in g.adj[cur] if u != prev]
-        step = min(nxt)
-        if step == 0:
-            return walk
-        walk.append(step)
-        prev, cur = cur, step
-
-
-def brooks_color(g: Graph) -> BrooksColoring:
-    """Constructive Brooks coloring of a connected graph.
-
-    Complete graphs get n colors and odd cycles 3; everything else gets at
-    most max_degree colors.  The regular 2-connected case pre-colors two
-    nonadjacent neighbors u, w of a vertex v alike and greedy-colors the
-    rest in reverse BFS order from v; regular graphs with a cut vertex are
-    colored lobe by lobe with the cut vertex pinned to color 0; the
-    non-regular case is smallest-last greedy.
-    """
-    if g.n == 0:
-        return BrooksColoring((), 0, "empty")
-    if not g.is_connected():
-        raise ValueError("brooks_color requires a connected graph")
-    delta = g.max_degree()
-    if g.m == g.n * (g.n - 1) // 2:
-        colors = tuple(range(g.n))
-        return _finish(g, colors, "complete", g.n)
-    if delta == 2 and g.m == g.n:
-        walk = _cycle_walk(g)
-        colors = [0] * g.n
-        for i, v in enumerate(walk):
-            colors[v] = i % 2
-        if g.n % 2 == 1:
-            colors[walk[-1]] = 2
-            return _finish(g, tuple(colors), "odd-cycle", 3)
-        return _finish(g, tuple(colors), "even-cycle", 2)
+    Brooks' other cases never reach this function.  `side_packing`
+    rejects a complete square first.  Each vertex of the other side puts a
+    triangle into the square, and a side has at least 8 vertices, so the
+    square is no cycle.  A connected k-regular bipartite graph has no cut
+    vertex (a component of G - v takes k(b - a) of v's k edges, hence all
+    of them), and a path in G - x gives one in the square - x, so a
+    regular square is 2-connected.  With Delta >= 3 and not complete, it
+    has a splice triple (Lovasz 1975); should none be found, that is a
+    CertificateError."""
     if not g.is_regular():
-        order = _smallest_last_order(g)
-        colors = _greedy_color(g, order, {})
-        return _finish(g, tuple(colors), "smallest-last", delta)
-    cut = _articulation_vertex(g)
-    if cut is not None:
-        colors = [-1] * g.n
-        rest = [v for v in range(g.n) if v != cut]
-        comp_graph, originals = g.induced(rest)
-        for comp in comp_graph.components():
-            lobe = {originals[v] for v in comp} | {cut}
-            order = _reverse_bfs_order(g, cut, lobe)
-            # the order holds lobe vertices only, so the greedy colors
-            # each lobe from fresh colors
-            local = _greedy_color(g, order, {})
-            # pin the cut vertex to color 0 by swapping within the lobe
-            cc = local[cut]
-            for v in lobe:
-                if v == cut or local[v] == -1:
-                    continue
-                if local[v] == cc:
-                    colors[v] = 0
-                elif local[v] == 0:
-                    colors[v] = cc
-                else:
-                    colors[v] = local[v]
-            colors[cut] = 0
-        return _finish(g, tuple(colors), "cut-vertex", delta)
-    triple = _find_splice_triple(g)
-    if triple is not None:
-        v, u, w = triple
-        allowed = set(range(g.n)) - {u, w}
-        order = _reverse_bfs_order(g, v, allowed)
-        colors = _greedy_color(g, order, {u: 0, w: 0})
-        return _finish(g, tuple(colors), "splice", delta)
-    # theory says a 2-connected regular non-complete non-cycle graph always
-    # has a splice triple; keep a checked fallback anyway
-    order = _smallest_last_order(g)
-    colors = _greedy_color(g, order, {})
-    return _finish(g, tuple(colors), "fallback", delta)
-
-
-def _find_splice_triple(g: Graph) -> tuple[int, int, int] | None:
-    """(v, u, w) with u, w nonadjacent neighbors of v and g - {u, w} still
-    connected; first such triple in id order."""
+        return _greedy_color(g, _smallest_last_order(g), {})
     for v in range(g.n):
         nbrs = g.adj[v]
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                u, w = nbrs[i], nbrs[j]
-                if g.has_edge(u, w):
-                    continue
-                if _connected_without(g, {u, w}):
-                    return (v, u, w)
-    return None
-
-
-def _connected_without(g: Graph, removed: set[int]) -> bool:
-    return g.induced([v for v in range(g.n) if v not in removed])[0].is_connected()
-
-
-def _finish(g: Graph, colors: tuple[int, ...], method: str, promised: int) -> BrooksColoring:
-    for u, v in g.edges():
-        if colors[u] == colors[v]:
-            raise CertificateError(f"improper coloring: edge {u}-{v} got color {colors[u]}")
-    used = 1 + max(colors) if colors else 0
-    if used > promised:
-        raise CertificateError(
-            f"{method} coloring used {used} colors, promised at most {promised}"
-        )
-    return BrooksColoring(colors, used, method)
+        for i, u in enumerate(nbrs):
+            for w in nbrs[i + 1:]:
+                rest = set(range(g.n)) - {u, w}
+                if not g.has_edge(u, w) and g.induced(rest)[0].is_connected():
+                    return _greedy_color(g, _reverse_bfs_order(g, v, rest),
+                                         {u: 0, w: 0})
+    raise CertificateError("regular restricted square has no splice triple")
 
 
 def validate_bicubic(g: Graph) -> BipartiteLabeling:
@@ -265,9 +168,15 @@ def side_packing(g: Graph, labeling: BipartiteLabeling,
         raise CertificateError("restricted square degree exceeded 6 on a cubic graph")
     if gp.m == gp.n * (gp.n - 1) // 2:
         raise CertificateError("restricted square is complete despite n >= 16")
-    coloring = brooks_color(gp)
+    colors = _brooks_color(gp)
+    for u, v in gp.edges():
+        if colors[u] == colors[v]:
+            raise CertificateError(f"improper coloring: edge {u}-{v} got color {colors[u]}")
+    if max(colors) >= gp.max_degree():
+        raise CertificateError(f"coloring used {max(colors) + 1} colors, "
+                               f"more than max degree {gp.max_degree()}")
     classes: dict[int, list[int]] = {}
-    for v, c in enumerate(coloring.colors):
+    for v, c in enumerate(colors):
         classes.setdefault(c, []).append(v)
     best_color = min(classes, key=lambda c: (-len(classes[c]), c))
     chosen = tuple(sorted(sq.originals[v] for v in classes[best_color]))

@@ -24,10 +24,10 @@ record and the tight family's records all name rows of this table, each
 under its own check name and kind, so a scan predicate and the class
 record of the same bound cannot disagree.  An extra is handed in as a
 value or as a function of no arguments; a function is called at most
-once per call, and only for a claimed row that reads it.  A row whose
-extra raises BudgetExceeded gets an `inconclusive_records` record in its
-place, the same record that stands for every row of a graph whose gamma
-or rho search ran out.
+once per call, and only for a claimed row that reads it.  No extra
+searches, so none can run out of budget.  `inconclusive_records` gives
+the record that stands for every row of a graph whose gamma or rho
+search ran out.
 """
 
 from __future__ import annotations
@@ -137,34 +137,21 @@ def bound_records(rows: Sequence[Row], graph_id: str, family: str, n: int,
     """One record per (check, kind, row) claimed at n, in order, each
     carrying gamma and rho.  `extras` holds every extra the rows need,
     each a value or a function of no arguments that gives it; a function
-    is called at most once, for the first claimed row that reads it.  A
-    row whose extra raises BudgetExceeded, there or for an earlier row,
-    gets an inconclusive record."""
+    is called at most once, for the first claimed row that reads it."""
 
     def extra(name: str):
         value = extras[name]
         if callable(value):
-            try:
-                value = value()
-            except BudgetExceeded as exc:
-                value = exc
-            extras[name] = value
-        if isinstance(value, BudgetExceeded):
-            raise value
+            value = extras[name] = value()
         return value
 
     records = []
     for check, kind, row in rows:
-        try:
-            if not row.claimed(
-                    n, extra("delta") if "delta" in row.needs else None):
-                continue
-            holds, bound, details = row.evaluate(
-                gamma, rho, n, **{name: extra(name) for name in row.needs})
-        except BudgetExceeded as exc:
-            records += inconclusive_records([(check, kind, row)], graph_id,
-                                            family, n, exc)
+        if not row.claimed(
+                n, extra("delta") if "delta" in row.needs else None):
             continue
+        holds, bound, details = row.evaluate(
+            gamma, rho, n, **{name: extra(name) for name in row.needs})
         records.append(ScanRecord(
             graph_id=graph_id, family=family, n=n, check=check, kind=kind,
             holds=holds, bound=bound, gamma=gamma, rho=rho, details=details))

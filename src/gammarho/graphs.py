@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 
@@ -167,11 +167,10 @@ class BipartiteLabeling:
 class RestrictedSquare:
     """Square graph restricted to one side: vertices are the side members,
     edges join members at distance exactly 2 in the base graph.  Keeps the
-    id mapping both ways so packings can be pulled back."""
+    original ids so packings can be pulled back."""
 
     graph: Graph
     originals: tuple[int, ...]
-    index: dict[int, int] = field(hash=False)
 
 
 def bfs_tree(adj: Sequence[Sequence[int]], root: int
@@ -290,4 +289,4 @@ def square_restricted(g: Graph, side: Sequence[int]) -> RestrictedSquare:
             for j in range(i + 1, len(hits)):
                 adj[hits[i]].add(hits[j])
                 adj[hits[j]].add(hits[i])
-    return RestrictedSquare(Graph(len(members), adj), members, index)
+    return RestrictedSquare(Graph(len(members), adj), members)

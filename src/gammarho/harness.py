@@ -13,11 +13,12 @@ from one pair solve, or the budget run-out in their place.
 `evaluate_predicates` hands the rows that apply to `bounds.bound_records`,
 the one evaluator, with Delta from the facts and with t and the clique
 graph's gamma and rho as functions, called only for a claimed row that
-reads them and once per graph.  It reads the counterexamples off the
-conjecture records that fail, and `verify_counterexamples` replays a dump
-through the same call.  When gamma or rho ran out of budget, every claimed
-row that applies gets the record of `bounds.inconclusive_records`; when an
-extra does, only the rows that read it do.
+reads them and once per graph; none of them searches.  It reads the
+counterexamples off the conjecture records that fail, and
+`verify_counterexamples` replays a dump through the same call.  When
+gamma or rho ran out of budget, every claimed row that applies gets the
+record of `bounds.inconclusive_records`.  A certificate that fails its
+own check raises CertificateError, which gives the item's error record.
 
 `CERTIFY` maps each `certify` class to the one function that builds its
 certificates and records; the class records read the same table rows as
@@ -123,7 +124,6 @@ class GraphFacts:
     ordering: ConvexOrdering | None
     families: frozenset[str]
     triangulation: Triangulation | None
-    budget: int
     delta: int
     gamma: int | None
     rho: int | None
@@ -168,7 +168,7 @@ def graph_facts(graph_id: str, family: str, g: Graph,
     the triangulation of a mop; a solve that exhausts the budget is kept
     in `exhausted`."""
     families, triangulation = _classify(g, ordering)
-    known = (graph_id, family, g, ordering, families, triangulation, budget,
+    known = (graph_id, family, g, ordering, families, triangulation,
              g.max_degree())
     try:
         gamma, rho = solve_pair(g, budget, triangulation)
@@ -246,9 +246,8 @@ def evaluate_predicates(facts: GraphFacts, names: Sequence[str]
                         ) -> tuple[list[ScanRecord], list[dict]]:
     """Records of the named predicates that apply to the graph, from
     `bounds.bound_records`, and a counterexample for each conjecture that
-    fails.  The extras are found on demand, each at most once; a row whose
-    extra runs out of budget yields an inconclusive record, and when gamma
-    or rho ran out, every claimed row does."""
+    fails.  The extras are found on demand, each at most once; when gamma
+    or rho ran out, every claimed row gets an inconclusive record."""
     g = facts.graph
     rows = [PREDICATES[name].row for name in names
             if PREDICATES[name].applies(facts)]
@@ -257,7 +256,7 @@ def evaluate_predicates(facts: GraphFacts, names: Sequence[str]
         return bounds.inconclusive_records(
             rows, facts.graph_id, facts.family, g.n, facts.exhausted), []
     clique = functools.cache(
-        lambda: clique_graph_numbers(facts.triangulation, facts.budget))
+        lambda: clique_graph_numbers(facts.triangulation))
     records = bounds.bound_records(
         rows, facts.graph_id, facts.family, g.n, facts.gamma, facts.rho,
         delta=facts.delta, t=lambda: low_degree_count(g),

@@ -18,9 +18,9 @@ None of the four numbers needs search.  On the clique graph every closed
 neighborhood is a subtree of the dual tree, so the dual tree is a host
 tree for `solvers.host_tree_certificate`, gammarho's one gamma = rho
 certificate, which returns a dominating set and a packing of equal size.
-Each witness is checked before use; these answers report nodes = 0.
-Should a check ever fail, that graph goes to `solvers.solve_pair`'s search
-under the caller's budget instead, which shows as nodes > 0.
+Each witness is checked before use; these answers report nodes = 0.  A
+witness that fails its check is a bug in the construction, so it raises
+CertificateError, never a search in its place.
 """
 
 from __future__ import annotations
@@ -159,11 +159,10 @@ def lift_packing(t: Triangulation,
     return result
 
 
-def clique_graph_numbers(t: Triangulation, budget: int = DEFAULT_BUDGET
-                         ) -> tuple[Solution, Solution]:
+def clique_graph_numbers(t: Triangulation) -> tuple[Solution, Solution]:
     """gamma and rho of t's clique graph, equal and certified without
-    search: `host_tree_certificate` with the dual tree as host tree
-    (nodes = 0), else `solve_pair` under `budget`.
+    search by `host_tree_certificate` with the dual tree as host tree
+    (nodes = 0).
 
     The triangles through one vertex form a path of the dual tree, so the
     closed neighborhood of a triangle in the clique graph, the union of the
@@ -180,10 +179,7 @@ def clique_graph_numbers(t: Triangulation, budget: int = DEFAULT_BUDGET
             first.setdefault(v, i)
     top = [min((first[v] for v in tri), key=pos.__getitem__) for tri in tris]
     visit = sorted(range(len(tris)), key=lambda i: (-pos[top[i]], i))
-    cert = host_tree_certificate(t.clique_graph, top, visit)
-    if cert is None:
-        return solve_pair(t.clique_graph, budget)
-    dom, pack = cert
+    dom, pack = host_tree_certificate(t.clique_graph, top, visit)
     return (Solution(len(dom), dom, 0, "mop-walk"),
             Solution(len(pack), pack, 0, "mop-walk"))
 
@@ -211,7 +207,7 @@ def certify_mop(g: Graph, graph_id: str = "mop",
     lifted to the graph)."""
     t = recognize_mop(g)
     gamma, rho = solve_pair(g, budget, t)
-    cg_gamma, cg_rho = clique_graph_numbers(t, budget)
+    cg_gamma, cg_rho = clique_graph_numbers(t)
     projected = project_dominating(t, cg_gamma.witness)
     averaged = averaged_dominating(t, projected)
     lifted = lift_packing(t, cg_rho.witness)

@@ -26,8 +26,9 @@ the cheapest exact method:
    not to the search.
 
 Certificates are validated before use; they report nodes = 0 and spend
-none of the budget.  Should a check ever fail, the component falls
-through to the search.  The first search to run out ends the pair, with
+none of the budget.  A certificate that fails its own check is a bug in
+the construction, not a hard input, so it raises CertificateError and no
+search stands in for it.  The first search to run out ends the pair, with
 bounds for the whole graph (see `solve_pair`).
 
 `domination_number` and `packing_number` are one-quantity views through
@@ -115,7 +116,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .graphs import Graph, bfs_tree, is_dominating, is_packing
+from .graphs import CertificateError, Graph, bfs_tree, is_dominating, is_packing
 from .triangulation import (
     NotMaximalOuterplanar,
     Triangulation,
@@ -185,12 +186,12 @@ def _degree_classes(degrees) -> list[tuple[int, int]]:
 
 
 def host_tree_certificate(g: Graph, top: Sequence[int], visit: Iterable[int]
-                          ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+                          ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Dominating set D and packing P of g with |D| = |P|, which proves both
-    optimal since rho <= gamma; None when the pair fails its check.  This
-    is gammarho's one gamma = rho certificate: forest components use it
-    with the tree itself as host tree, and maximal outerplanar graphs with
-    the dual tree for their clique graph.
+    optimal since rho <= gamma; CertificateError when the pair fails its
+    check.  This is gammarho's one gamma = rho certificate: forest
+    components use it with the tree itself as host tree, and maximal
+    outerplanar graphs with the dual tree for their clique graph.
 
     It needs a host tree: a rooted tree T on g's vertices in which every
     closed neighbourhood N[v] induces a subtree (the graphs that have one
@@ -221,11 +222,12 @@ def host_tree_certificate(g: Graph, top: Sequence[int], visit: Iterable[int]
             dominated[u] = True
     d, pk = tuple(sorted(dom)), tuple(sorted(pack))
     if len(d) != len(pk) or not is_dominating(g, d) or not is_packing(g, pk):
-        return None
+        raise CertificateError(f"host-tree pair failed its check "
+                               f"(|D| = {len(d)}, |P| = {len(pk)})")
     return d, pk
 
 
-def _tree_certificate(sub: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+def _tree_certificate(sub: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """`host_tree_certificate` of the tree `sub` (on trees gamma = rho,
     Meir and Moon 1975), which is its own host tree: rooted at 0 by BFS,
     N[v] is v's star, topped by v's parent (the root by the root itself).
@@ -521,9 +523,8 @@ def _solve(g: Graph, budget: int, search, half: int) -> Solution:
     comps = g.components()
     for i, comp in enumerate(comps):
         sub, originals = g.induced(comp)
-        cert = _tree_certificate(sub) if sub.m == sub.n - 1 else None
-        if cert is not None:
-            found, used = cert[half], 0
+        if sub.m == sub.n - 1:
+            found, used = _tree_certificate(sub)[half], 0
         else:
             method = "search"
             try:
@@ -559,19 +560,22 @@ def solve_pair(g: Graph, budget: int = DEFAULT_BUDGET,
     """Exact gamma(g) and rho(g) with optimal witnesses, from one split of
     g into components, each routed once:
 
-    1. a forest to `_tree_certificate`, both halves from one build;
+    1. a forest to `_tree_certificate`, both halves from one build (K2,
+       which also has 2n - 3 edges, is a tree);
     2. a maximal outerplanar graph (mop) to `mop_pair`, the dual-tree walk
        and programme, witnesses checked; `triangulation` is g's when the
        caller has recognised g as a mop already, and any other component
        with 2n - 3 edges is recognised here;
-    3. any other component, or one whose certificate fails its check, to
-       rho's search, then to gamma's with that rho as its lower bound.
+    3. any other component to rho's search, then to gamma's with that rho
+       as its lower bound.
 
-    Each quantity's searches share that quantity's budget, so each budget
-    is spent at most once and no component is searched twice.  The
+    A certificate that fails its check raises CertificateError.  Each
+    quantity's searches share that quantity's budget, so each budget is
+    spent at most once and no component is searched twice.  The
     BudgetExceeded that escapes is the first search's to run out, in
     component order and rho before gamma within a component, with bounds
-    for the whole graph."""
+    for the whole graph; a gamma run-out's lower end is at least the rho
+    that the component's search has just proved."""
     halves: tuple[list[int], list[int]] = ([], [])  # gamma's, rho's
     nodes = [0, 0]
     route = 0
@@ -579,19 +583,17 @@ def solve_pair(g: Graph, budget: int = DEFAULT_BUDGET,
     try:
         for i, comp in enumerate(comps):
             sub, originals = g.induced(comp)
-            pair, method = None, 0
+            t = triangulation if len(comps) == 1 else None
+            if t is None and sub.n > 2 and sub.m == 2 * sub.n - 3:
+                try:
+                    t = recognize_mop(sub)
+                except NotMaximalOuterplanar:
+                    pass
             if sub.m == sub.n - 1:
-                pair = _tree_certificate(sub)
+                pair, method = _tree_certificate(sub), 0
+            elif t is not None:
+                pair, method = mop_pair(t), 1
             else:
-                t = triangulation if len(comps) == 1 else None
-                if t is None and sub.m == 2 * sub.n - 3:
-                    try:
-                        t = recognize_mop(sub)
-                    except NotMaximalOuterplanar:
-                        pass
-                if t is not None:
-                    pair, method = mop_pair(t), 1
-            if pair is None:
                 method = 2
                 near = _conflict_masks(sub)
                 pack, used = _solve_rho_component(sub, near, budget, nodes[1])
@@ -604,6 +606,8 @@ def solve_pair(g: Graph, budget: int = DEFAULT_BUDGET,
                 half.extend(originals[v] for v in found)
             route = max(route, method)
     except BudgetExceeded as exc:
+        if exc.quantity == "gamma":  # gamma >= the rho just searched
+            exc.lower = max(exc.lower, len(pack))
         raise _whole_graph(exc, halves[exc.quantity == "rho"], originals,
                            comps[i + 1:]) from None
     dom, pack = (tuple(sorted(half)) for half in halves)

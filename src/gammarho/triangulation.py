@@ -509,17 +509,17 @@ def _walk_dp(order: list[int], frames: list[_Frame], dominate: bool
     return (size if dominate else -size), tuple(sorted(chosen))
 
 
-def mop_pair(t: Triangulation
-             ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+def mop_pair(t: Triangulation) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """A minimum dominating set and a maximum packing of the mop t.graph,
-    from the programme over t's walk; None when either fails its check
-    (its size as the programme counted it, dominating or packing)."""
+    from the programme over t's walk; CertificateError when either fails
+    its check (its size as the programme counted it, dominating or
+    packing)."""
     g = t.graph
     order, frames, _ = t.walk
     size, dom = _walk_dp(order, frames, True)
     if size != len(dom) or not is_dominating(g, dom):
-        return None
+        raise CertificateError("walk's dominating set failed its check")
     size, pack = _walk_dp(order, frames, False)
     if size != len(pack) or not is_packing(g, pack):
-        return None
+        raise CertificateError("walk's packing failed its check")
     return dom, pack

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import to_nx
 from gammarho.bicubic import (
-    brooks_color,
+    _brooks_color,
     certify_bicubic,
     combined_packing,
     layer_decompose,
@@ -60,26 +60,31 @@ def test_brooks_color_on_restricted_squares():
     for g in bicubic_corpus():
         lab = validate_bicubic(g)
         sq = square_restricted(g, lab.side_x)
-        coloring = brooks_color(sq.graph)
-        assert coloring.num_colors <= max(sq.graph.max_degree(), 3)
+        colors = _brooks_color(sq.graph)
+        assert max(colors) < sq.graph.max_degree()
         for u, v in sq.graph.edges():
-            assert coloring.colors[u] != coloring.colors[v]
+            assert colors[u] != colors[v]
 
 
-def test_brooks_color_cut_vertex():
-    # 4-regular: vertex 0 joins two lobes, each K5 minus the edge between
-    # its first two vertices, to exactly those two vertices
-    edges = []
-    for lobe in ((1, 2, 3, 4, 5), (6, 7, 8, 9, 10)):
-        edges += [(u, v) for i, u in enumerate(lobe) for v in lobe[i + 1:]
-                  if (u, v) != lobe[:2]]
-        edges += [(0, lobe[0]), (0, lobe[1])]
-    g = Graph.from_edges(11, edges)
-    assert g.is_regular(4)
-    coloring = brooks_color(g)
-    assert coloring.method == "cut-vertex"
-    assert coloring.colors == (0, 3, 3, 2, 1, 0, 3, 3, 2, 1, 0)
-    assert coloring.num_colors == 4
+def test_side_packing_pinned_where_the_square_is_regular():
+    # the squares of these sides are regular, so they are coloured through
+    # a splice triple; the packings are those of the general-graph Brooks
+    # colouring that this one replaced
+    sixteen = enumerate_bicubic(16)
+    cases = [
+        (gen_random_bicubic(34, 8), (2, 3, 9, 15), (20, 24, 26, 32, 33)),
+        (gen_random_bicubic(44, 3), (4, 7, 13, 16, 17, 19),
+         (24, 25, 28, 31, 35, 40)),
+        (sixteen[17], (1, 4), (9, 12)),
+        (sixteen[30], (2, 6), (10, 14)),
+        (sixteen[37], (1, 6), (9, 14)),
+    ]
+    for g, on_x, on_y in cases:
+        lab = validate_bicubic(g)
+        assert all(square_restricted(g, side).graph.is_regular()
+                   for side in (lab.side_x, lab.side_y))
+        assert side_packing(g, lab, lab.side_x) == on_x
+        assert side_packing(g, lab, lab.side_y) == on_y
 
 
 def test_side_packing_guarantee():

@@ -173,34 +173,6 @@ def test_bound_records_resolve_each_extra_once_and_only_for_claimed_rows():
     assert (records[0].holds, records[0].bound) == (True, "11/2")
 
 
-def test_a_row_whose_extra_runs_out_becomes_inconclusive_in_its_place():
-    calls = []
-
-    def cg_gamma():
-        calls.append("cg_gamma")
-        raise BudgetExceeded("gamma", 2, 5, (0, 1, 2, 3, 4), 10)
-
-    rows = [("first", "theorem", bounds.RHO_LE_GAMMA),
-            ("clique", "theorem", bounds.CLIQUE_GAMMA_EQ_RHO),
-            ("again", "theorem", bounds.CLIQUE_GAMMA_EQ_RHO),
-            ("clique-rho", "theorem", bounds.RHO_GE_CLIQUE_RHO),
-            ("last", "conjecture", bounds.GAMMA_LE_2RHO)]
-    records = bound_records(rows, "m", "mop", 9, 3, 2, cg_gamma=cg_gamma,
-                            cg_rho=2)
-    assert [r.check for r in records] == [
-        "first", "clique", "again", "clique-rho", "last"]
-    assert calls == ["cg_gamma"]
-    for r in records[1:3]:
-        assert r.as_dict() == {
-            "graph_id": "m", "family": "mop", "n": 9, "check": r.check,
-            "kind": "theorem", "holds": None, "bound": "", "gamma": None,
-            "rho": None, "details": {"reason": "node budget exhausted",
-                                     "quantity": "gamma", "range": [2, 5]}}
-    assert [(r.holds, r.bound, r.gamma) for r in records[::3]] == [
-        (True, "3", 3), (True, "2", 3)]
-    assert (records[4].holds, records[4].kind) == (True, "conjecture")
-
-
 def test_inconclusive_records_name_each_row():
     exc = BudgetExceeded("rho", 1, None, (0,), 7)
     rows = [("a", "theorem", bounds.RHO_LE_GAMMA),

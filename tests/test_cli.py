@@ -32,7 +32,7 @@ from gammarho.generators import (
     gen_sun,
     petersen,
 )
-from gammarho.graphs import CertificateError, Graph
+from gammarho.graphs import CertificateError, Graph, bfs_tree
 from gammarho.harness import verify_counterexamples
 from gammarho.reports import read_report
 
@@ -249,21 +249,36 @@ def test_certify_large_mop_without_search(tmp_path, capsys):
     assert len(bundle["clique_dominating"]) == records[0]["details"]["cg_rho"]
 
 
-def test_certify_mop_search_fallback_budget_is_a_record(tmp_path, capsys,
+def test_certify_mop_broken_walk_is_a_certificate_error(tmp_path, capsys,
                                                         monkeypatch):
-    # should the walk's dominating set fail its check, the mop is searched
-    # under the caller's budget, and running out of it is one record
+    # a walk whose dominating set fails its check is a bug, not a hard
+    # input: no search stands in for it, the bundle gets the error record
     monkeypatch.setattr(triangulation, "_walk_dp", lambda *args: (0, ()))
     path = write_g6(tmp_path, "m.g6", [gen_random_mop(30, 1)])
     assert cli.main(["certify", "--class", "mop", "--budget", "10",
-                     "--input", path]) == 0
+                     "--input", path]) == 3
     bundle = json.loads(capsys.readouterr().out)
     assert sorted(bundle) == ["graph_id", "m", "n", "records"]
     (rec,) = bundle["records"]
-    assert (rec["check"], rec["kind"], rec["holds"]) == ("solver-budget",
-                                                        "info", None)
-    assert (rec["details"]["quantity"], rec["details"]["range"]) == ("rho",
-                                                                  [5, 7])
+    assert (rec["check"], rec["kind"], rec["holds"]) == ("scan-error",
+                                                        "error", None)
+    assert rec["details"]["error"] == "CertificateError"
+
+
+def test_compute_broken_tree_certificate_is_exit_3(tmp_path, capsys,
+                                                   monkeypatch):
+    # the forward BFS order visits against depth, so on a path the pair
+    # fails its packing check; compute stops with exit 3 instead of
+    # searching the forest
+    def forward(sub):
+        order, top = bfs_tree(sub.adj, 0)
+        top[0] = 0
+        return solvers.host_tree_certificate(sub, top, order)
+
+    monkeypatch.setattr(solvers, "_tree_certificate", forward)
+    path = write_g6(tmp_path, "f.g6", [gen_path(5)])
+    assert cli.main(["compute", "--input", path]) == 3
+    assert capsys.readouterr().out == ""
 
 
 def test_certify_biconvex(tmp_path, capsys):

@@ -431,30 +431,28 @@ def test_scan_mop_clique_row_runs_one_pass(monkeypatch):
     assert len(clique) == 3 and all(r.holds for r in clique)
 
 
-def test_scan_clique_row_out_of_budget_is_inconclusive_in_place(monkeypatch):
-    # only the row that reads the clique graph's numbers loses its verdict;
-    # every other mop row keeps its verdict and its place
-    item = make_item("mop-9", "mop", gen_random_mop(9, 9))
-    solved, _ = run_scan([item])
-    calls = []
+def test_scan_broken_clique_certificate_is_an_error_record(monkeypatch):
+    # a clique-graph visit against depth breaks the host-tree pair; its
+    # check raises instead of handing the clique graph to a search, so the
+    # mop gets one error record, the other items keep theirs, and the scan
+    # exits 3
+    items = [make_item("tree", "tree", gen_random_tree(9, 2)),
+             make_item("mop-9", "mop", gen_random_mop(9, 9)),
+             make_item("conn", "any", gen_random_connected(7, 1))]
+    solved, _ = run_scan(items)
+    assert scan_verdict(solved) == 0
 
-    def starved(t, budget):
-        calls.append(budget)
-        raise BudgetExceeded("gamma", 2, 4, (0, 1, 2, 3), 11)
+    def against_depth(g, top, visit):
+        return solvers.host_tree_certificate(g, top, list(visit)[::-1])
 
-    monkeypatch.setattr(harness, "clique_graph_numbers", starved)
-    records, ces = run_scan([item], budget=77)
-    assert calls == [77] and ces == []
-    assert [r.check for r in records] == [r.check for r in solved]
-    (clique,) = [r for r in records if r.holds is None]
-    assert clique.as_dict() == {
-        "graph_id": "mop-9", "family": "mop", "n": 9,
-        "check": "mop-clique-gamma-eq-rho", "kind": "theorem", "holds": None,
-        "bound": "", "gamma": None, "rho": None,
-        "details": {"reason": "node budget exhausted", "quantity": "gamma",
-                    "range": [2, 4]}}
-    assert [r for r in records if r is not clique] == [
-        r for r in solved if r.check != "mop-clique-gamma-eq-rho"]
+    monkeypatch.setattr(outerplanar, "host_tree_certificate", against_depth)
+    records, ces = run_scan(items)
+    assert ces == [] and scan_verdict(records) == 3
+    (error,) = [r for r in records if r.graph_id == "mop-9"]
+    assert (error.check, error.kind, error.details["error"]) == (
+        "scan-error", "error", "CertificateError")
+    assert [r for r in records if r is not error] == [
+        r for r in solved if r.graph_id != "mop-9"]
 
 
 def test_scan_reads_max_degree_once_per_item(monkeypatch):

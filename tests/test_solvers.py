@@ -24,6 +24,7 @@ from gammarho.generators import (
 from gammarho import solvers
 from gammarho.triangulation import NotMaximalOuterplanar, recognize_mop
 from gammarho.graphs import (
+    CertificateError,
     Graph,
     bfs_tree,
     distances_from,
@@ -388,9 +389,7 @@ def test_host_tree_certificate_on_tree_powers_matches_brute_force(t, k):
     # each closed neighbourhood of T^k is a ball of T, hence a subtree
     g = _power(t, k)
     top, visit, _ = _host_tree_inputs(t, g)
-    cert = host_tree_certificate(g, top, visit)
-    assert cert is not None
-    dom, pack = cert
+    dom, pack = host_tree_certificate(g, top, visit)
     assert len(dom) == len(pack) == brute_gamma(g) == brute_rho(g)
     assert is_dominating(g, dom) and is_packing(g, pack)
 
@@ -399,21 +398,23 @@ def test_host_tree_certificate_on_tree_powers_matches_brute_force(t, k):
 @given(trees(), st.sampled_from((1, 2, 3)))
 def test_host_tree_certificate_never_returns_an_invalid_pair(t, k):
     # the forward BFS order breaks the decreasing-depth rule; the check
-    # must turn any pair that is not a proof into None
+    # must turn any pair that is not a proof into CertificateError
     g = t if k == 1 else _power(t, k)
     top, _, order = _host_tree_inputs(t, g)
-    cert = host_tree_certificate(g, top, order)
-    if cert is not None:
-        dom, pack = cert
-        assert len(dom) == len(pack)
-        assert is_dominating(g, dom) and is_packing(g, pack)
+    try:
+        dom, pack = host_tree_certificate(g, top, order)
+    except CertificateError:
+        return
+    assert len(dom) == len(pack)
+    assert is_dominating(g, dom) and is_packing(g, pack)
 
 
 def test_host_tree_certificate_rejects_a_visit_against_depth():
     # P_5 rooted at 0, visited root first: 0 and 2 enter P at distance 2
     g = gen_path(5)
     top = [0, 0, 1, 2, 3]
-    assert host_tree_certificate(g, top, range(5)) is None
+    with pytest.raises(CertificateError, match="host-tree pair"):
+        host_tree_certificate(g, top, range(5))
     assert host_tree_certificate(g, top, range(4, -1, -1)) == ((0, 3), (1, 4))
 
 
@@ -583,3 +584,23 @@ def test_a_run_out_searches_each_component_once_and_calls_no_view(
     done = counts["_solve_rho_component"], counts["_solve_gamma_component"]
     assert done == searches and max(done) <= len(parts)
     assert counts["domination_number"] == counts["packing_number"] == 0
+
+
+def test_a_gamma_run_out_starts_at_the_rho_just_searched():
+    # gamma's own bounds reach only 3 here; rho's search has proved 5
+    with pytest.raises(BudgetExceeded) as err:
+        solvers.solve_pair(gen_random_connected(28, 14), 200)
+    assert (err.value.quantity, err.value.lower, err.value.upper) == (
+        "gamma", 5, 6)
+    run_outs = 0
+    for n in range(18, 33, 2):
+        for seed in range(10):
+            g = gen_random_connected(n, seed)
+            for budget in (100, 200, 400):
+                try:
+                    solvers.solve_pair(g, budget)
+                except BudgetExceeded as exc:
+                    if exc.quantity == "gamma":
+                        run_outs += 1
+                        assert exc.lower >= packing_number(g).value
+    assert run_outs == 35
