@@ -15,7 +15,7 @@ neighborhood is an interval.  The pipeline is:
 
 Every certificate is re-validated against the full graph before it is
 returned; a failed validation raises CertificateError rather than
-returning a wrong witness.
+returning a wrong witness, and no looser certificate stands in for it.
 """
 
 from __future__ import annotations
@@ -363,7 +363,13 @@ def construct_packing(g: Graph, decomp: CBDecomposition) -> Certificate:
 
 def construct_dominating(g: Graph, decomp: CBDecomposition) -> Certificate:
     """Dominating certificate of size <= 2k+2, and exactly 2k (or 2, k=1)
-    in the tight cases the decomposition detects."""
+    in the tight cases the decomposition detects.
+
+    With k = 1 and x1, xn within distance 2, {x_L, y*} dominates: x_L,
+    the block's first x, has the largest interval in N(y_first), so every
+    Y vertex with a core neighbour lies in N(x_L), and the core with the
+    Y side is connected.  y*, a common neighbour of x1 and xn, has an
+    X-interval holding both ends, so it sees every X vertex."""
     core = decomp.core
     xo, yo = core.ordering.x_order, core.ordering.y_order
     ypos = {v: i for i, v in enumerate(yo)}
@@ -375,9 +381,11 @@ def construct_dominating(g: Graph, decomp: CBDecomposition) -> Certificate:
     def first_nbr(v: int) -> int:
         return min(g.neighbors(v), key=ypos.get)
 
-    def first_common(u: int, v: int) -> int | None:
+    def first_common(u: int, v: int) -> int:
         common = set(g.neighbors(u)) & set(g.neighbors(v))
-        return min(common, key=ypos.get) if common else None
+        if not common:
+            raise CertificateError(f"{u} and {v} share no neighbor")
+        return min(common, key=ypos.get)
 
     def finish(cand: list[int], method: str) -> Certificate:
         out = tuple(sorted(set(cand)))
@@ -390,11 +398,7 @@ def construct_dominating(g: Graph, decomp: CBDecomposition) -> Certificate:
         blk = blocks[0]
         if x1 == xn or dist_x1[xn] <= 2:
             ystar = first_nbr(x1) if x1 == xn else first_common(x1, xn)
-            if ystar is not None:
-                try:
-                    return finish([blk.lx, ystar], "k1-near")
-                except CertificateError:
-                    pass  # fall through to the 4-vertex form
+            return finish([blk.lx, ystar], "k1-near")
         return finish([blk.rx, blk.ry, first_nbr(x1), first_nbr(xn)], "k1-far")
 
     j1 = decomp.j_sets[0]
@@ -410,19 +414,14 @@ def construct_dominating(g: Graph, decomp: CBDecomposition) -> Certificate:
         else:
             ystar = first_nbr(x1)
         yprime = min(nxn_in_last, key=ypos.get)
-        if ystar is not None:
-            cand = middle + [blocks[0].rx, ystar, blocks[-1].rx, yprime]
-            try:
-                return finish(cand, "tight-2k")
-            except CertificateError:
-                pass  # provably unreachable flank gap; keep a valid witness
+        return finish(middle + [blocks[0].rx, ystar, blocks[-1].rx, yprime],
+                      "tight-2k")
 
     cand = middle + [
         blocks[0].rx, blocks[0].ry, blocks[-1].rx, blocks[-1].ry,
         first_nbr(x1), first_nbr(xn),
     ]
-    method = "loose-2k2" if not (j1_close and nxn_in_last) else "tight-fallback"
-    return finish(cand, method)
+    return finish(cand, "loose-2k2")
 
 
 # gamma <= 2*rho on the exact numbers, then on the certificate sizes, then

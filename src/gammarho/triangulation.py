@@ -38,7 +38,8 @@ maximum packing, in linear time (domination and packing are
 Discrete Math. 1997).  A triangle's table depends only on its shape and
 its children's tables, and adding a constant to a child's table adds it
 to every candidate sum, so the transitions are memoized across graphs on
-tables taken up to an additive constant (`_Memo`).
+tables taken up to an additive constant (`_Memo`): a step's key is the
+programme and its two children's tables, None for an absent child.
 """
 
 from __future__ import annotations
@@ -290,31 +291,6 @@ _STEP = {d: _step_rows(d) for d in (True, False)}
 _CLOSE = {d: _close_rows(d) for d in (True, False)}
 
 
-def _shape_rows(dominate: bool) -> tuple:
-    """`_STEP`'s rows specialised by the shape of a triangle, kept in
-    their order: the (table, picks) that every leaf gets; the
-    (iL, k, cost, row) rows of a triangle with only a left child and the
-    (iR, k, cost, row) rows of one with only a right child; and the
-    (iL, iR, k, cost, row) rows of one with both.  A row that reads an
-    absent child's _INF entry never wins, so it is dropped; the absent
-    child's other entries are 0 and drop out of the sum."""
-    step = _STEP[dominate]
-    table = [_INF] * 9
-    picks: list = [None] * 9
-    for row in step:
-        v = _NO_CHILD[row[0]] + _NO_CHILD[row[1]] + row[3]
-        if v < table[row[2]]:
-            table[row[2]] = v
-            picks[row[2]] = row
-    left = tuple((r[0], r[2], r[3], r) for r in step if _NO_CHILD[r[1]] == 0)
-    right = tuple((r[1], r[2], r[3], r) for r in step if _NO_CHILD[r[0]] == 0)
-    both = tuple((*r, r) for r in step)
-    return (tuple(table), tuple(picks)), left, right, both
-
-
-_SHAPES = {d: _shape_rows(d) for d in (True, False)}
-
-
 _Frame = tuple[int, int, int, int, int]
 
 
@@ -374,15 +350,6 @@ def _walk(t: Triangulation, dual: DualTree
     return order, [tuple(f) for f in frames], colors
 
 
-# A step of the memo is packed into one int: a key is
-# (left id << 23) | (right id << 3) | (4 for gamma's programme, 0 for
-# rho's) | shape, with shape 1 for a left child only, 2 for a right child
-# only and 3 for both, and an absent child's id 0; a value is
-# (constant << 40) | (table id << 20) | picks id.  Ids stay below 2 ** 20:
-# each new table or picks row comes with a new step, and the memo holds at
-# most MEMO_CAP steps or one walk's, fewer than the n - 2 < 2 ** 18
-# triangles of any graph the codecs accept.
-_ID = (1 << 20) - 1
 # Steps kept by the memo.  The set of tables is not finite (their spread
 # grows with a fan's degree), so a walk that could take the memo past the
 # cap clears it first.
@@ -390,59 +357,43 @@ MEMO_CAP = 1 << 13
 
 
 class _Memo:
-    """The steps of both programmes, shared by every walk.  Each table is
-    interned minus its least entry (_INF stays _INF), and each step maps
-    (programme, shape, left table, right table) to the resulting table,
-    its least entry and its picks, a 9-tuple of winning rows, interned
-    too.  A step is a pure function of its key, so what the memo holds
-    shows only in time and memory, never in an answer."""
+    """The steps of both programmes, shared by every walk.  A key is
+    (dominate, left table, right table), each child's table taken minus its
+    least entry (_INF stays _INF) and None for an absent child, so a leaf's
+    key is (dominate, None, None).  Its value is the triangle's table minus
+    its least entry, that entry, and the picks, a 9-tuple of winning rows.
+    `kept` holds each table and each picks tuple once, so equal ones share
+    memory and the keys hold the very tables the values return.  A step
+    is a pure function of its key, so what the memo holds shows only in
+    time and memory, never in an answer."""
 
     def __init__(self):
         self.clear()
 
     def clear(self) -> None:
-        self.table_ids: dict[tuple, int] = {}
-        self.tables: list[tuple] = []
-        self.pick_ids: dict[tuple, int] = {}
-        self.picks: list[tuple] = []
-        self.steps: dict[int, int] = {}
-        self.leaves = {d: self._pack(*_SHAPES[d][0]) for d in (True, False)}
+        self.steps: dict[tuple, tuple] = {}
+        self.kept: dict[tuple, tuple] = {}
 
-    def _pack(self, best, pick) -> int:
-        low = min(best)
-        table = tuple(_INF if v == _INF else v - low for v in best)
-        tid = self.table_ids.setdefault(table, len(self.tables))
-        if tid == len(self.tables):
-            self.tables.append(table)
-        pick = tuple(pick)
-        pid = self.pick_ids.setdefault(pick, len(self.picks))
-        if pid == len(self.picks):
-            self.picks.append(pick)
-        return low << 40 | tid << 20 | pid
-
-    def step(self, key: int) -> int:
-        """The packed value of a step not yet seen, now remembered.  The
-        rows of the triangle's shape run in `_STEP`'s order, and a row wins
-        only on a strictly smaller sum, so ties resolve as over all rows."""
-        _, left_rows, right_rows, both_rows = _SHAPES[key & 4 == 4]
-        shape = key & 3
-        lt, rt = self.tables[key >> 23], self.tables[key >> 3 & _ID]
+    def step(self, key: tuple) -> tuple:
+        """The value of a step not yet seen, now remembered.  Every row of
+        `_STEP[dominate]` runs in order, reading `_NO_CHILD` for an absent
+        child, and a row wins only on a strictly smaller sum."""
+        dominate, lt, rt = key
+        lt = _NO_CHILD if lt is None else lt
+        rt = _NO_CHILD if rt is None else rt
         best = [_INF] * 9
         pick = [None] * 9
-        if shape == 3:
-            for a, b, k, cost, row in both_rows:
-                v = lt[a] + rt[b] + cost
-                if v < best[k]:
-                    best[k] = v
-                    pick[k] = row
-        else:
-            ct, rows = (lt, left_rows) if shape == 1 else (rt, right_rows)
-            for a, k, cost, row in rows:
-                v = ct[a] + cost
-                if v < best[k]:
-                    best[k] = v
-                    pick[k] = row
-        value = self._pack(best, pick)
+        for row in _STEP[dominate]:
+            v = lt[row[0]] + rt[row[1]] + row[3]
+            if v < best[row[2]]:
+                best[row[2]] = v
+                pick[row[2]] = row
+        low = min(best)
+        table = tuple(v - low for v in best)
+        picks = tuple(pick)
+        kept = self.kept
+        value = (kept.setdefault(table, table), low,
+                 kept.setdefault(picks, picks))
         self.steps[key] = value
         return value
 
@@ -457,49 +408,36 @@ def _walk_dp(order: list[int], frames: list[_Frame], dominate: bool
     filling a 9-entry table per triangle, then one top-down pass reading
     the best choices back.
 
-    Each triangle's table is the memo's interned table of its step plus a
-    constant, the sum of its children's constants and the step's own.  A
-    constant shifts every candidate sum of the step equally, so the picks,
-    the size and the members are those of the tables themselves."""
+    Each triangle's table is its step's table plus a constant, the step's
+    least entry plus its children's constants.  A constant shifts every
+    candidate sum of the step equally, so the picks, the size and the
+    members are those of the tables themselves."""
     memo = _MEMO
     if len(memo.steps) > MEMO_CAP - len(frames):
         memo.clear()
     steps = memo.steps
-    tag = 4 if dominate else 0
-    state = [memo.leaves[dominate]] * len(frames)  # packed as a step's value
+    # one slot more than the triangles: index -1, an absent child, keeps
+    # the table None and the constant 0
+    tables: list = [None] * (len(frames) + 1)
+    picks: list = [None] * len(frames)
+    const = [0] * (len(frames) + 1)
     for i in reversed(order):
         _, _, _, left, right = frames[i]
-        if left >= 0:
-            ls = state[left]
-            if right >= 0:
-                rs = state[right]
-                key = (ls >> 20 & _ID) << 23 | (rs >> 20 & _ID) << 3 | tag | 3
-                shift = (ls >> 40) + (rs >> 40)
-            else:
-                key = (ls >> 20 & _ID) << 23 | tag | 1
-                shift = ls >> 40
-        elif right >= 0:
-            rs = state[right]
-            key = (rs >> 20 & _ID) << 3 | tag | 2
-            shift = rs >> 40
-        else:
-            continue
-        value = steps.get(key)
-        if value is None:
-            value = memo.step(key)
-        state[i] = value + (shift << 40)
+        key = (dominate, tables[left], tables[right])
+        value = steps.get(key) or memo.step(key)
+        tables[i], low, picks[i] = value
+        const[i] = low + const[left] + const[right]
     root = order[0]
-    table = memo.tables[state[root] >> 20 & _ID]
+    table = tables[root]
     k, cost = min(_CLOSE[dominate], key=lambda kc: table[kc[0]] + kc[1])
-    size = table[k] + cost + (state[root] >> 40)
+    size = table[k] + cost + const[root]
     p1, p2 = frames[root][:2]
     chosen = [v for v, s in ((p1, k // 3), (p2, k % 3)) if s == _IN]
     need = [0] * len(frames)
     need[root] = k
-    picks = memo.picks
     for i in order:
         _, _, c, left, right = frames[i]
-        il, ir, _, _ = picks[state[i] & _ID][need[i]]
+        il, ir, _, _ = picks[i][need[i]]
         if il % 3 == _IN:
             chosen.append(c)
         if left >= 0:

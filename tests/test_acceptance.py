@@ -215,7 +215,7 @@ def test_criterion_8_biconvex_tightness_and_certificates():
                 assert len(pack.vertices) == k
             if dom.method == "tight-2k":
                 assert len(dom.vertices) == 2 * k
-            elif dom.method in ("loose-2k2", "tight-fallback"):
+            elif dom.method == "loose-2k2":
                 assert len(dom.vertices) <= 2 * k + 2
             else:
                 assert k == 1 and len(dom.vertices) <= 4

@@ -33,7 +33,6 @@ from gammarho.triangulation import (
     _IN,
     _INF,
     _NO_CHILD,
-    _SHAPES,
     _STEP,
     _walk,
     _walk_dp,
@@ -308,30 +307,9 @@ def test_clique_graph_numbers_do_not_depend_on_which_consumer_walks_first():
 
 
 def _all_rows_walk_dp(order, frames, dominate):
-    """The `_walk_dp` that ran every `_STEP` row at every triangle, with
-    `_NO_CHILD` for an absent child: a reference for the shape tables."""
-    step = _STEP[dominate]
-    tables, picks = _all_rows_tables(order, frames, step)
-    root = order[0]
-    k, cost = min(_CLOSE[dominate], key=lambda kc: tables[root][kc[0]] + kc[1])
-    size = tables[root][k] + cost
-    p1, p2 = frames[root][:2]
-    chosen = [v for v, s in ((p1, k // 3), (p2, k % 3)) if s == _IN]
-    need = [0] * len(frames)
-    need[root] = k
-    for i in order:
-        _, _, c, left, right = frames[i]
-        il, ir, _, _ = picks[i][need[i]]
-        if il % 3 == _IN:
-            chosen.append(c)
-        if left >= 0:
-            need[left] = il
-        if right >= 0:
-            need[right] = ir
-    return (size if dominate else -size), tuple(sorted(chosen))
-
-
-def _all_rows_tables(order, frames, step):
+    """`_walk_dp` without its memo: every `_STEP` row at every triangle,
+    with `_NO_CHILD` for an absent child.  A reference for the memoized
+    programme, which must give the same size and members."""
     tables = [None] * len(frames)
     picks = [None] * len(frames)
     for i in reversed(order):
@@ -340,47 +318,11 @@ def _all_rows_tables(order, frames, step):
         rt = _NO_CHILD if right < 0 else tables[right]
         best = [_INF] * 9
         pick = [None] * 9
-        for row in step:
+        for row in _STEP[dominate]:
             v = lt[row[0]] + rt[row[1]] + row[3]
             if v < best[row[2]]:
                 best[row[2]] = v
                 pick[row[2]] = row
-        tables[i] = best
-        picks[i] = pick
-    return tables, picks
-
-
-def _shape_rows_walk_dp(order, frames, dominate):
-    """`_walk_dp` before its memo: each triangle runs the `_SHAPES` rows of
-    its shape over its children's full tables.  A reference for the
-    memoized programme, which must give the same size and members."""
-    (leaf_table, leaf_picks), left_rows, right_rows, both_rows = (
-        _SHAPES[dominate])
-    tables = [None] * len(frames)
-    picks = [None] * len(frames)
-    for i in reversed(order):
-        _, _, _, left, right = frames[i]
-        if left < 0 and right < 0:
-            tables[i] = leaf_table
-            picks[i] = leaf_picks
-            continue
-        best = [_INF] * 9
-        pick = [None] * 9
-        if left >= 0 and right >= 0:
-            lt, rt = tables[left], tables[right]
-            for a, b, k, cost, row in both_rows:
-                v = lt[a] + rt[b] + cost
-                if v < best[k]:
-                    best[k] = v
-                    pick[k] = row
-        else:
-            ct, rows = ((tables[left], left_rows) if left >= 0
-                        else (tables[right], right_rows))
-            for a, k, cost, row in rows:
-                v = ct[a] + cost
-                if v < best[k]:
-                    best[k] = v
-                    pick[k] = row
         tables[i] = best
         picks[i] = pick
     root = order[0]
@@ -406,7 +348,7 @@ def _assert_memo_matches_row_loop(g):
     t = recognize_mop(g)
     order, frames, _ = t.walk
     for dominate in (True, False):
-        assert _walk_dp(order, frames, dominate) == _shape_rows_walk_dp(
+        assert _walk_dp(order, frames, dominate) == _all_rows_walk_dp(
             order, frames, dominate)
 
 
@@ -436,8 +378,7 @@ def test_memo_stays_within_its_cap():
         _walk_dp(order, frames, False)
         cleared += len(memo.steps) < before
         assert len(memo.steps) <= triangulation.MEMO_CAP
-        assert len(memo.tables) <= len(memo.steps) + 2
-        assert len(memo.picks) <= len(memo.steps) + 2
+        assert len(memo.kept) <= 2 * len(memo.steps)
     assert cleared > 0
 
 
@@ -464,11 +405,6 @@ def test_shape_tables_match_all_rows(dominate):
             order, frames, _ = _walk(t, build_dual(t))
             assert _walk_dp(order, frames, dominate) == _all_rows_walk_dp(
                 order, frames, dominate)
-    # a lone triangle is a leaf: its table and picks are the leaf's
-    tables, picks = _all_rows_tables([0], [(0, 1, 2, -1, -1)],
-                                     _STEP[dominate])
-    leaf_table, leaf_picks = _SHAPES[dominate][0]
-    assert (leaf_table, leaf_picks) == (tuple(tables[0]), tuple(picks[0]))
 
 
 # ------------------------------------------- reference builds, one each ----
