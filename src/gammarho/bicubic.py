@@ -26,7 +26,6 @@ conjecture gamma <= 2*rho + 1.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,6 +34,7 @@ from .graphs import (
     BipartiteLabeling,
     CertificateError,
     Graph,
+    bfs_tree,
     bipartition,
     packing_violation,
     square_restricted,
@@ -83,21 +83,6 @@ def _smallest_last_order(g: Graph) -> list[int]:
     return removed[::-1]
 
 
-def _reverse_bfs_order(g: Graph, root: int, allowed: set[int]) -> list[int]:
-    """BFS inside `allowed` from root, visit order reversed (root last)."""
-    order = [root]
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for u in g.adj[v]:
-            if u in allowed and u not in seen:
-                seen.add(u)
-                order.append(u)
-                queue.append(u)
-    return order[::-1]
-
-
 def _brooks_color(g: Graph) -> list[int]:
     """Colours of a restricted square g (see `side_packing`), at most
     max_degree of them, constructively as in Brooks' theorem.  A
@@ -105,8 +90,10 @@ def _brooks_color(g: Graph) -> list[int]:
     subgraph of a connected non-regular graph has a vertex of degree below
     Delta.  A regular g gets the same colour on two nonadjacent neighbours
     u, w of a vertex v such that g - {u, w} is connected (a splice triple),
-    and the rest greedily in reverse BFS order from v, so each vertex but v
-    has an uncoloured neighbour when coloured and v sees u and w alike.
+    and the rest greedily in reverse BFS order from v (`bfs_tree` on
+    g - {u, w}, read back through `induced`'s originals), so each vertex
+    but v has an uncoloured neighbour when coloured and v sees u and w
+    alike.
 
     Brooks' other cases never reach this function.  `side_packing`
     rejects a complete square first.  Each vertex of the other side puts a
@@ -123,9 +110,12 @@ def _brooks_color(g: Graph) -> list[int]:
         nbrs = g.adj[v]
         for i, u in enumerate(nbrs):
             for w in nbrs[i + 1:]:
-                rest = set(range(g.n)) - {u, w}
-                if not g.has_edge(u, w) and g.induced(rest)[0].is_connected():
-                    return _greedy_color(g, _reverse_bfs_order(g, v, rest),
+                if g.has_edge(u, w):
+                    continue
+                sub, originals = g.induced(set(range(g.n)) - {u, w})
+                if sub.is_connected():
+                    order = bfs_tree(sub.adj, originals.index(v))[0]
+                    return _greedy_color(g, [originals[x] for x in order[::-1]],
                                          {u: 0, w: 0})
     raise CertificateError("regular restricted square has no splice triple")
 

@@ -64,12 +64,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_io_args(sp, with_input=True):
-    if with_input:
-        sp.add_argument("--input", default="-",
-                        help="input path, '-' for stdin")
-        sp.add_argument("--format", choices=("graph6", "edgelist"),
-                        default="graph6")
+def _add_io_args(sp):
+    sp.add_argument("--input", default="-",
+                    help="input path, '-' for stdin")
+    sp.add_argument("--format", choices=("graph6", "edgelist"),
+                    default="graph6")
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                     help="branch and bound node budget per graph")
 
@@ -258,7 +257,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("certify", help="class-specific certificates")
     _add_io_args(sp)
     sp.add_argument("--class", dest="cls", default="any",
-                    choices=("any", "tree", "bicubic", "mop", "biconvex"))
+                    choices=tuple(CERTIFY))
     sp.set_defaults(func=cmd_certify)
 
     sp = sub.add_parser("decompose", help="structural decomposition dump")
@@ -285,7 +284,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--format", choices=("graph6", "edgelist"),
                     default="graph6")
     sp.add_argument("--class", dest="cls", default="any",
-                    choices=("any", "tree", "bicubic", "mop", "biconvex"))
+                    choices=tuple(CERTIFY))
     sp.add_argument("--predicates", default=None,
                     help="comma separated predicate names")
     sp.add_argument("--jobs", type=int, default=1)

@@ -215,18 +215,9 @@ def gen_tight_family(k: int) -> tuple[Graph, ConvexOrdering]:
     """
     if k < 1:
         raise ValueError("need k >= 1")
-
-    def x(i: int) -> int:  # 1-based
-        return i - 1
-
-    def y(j: int) -> int:
-        return 2 * k + j - 1
-
-    edges = []
-    for i in range(1, k + 1):
-        for a in (2 * i - 1, 2 * i):
-            for b in (2 * i - 1, 2 * i):
-                edges.append((x(a), y(b)))
+    # copy i joins x vertices 2i, 2i + 1 to y vertices 2k + 2i, 2k + 2i + 1
+    edges = [(a, 2 * k + b) for i in range(0, 2 * k, 2)
+             for a in (i, i + 1) for b in (i, i + 1)]
     g = Graph.from_edges(4 * k, edges)
     ordering = ConvexOrdering(tuple(range(2 * k)), tuple(range(2 * k, 4 * k)))
     return g, ordering

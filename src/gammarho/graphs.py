@@ -1,6 +1,7 @@
 """Small immutable graph type plus the handful of primitives everything
-else is built on: a BFS tree and BFS distances, packing / domination
-checks, bipartition, and the restricted square graph used by the bicubic
+else is built on: a BFS tree (`bfs_tree`, the package's one breadth-first
+walk) with the BFS distances and the bipartition read off it, packing /
+domination checks, and the restricted square graph used by the bicubic
 machinery.
 
 Vertices are dense integers 0..n-1.  Neighbor lists are kept sorted so that
@@ -11,7 +12,6 @@ reproducible run to run.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -107,21 +107,21 @@ class Graph:
         return self._components
 
     def _find_components(self) -> tuple[tuple[int, ...], ...]:
+        # the walk of `bfs_tree` with one `seen` list for all components;
+        # `bfs_tree` itself allocates n parents per call, which many small
+        # components would make quadratic
         seen = [False] * self.n
         comps = []
         for s in range(self.n):
             if seen[s]:
                 continue
-            comp = []
-            queue = deque([s])
             seen[s] = True
-            while queue:
-                v = queue.popleft()
-                comp.append(v)
+            comp = [s]
+            for v in comp:  # the list grows while it is walked
                 for u in self.adj[v]:
                     if not seen[u]:
                         seen[u] = True
-                        queue.append(u)
+                        comp.append(u)
             comps.append(tuple(sorted(comp)))
         return tuple(comps)
 
@@ -247,26 +247,22 @@ def is_dominating(g: Graph, vertices: Iterable[int]) -> bool:
 def bipartition(g: Graph) -> BipartiteLabeling | None:
     """2-color a connected graph; None when an odd cycle exists.
 
-    Vertex 0 goes to side_x, so the labeling is deterministic.
+    A vertex's side is the parity of its depth in `bfs_tree` from vertex
+    0, so vertex 0 goes to side_x and the labeling is deterministic; an
+    edge inside one side closes an odd cycle.
     """
     if g.n == 0:
         return BipartiteLabeling((), ())
     if not g.is_connected():
         raise ValueError("bipartition requires a connected graph")
-    color = [-1] * g.n
-    color[0] = 0
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for u in g.adj[v]:
-            if color[u] == -1:
-                color[u] = 1 - color[v]
-                queue.append(u)
-            elif color[u] == color[v]:
-                return None
-    side_x = tuple(v for v in range(g.n) if color[v] == 0)
-    side_y = tuple(v for v in range(g.n) if color[v] == 1)
-    return BipartiteLabeling(side_x, side_y)
+    order, parent = bfs_tree(g.adj, 0)
+    side = [0] * g.n
+    for v in order[1:]:
+        side[v] = 1 - side[parent[v]]
+    if any(side[u] == side[v] for u, v in g.edges()):
+        return None
+    return BipartiteLabeling(tuple(v for v in range(g.n) if not side[v]),
+                             tuple(v for v in range(g.n) if side[v]))
 
 
 def square_restricted(g: Graph, side: Sequence[int]) -> RestrictedSquare:

@@ -465,12 +465,13 @@ _TIGHT_RECORDS = (
 )
 
 
-def _certify_tight(item: ScanItem, g: Graph, budget: int,
-                   k: int) -> tuple[dict, list[ScanRecord]]:
+def _certify_tight(item: ScanItem, g: Graph,
+                   budget: int) -> tuple[dict, list[ScanRecord]]:
+    # the family has n = 4k
     gamma, rho = solve_pair(g, budget)
     return {}, bounds.bound_records(_TIGHT_RECORDS, item.graph_id,
                                     item.family, g.n, gamma.value, rho.value,
-                                    k=k)
+                                    k=g.n // 4)
 
 
 def budget_record(graph_id: str, family: str, n: int,
@@ -504,15 +505,14 @@ def guarded(graph_id: str, family: str, n: int,
         return None, [_error_record(graph_id, family, n, exc)]
 
 
-def _experiment_worker(args: tuple[str, ScanItem, int, dict]) -> list[ScanRecord]:
+def _experiment_worker(args: tuple[str, ScanItem, int]) -> list[ScanRecord]:
     """The records of one job: the tight family's exact values, or the
     class's `CERTIFY` records, which for bicubic-small gain the 2rho
     conjecture under the item's own family; both through `guarded`."""
-    kind, item, budget, params = args
+    kind, item, budget = args
     g = decode_graph6(item.graph6)
     if kind == "tight":
-        certify = functools.partial(_certify_tight, item, g, budget,
-                                    params["k"])
+        certify = functools.partial(_certify_tight, item, g, budget)
     else:
         certify = functools.partial(CERTIFY[kind], item.graph_id, g,
                                     item.ordering, budget)
@@ -527,33 +527,33 @@ def _experiment_worker(args: tuple[str, ScanItem, int, dict]) -> list[ScanRecord
 
 
 def _experiment_jobs(name: str, corpus: Sequence[Graph] | None,
-                     budget: int) -> list[tuple[str, ScanItem, int, dict]]:
-    jobs: list[tuple[str, ScanItem, int, dict]] = []
+                     budget: int) -> list[tuple[str, ScanItem, int]]:
+    jobs: list[tuple[str, ScanItem, int]] = []
     if name == "bicubic-small":
         for n in (6, 8, 10, 12):
             for i, g in enumerate(enumerate_bicubic(n)):
                 item = make_item(f"bicubic-{n}-{i}", "bicubic-exhaustive", g)
-                jobs.append(("bicubic", item, budget, {}))
+                jobs.append(("bicubic", item, budget))
         for i, g in enumerate(corpus or ()):
             item = make_item(f"bicubic-corpus-{i}", "bicubic-corpus", g)
-            jobs.append(("bicubic", item, budget, {}))
+            jobs.append(("bicubic", item, budget))
     elif name == "tight-family":
         for k in range(1, 7):
             g, ordering = gen_tight_family(k)
             item = make_item(f"tight-{k}", "biconvex-tight", g, ordering)
-            jobs.append(("tight", item, budget, {"k": k}))
+            jobs.append(("tight", item, budget))
     elif name == "mop-theorem4":
         for s in range(200):
             n = 4 + s % 15
             item = make_item(f"mop-{s}", "mop", gen_random_mop(n, s))
-            jobs.append(("mop", item, budget, {}))
+            jobs.append(("mop", item, budget))
     elif name == "biconvex-theorem12":
         for s in range(200):
             nx = 2 + s % 9
             ny = 2 + (s // 9) % 9
             g, ordering = gen_random_biconvex(nx, ny, s)
             item = make_item(f"biconvex-{s}", "biconvex", g, ordering)
-            jobs.append(("biconvex", item, budget, {}))
+            jobs.append(("biconvex", item, budget))
     else:
         raise ValueError(f"unknown experiment {name!r}")
     return jobs

@@ -113,43 +113,28 @@ def averaged_dominating(t: Triangulation, x_set: tuple[int, ...] | list[int]
 def lift_packing(t: Triangulation,
                  z: tuple[int, ...] | list[int]) -> tuple[int, ...]:
     """Lift a packing Z of the clique graph to an equal-size packing of the
-    graph: root the dual tree at a Z-node; every Z-node contributes the one
-    vertex it does not share with the edge to its parent."""
+    graph.  Root the dual tree at Z's first triangle.  Every other Z-node
+    lifts the vertex of its triangle that is not on the edge to its parent
+    (two triangles that share an edge share exactly that edge), and the
+    root lifts its least vertex.
+
+    The root needs no more care.  A vertex on the parent edge of a Z-node
+    below the root lies in that Z-node's triangle; were it in the root's
+    triangle too, the two Z-nodes would share it and so be adjacent in
+    the clique graph, where Z is a packing.  So no such edge meets the
+    root's triangle, and its least vertex avoids them all."""
     z_t = tuple(sorted(set(z)))
     if not z_t:
         raise ValueError("z must be nonempty")
-    dual = t.dual
     bad = packing_violation(t.clique_graph, z_t)
     if bad is not None:
         raise ValueError(f"z is not a packing of the clique graph: {bad}")
-    root = z_t[0]
-    order, parent = bfs_tree(dual.adj, root)
-
-    children: list[list[int]] = [[] for _ in t.triangles]
-    for v in order[1:]:
-        children[parent[v]].append(v)
-
-    zset = set(z_t)
-    lifted = []
-    for u in z_t:
-        if u == root:
-            # avoid the separator edges toward the nearest Z-descendants
-            avoid: set[int] = set()
-            stack = list(children[root])
-            while stack:
-                q = stack.pop()
-                if q in zset:
-                    key = (min(q, parent[q]), max(q, parent[q]))
-                    avoid.update(dual.shared[key])
-                else:
-                    stack.extend(children[q])
-            candidates = [v for v in t.triangles[root] if v not in avoid]
-            lifted.append(min(candidates) if candidates else min(t.triangles[root]))
-        else:
-            key = (min(u, parent[u]), max(u, parent[u]))
-            eu, ev = dual.shared[key]
-            (c,) = [v for v in t.triangles[u] if v not in (eu, ev)]
-            lifted.append(c)
+    tris = t.triangles
+    parent = bfs_tree(t.dual.adj, z_t[0])[1]
+    lifted = [min(tris[z_t[0]])]
+    for u in z_t[1:]:
+        (c,) = [v for v in tris[u] if v not in tris[parent[u]]]
+        lifted.append(c)
     result = tuple(sorted(lifted))
     if len(result) != len(z_t):
         raise CertificateError("lifted packing lost vertices to collisions")

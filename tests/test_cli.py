@@ -625,7 +625,7 @@ def test_certify_and_reproduce_agree(name, cls):
     corpus = [gen_random_bicubic(16, 1)] if cls == "bicubic" else None
     jobs = harness._experiment_jobs(name, corpus, solvers.DEFAULT_BUDGET)
     for i, job in enumerate(jobs[::7] + jobs[-1:]):
-        kind, item, budget, _ = job
+        kind, item, budget = job
         reproduced = [r.as_dict() for r in harness._experiment_worker(job)]
         if cls == "bicubic":
             assert reproduced.pop()["check"] == "gamma-le-2rho"

@@ -130,6 +130,28 @@ def test_bfs_tree_matches_networkx(case):
     assert parent == [pred.get(v, -1) for v in range(g.n)]
 
 
+
+@settings(max_examples=100, deadline=None)
+@given(rooted_graphs())
+def test_components_and_bipartition_match_networkx(case):
+    g, _ = case
+    for h in (g, Graph.from_edges(g.n, []), Graph.from_edges(0, [])):
+        assert h.components() == tuple(sorted(
+            tuple(sorted(c)) for c in nx.connected_components(to_nx(h))))
+    # the edges between even and odd labels make a bipartite draw
+    odd = Graph.from_edges(g.n, [(u, v) for u, v in g.edges() if (u + v) % 2])
+    for h in (g, odd):
+        if not h.is_connected():
+            continue
+        lab = bipartition(h)
+        G = to_nx(h)
+        assert (lab is not None) == nx.is_bipartite(G)
+        if lab is not None:
+            depth = nx.single_source_shortest_path_length(G, 0)
+            assert lab.side_x == tuple(v for v in range(h.n)
+                                       if depth[v] % 2 == 0)
+            assert lab.side_y == tuple(v for v in range(h.n) if depth[v] % 2)
+
 def test_packing_checks():
     g = cycle(6)
     assert is_packing(g, [0, 3])

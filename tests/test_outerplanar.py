@@ -193,6 +193,65 @@ def test_lift_packing_preserves_size():
         assert is_packing(g, lifted)
 
 
+
+def _former_lift_packing(t, z):
+    """`lift_packing` as it was, with its search for the separator edges
+    toward the root's nearest Z-descendants; the assertion is the claim
+    that this search never meets the root's triangle."""
+    z_t = tuple(sorted(set(z)))
+    root = z_t[0]
+    order, parent = bfs_tree(t.dual.adj, root)
+    children = [[] for _ in t.triangles]
+    for v in order[1:]:
+        children[parent[v]].append(v)
+    zset = set(z_t)
+    lifted = []
+    for u in z_t:
+        if u == root:
+            avoid = set()
+            stack = list(children[root])
+            while stack:
+                q = stack.pop()
+                if q in zset:
+                    avoid.update(t.dual.shared[min(q, parent[q]),
+                                              max(q, parent[q])])
+                else:
+                    stack.extend(children[q])
+            assert not avoid & set(t.triangles[root])
+            candidates = [v for v in t.triangles[root] if v not in avoid]
+            lifted.append(min(candidates) if candidates
+                          else min(t.triangles[root]))
+        else:
+            eu, ev = t.dual.shared[min(u, parent[u]), max(u, parent[u])]
+            (c,) = [v for v in t.triangles[u] if v not in (eu, ev)]
+            lifted.append(c)
+    return tuple(sorted(lifted))
+
+
+def _random_maximal_packing(g, seed):
+    order = list(range(g.n))
+    random.Random(seed).shuffle(order)
+    taken, packing = 0, []
+    for v in order:
+        if not taken & g.closed_masks[v]:
+            taken |= g.closed_masks[v]
+            packing.append(v)
+    return packing
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 80), st.integers(0, 10**6), st.booleans())
+def test_lift_packing_matches_the_former_search(n, seed, relabel):
+    # the root's separator search is dead for any packing of the clique
+    # graph, not only the host-tree one
+    g = gen_random_mop(n, seed)
+    if relabel:
+        g = _relabeled(g, seed)
+    t = recognize_mop(g)
+    for z in (clique_graph_numbers(t)[1].witness,
+              _random_maximal_packing(t.clique_graph, seed)):
+        assert lift_packing(t, z) == _former_lift_packing(t, z)
+
 def test_clique_graph_gamma_equals_rho():
     for g in mop_corpus():
         cg = build_clique_graph(recognize_mop(g))
