@@ -105,7 +105,6 @@ from .harness import (
     EXPERIMENTS,
     PREDICATES,
     GraphFacts,
-    Predicate,
     ScanItem,
     default_scan_items,
     detect_families,

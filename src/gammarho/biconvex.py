@@ -309,11 +309,29 @@ def _leftmost_picks(decomp: CBDecomposition, start: int, swap: bool) -> list[int
 
 def construct_packing(g: Graph, decomp: CBDecomposition) -> Certificate:
     """Packing certificate of size k (one alternating pick per block), or
-    k+1 when either endpoint flank supplies a far vertex."""
+    k+1 when either endpoint flank supplies a far vertex.
+
+    When the trimmed right flank's last vertex xn has no neighbour in the
+    last block K_k, there are two cases.  If N(xn) lies in the last
+    leftover set J_k, the plain alternation plus xn packs ("tail-xn"): lx_k
+    was the sweep's first active x when K_k formed, so a J_k vertex
+    adjacent to lx_k would have joined K_k's Y side; hence lx_k and xn
+    share no neighbour.  Any other pick is a y of K_k, which xn does not
+    see, or lies in an earlier block, which no J_k vertex reaches.  If
+    N(xn) lies in the Y side of K_{k-1}, block k-1 takes its leftmost y,
+    block k its rightmost y, the earlier blocks alternate back from there
+    (x, y, ...), and xn is added ("tail-xn-early").  Block k's Y side
+    follows K_{k-1}'s in the Y order, so an x that sees ry_k and a y
+    before K_k sees ly_k too: ly_k would clash wherever ry_k does, and an
+    x of K_{k-1} reaching ly_k makes it clash with ly_{k-1}.  The rule was
+    measured, not proved: it gives a packing on every input with at most
+    5 vertices a side.  Any other reach of xn raises, as does a set that
+    fails the final check."""
     core = decomp.core
     xo = core.ordering.x_order
     x1, xn = xo[0], xo[-1]
     k = decomp.width
+    blocks = decomp.blocks
     dist_x1 = distances_from(g, x1)
 
     j1 = decomp.j_sets[0]
@@ -327,21 +345,19 @@ def construct_packing(g: Graph, decomp: CBDecomposition) -> Certificate:
         expect = k + 1
     else:
         nxn = set(g.neighbors(xn))
-        last_v = decomp.blocks[-1].vertices()
-        if nxn and not (nxn & last_v):
-            jk = set(decomp.j_sets[-1])
-            if not nxn <= jk:
+        if nxn and not (nxn & blocks[-1].vertices()):
+            if nxn <= set(decomp.j_sets[-1]):
+                verts = _leftmost_picks(decomp, 1, False) + [xn]
+                method = "tail-xn"
+            elif k >= 2 and nxn <= set(blocks[-2].y_side):
+                verts = [blk.ly if (k - i) % 2 else blk.lx
+                         for i, blk in enumerate(blocks[:-2], 1)]
+                verts += [blocks[-2].ly, blocks[-1].ry, xn]
+                method = "tail-xn-early"
+            else:
                 raise CertificateError(
                     "tail vertex reaches past the last leftover set"
                 )
-            base = _leftmost_picks(decomp, 1, False) + [xn]
-            if packing_violation(g, base) is None:
-                verts, method = base, "tail-xn"
-            else:
-                # odd chain length can park the last pick on the wrong
-                # side of block k; the mirrored alternation fixes it
-                verts = _leftmost_picks(decomp, 1, True) + [xn]
-                method = "tail-xn-swapped"
             expect = k + 1
         elif k == 1 and dist_x1[xn] >= 3:
             verts = [x1, xn]

@@ -15,19 +15,16 @@ that reads `delta`, only where delta >= 1.  Comparisons stay in integers;
 a fractional bound is compared cross-multiplied and printed as a Fraction.
 
 `bound_records` is the only caller of `Bound.evaluate` and the only
-builder of a record that carries gamma, rho and a verdict.  The scan's
-predicates (`harness.PREDICATES`, which `verify_counterexamples` replays
-through the same call), the class records (`certify_bicubic`,
-`certify_mop` and `certify_biconvex`, which `harness.CERTIFY` serves to
-both `certify` and `reproduce`), the bicubic experiment's conjecture
-record and the tight family's records all name rows of this table, each
-under its own check name and kind, so a scan predicate and the class
-record of the same bound cannot disagree.  An extra is handed in as a
-value or as a function of no arguments; a function is called at most
-once per call, and only for a claimed row that reads it.  No extra
-searches, so none can run out of budget.  `inconclusive_records` gives
-the record that stands for every row of a graph whose gamma or rho
-search ran out.
+builder of a record for a row of this table.  The scan's predicates
+(`harness.PREDICATES`, which `verify_counterexamples` replays through the
+same call), the class records (`certify_bicubic`, `certify_mop` and
+`certify_biconvex`, which `harness.CERTIFY` serves to both `certify` and
+`reproduce`), the bicubic experiment's conjecture record and the tight
+family's records all name rows of this table, each under its own check
+name and kind, so a scan predicate and the class record of the same bound
+cannot disagree.  An extra is handed in as a plain value; none of them
+searches, so none can run out of budget.  When the gamma or rho search ran
+out, the same loop gives every claimed row its record with no verdict.
 """
 
 from __future__ import annotations
@@ -133,37 +130,27 @@ Row = tuple[str, str, Bound]  # (check name, kind, table row)
 
 
 def bound_records(rows: Sequence[Row], graph_id: str, family: str, n: int,
-                  gamma: int, rho: int, **extras) -> list[ScanRecord]:
+                  gamma: int | None, rho: int | None,
+                  exhausted: BudgetExceeded | None = None,
+                  **extras) -> list[ScanRecord]:
     """One record per (check, kind, row) claimed at n, in order, each
-    carrying gamma and rho.  `extras` holds every extra the rows need,
-    each a value or a function of no arguments that gives it; a function
-    is called at most once, for the first claimed row that reads it."""
-
-    def extra(name: str):
-        value = extras[name]
-        if callable(value):
-            value = extras[name] = value()
-        return value
-
+    carrying gamma, rho and the row's verdict, read with the values in
+    `extras` that the row needs.  When `exhausted` holds a search's
+    run-out, gamma and rho are None and each record has no verdict, only
+    which search ran out and the range it had proved."""
     records = []
     for check, kind, row in rows:
-        if not row.claimed(
-                n, extra("delta") if "delta" in row.needs else None):
+        if not row.claimed(n, extras.get("delta")):
             continue
-        holds, bound, details = row.evaluate(
-            gamma, rho, n, **{name: extra(name) for name in row.needs})
+        if exhausted is None:
+            holds, bound, details = row.evaluate(
+                gamma, rho, n, **{name: extras[name] for name in row.needs})
+        else:
+            holds, bound, details = None, "", {
+                "reason": "node budget exhausted",
+                "quantity": exhausted.quantity,
+                "range": [exhausted.lower, exhausted.upper]}
         records.append(ScanRecord(
             graph_id=graph_id, family=family, n=n, check=check, kind=kind,
             holds=holds, bound=bound, gamma=gamma, rho=rho, details=details))
     return records
-
-
-def inconclusive_records(rows: Sequence[Row], graph_id: str, family: str,
-                         n: int, exc: BudgetExceeded) -> list[ScanRecord]:
-    """One record with no verdict per row, saying which search ran out
-    and the range it had proved."""
-    detail = {"reason": "node budget exhausted", "quantity": exc.quantity,
-              "range": [exc.lower, exc.upper]}
-    return [ScanRecord(graph_id=graph_id, family=family, n=n, check=check,
-                       kind=kind, holds=None, details=detail)
-            for check, kind, _ in rows]

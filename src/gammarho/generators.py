@@ -116,7 +116,7 @@ def gen_random_mop(n: int, seed: int) -> Graph:
     if n < 3:
         raise ValueError("need n >= 3")
     catalan = [1]
-    for i in range(n - 3):
+    for i in range(n - 2):
         catalan.append(catalan[-1] * 2 * (2 * i + 1) // (i + 2))
     rng = random.Random(seed)
     edges = {(i, (i + 1) % n) for i in range(n)}
@@ -126,12 +126,10 @@ def gen_random_mop(n: int, seed: int) -> Graph:
         m = hi - lo + 1
         if m < 3:
             continue
-        weights = [catalan[k - 1] * catalan[m - k - 2] for k in range(1, m - 1)]
-        r = rng.randrange(sum(weights))
+        # Segner: the apex weights C(k-1) C(m-k-2), k = 1..m-2, sum to C(m-2)
+        r = rng.randrange(catalan[m - 2])
         k = 1
-        for w in weights:
-            if r < w:
-                break
+        while r >= (w := catalan[k - 1] * catalan[m - k - 2]):
             r -= w
             k += 1
         edges.add((lo, lo + k))

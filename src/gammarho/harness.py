@@ -5,20 +5,20 @@ Predicates are either theorems (a failure means an implementation bug or a
 bad input, exit code 3 downstream) or conjectures (a failure is a genuine
 counterexample, exit code 2, and the offending graph is dumped with both
 optimal witnesses so the violation can be replayed from the dump alone).
-Each predicate names the row of the bound table (`gammarho.bounds`) it
-checks and the class condition under which it does.  `graph_facts` builds
-one graph's `GraphFacts` in one step: its families (with the triangulation
-of a mop), its maximum degree, and gamma and rho with optimal witnesses
-from one pair solve, or the budget run-out in their place.
-`evaluate_predicates` hands the rows that apply to `bounds.bound_records`,
-the one evaluator, with Delta from the facts and with t and the clique
-graph's gamma and rho as functions, called only for a claimed row that
-reads them and once per graph; none of them searches.  It reads the
+A predicate is a plain (name, kind, row, family) entry: the row of the
+bound table (`gammarho.bounds`) it checks, and the family of graphs on
+which it does.  `graph_facts` builds one graph's `GraphFacts` in one step:
+its families (with the triangulation of a mop; `subcubic` is Delta <= 3),
+its maximum degree, and gamma and rho with optimal witnesses from one pair
+solve, or the budget run-out in their place.  `evaluate_predicates` hands
+the rows whose family the graph is in to `bounds.bound_records`, the one
+evaluator, with the run-out if there is one, with Delta from the facts,
+and with t and the clique graph's gamma and rho, computed only when a row
+that applies reads them; none of them searches.  It reads the
 counterexamples off the conjecture records that fail, and
-`verify_counterexamples` replays a dump through the same call.  When
-gamma or rho ran out of budget, every claimed row that applies gets the
-record of `bounds.inconclusive_records`.  A certificate that fails its
-own check raises CertificateError, which gives the item's error record.
+`verify_counterexamples` replays a dump through the same call.  A
+certificate that fails its own check raises CertificateError, which gives
+the item's error record.
 
 `CERTIFY` maps each `certify` class to the one function that builds its
 certificates and records; the class records read the same table rows as
@@ -115,8 +115,7 @@ class GraphFacts:
     """One graph, its families and maximum degree, and its exact gamma and
     rho with optimal witnesses; `triangulation` is set exactly when "mop"
     is a family.  When the solve ran out of budget, `exhausted` holds the
-    BudgetExceeded, gamma and rho are None and the witnesses are empty.  A
-    predicate decides whether it applies from the fields before `gamma`."""
+    BudgetExceeded, gamma and rho are None and the witnesses are empty."""
 
     graph_id: str
     family: str
@@ -132,10 +131,13 @@ class GraphFacts:
     exhausted: BudgetExceeded | None = None
 
 
-def _classify(g: Graph, ordering: ConvexOrdering | None
+def _classify(g: Graph, ordering: ConvexOrdering | None, delta: int
               ) -> tuple[frozenset[str], Triangulation | None]:
-    """The families of g, and its triangulation when g is a mop."""
+    """The families of g, whose maximum degree is delta, and its
+    triangulation when g is a mop."""
     fams = {"any"}
+    if delta <= 3:
+        fams.add("subcubic")
     if g.is_tree():
         fams.add("tree")
     try:
@@ -159,7 +161,7 @@ def _classify(g: Graph, ordering: ConvexOrdering | None
 
 
 def detect_families(g: Graph, ordering: ConvexOrdering | None) -> frozenset[str]:
-    return _classify(g, ordering)[0]
+    return _classify(g, ordering, g.max_degree())[0]
 
 
 def graph_facts(graph_id: str, family: str, g: Graph,
@@ -167,9 +169,9 @@ def graph_facts(graph_id: str, family: str, g: Graph,
     """Classify g and solve gamma and rho in one pair solve, which reuses
     the triangulation of a mop; a solve that exhausts the budget is kept
     in `exhausted`."""
-    families, triangulation = _classify(g, ordering)
-    known = (graph_id, family, g, ordering, families, triangulation,
-             g.max_degree())
+    delta = g.max_degree()
+    families, triangulation = _classify(g, ordering, delta)
+    known = (graph_id, family, g, ordering, families, triangulation, delta)
     try:
         gamma, rho = solve_pair(g, budget, triangulation)
     except BudgetExceeded as exc:
@@ -178,60 +180,34 @@ def graph_facts(graph_id: str, family: str, g: Graph,
                       rho.witness)
 
 
-@dataclass(frozen=True)
-class Predicate:
-    """A scan check: the table row `bound`, claimed as `kind` for every
-    graph that `applies` admits and that the row is claimed for."""
-
-    name: str
-    kind: str  # "theorem" | "conjecture"
-    applies: Callable[[GraphFacts], bool]
-    bound: bounds.Bound
-
-    @property
-    def row(self) -> bounds.Row:
-        return self.name, self.kind, self.bound
-
-
-def _always(c: GraphFacts) -> bool:
-    return True
-
-
-def _in(family: str) -> Callable[[GraphFacts], bool]:
-    return lambda c: family in c.families
-
-
-PREDICATES: dict[str, Predicate] = {
-    p.name: p
+# name -> (name, kind, table row, family): the row is claimed as `kind` on
+# every graph of the family for which the row itself is claimed
+PREDICATES: dict[str, tuple[str, str, bounds.Bound, str]] = {
+    p[0]: p
     for p in [
-        Predicate("rho-le-gamma", "theorem", _always, bounds.RHO_LE_GAMMA),
-        Predicate("gamma-le-delta-rho", "theorem", _always,
-                  bounds.GAMMA_LE_DELTA_RHO),
-        Predicate("tree-gamma-eq-rho", "theorem", _in("tree"),
-                  bounds.GAMMA_EQ_RHO),
-        Predicate("gamma-eq-rho", "conjecture", _always, bounds.GAMMA_EQ_RHO),
-        Predicate("subcubic-gamma-le-2rho-plus-1", "conjecture",
-                  lambda c: c.delta <= 3, bounds.GAMMA_LE_2RHO_PLUS_1),
-        Predicate("gamma-le-delta-minus-1-rho-plus-1", "conjecture", _always,
-                  bounds.GAMMA_LE_DELTA_MINUS_1_RHO_PLUS_1),
-        Predicate("gamma-le-relaxed-delta", "conjecture", _always,
-                  bounds.GAMMA_LE_RELAXED_DELTA),
-        Predicate("bicubic-gamma-le-5n-14", "theorem", _in("bicubic"),
-                  bounds.GAMMA_LE_5N_14),
-        Predicate("bicubic-rho-ge-7n-48", "theorem", _in("bicubic"),
-                  bounds.RHO_GE_7N_48),
-        Predicate("bicubic-49gamma-le-120rho", "theorem", _in("bicubic"),
-                  bounds.GAMMA_LE_120_49_RHO),
-        Predicate("mop-gamma-le-3rho", "theorem", _in("mop"),
-                  bounds.GAMMA_LE_3RHO),
-        Predicate("mop-4gamma-le-9rho-plus-t", "theorem", _in("mop"),
-                  bounds.GAMMA_LE_9RHO_PLUS_T_OVER_4),
-        Predicate("mop-clique-gamma-eq-rho", "theorem", _in("mop"),
-                  bounds.CLIQUE_GAMMA_EQ_RHO),
-        Predicate("mop-gamma-le-2rho", "conjecture", _in("mop"),
-                  bounds.GAMMA_LE_2RHO),
-        Predicate("biconvex-gamma-le-2rho", "theorem", _in("biconvex"),
-                  bounds.GAMMA_LE_2RHO),
+        ("rho-le-gamma", "theorem", bounds.RHO_LE_GAMMA, "any"),
+        ("gamma-le-delta-rho", "theorem", bounds.GAMMA_LE_DELTA_RHO, "any"),
+        ("tree-gamma-eq-rho", "theorem", bounds.GAMMA_EQ_RHO, "tree"),
+        ("gamma-eq-rho", "conjecture", bounds.GAMMA_EQ_RHO, "any"),
+        ("subcubic-gamma-le-2rho-plus-1", "conjecture",
+         bounds.GAMMA_LE_2RHO_PLUS_1, "subcubic"),
+        ("gamma-le-delta-minus-1-rho-plus-1", "conjecture",
+         bounds.GAMMA_LE_DELTA_MINUS_1_RHO_PLUS_1, "any"),
+        ("gamma-le-relaxed-delta", "conjecture",
+         bounds.GAMMA_LE_RELAXED_DELTA, "any"),
+        ("bicubic-gamma-le-5n-14", "theorem", bounds.GAMMA_LE_5N_14,
+         "bicubic"),
+        ("bicubic-rho-ge-7n-48", "theorem", bounds.RHO_GE_7N_48, "bicubic"),
+        ("bicubic-49gamma-le-120rho", "theorem", bounds.GAMMA_LE_120_49_RHO,
+         "bicubic"),
+        ("mop-gamma-le-3rho", "theorem", bounds.GAMMA_LE_3RHO, "mop"),
+        ("mop-4gamma-le-9rho-plus-t", "theorem",
+         bounds.GAMMA_LE_9RHO_PLUS_T_OVER_4, "mop"),
+        ("mop-clique-gamma-eq-rho", "theorem", bounds.CLIQUE_GAMMA_EQ_RHO,
+         "mop"),
+        ("mop-gamma-le-2rho", "conjecture", bounds.GAMMA_LE_2RHO, "mop"),
+        ("biconvex-gamma-le-2rho", "theorem", bounds.GAMMA_LE_2RHO,
+         "biconvex"),
     ]
 }
 
@@ -244,23 +220,25 @@ DEFAULT_PREDICATES = tuple(
 
 def evaluate_predicates(facts: GraphFacts, names: Sequence[str]
                         ) -> tuple[list[ScanRecord], list[dict]]:
-    """Records of the named predicates that apply to the graph, from
+    """Records of the named predicates whose family the graph is in, from
     `bounds.bound_records`, and a counterexample for each conjecture that
-    fails.  The extras are found on demand, each at most once; when gamma
-    or rho ran out, every claimed row gets an inconclusive record."""
+    fails.  t and the clique graph's numbers are computed only when a row
+    that applies reads them; when gamma or rho ran out, no extra but Delta
+    is computed, and every claimed row gets a record with no verdict."""
     g = facts.graph
-    rows = [PREDICATES[name].row for name in names
-            if PREDICATES[name].applies(facts)]
-    if facts.exhausted is not None:
-        rows = [row for row in rows if row[2].claimed(g.n, facts.delta)]
-        return bounds.inconclusive_records(
-            rows, facts.graph_id, facts.family, g.n, facts.exhausted), []
-    clique = functools.cache(
-        lambda: clique_graph_numbers(facts.triangulation))
+    rows = [PREDICATES[name][:3] for name in names
+            if PREDICATES[name][3] in facts.families]
+    extras = {"delta": facts.delta}
+    if facts.exhausted is None:
+        needs = {need for _, _, row in rows for need in row.needs}
+        if "t" in needs:
+            extras["t"] = low_degree_count(g)
+        if needs & {"cg_gamma", "cg_rho"}:
+            cg_gamma, cg_rho = clique_graph_numbers(facts.triangulation)
+            extras.update(cg_gamma=cg_gamma.value, cg_rho=cg_rho.value)
     records = bounds.bound_records(
         rows, facts.graph_id, facts.family, g.n, facts.gamma, facts.rho,
-        delta=facts.delta, t=lambda: low_degree_count(g),
-        cg_gamma=lambda: clique()[0].value, cg_rho=lambda: clique()[1].value)
+        facts.exhausted, **extras)
     o = facts.ordering
     counterexamples = [{
         "graph_id": facts.graph_id,

@@ -207,7 +207,7 @@ def test_criterion_8_biconvex_tightness_and_certificates():
             assert len(pack.vertices) <= rho
             assert gamma <= len(dom.vertices)
             assert len(dom.vertices) <= 2 * len(pack.vertices)
-            if pack.method in ("flank-j1", "tail-xn", "tail-xn-swapped"):
+            if pack.method in ("flank-j1", "tail-xn", "tail-xn-early"):
                 assert len(pack.vertices) == k + 1
             elif pack.method == "endpoints":
                 assert k == 1 and len(pack.vertices) == 2

@@ -12,7 +12,7 @@ from gammarho.biconvex import (
     validate_convex,
 )
 from gammarho.generators import gen_complete_bipartite, gen_path, gen_random_biconvex
-from gammarho.graphs import CertificateError, Graph, is_dominating, is_packing
+from gammarho.graphs import Graph, is_dominating, is_packing
 from gammarho.solvers import brute_gamma, brute_rho, solve_pair
 
 
@@ -146,7 +146,7 @@ def test_certificate_sizes_match_width():
         k = d.width
         p = construct_packing(g, d)
         dom = construct_dominating(g, d)
-        if p.method in ("flank-j1", "tail-xn", "tail-xn-swapped"):
+        if p.method in ("flank-j1", "tail-xn", "tail-xn-early"):
             assert len(p.vertices) == k + 1
         elif p.method == "endpoints":
             assert k == 1 and len(p.vertices) == 2
@@ -234,15 +234,13 @@ def test_single_vertex_ordering_is_validated():
                          ConvexOrdering((5, 9), (3,)))
 
 
-# ------------------------------------------------ the tail-vertex defect ----
+# ----------------------------------------- every small biconvex input ----
 #
-# construct_packing rejects a right flank vertex whose neighbors all lie in
-# an earlier block than the last: on the tree 0-3, 0-4, 1-4, 1-5, 2-4 in
-# natural orders, x2's one neighbor y4 is in block 1, not among block 2's
-# leftovers.  The other commands handle it (gamma = rho = 3); the paper's
-# rule for such a flank vertex is missing.
-
-TAIL_MESSAGE = "tail vertex reaches past the last leftover set"
+# a right flank vertex whose neighbors all lie in the block before the last
+# takes construct_packing's tail-xn-early rule: on the tree 0-3, 0-4, 1-4,
+# 1-5, 2-4 in natural orders, x2's one neighbor y4 is in block 1, not
+# among block 2's leftovers, and the packing is {3, 5, 2} (gamma = rho = 3).
+# 480 of the 6840 inputs below take that rule.
 
 
 def _small_biconvex(most):
@@ -264,9 +262,36 @@ def _small_biconvex(most):
                     yield g, tuple(range(a)), tuple(range(a, a + b))
 
 
-def test_certificates_bracket_every_small_input_or_hit_the_tail_defect():
+# (each x's interval of y labels, the y order, the width, the packing): the
+# right flank's last x sees only the Y side of the block before the last
+TAIL_EARLY = [
+    # blocks X=[4] Y=[11, 10], X=[3, 2] Y=[9, 8, 7], X=[1] Y=[6, 5]; x2
+    # sees both y9 and y6, so block 3's leftmost y would clash with block 2's
+    ([(7, 8), (5, 8), (6, 9), (7, 10), (10, 11)], (11, 10, 9, 8, 7, 6, 5),
+     3, (0, 4, 5, 9)),
+    # four blocks: block 2 takes its x and block 1 its y, alternating back
+    # from block 3's y; the other parity clashes
+    ([(7, 8), (8, 9), (8, 10), (9, 11), (10, 11), (11, 13), (11, 11)],
+     (7, 8, 9, 10, 11, 12, 13), 4, (1, 6, 7, 10, 13)),
+]
+
+
+@pytest.mark.parametrize("spans, ys, width, packing", TAIL_EARLY)
+def test_tail_in_the_block_before_the_last(spans, ys, width, packing):
+    g = Graph.from_edges(len(spans) + len(ys),
+                         [(x, y) for x, (lo, hi) in enumerate(spans)
+                          for y in range(lo, hi + 1)])
+    d = cb_decompose(g, trim_core(g, ConvexOrdering(
+        tuple(range(len(spans))), ys)))
+    p = construct_packing(g, d)
+    assert d.width == width
+    assert (p.vertices, p.method) == (packing, "tail-xn-early")
+    assert brute_rho(g) == width + 1
+
+
+def test_certificates_bracket_every_small_input():
     # 1710 graphs, each under the four orientations of its two orders
-    tails = inputs = 0
+    inputs = early = 0
     for g, xs, ys in _small_biconvex(4):
         gamma, rho = (s.value for s in solve_pair(g))
         for o in (ConvexOrdering(xs, ys), ConvexOrdering(xs[::-1], ys),
@@ -274,13 +299,11 @@ def test_certificates_bracket_every_small_input_or_hit_the_tail_defect():
                   ConvexOrdering(xs[::-1], ys[::-1])):
             inputs += 1
             d = cb_decompose(g, trim_core(g, o))
-            try:
-                pack = construct_packing(g, d)
-            except CertificateError as e:
-                assert str(e) == TAIL_MESSAGE
-                tails += 1
-                continue
+            pack = construct_packing(g, d)
             dom = construct_dominating(g, d)
             assert len(pack.vertices) <= rho
             assert gamma <= len(dom.vertices) <= 2 * len(pack.vertices)
-    assert (inputs, tails) == (6840, 480)
+            if pack.method == "tail-xn-early":
+                early += 1
+                assert len(pack.vertices) == d.width + 1
+    assert (inputs, early) == (6840, 480)

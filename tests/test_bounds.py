@@ -1,7 +1,7 @@
 """The bound table and its one evaluator, `bounds.bound_records`: every row
 at its equality case and one step past it, where rows are claimed, and how
-the evaluator orders records, resolves extras and marks a row that runs
-out of budget."""
+the evaluator orders records, reads extras and marks every claimed row
+when a search runs out of budget."""
 
 import pytest
 
@@ -144,42 +144,34 @@ def test_bound_records_keep_the_row_order():
                == ("g", "fam", 7, 3, 2, {}) for r in records)
 
 
-def _counted(calls, name, value):
-    def resolve():
-        calls.append(name)
-        return value
-    return resolve
+RUN_OUT = BudgetExceeded("rho", 1, None, (0,), 7)
 
 
-def test_bound_records_resolve_each_extra_once_and_only_for_claimed_rows():
-    calls = []
+def test_a_run_out_gives_each_claimed_row_a_record_with_no_verdict():
     late = Bound(bounds.GAMMA_EQ_2K.evaluate, ("k",), min_n=10)
-    rows = [("t1", "theorem", bounds.GAMMA_LE_9RHO_PLUS_T_OVER_4),
+    rows = [("b", "conjecture", bounds.GAMMA_EQ_RHO),
             ("late", "theorem", late),
-            ("delta", "theorem", bounds.GAMMA_LE_DELTA_RHO),
-            ("t2", "theorem", bounds.GAMMA_LE_9RHO_PLUS_T_OVER_4),
-            ("plain", "theorem", bounds.RHO_LE_GAMMA)]
-    records = bound_records(rows, "g", "mop", 9, 3, 2,
-                            t=_counted(calls, "t", 4),
-                            k=_counted(calls, "k", 3),
-                            delta=_counted(calls, "delta", 0),
-                            cg_rho=_counted(calls, "cg_rho", 1))
-    # late is claimed from 10 vertices, and delta = 0 leaves its row out
-    assert [r.check for r in records] == ["t1", "t2", "plain"]
-    assert calls == ["t", "delta"]
-    assert records[0].details == records[1].details == {"t": 4}
-    # a value is used as it is
-    records = bound_records(rows[:1], "g", "mop", 9, 3, 2, t=4)
-    assert (records[0].holds, records[0].bound) == (True, "11/2")
+            ("a", "theorem", bounds.RHO_LE_GAMMA)]
+    # late is claimed from 10 vertices; no row is evaluated, so the k it
+    # would read is not needed
+    records = bound_records(rows, "g", "any", 4, None, None, RUN_OUT)
+    assert [(r.check, r.kind, r.holds, r.bound, r.gamma, r.rho)
+            for r in records] == [("b", "conjecture", None, "", None, None),
+                                  ("a", "theorem", None, "", None, None)]
+    assert all(r.details == {"reason": "node budget exhausted",
+                             "quantity": "rho", "range": [1, None]}
+               for r in records)
 
 
-def test_inconclusive_records_name_each_row():
-    exc = BudgetExceeded("rho", 1, None, (0,), 7)
-    rows = [("a", "theorem", bounds.RHO_LE_GAMMA),
-            ("b", "conjecture", bounds.GAMMA_EQ_RHO)]
-    records = bounds.inconclusive_records(rows, "g", "any", 4, exc)
-    assert [(r.check, r.kind, r.holds, r.gamma, r.rho) for r in records] == [
-        ("a", "theorem", None, None, None),
-        ("b", "conjecture", None, None, None)]
-    assert records[0].details == {"reason": "node budget exhausted",
-                                  "quantity": "rho", "range": [1, None]}
+def test_a_delta_row_is_left_out_at_delta_zero_in_both_modes():
+    rows = [("delta", "theorem", bounds.GAMMA_LE_DELTA_RHO),
+            ("t", "theorem", bounds.GAMMA_LE_9RHO_PLUS_T_OVER_4)]
+    for gamma, rho, exhausted in ((3, 2, None), (None, None, RUN_OUT)):
+        for delta, checks in ((0, ["t"]), (1, ["delta", "t"])):
+            records = bound_records(rows, "g", "mop", 9, gamma, rho,
+                                    exhausted, delta=delta, t=4)
+            assert [r.check for r in records] == checks
+    # an extra is a plain value, and the row shows what it read
+    (record,) = bound_records(rows[1:], "g", "mop", 9, 3, 2, t=4)
+    assert (record.holds, record.bound, record.details) == (
+        True, "11/2", {"t": 4})

@@ -296,17 +296,19 @@ def test_certify_biconvex(tmp_path, capsys):
     assert len(bundle["dominating"]["vertices"]) <= 2 * len(bundle["packing"]["vertices"])
 
 
-@pytest.mark.xfail(strict=True, reason="construct_packing rejects a right "
-                   "flank vertex whose neighbors lie in an earlier block")
 def test_certify_biconvex_tail_in_an_earlier_block(tmp_path, capsys):
     # a tree with two blocks, X=[0] Y=[3, 4] and X=[1] Y=[5]; the trimmed
-    # right flank x2 sees only y4, in block 1.  decompose accepts it, and
-    # compute gives gamma = rho = 3
+    # right flank x2 sees only y4, in block 1, and takes the tail-xn-early
+    # packing; compute gives gamma = rho = 3
     path = tmp_path / "tail.txt"
     path.write_text("6 5\nxorder 0 1 2\nyorder 3 4 5\n"
                     "0 3\n0 4\n1 4\n1 5\n2 4\n")
     assert cli.main(["certify", "--class", "biconvex", "--format",
                      "edgelist", "--input", str(path)]) == 0
+    bundle = json.loads(capsys.readouterr().out)
+    assert bundle["packing"] == {"vertices": [2, 3, 5],
+                                 "method": "tail-xn-early"}
+    assert bundle["width"] == 2
 
 
 def test_certify_biconvex_single_vertex(tmp_path, capsys):

@@ -30,7 +30,6 @@ from gammarho.harness import (
     DEFAULT_PREDICATES,
     EXPERIMENTS,
     PREDICATES,
-    Predicate,
     default_scan_items,
     detect_families,
     graph_facts,
@@ -49,10 +48,12 @@ from test_solvers import mixed_graphs
 
 
 def test_detect_families():
-    assert detect_families(gen_path(4), None) == {"any", "tree"}
-    assert detect_families(gen_cycle(6), None) == {"any"}
+    assert detect_families(gen_path(4), None) == {"any", "tree", "subcubic"}
+    assert detect_families(gen_cycle(6), None) == {"any", "subcubic"}
     # K_{3,3} has 2n-3 edges but no degree-2 ear, so it is not a mop
-    assert detect_families(gen_complete_bipartite(3, 3), None) == {"any", "bicubic"}
+    assert detect_families(gen_complete_bipartite(3, 3), None) == {
+        "any", "bicubic", "subcubic"}
+    # the sun's triangle has degree 4
     assert detect_families(gen_sun(), None) == {"any", "mop"}
     g, o = gen_random_biconvex(4, 4, 2)
     fams = detect_families(g, o)
@@ -60,8 +61,10 @@ def test_detect_families():
 
 
 def test_empty_graph_is_in_no_class():
+    # Delta = 0 <= 3 puts it among the subcubic graphs, which is a degree
+    # condition, not a class
     empty = decode_graph6("?")
-    assert detect_families(empty, None) == {"any"}
+    assert detect_families(empty, None) == {"any", "subcubic"}
     records, _ = run_scan([make_item("empty", "any", empty)])
     assert not any(r.check.startswith("bicubic-") for r in records)
 
@@ -88,9 +91,12 @@ def test_predicate_table():
     assert "gamma-eq-rho" in PREDICATES
     assert "gamma-eq-rho" not in DEFAULT_PREDICATES
     assert set(DEFAULT_PREDICATES) == set(PREDICATES) - {"gamma-eq-rho"}
-    for name, pred in PREDICATES.items():
-        assert pred.kind in ("theorem", "conjecture")
-        assert pred.name == name
+    for name, (check, kind, row, family) in PREDICATES.items():
+        assert check == name
+        assert kind in ("theorem", "conjecture")
+        assert isinstance(row, bounds.Bound)
+        assert family in ("any", "subcubic", "tree", "bicubic", "mop",
+                          "biconvex")
 
 
 # each scan predicate of a class, and the class record of the same bound
@@ -364,18 +370,20 @@ def test_experiment_is_the_same_on_two_workers():
     assert [r.to_json() for r in parallel] == [r.to_json() for r in serial]
 
 
-def _raise_on_bad(c):
-    if c.graph_id == "bad":
+def _raise_on_c5(gamma, rho, n):
+    # C5 is the one 5-vertex item below with rho = 1
+    if (n, rho) == (5, 1):
         raise CertificateError("forced failure")
-    return True
+    return True, "", {}
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_scan_isolates_an_item_that_raises(jobs, monkeypatch, capfd):
-    # the pool forks, so the workers see the patched predicate table
+    # the pool forks, so the workers see the patched predicate table; the
+    # row's evaluation raises on the bad graph alone
     monkeypatch.setitem(PREDICATES, "boom",
-                        Predicate("boom", "theorem", _raise_on_bad,
-                                  bounds.RHO_LE_GAMMA))
+                        ("boom", "theorem", bounds.Bound(_raise_on_c5),
+                         "any"))
     names = ("rho-le-gamma", "boom", "mop-gamma-le-2rho")
     good = [make_item("p5", "probe", gen_path(5)),
             make_item("sun", "probe", gen_sun())]
@@ -502,7 +510,8 @@ def test_graph_facts_keep_a_budget_run_out():
     assert (facts.exhausted.quantity, facts.exhausted.lower,
             facts.exhausted.upper) == ("rho", 4, 10)
     assert (facts.gamma, facts.rho) == (None, None)
-    assert facts.families == {"any", "bicubic"} and facts.delta == 3
+    assert facts.families == {"any", "bicubic", "subcubic"}
+    assert facts.delta == 3
     solved = graph_facts("b30", "bicubic", g, None, solvers.DEFAULT_BUDGET)
     assert solved.exhausted is None
     assert (solved.gamma, solved.rho) == (len(solved.dominating),
