@@ -55,8 +55,10 @@ The two searches:
 * rho is a maximum independent set search on the conflict graph whose
   edges join vertices at distance <= 2.  It branches in/out on the
   max-conflict-degree candidate (ties to the smallest id) and prunes with
-  a greedy clique cover of the remaining candidates: each clique can
-  contribute at most one vertex.
+  two greedy clique covers of the remaining candidates, since each clique
+  can contribute at most one vertex: first a cover by closed
+  neighbourhoods (stars), then the first-fit chain cover.  A run-out's
+  upper end is the smaller of the two covers of the whole component.
 
 Neither search recurses.  Each is a depth-first loop over an explicit
 stack, which pops nodes in the order a recursive search would visit them,
@@ -86,18 +88,31 @@ vertices left:
   ascending) that has one outside `touched`, the union of N[u] over the
   banned u that each node carries.  Only the undominated vertices inside
   `touched` are counted one by one.
-* Each clique of the cover is a chain: the lowest uncovered candidate,
-  then the lowest uncovered one in conflict with every member so far.
-  That is exactly the first-fit cover over candidates in id order.
+* Each clique of the chain cover is a chain: the lowest uncovered
+  candidate, then the lowest uncovered one in conflict with every member
+  so far.  That is exactly the first-fit cover over candidates in id
+  order.
+* Each clique of the star cover is N[w] less the covered candidates, for
+  the w in N[c] that covers the most of them, c the lowest uncovered
+  candidate: any two members of N[w] are within distance 2 through w.  In
+  a sparse graph the stars are larger cliques than the chains.  On a
+  cycle (Delta <= 2) every star is a chain clique, so a cycle component
+  skips the star cover (see `_solve_rho_component`).
 * rho's branching vertex is sought by conflict degree classes,
   descending, and the scan stops where no candidate left can beat it.
 * The packing and clique-cover bounds stop counting at the value that
-  decides the prune, and both are skipped before the first incumbent,
+  decides the prune, and all are skipped before the first incumbent,
   when they cannot prune.
 
-The packing bound, the cover and rho's branching vertex compute exactly
-what the plain scans over all vertices that they replaced did, so rho's
-search keeps those scans' values, witnesses and node counts node for node.
+The packing bound, the chain cover and rho's branching vertex compute
+exactly what the plain scans over all vertices that they replaced did.
+The star cover prunes more, but the witnesses stay those of the chain
+cover alone: the branching order does not depend on the bounds, and a
+subtree that an admissible bound prunes holds no packing larger than the
+incumbent.  So every leaf that improved the incumbent is still reached,
+in the same order, against the same incumbent; the first maximum packing
+in branching order is the one returned, and the search visits a subset of
+the nodes it visited with the chain cover alone.
 
 `nodes` in a result counts search nodes only: an answer found without
 search (the host-tree certificate, or the dual-tree walk of a maximal
@@ -431,6 +446,34 @@ def _clique_cover_bound(near, candidates: int, cap: int) -> int:
     return count
 
 
+def _star_cover_bound(masks, adj, candidates: int, cap: int) -> int:
+    """Number of sets in a cover of `candidates` by closed neighbourhoods,
+    or `cap` if that is smaller: a second admissible upper bound on rho
+    there, stopped at the cap like `_clique_cover_bound`.
+
+    Each step takes the lowest uncovered candidate c and removes
+    N[w] & uncovered for the w in N[c] that covers the most of them (c
+    itself on ties, then the lowest neighbour).  Any two members of N[w]
+    are within distance 2 of each other through w, so each removed set is
+    a clique of the conflict graph and a packing takes at most one vertex
+    from it.  In a sparse graph these stars are larger cliques than the
+    first-fit chains, which grow from the lowest ids."""
+    count = 0
+    m = candidates
+    while m and count < cap:
+        count += 1
+        c = (m & -m).bit_length() - 1
+        best = masks[c] & m
+        size = best.bit_count()
+        for w in adj[c]:
+            star = masks[w] & m
+            k = star.bit_count()
+            if k > size:
+                best, size = star, k
+        m &= ~best
+    return count
+
+
 def _max_conflict_pick(near, classes, candidates: int) -> int:
     """The candidate with the most conflicts among the candidates, smallest
     id on ties.  `classes` are the conflict degree classes, by descending
@@ -461,9 +504,17 @@ def _solve_rho_component(sub: Graph, near: list[int], budget: int,
                          spent: int) -> tuple[tuple[int, ...], int]:
     """Maximum packing of the connected graph `sub` and the nodes searched,
     in sub's ids as for gamma, with `near` as there; an explicit stack of
-    nodes (chosen, size, candidates), the include branch popped first."""
+    nodes (chosen, size, candidates), the include branch popped first.
+
+    A node is pruned when the star cover or, failing that, the chain
+    cover fits in its room.  A cycle (Delta <= 2) skips the star cover:
+    there every star is a chain clique, and on C_3 to C_200 it pruned no
+    node that the chain cover kept but made each node cost half as much
+    again."""
     n = sub.n
+    masks, adj = sub.closed_masks, sub.adj
     classes = _degree_classes(m.bit_count() - 1 for m in near)[::-1]
+    stars = max(map(len, adj)) > 2
     full = (1 << n) - 1
     limit = budget - spent
     nodes = 0
@@ -477,7 +528,8 @@ def _solve_rho_component(sub: Graph, near: list[int], budget: int,
             raise BudgetExceeded(
                 "rho",
                 lower=max(best_size, 0),
-                upper=_clique_cover_bound(near, full, n),
+                upper=min(_star_cover_bound(masks, adj, full, n),
+                          _clique_cover_bound(near, full, n)),
                 witness=best_set,
                 nodes=spent + nodes,
             )
@@ -486,8 +538,10 @@ def _solve_rho_component(sub: Graph, near: list[int], budget: int,
                 best_size = size
                 best_set = _unwind(chosen)
             continue
-        room = best_size - size  # prune when the cover fits in it
-        if _clique_cover_bound(near, candidates, room + 1) <= room:
+        room = best_size - size  # prune when a cover fits in it
+        cap = room + 1
+        if (stars and _star_cover_bound(masks, adj, candidates, cap) <= room
+                or _clique_cover_bound(near, candidates, cap) <= room):
             continue
         pick = _max_conflict_pick(near, classes, candidates)
         stack.append((chosen, size, candidates & ~(1 << pick)))

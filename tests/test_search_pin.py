@@ -9,20 +9,29 @@ every row, the digests of the code in the working tree, and each
 quantity's total nodes and seconds over the corpus: nodes first, since
 they repeat exactly on any machine, then seconds.
 
-The rho digest was taken from the recursive search that the explicit-stack
-one replaced, and still holds.  The gamma digest was retaken when gamma
-came to branch on the undominated vertex with the fewest unbanned
-dominators, with coverage-ordered children and a counting bound: that
-changes which nodes are visited and so the node counts, the witnesses
-where several are optimal, and the bounds of exhausted searches.  The
-tables of the former search's outcomes below pin that every value it
-found is unchanged, that no row costs more nodes, and that every value
-now found lies within the bounds it reported.
+The gamma digest was retaken when gamma came to branch on the undominated
+vertex with the fewest unbanned dominators, with coverage-ordered children
+and a counting bound: that changes which nodes are visited and so the node
+counts, the witnesses where several are optimal, and the bounds of
+exhausted searches.  The tables of the former search's outcomes below pin
+that every value it found is unchanged, that no row costs more nodes, and
+that every value now found lies within the bounds it reported.
+
+The rho digest, first taken from the recursive search that the
+explicit-stack one replaced, was retaken when rho's search came to prune
+with the star cover (closed neighbourhoods) ahead of the chain cover.  The
+branching order is unchanged and both covers are admissible, so the
+search visits a subset of the former nodes, in the same order: the former
+tables below pin that every answer keeps its value and witness in no more
+nodes, and that every former run-out now answers inside its bounds or
+runs out with bounds inside them.  bicubic-64 at budget 5000 went from a
+run-out with bounds [15, 21] to the answer 15 in 2,361 nodes.
 """
 
 import hashlib
 import json
 import time
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,9 +48,10 @@ from gammarho.generators import (
     gen_rook,
     petersen,
 )
+from test_solvers import mixed_graphs
 
 PIN_BUDGET = 40_000
-RHO_DIGEST = "a4a4c9d4ab35ee7a69f5c56725c2364f04d08d4403a78f62c42020c22dfe138b"
+RHO_DIGEST = "e4d94317fe50f0df6f44e5e340f8369a76262696ba8acfcb24cfb2f931304e5f"
 GAMMA_DIGEST = "518d7e4507b74376a0a2f20a9d53a6da03ff21d2e65ecb9482cec25e256c60cf"
 
 # The former gamma search's answers: (graph, budget, gamma, nodes) ...
@@ -80,6 +90,87 @@ FORMER_GAMMA_EXHAUSTED = [
     ("cycle-300", 1, 100, 300), ("cycle-300", 50, 100, 300),
     ("cycle-300", 5000, 100, 220), ("rook-5", 1, 1, 25), ("rook-5", 50, 1, 5),
     ("union", 1, 1, 46), ("union", 50, 15, 36),
+]
+
+# The former rho search's answers, which pruned with the chain cover alone:
+# (graph, budget, rho, witness, nodes) ...
+FORMER_RHO_SOLVED = [
+    ("bicubic-16", 40000, 3, (6, 9, 12), 23),
+    ("bicubic-24", 40000, 5, (1, 6, 7, 13, 15), 67),
+    ("bicubic-32", 40000, 7, (0, 6, 10, 13, 18, 21, 24), 177),
+    ("bicubic-40", 40000, 9, (0, 5, 8, 15, 26, 27, 35, 36, 39), 365),
+    ("bicubic-48", 40000, 11, (0, 9, 10, 17, 20, 26, 27, 29, 30, 40, 42),
+     829),
+    ("bicubic-56", 40000, 13, (1, 6, 9, 13, 14, 19, 22, 32, 36, 40, 43, 45,
+     47), 2261),
+    ("bicubic-64", 40000, 15, (0, 2, 5, 10, 14, 15, 24, 28, 35, 41, 45, 48,
+     49, 53, 60), 5209),
+    ("biconvex-6x6", 40000, 4, (0, 3, 5, 8), 29),
+    ("biconvex-9x7", 40000, 3, (0, 6, 10), 21),
+    ("biconvex-12x12", 40000, 5, (4, 8, 12, 15, 18), 53),
+    ("biconvex-18x14", 40000, 7, (1, 4, 9, 16, 18, 22, 30), 89),
+    ("biconvex-24x24", 40000, 11, (0, 6, 8, 12, 18, 21, 25, 27, 30, 34,
+     37), 393),
+    ("connected-10", 40000, 2, (3, 6), 13),
+    ("connected-16", 40000, 3, (2, 12, 15), 33),
+    ("connected-22", 40000, 1, (0,), 3),
+    ("connected-28", 40000, 2, (2, 24), 57),
+    ("connected-34", 40000, 1, (0,), 3),
+    ("connected-40", 40000, 2, (16, 26), 75),
+    ("mop-6", 40000, 2, (2, 5), 13),
+    ("mop-10", 40000, 2, (1, 4), 9),
+    ("mop-14", 40000, 3, (3, 9, 12), 21),
+    ("mop-18", 40000, 4, (3, 7, 14, 17), 39),
+    ("mop-22", 40000, 6, (2, 5, 8, 11, 15, 20), 41),
+    ("mop-26", 40000, 6, (2, 6, 12, 17, 22, 25), 59),
+    ("mop-30", 40000, 7, (5, 8, 12, 15, 18, 25, 28), 79),
+    ("cycle-30", 40000, 10, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27), 105),
+    ("cycle-31", 40000, 10, (0, 4, 7, 10, 13, 16, 19, 22, 25, 28), 101),
+    ("cycle-32", 40000, 10, (0, 5, 8, 11, 14, 17, 20, 23, 26, 29), 107),
+    ("cycle-60", 40000, 20, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33,
+     36, 39, 42, 45, 48, 51, 54, 57), 449),
+    ("cycle-100", 40000, 33, (0, 4, 7, 10, 13, 16, 19, 22, 25, 28, 31, 34,
+     37, 40, 43, 46, 49, 52, 55, 58, 61, 64, 67, 70, 73, 76, 79, 82, 85,
+     88, 91, 94, 97), 1221),
+    ("cycle-150", 40000, 50, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33,
+     36, 39, 42, 45, 48, 51, 54, 57, 60, 63, 66, 69, 72, 75, 78, 81, 84,
+     87, 90, 93, 96, 99, 102, 105, 108, 111, 114, 117, 120, 123, 126, 129,
+     132, 135, 138, 141, 144, 147), 2921),
+    ("cycle-300", 40000, 100, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33,
+     36, 39, 42, 45, 48, 51, 54, 57, 60, 63, 66, 69, 72, 75, 78, 81, 84,
+     87, 90, 93, 96, 99, 102, 105, 108, 111, 114, 117, 120, 123, 126, 129,
+     132, 135, 138, 141, 144, 147, 150, 153, 156, 159, 162, 165, 168, 171,
+     174, 177, 180, 183, 186, 189, 192, 195, 198, 201, 204, 207, 210, 213,
+     216, 219, 222, 225, 228, 231, 234, 237, 240, 243, 246, 249, 252, 255,
+     258, 261, 264, 267, 270, 273, 276, 279, 282, 285, 288, 291, 294, 297),
+     11841),
+    ("petersen", 40000, 1, (0,), 3),
+    ("rook-5", 40000, 1, (0,), 3),
+    ("union", 40000, 13, (0, 10, 14, 15, 19, 22, 25, 28, 31, 34, 37, 40,
+     43), 104),
+    ("bicubic-32", 5000, 7, (0, 6, 10, 13, 18, 21, 24), 177),
+    ("biconvex-18x14", 5000, 7, (1, 4, 9, 16, 18, 22, 30), 89),
+    ("connected-40", 5000, 2, (16, 26), 75),
+    ("mop-30", 5000, 7, (5, 8, 12, 15, 18, 25, 28), 79),
+    ("cycle-100", 5000, 33, (0, 4, 7, 10, 13, 16, 19, 22, 25, 28, 31, 34,
+     37, 40, 43, 46, 49, 52, 55, 58, 61, 64, 67, 70, 73, 76, 79, 82, 85,
+     88, 91, 94, 97), 1221),
+    ("rook-5", 50, 1, (0,), 3),
+    ("rook-5", 5000, 1, (0,), 3),
+    ("union", 5000, 13, (0, 10, 14, 15, 19, 22, 25, 28, 31, 34, 37, 40,
+     43), 104),
+]
+# ... and the bounds of its exhausted searches: (graph, budget, lower, upper)
+FORMER_RHO_EXHAUSTED = [
+    ("bicubic-32", 1, 0, 10), ("bicubic-32", 50, 7, 10),
+    ("bicubic-64", 1, 0, 21), ("bicubic-64", 50, 13, 21),
+    ("bicubic-64", 5000, 15, 21), ("biconvex-18x14", 1, 0, 7),
+    ("biconvex-18x14", 50, 6, 7), ("connected-40", 1, 0, 2),
+    ("connected-40", 50, 1, 2), ("mop-30", 1, 0, 7), ("mop-30", 50, 6, 7),
+    ("cycle-100", 1, 0, 34), ("cycle-100", 50, 22, 34),
+    ("cycle-300", 1, 0, 100), ("cycle-300", 50, 0, 100),
+    ("cycle-300", 5000, 86, 100), ("rook-5", 1, 0, 1), ("union", 1, 0, 37),
+    ("union", 50, 12, 14),
 ]
 
 
@@ -166,6 +257,21 @@ def test_gamma_keeps_the_former_values_in_no_more_nodes(records):
         now = outcomes[name, budget]
         if now[0] == "budget":  # the two searches' bounds must overlap
             assert max(lower, now[2]) <= min(upper, now[3]), (name, budget)
+        else:
+            assert lower <= now[0] <= upper, (name, budget, now)
+
+
+def test_rho_keeps_the_former_witnesses_in_no_more_nodes(records):
+    outcomes = {(row[0], row[2]): row[3] for row in records if row[1] == "rho"}
+    assert len(outcomes) == len(FORMER_RHO_SOLVED) + len(FORMER_RHO_EXHAUSTED)
+    for name, budget, value, witness, nodes in FORMER_RHO_SOLVED:
+        now = outcomes[name, budget]
+        assert now[:2] == [value, list(witness)] and now[2] <= nodes, (
+            name, budget, now)
+    for name, budget, lower, upper in FORMER_RHO_EXHAUSTED:
+        now = outcomes[name, budget]
+        if now[0] == "budget":  # it got at least as far, with a cover no larger
+            assert lower <= now[2] and now[3] <= upper, (name, budget, now)
         else:
             assert lower <= now[0] <= upper, (name, budget, now)
 
@@ -288,6 +394,56 @@ def test_conflict_classes_pick_the_max_conflict_candidate(case, conflict):
             _old_max_conflict_pick(near, candidates))
 
 
+def _max_packing_inside(near, candidates):
+    # exhaustive in/out branching on the lowest candidate, no bound
+    if not candidates:
+        return 0
+    low = candidates & -candidates
+    v = low.bit_length() - 1
+    return max(_max_packing_inside(near, candidates ^ low),
+               1 + _max_packing_inside(near, candidates & ~near[v]))
+
+
+def _star_cliques(g, candidates):
+    # the star cover's sets, from its description, as sets of vertices
+    left = {v for v in range(g.n) if candidates >> v & 1}
+    out = []
+    while left:
+        c = min(left)
+        best = max((c, *g.adj[c]),
+                   key=lambda w: len(left & ({w} | set(g.adj[w]))))
+        out.append(left & ({best} | set(g.adj[best])))
+        left -= out[-1]
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_and_mask(), st.integers(0, 12))
+def test_star_cover_bounds_the_packings_inside_the_candidates(case, cap):
+    g, candidates = case
+    if g.n > 14:
+        candidates &= (1 << 14) - 1
+    near = solvers._conflict_masks(g)
+    cover = solvers._star_cover_bound(g.closed_masks, g.adj, candidates, g.n)
+    assert cover >= _max_packing_inside(near, candidates)
+    assert solvers._star_cover_bound(g.closed_masks, g.adj, candidates,
+                                     cap) == min(cover, cap)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_and_mask())
+def test_star_cover_removes_pairwise_conflicting_sets(case):
+    g, candidates = case
+    near = solvers._conflict_masks(g)
+    cliques = _star_cliques(g, candidates)
+    assert len(cliques) == solvers._star_cover_bound(g.closed_masks, g.adj,
+                                                     candidates, g.n)
+    assert sum(map(len, cliques)) == candidates.bit_count()
+    for clique in cliques:
+        for u, v in combinations(clique, 2):
+            assert near[u] >> v & 1, (u, v)
+
+
 # gamma's search loop against a verbatim copy of the one that bounded each
 # node when it was popped, with the pick and bit helpers it called
 
@@ -404,6 +560,100 @@ def test_gamma_search_matches_the_former_loop_node_for_node(data):
                            spent, lower) == _search_outcome(
         _former_gamma_component, g, budget, spent, lower)
 
+
+
+# rho's search loop against a verbatim copy of the one that pruned with
+# the chain cover alone
+
+
+def _former_rho_component(sub, budget, spent):
+    n = sub.n
+    near = solvers._conflict_masks(sub)
+    classes = solvers._degree_classes(m.bit_count() - 1 for m in near)[::-1]
+    full = (1 << n) - 1
+    limit = budget - spent
+    nodes = 0
+    best_size = -1
+    best_set = ()
+    stack = [(None, 0, full)]
+    while stack:
+        chosen, size, candidates = stack.pop()
+        nodes += 1
+        if nodes > limit:
+            raise solvers.BudgetExceeded(
+                "rho",
+                lower=max(best_size, 0),
+                upper=solvers._clique_cover_bound(near, full, n),
+                witness=best_set,
+                nodes=spent + nodes,
+            )
+        if candidates == 0:
+            if size > best_size:
+                best_size = size
+                best_set = solvers._unwind(chosen)
+            continue
+        room = best_size - size  # prune when the cover fits in it
+        if solvers._clique_cover_bound(near, candidates, room + 1) <= room:
+            continue
+        pick = solvers._max_conflict_pick(near, classes, candidates)
+        stack.append((chosen, size, candidates & ~(1 << pick)))
+        stack.append(((pick, chosen), size + 1, candidates & ~near[pick]))
+    return best_set, nodes
+
+
+def _random_subcubic(n, rng):
+    # a random tree of maximum degree 3, then random edges between the
+    # vertices that still have degree below 3
+    adj = [set() for _ in range(n)]
+    for v in range(1, n):
+        u = rng.choice([u for u in range(v) if len(adj[u]) < 3])
+        adj[u].add(v)
+        adj[v].add(u)
+    for _ in range(n):
+        free = [v for v in range(n) if len(adj[v]) < 3]
+        if len(free) < 2:
+            break
+        u, v = rng.sample(free, 2)
+        adj[u].add(v)
+        adj[v].add(u)
+    return Graph(n, adj)
+
+
+@st.composite
+def rho_search_graphs(draw):
+    kind = draw(st.sampled_from(("subcubic", "bicubic", "cycle", "mixed")))
+    if kind == "mixed":
+        return draw(mixed_graphs())
+    if kind == "cycle":
+        return gen_cycle(draw(st.integers(3, 60)))
+    if kind == "bicubic":
+        return gen_random_bicubic(2 * draw(st.integers(3, 20)),
+                                  draw(st.integers(0, 10 ** 6)))
+    rng = draw(st.randoms(use_true_random=False))
+    return _random_subcubic(rng.randint(1, 40), rng)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rho_search_graphs(), st.data())
+def test_rho_search_keeps_the_former_witness_in_no_more_nodes(g, data):
+    near = solvers._conflict_masks(g)
+    witness, full = _former_rho_component(g, 10 ** 9, 0)
+    assert solvers._solve_rho_component(g, near, 10 ** 9, 0)[0] == witness
+    # under a budget: an answer the former loop found is found again in no
+    # more nodes; a former run-out now answers within its bounds or runs
+    # out having got at least as far, with a cover no larger
+    spent = data.draw(st.integers(0, 2))
+    budget = spent + data.draw(st.integers(1, full + 1))
+    former = _search_outcome(_former_rho_component, g, budget, spent)
+    now = _search_outcome(solvers._solve_rho_component, g, near, budget,
+                          spent)
+    if len(former) == 2:
+        assert now[0] == former[0] and now[1] <= former[1]
+    elif len(now) == 2:
+        assert former[1] <= len(now[0]) <= former[2]
+    else:
+        assert former[1] <= now[1] and now[2] <= former[2]
+        assert now[4] == former[4] == budget + 1
 
 if __name__ == "__main__":
     seconds = {}

@@ -604,3 +604,22 @@ def test_a_gamma_run_out_starts_at_the_rho_just_searched():
                         run_outs += 1
                         assert exc.lower >= packing_number(g).value
     assert run_outs == 35
+
+
+def test_a_rho_run_out_ends_at_the_smaller_whole_component_cover():
+    # on this 1000-vertex bicubic graph the chain cover of the whole graph
+    # counts 348 cliques and the star cover 313; on the n = 30 one both
+    # count 10, so its run-out at budget 5 stays [4, 10]
+    covers = []
+    for g in (gen_random_bicubic(1000, 1), gen_random_bicubic(30, 1)):
+        full = (1 << g.n) - 1
+        covers.append((
+            solvers._clique_cover_bound(solvers._conflict_masks(g), full, g.n),
+            solvers._star_cover_bound(g.closed_masks, g.adj, full, g.n)))
+    assert covers == [(348, 313), (10, 10)]
+    for g, budget, bounds in ((gen_random_bicubic(1000, 1), 20000, (175, 313)),
+                              (gen_random_bicubic(30, 1), 5, (4, 10))):
+        with pytest.raises(BudgetExceeded) as err:
+            solvers.solve_pair(g, budget)
+        assert (err.value.quantity, err.value.lower, err.value.upper) == (
+            "rho", *bounds)
