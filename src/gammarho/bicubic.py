@@ -27,6 +27,7 @@ conjecture gamma <= 2*rho + 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Sequence
 
 from . import bounds
@@ -70,16 +71,27 @@ def _greedy_color(g: Graph, order: Sequence[int], pre: dict[int, int]) -> list[i
 
 
 def _smallest_last_order(g: Graph) -> list[int]:
-    degs = [g.degree(v) for v in range(g.n)]
-    alive = set(range(g.n))
+    """The vertices in smallest-last order (Matula and Beck, J. ACM 1983):
+    repeatedly remove the vertex of least degree among those left, lowest
+    id on ties, and list them from the last removed.  A heap of (degree,
+    vertex) gets a new entry whenever a degree falls; an entry whose vertex
+    is gone or whose degree is out of date is skipped when popped, so the
+    order takes O(m log n)."""
+    degs = [len(a) for a in g.adj]
+    heap = [(d, v) for v, d in enumerate(degs)]
+    heapify(heap)
+    alive = [True] * g.n
     removed = []
-    while alive:
-        v = min(alive, key=lambda x: (degs[x], x))
+    while heap:
+        d, v = heappop(heap)
+        if not alive[v] or d != degs[v]:
+            continue
+        alive[v] = False
         removed.append(v)
-        alive.remove(v)
         for u in g.adj[v]:
-            if u in alive:
+            if alive[u]:
                 degs[u] -= 1
+                heappush(heap, (degs[u], u))
     return removed[::-1]
 
 

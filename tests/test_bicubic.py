@@ -4,6 +4,7 @@ import pytest
 from conftest import to_nx
 from gammarho.bicubic import (
     _brooks_color,
+    _smallest_last_order,
     certify_bicubic,
     combined_packing,
     layer_decompose,
@@ -16,6 +17,7 @@ from gammarho.generators import (
     gen_complete_bipartite,
     gen_cycle,
     gen_random_bicubic,
+    gen_random_connected,
     generalized_petersen,
     heawood,
     petersen,
@@ -64,6 +66,32 @@ def test_brooks_color_on_restricted_squares():
         assert max(colors) < sq.graph.max_degree()
         for u, v in sq.graph.edges():
             assert colors[u] != colors[v]
+
+
+def _min_scan_smallest_last(g):
+    # the order as first written: a min over every vertex left at each step
+    degs = [g.degree(v) for v in range(g.n)]
+    alive = set(range(g.n))
+    removed = []
+    while alive:
+        v = min(alive, key=lambda x: (degs[x], x))
+        removed.append(v)
+        alive.remove(v)
+        for u in g.adj[v]:
+            if u in alive:
+                degs[u] -= 1
+    return removed[::-1]
+
+
+def test_smallest_last_order_matches_the_min_scan():
+    graphs = [gen_random_connected(n, seed)
+              for n, seed in ((1, 0), (12, 1), (30, 2), (60, 3))]
+    for g in bicubic_corpus() + [gen_random_bicubic(n, 1) for n in (100, 400)]:
+        lab = validate_bicubic(g)
+        graphs += [square_restricted(g, side).graph
+                   for side in (lab.side_x, lab.side_y)]
+    for g in graphs:
+        assert _smallest_last_order(g) == _min_scan_smallest_last(g)
 
 
 def test_side_packing_pinned_where_the_square_is_regular():

@@ -9,13 +9,14 @@ every row, the digests of the code in the working tree, and each
 quantity's total nodes and seconds over the corpus: nodes first, since
 they repeat exactly on any machine, then seconds.
 
-The gamma digest was retaken when gamma came to branch on the undominated
-vertex with the fewest unbanned dominators, with coverage-ordered children
-and a counting bound: that changes which nodes are visited and so the node
-counts, the witnesses where several are optimal, and the bounds of
-exhausted searches.  The tables of the former search's outcomes below pin
-that every value it found is unchanged, that no row costs more nodes, and
-that every value now found lies within the bounds it reported.
+The gamma digest was last retaken when gamma's search came to prune
+regular components with the fractional bound (a third dual solution of
+the covering LP) at pop.  The branching order is unchanged and the bound
+is admissible, so, as for rho below, the former tables pin that every
+answer keeps its value and witness in no more nodes, and that every
+former run-out now answers inside its bounds or runs out with the same
+lower end and an upper end no larger.  bicubic-64 at budget 40,000 went
+from a run-out with bounds [16, 18] to the answer 17 in 8,230 nodes.
 
 The rho digest, first taken from the recursive search that the
 explicit-stack one replaced, was retaken when rho's search came to prune
@@ -31,7 +32,9 @@ run-out with bounds [15, 21] to the answer 15 in 2,361 nodes.
 import hashlib
 import json
 import time
+from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,6 +42,7 @@ from hypothesis import given, settings, strategies as st
 from gammarho import solvers
 from gammarho.graphs import Graph
 from gammarho.generators import (
+    gen_complete,
     gen_cycle,
     gen_path,
     gen_random_biconvex,
@@ -46,50 +50,102 @@ from gammarho.generators import (
     gen_random_connected,
     gen_random_mop,
     gen_rook,
+    generalized_petersen,
     petersen,
 )
 from test_solvers import mixed_graphs
 
 PIN_BUDGET = 40_000
 RHO_DIGEST = "e4d94317fe50f0df6f44e5e340f8369a76262696ba8acfcb24cfb2f931304e5f"
-GAMMA_DIGEST = "518d7e4507b74376a0a2f20a9d53a6da03ff21d2e65ecb9482cec25e256c60cf"
+GAMMA_DIGEST = "9bcd94cf1db6fbf788f29ee05c8f94669b54e990ddaac329b21489f648b68754"
 
-# The former gamma search's answers: (graph, budget, gamma, nodes) ...
+# The former gamma search's answers, which pruned with the counting and
+# packing bounds alone: (graph, budget, gamma, witness, nodes) ...
 FORMER_GAMMA_SOLVED = [
-    ("bicubic-16", 40000, 5, 109), ("bicubic-24", 40000, 7, 300),
-    ("bicubic-32", 40000, 9, 1409), ("bicubic-40", 40000, 11, 2400),
-    ("bicubic-48", 40000, 13, 10599), ("biconvex-6x6", 40000, 4, 24),
-    ("biconvex-9x7", 40000, 3, 92), ("biconvex-12x12", 40000, 5, 80),
-    ("biconvex-18x14", 40000, 7, 243), ("biconvex-24x24", 40000, 12, 2322),
-    ("connected-10", 40000, 2, 6), ("connected-16", 40000, 3, 52),
-    ("connected-22", 40000, 3, 113), ("connected-28", 40000, 3, 212),
-    ("connected-34", 40000, 3, 183), ("connected-40", 40000, 3, 841),
-    ("mop-6", 40000, 2, 7), ("mop-10", 40000, 2, 10),
-    ("mop-14", 40000, 3, 21), ("mop-18", 40000, 4, 44),
-    ("mop-22", 40000, 6, 25), ("mop-26", 40000, 6, 202),
-    ("mop-30", 40000, 7, 47), ("cycle-30", 40000, 10, 301),
-    ("cycle-31", 40000, 11, 304), ("cycle-32", 40000, 11, 334),
-    ("cycle-60", 40000, 20, 1201), ("cycle-100", 40000, 34, 3271),
-    ("cycle-150", 40000, 50, 7501), ("cycle-300", 40000, 100, 30001),
-    ("petersen", 40000, 3, 32), ("rook-5", 40000, 5, 1913),
-    ("union", 40000, 16, 336), ("bicubic-32", 5000, 9, 1409),
-    ("biconvex-18x14", 5000, 7, 243), ("connected-40", 5000, 3, 841),
-    ("mop-30", 50, 7, 47), ("mop-30", 5000, 7, 47),
-    ("cycle-100", 5000, 34, 3271), ("rook-5", 5000, 5, 1913),
-    ("union", 5000, 16, 336),
+    ("bicubic-16", 40000, 5, (0, 2, 6, 9, 12), 41),
+    ("bicubic-24", 40000, 7, (0, 2, 6, 7, 13, 15, 19), 79),
+    ("bicubic-32", 40000, 9, (0, 6, 8, 10, 12, 18, 20, 21, 24), 560),
+    ("bicubic-40", 40000, 11, (0, 1, 4, 7, 13, 14, 26, 29, 32, 33, 39), 465),
+    ("bicubic-48", 40000, 13, (0, 3, 9, 10, 17, 20, 21, 26, 27, 29, 30, 40,
+     42), 716),
+    ("bicubic-56", 40000, 15, (0, 1, 4, 7, 10, 16, 17, 21, 28, 41, 44, 48, 49,
+     53, 55), 1996),
+    ("biconvex-6x6", 40000, 4, (1, 3, 6, 11), 15),
+    ("biconvex-9x7", 40000, 3, (5, 9, 11), 12),
+    ("biconvex-12x12", 40000, 5, (0, 6, 11, 14, 16), 20),
+    ("biconvex-18x14", 40000, 7, (0, 1, 7, 16, 17, 21, 26), 41),
+    ("biconvex-24x24", 40000, 12, (1, 4, 9, 13, 23, 24, 28, 29, 31, 33, 35,
+     36), 270),
+    ("connected-10", 40000, 2, (0, 1), 6),
+    ("connected-16", 40000, 3, (4, 7, 9), 34),
+    ("connected-22", 40000, 3, (1, 2, 11), 74),
+    ("connected-28", 40000, 3, (4, 10, 14), 87),
+    ("connected-34", 40000, 3, (1, 2, 22), 162),
+    ("connected-40", 40000, 3, (11, 28, 31), 238),
+    ("mop-6", 40000, 2, (0, 3), 7),
+    ("mop-10", 40000, 2, (0, 5), 7),
+    ("mop-14", 40000, 3, (1, 5, 13), 11),
+    ("mop-18", 40000, 4, (0, 4, 7, 13), 14),
+    ("mop-22", 40000, 6, (0, 6, 7, 13, 14, 19), 22),
+    ("mop-26", 40000, 6, (0, 3, 5, 13, 17, 21), 66),
+    ("mop-30", 40000, 7, (0, 9, 13, 14, 22, 26, 27), 22),
+    ("cycle-30", 40000, 10, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27), 31),
+    ("cycle-31", 40000, 11, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 28), 34),
+    ("cycle-32", 40000, 11, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 29), 34),
+    ("cycle-60", 40000, 20, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33, 36,
+     39, 42, 45, 48, 51, 54, 57), 61),
+    ("cycle-100", 40000, 34, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33, 36,
+     39, 42, 45, 48, 51, 54, 57, 60, 63, 66, 69, 72, 75, 78, 81, 84, 87,
+     90, 93, 96, 97), 103),
+    ("cycle-150", 40000, 50, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33, 36,
+     39, 42, 45, 48, 51, 54, 57, 60, 63, 66, 69, 72, 75, 78, 81, 84, 87,
+     90, 93, 96, 99, 102, 105, 108, 111, 114, 117, 120, 123, 126, 129, 132,
+     135, 138, 141, 144, 147), 151),
+    ("cycle-300", 40000, 100, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33, 36,
+     39, 42, 45, 48, 51, 54, 57, 60, 63, 66, 69, 72, 75, 78, 81, 84, 87,
+     90, 93, 96, 99, 102, 105, 108, 111, 114, 117, 120, 123, 126, 129, 132,
+     135, 138, 141, 144, 147, 150, 153, 156, 159, 162, 165, 168, 171, 174,
+     177, 180, 183, 186, 189, 192, 195, 198, 201, 204, 207, 210, 213, 216,
+     219, 222, 225, 228, 231, 234, 237, 240, 243, 246, 249, 252, 255, 258,
+     261, 264, 267, 270, 273, 276, 279, 282, 285, 288, 291, 294, 297),
+     301),
+    ("petersen", 40000, 3, (0, 2, 6), 13),
+    ("rook-5", 40000, 5, (0, 4, 6, 12, 18), 1863),
+    ("union", 40000, 16, (0, 2, 6, 10, 13, 15, 18, 21, 24, 27, 30, 33, 36, 39,
+     42, 43), 47),
+    ("bicubic-32", 5000, 9, (0, 6, 8, 10, 12, 18, 20, 21, 24), 560),
+    ("biconvex-18x14", 50, 7, (0, 1, 7, 16, 17, 21, 26), 41),
+    ("biconvex-18x14", 5000, 7, (0, 1, 7, 16, 17, 21, 26), 41),
+    ("connected-40", 5000, 3, (11, 28, 31), 238),
+    ("mop-30", 50, 7, (0, 9, 13, 14, 22, 26, 27), 22),
+    ("mop-30", 5000, 7, (0, 9, 13, 14, 22, 26, 27), 22),
+    ("cycle-100", 5000, 34, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33, 36,
+     39, 42, 45, 48, 51, 54, 57, 60, 63, 66, 69, 72, 75, 78, 81, 84, 87,
+     90, 93, 96, 97), 103),
+    ("cycle-300", 5000, 100, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33, 36,
+     39, 42, 45, 48, 51, 54, 57, 60, 63, 66, 69, 72, 75, 78, 81, 84, 87,
+     90, 93, 96, 99, 102, 105, 108, 111, 114, 117, 120, 123, 126, 129, 132,
+     135, 138, 141, 144, 147, 150, 153, 156, 159, 162, 165, 168, 171, 174,
+     177, 180, 183, 186, 189, 192, 195, 198, 201, 204, 207, 210, 213, 216,
+     219, 222, 225, 228, 231, 234, 237, 240, 243, 246, 249, 252, 255, 258,
+     261, 264, 267, 270, 273, 276, 279, 282, 285, 288, 291, 294, 297),
+     301),
+    ("rook-5", 5000, 5, (0, 4, 6, 12, 18), 1863),
+    ("union", 50, 16, (0, 2, 6, 10, 13, 15, 18, 21, 24, 27, 30, 33, 36, 39, 42,
+     43), 47),
+    ("union", 5000, 16, (0, 2, 6, 10, 13, 15, 18, 21, 24, 27, 30, 33, 36, 39,
+     42, 43), 47),
 ]
 # ... and the bounds of its exhausted searches: (graph, budget, lower, upper)
 FORMER_GAMMA_EXHAUSTED = [
-    ("bicubic-56", 40000, 11, 17), ("bicubic-64", 40000, 13, 18),
-    ("bicubic-32", 1, 6, 32), ("bicubic-32", 50, 6, 14),
-    ("bicubic-64", 1, 13, 64), ("bicubic-64", 50, 13, 31),
-    ("bicubic-64", 5000, 13, 19), ("biconvex-18x14", 1, 5, 32),
-    ("biconvex-18x14", 50, 5, 13), ("connected-40", 1, 1, 40),
-    ("connected-40", 50, 1, 6), ("mop-30", 1, 6, 30),
-    ("cycle-100", 1, 33, 100), ("cycle-100", 50, 33, 100),
+    ("bicubic-64", 40000, 16, 18), ("bicubic-32", 1, 8, 32),
+    ("bicubic-32", 50, 8, 12), ("bicubic-64", 1, 16, 64),
+    ("bicubic-64", 50, 16, 21), ("bicubic-64", 5000, 16, 18),
+    ("biconvex-18x14", 1, 5, 32), ("connected-40", 1, 2, 40),
+    ("connected-40", 50, 2, 4), ("mop-30", 1, 6, 30),
+    ("cycle-100", 1, 34, 100), ("cycle-100", 50, 34, 34),
     ("cycle-300", 1, 100, 300), ("cycle-300", 50, 100, 300),
-    ("cycle-300", 5000, 100, 220), ("rook-5", 1, 1, 25), ("rook-5", 50, 1, 5),
-    ("union", 1, 1, 46), ("union", 50, 15, 36),
+    ("rook-5", 1, 3, 25), ("rook-5", 50, 3, 5), ("union", 1, 3, 46),
 ]
 
 # The former rho search's answers, which pruned with the chain cover alone:
@@ -250,13 +306,14 @@ def test_gamma_keeps_the_former_values_in_no_more_nodes(records):
                 for row in records if row[1] == "gamma"}
     assert len(outcomes) == (len(FORMER_GAMMA_SOLVED)
                              + len(FORMER_GAMMA_EXHAUSTED))
-    for name, budget, value, nodes in FORMER_GAMMA_SOLVED:
+    for name, budget, value, witness, nodes in FORMER_GAMMA_SOLVED:
         now = outcomes[name, budget]
-        assert now[0] == value and now[2] <= nodes, (name, budget, now)
+        assert now[:2] == [value, list(witness)] and now[2] <= nodes, (
+            name, budget, now)
     for name, budget, lower, upper in FORMER_GAMMA_EXHAUSTED:
         now = outcomes[name, budget]
-        if now[0] == "budget":  # the two searches' bounds must overlap
-            assert max(lower, now[2]) <= min(upper, now[3]), (name, budget)
+        if now[0] == "budget":  # it got at least as far, from the same root
+            assert lower == now[2] and now[3] <= upper, (name, budget, now)
         else:
             assert lower <= now[0] <= upper, (name, budget, now)
 
@@ -445,7 +502,9 @@ def test_star_cover_removes_pairwise_conflicting_sets(case):
 
 
 # gamma's search loop against a verbatim copy of the one that bounded each
-# node when it was popped, with the pick and bit helpers it called
+# node when it was popped, with the pick and bit helpers it called; with
+# `fractional` it also prunes with the fractional bound, evaluated from its
+# definition in exact fractions
 
 
 def _bits(mask: int):
@@ -474,7 +533,17 @@ def _fewest_dominators_pick(masks, classes, undominated: int, banned: int,
     return pick, count
 
 
-def _former_gamma_component(sub, budget, spent, lower=0):
+def _fractional_value(masks, undominated, banned):
+    # the dual solution from its definition: the sum of y_v = 1/c(v), c(v)
+    # the most undominated vertices an unbanned w in N[v] covers; None
+    # when some c(v) = 0
+    cs = [max(((masks[w] & undominated).bit_count()
+               for w in _bits(masks[v] & ~banned)), default=0)
+          for v in _bits(undominated)]
+    return None if 0 in cs else sum(Fraction(1, c) for c in cs)
+
+
+def _former_gamma_component(sub, budget, spent, lower=0, fractional=False):
     n = sub.n
     masks = sub.closed_masks
     near = solvers._conflict_masks(sub)
@@ -511,6 +580,10 @@ def _former_gamma_component(sub, budget, spent, lower=0):
                 -(-undominated.bit_count() // reach) >= room
                 or solvers._packing_bound(near, undominated, room) >= room):
             continue
+        if fractional and best_size <= n:  # the bound, from its definition
+            y = _fractional_value(masks, undominated, banned)
+            if y is None or y > room - 1:
+                continue
         pick, count = _fewest_dominators_pick(masks, classes, undominated,
                                               banned, touched)
         if count == 0:  # every dominator of pick is banned: a dead end
@@ -560,6 +633,116 @@ def test_gamma_search_matches_the_former_loop_node_for_node(data):
                            spent, lower) == _search_outcome(
         _former_gamma_component, g, budget, spent, lower)
 
+
+# On a regular graph the search also prunes with the fractional bound, so
+# it visits a subset of the former loop's nodes, node for node those of the
+# loop that evaluates the bound from its definition: the twin of the test
+# above and of rho's below
+
+
+@st.composite
+def regular_graphs(draw):
+    kind = draw(st.sampled_from(("bicubic", "cycle", "petersen")))
+    if kind == "bicubic":
+        return gen_random_bicubic(2 * draw(st.integers(3, 20)),
+                                  draw(st.integers(0, 10 ** 6)))
+    if kind == "cycle":
+        return gen_cycle(draw(st.integers(3, 60)))
+    n = draw(st.integers(3, 12))  # k < n/2 keeps the inner cycles simple
+    return generalized_petersen(n, draw(st.integers(1, (n - 1) // 2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(regular_graphs(), st.data())
+def test_gamma_search_keeps_the_former_witness_on_regular_graphs(g, data):
+    near = solvers._conflict_masks(g)
+    lower = 0
+    if data.draw(st.booleans()):
+        lower = len(solvers._solve_rho_component(g, near, 10 ** 9, 0)[0])
+    witness, full = _former_gamma_component(g, 10 ** 9, 0, lower)
+    assert solvers._solve_gamma_component(g, near, 10 ** 9, 0,
+                                          lower)[0] == witness
+    # under a budget: an answer the former loop found is found again in no
+    # more nodes; a former run-out now answers within its bounds or runs
+    # out from the same root bound with an incumbent no larger
+    spent = data.draw(st.integers(0, 2))
+    budget = spent + data.draw(st.integers(1, full + 1))
+    former = _search_outcome(_former_gamma_component, g, budget, spent,
+                             lower)
+    now = _search_outcome(solvers._solve_gamma_component, g, near, budget,
+                          spent, lower)
+    # node for node, the former loop with the bound from its definition
+    assert now == _search_outcome(_former_gamma_component, g, budget, spent,
+                                  lower, True)
+    if len(former) == 2:
+        assert now[0] == former[0] and now[1] <= former[1]
+    elif len(now) == 2:
+        assert former[1] <= len(now[0])
+        assert former[2] is None or len(now[0]) <= former[2]
+    else:
+        assert now[1] == former[1]
+        assert former[2] is None or now[2] is not None and now[2] <= former[2]
+        assert now[4] == former[4] == budget + 1
+
+
+@st.composite
+def regular_states(draw):
+    # a small regular graph with random undominated and banned sets
+    kind = draw(st.sampled_from(("bicubic", "cycle", "petersen", "k4")))
+    if kind == "bicubic":
+        g = gen_random_bicubic(2 * draw(st.integers(3, 7)),
+                               draw(st.integers(0, 10 ** 6)))
+    elif kind == "cycle":
+        g = gen_cycle(draw(st.integers(3, 14)))
+    else:
+        g = petersen() if kind == "petersen" else gen_complete(4)
+    full = (1 << g.n) - 1
+    return g, draw(st.integers(1, full)), draw(st.integers(0, full))
+
+
+def _fewest_unbanned_dominators(g, undominated, banned):
+    # brute force; None when the unbanned vertices cannot dominate
+    free = [w for w in range(g.n) if not banned >> w & 1]
+    covered = 0
+    for w in free:
+        covered |= g.closed_masks[w]
+    if undominated & ~covered:
+        return None
+    for k in range(len(free) + 1):
+        for combo in combinations(free, k):
+            covered = 0
+            for w in combo:
+                covered |= g.closed_masks[w]
+            if undominated & ~covered == 0:
+                return k
+
+
+@settings(max_examples=300, deadline=None)
+@given(regular_states())
+def test_fractional_bound_never_exceeds_the_fewest_dominators(case):
+    g, undominated, banned = case
+    masks = g.closed_masks
+    y = _fractional_value(masks, undominated, banned)
+    fewest = _fewest_unbanned_dominators(g, undominated, banned)
+    assert (y is None) == (fewest is None)
+    assert y is None or y <= fewest
+    # the search's integer test of it, for every room the counting bound
+    # passes
+    reach = len(g.adj[0]) + 1
+    scale = lcm(*range(1, reach + 1))
+    excess = [scale // c - scale // reach if c else 0
+              for c in range(reach + 1)]
+    intact = sum(1 << w for w in range(g.n)
+                 if not banned >> w & 1 and masks[w] & ~undominated == 0)
+    left = undominated.bit_count()
+    for room in range(1, g.n + 2):
+        slack = (room - 1) * scale - left * (scale // reach)
+        if slack < 0:
+            continue
+        prunes = solvers._fractional_bound_prunes(masks, excess, undominated,
+                                                  banned, intact, slack)
+        assert prunes == (y is None or y > room - 1), room
+        assert not prunes or fewest is None or fewest >= room
 
 
 # rho's search loop against a verbatim copy of the one that pruned with
