@@ -147,9 +147,7 @@ def bound_records(rows: Sequence[Row], graph_id: str, family: str, n: int,
                 gamma, rho, n, **{name: extras[name] for name in row.needs})
         else:
             holds, bound, details = None, "", {
-                "reason": "node budget exhausted",
-                "quantity": exhausted.quantity,
-                "range": [exhausted.lower, exhausted.upper]}
+                "reason": "node budget exhausted", **exhausted.record()}
         records.append(ScanRecord(
             graph_id=graph_id, family=family, n=n, check=check, kind=kind,
             holds=holds, bound=bound, gamma=gamma, rho=rho, details=details))

@@ -103,8 +103,7 @@ def cmd_compute(args) -> int:
                        packing=list(rho.witness),
                        nodes=gamma.nodes + rho.nodes)
         except BudgetExceeded as exc:
-            row.update(inconclusive=True, quantity=exc.quantity,
-                       range=[exc.lower, exc.upper])
+            row.update(inconclusive=True, **exc.record())
         print(json.dumps(row, sort_keys=True))
     return 0
 

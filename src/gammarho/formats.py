@@ -95,9 +95,8 @@ def _check_bytes(data: bytes) -> None:
 
 def encode_graph6(g: Graph) -> str:
     """Canonical graph6 line for g (no header, no trailing newline)."""
-    if g.n > 1 << 18:
-        raise FormatError("encoder capped at n <= 2^18")
     n = g.n
+    size = _encode_n(n)  # the range check, before the bit string is made
     npairs = n * (n - 1) // 2
     nbytes = (npairs + 5) // 6
     # the bit string, packed 8 bits a byte and zero padded to whole base64
@@ -112,7 +111,7 @@ def encode_graph6(g: Graph) -> str:
             bit = start + i
             packed[bit >> 3] |= 128 >> (bit & 7)
     digits = binascii.b2a_base64(packed, newline=False)
-    return (_encode_n(n) + digits[:nbytes].translate(_FROM_BASE64)).decode("ascii")
+    return (size + digits[:nbytes].translate(_FROM_BASE64)).decode("ascii")
 
 
 def decode_graph6(line: str) -> Graph:
@@ -124,7 +123,7 @@ def decode_graph6(line: str) -> Graph:
         raise FormatError("graph6 line contains non-ASCII bytes")
     data = line.encode()
     _check_bytes(data)
-    n, used = (data[0] - 63, 1) if data[0] != 126 else _decode_n(data)
+    n, used = _decode_n(data)
     payload = data[used:]
     npairs = n * (n - 1) // 2
     expected = (npairs + 5) // 6

@@ -344,8 +344,7 @@ def verify_counterexamples(lines: Iterable[str],
         out = dict(ce)
         exc = facts.exhausted
         if exc is not None:
-            out.update(still_violates=None, quantity=exc.quantity,
-                       range=[exc.lower, exc.upper])
+            out.update(still_violates=None, **exc.record())
         else:
             records, _ = evaluate_predicates(facts, [ce["predicate"]])
             out["still_violates"] = any(r.holds is False for r in records)
@@ -458,8 +457,7 @@ def budget_record(graph_id: str, family: str, n: int,
     budget in an experiment or a certify bundle."""
     return ScanRecord(graph_id=graph_id, family=family, n=n,
                       check="solver-budget", kind="info", holds=None,
-                      details={"quantity": exc.quantity,
-                               "range": [exc.lower, exc.upper]})
+                      details=exc.record())
 
 
 def guarded(graph_id: str, family: str, n: int,

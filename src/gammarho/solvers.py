@@ -50,20 +50,21 @@ The two searches:
   the IP left at a node: any y >= 0 on the undominated vertices with
   y(N[w]) <= 1 for every unbanned w bounds the dominators still needed
   by sum y (the paper's rho <= gamma is this duality with y a packing).
+  Each node is bounded in one place, when it is popped: once an
+  incumbent exists, it meets the three in this order, cheapest first.
   - The counting bound, y_v = 1/(Delta + 1): ceil(|undominated| /
-    (Delta + 1)).  It runs on every component, when a child is made.
+    (Delta + 1)).
   - The packing bound, y_v = 1 on a greedy packing of the undominated
-    vertices.  It runs on every component, when a child is made.
+    vertices.
   - The fractional bound, y_v = 1/c(v), where c(v) is the most
     undominated vertices that one unbanned w in N[v] covers; a node where
-    some c(v) = 0 has no completion.  It runs only on regular components,
-    when a node is popped once an incumbent exists.  On bicubic graphs,
-    where most of the search proves gamma > n/4 (no perfect code), it
-    cuts gamma's nodes 2.5-6 times for n = 48-80.  An irregular
-    component skips it, as a cycle skips rho's star cover: there every
-    undominated vertex must be counted, and on one sparse graph (56
-    vertices, 65 edges) it cut the nodes from 30,093 to 16,609 but took
-    three times as long.
+    some c(v) = 0 has no completion.  It runs only on regular components.
+    On bicubic graphs, where most of the search proves gamma > n/4 (no
+    perfect code), it cuts gamma's nodes 2.5-6 times for n = 48-80.  An
+    irregular component skips it, as a cycle skips rho's star cover:
+    there every undominated vertex must be counted, and on one sparse
+    graph (56 vertices, 65 edges) it cut the nodes from 30,093 to 16,609
+    but took three times as long.
 
 * rho is a maximum independent set search on the conflict graph whose
   edges join vertices at distance <= 2.  It branches in/out on the
@@ -80,19 +81,6 @@ limit (every leaf of gamma's search on C_n is at least n/3 levels deep).
 Each node costs work in proportion to what it finds, not to the number of
 vertices left:
 
-* gamma bounds each child when its parent makes it.  The parent counts
-  the undominated vertices each child covers to order the children, and
-  that count gives the child's counting bound.  Coverage falls along the
-  order, so the first child that fails the counting bound fails it for
-  all its later siblings too.  Each child left gets the packing bound.
-  A child that fails, or a run of them in a row, goes on the stack as an
-  int: popping it adds that many nodes to the count, and the budget is
-  checked against the sum.  A child that passes records the incumbent
-  size it passed against and is bounded again when popped only if the
-  incumbent has improved since.  The incumbent only shrinks, so a child
-  fails at birth exactly when it would fail when popped: the nodes, the
-  witnesses and the node at which the budget runs out are those of
-  bounding each node when it is popped.
 * The packing bound takes the lowest undominated vertex and clears its
   distance-2 ball, once per packing vertex.
 * The fractional bound counts only what exceeds the counting bound.  Each
@@ -191,6 +179,12 @@ class BudgetExceeded(Exception):
         self.nodes = nodes
         ub = "?" if upper is None else str(upper)
         super().__init__(f"{quantity} search exhausted {nodes} nodes; bounds [{lower}, {ub}]")
+
+    def record(self) -> dict:
+        """The run-out as every report gives it: which search ran out and
+        the range [lower, upper] it had proved (upper None when it had no
+        incumbent)."""
+        return {"quantity": self.quantity, "range": [self.lower, self.upper]}
 
 
 def _packing_bound(near, undominated: int, cap: int) -> int:
@@ -361,12 +355,12 @@ def _solve_gamma_component(sub: Graph, near: list[int], budget: int,
     `near` is `_conflict_masks(sub)`.
 
     Depth-first over an explicit stack of nodes (chosen, size, dominated,
-    banned, touched, checked, intact) and of ints, each a run of children
-    that failed a bound when they were made (see the module docstring): a
-    node pushes its children in reverse, so they are popped, and counted,
-    in branching order.  `checked` is the incumbent size that the node's
-    bounds passed against; `intact`, the fractional bound's unbanned w
-    with N[w] all undominated, is 0 on an irregular component.
+    banned, touched, intact): a node pushes its children in reverse, so
+    they are popped, and counted, in branching order.  Each node is
+    bounded when it is popped, once an incumbent exists: the counting
+    bound, the packing bound, then on a regular component the fractional
+    bound.  `intact`, the fractional bound's unbanned w with N[w] all
+    undominated, is 0 on an irregular component.
 
     `lower` is a proven lower bound on gamma (a pair solve passes rho):
     the search stops at its first set of that size.  That set is the
@@ -378,64 +372,48 @@ def _solve_gamma_component(sub: Graph, near: list[int], budget: int,
     classes = _degree_classes(map(len, sub.adj))
     reach = classes[-1][0] + 1  # Delta + 1: the most one dominator covers
     full = (1 << n) - 1
-    # the fractional bound's scale L, L/(Delta + 1) and excess table, built
-    # when a Delta-regular component first has an incumbent
-    regular = len(classes) == 1
+    # the fractional bound's scale L, L/(Delta + 1) and excess table, on a
+    # Delta-regular component only
     scale = unit = 0
     excess: list[int] = []
+    if len(classes) == 1:
+        scale = lcm(*range(1, reach + 1))
+        unit = scale // reach
+        excess = [scale // c - unit if c else 0 for c in range(reach + 1)]
     limit = budget - spent
     nodes = 0
-    # n + 1: no dominating set found yet, and no bound can prune (a node
-    # of size s has at most n - s undominated vertices, room n + 1 - s)
+    # n + 1: no dominating set found yet
     best_size = n + 1
     best_set: tuple[int, ...] = ()
-
-    def exhausted() -> BudgetExceeded:
-        return BudgetExceeded(
-            "gamma",
-            lower=max(-(-n // reach), _packing_bound(near, full, n)),
-            upper=len(best_set) if best_set else None,
-            witness=best_set,
-            nodes=spent + limit + 1,
-        )
-
-    # the root counts as checked against n + 1, where no bound prunes
-    stack: list = [(None, 0, 0, 0, 0, n + 1, full if regular else 0)]
-    pop = stack.pop
+    stack: list = [(None, 0, 0, 0, 0, full if excess else 0)]
     while stack:
-        node = pop()
-        if node.__class__ is int:  # children that failed a bound at birth
-            nodes += node
-            if nodes > limit:
-                raise exhausted()
-            continue
+        chosen, size, dominated, banned, touched, intact = stack.pop()
         nodes += 1
         if nodes > limit:
-            raise exhausted()
-        chosen, size, dominated, banned, touched, checked, intact = node
+            raise BudgetExceeded(
+                "gamma",
+                lower=max(-(-n // reach), _packing_bound(near, full, n)),
+                upper=len(best_set) if best_set else None,
+                witness=best_set,
+                nodes=spent + nodes,
+            )
         if dominated == full:
             if size < best_size:
                 best_size = size
                 best_set = _unwind(chosen)
                 if size <= lower:
                     break
-                if regular and not excess:
-                    scale = lcm(*range(1, reach + 1))
-                    unit = scale // reach
-                    excess = [scale // c - unit if c else 0
-                              for c in range(reach + 1)]
             continue
         undominated = full & ~dominated
-        left = undominated.bit_count()
-        room = best_size - size  # prune when a lower bound fills it
-        if checked != best_size and (
-                -(-left // reach) >= room
-                or _packing_bound(near, undominated, room) >= room):
-            continue
-        if excess and _fractional_bound_prunes(
-                masks, excess, undominated, banned, intact,
-                (room - 1) * scale - left * unit):
-            continue
+        if best_size <= n:
+            left = undominated.bit_count()
+            room = best_size - size  # prune when a lower bound fills it
+            if (-(-left // reach) >= room
+                    or _packing_bound(near, undominated, room) >= room
+                    or excess and _fractional_bound_prunes(
+                        masks, excess, undominated, banned, intact,
+                        (room - 1) * scale - left * unit)):
+                continue
         # branch on the undominated vertex with the fewest unbanned
         # dominators, smallest id on ties.  An untouched vertex keeps all
         # deg + 1 of them, so the best untouched one is the lowest bit of
@@ -472,38 +450,12 @@ def _solve_gamma_component(sub: Graph, near: list[int], budget: int,
             u = low.bit_length() - 1
             order.append((-(masks[u] & undominated).bit_count(), u))
         order.sort()
-        room -= 1  # each child's
-        # a child covering fewer than `need` fails the counting bound, and
-        # so do its later siblings, which cover no more
-        need = left - (room - 1) * reach
-        bounded = best_size <= n
-        children: list = []
-        dead = 0
-        unborn = len(order)
-        for key, u in order:  # key: minus the coverage
-            if -key < need:
-                dead += unborn
-                break
-            unborn -= 1
-            k = 0  # the packing bound, inline; room > 0 when unbounded
-            if bounded:
-                left_u = undominated & ~masks[u]
-                while left_u and k < room:
-                    k += 1
-                    left_u &= ~near[(left_u & -left_u).bit_length() - 1]
-            if k >= room:
-                dead += 1
-            else:
-                if dead:
-                    children.append(dead)
-                    dead = 0
-                children.append(((u, chosen), size + 1, dominated | masks[u],
-                                  banned, touched, best_size,
-                                  intact and intact & ~near[u]))
+        children = []
+        for _, u in order:
+            children.append(((u, chosen), size + 1, dominated | masks[u],
+                             banned, touched, intact and intact & ~near[u]))
             banned |= 1 << u
             touched |= masks[u]
-        if dead:
-            children.append(dead)
         children.reverse()
         stack += children
     return best_set, nodes

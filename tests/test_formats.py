@@ -1,6 +1,8 @@
 import base64
 import io
 import random
+import tracemalloc
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import to_nx
 from gammarho.formats import (
+    MAX_N,
     FormatError,
     decode_any,
     decode_graph6,
@@ -104,6 +107,20 @@ def test_bad_graph6_rejected():
         decode_graph6("C" + chr(30))  # byte below printable range
     with pytest.raises(FormatError):
         decode_graph6(":Ch")  # sparse6 fed to the graph6 decoder
+
+
+def test_encoder_checks_the_size_before_it_allocates():
+    # a stand-in: a Graph on MAX_N + 1 vertices would itself take about
+    # 4 GB of masks, and its n^2/16-byte bit string about as much again
+    huge = SimpleNamespace(n=MAX_N + 1, adj=())
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="exceeds"):
+            encode_graph6(huge)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_edgelist_roundtrip():

@@ -623,3 +623,29 @@ def test_a_rho_run_out_ends_at_the_smaller_whole_component_cover():
             solvers.solve_pair(g, budget)
         assert (err.value.quantity, err.value.lower, err.value.upper) == (
             "rho", *bounds)
+
+
+def test_a_run_out_reports_its_quantity_and_range():
+    # the one shape that compute, the records and the counterexample replay
+    # print, key order included
+    record = BudgetExceeded("gamma", 3, None, (), 5).record()
+    assert list(record.items()) == [("quantity", "gamma"),
+                                    ("range", [3, None])]
+
+
+# A defect, pinned: a run-out whose range is closed has proved the value,
+# yet it is reported as inconclusive.  The searches never stop at their own
+# root bound, so on 25 of 57 small graphs (K_a,b with 2 <= a <= b <= 4,
+# Petersen, Heawood, the cube, C_3 to C_30, and gen_random_bicubic(n, s)
+# with n = 12 and 16, s < 10) some budget below 400 gives one.  Its mending
+# is ROADMAP item 2's: such a run-out is an answer.
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a closed-range run-out is reported as inconclusive")
+@pytest.mark.parametrize("g, budget", [(gen_complete_bipartite(3, 3), 2),
+                                       (heawood(), 13)],
+                         ids=["K33-rho", "heawood-gamma"])
+def test_a_run_out_with_a_closed_range_is_an_answer(g, budget):
+    try:
+        solvers.solve_pair(g, budget)
+    except BudgetExceeded as exc:
+        assert exc.lower != exc.upper, exc.record()
