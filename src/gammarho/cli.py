@@ -319,6 +319,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"gammarho: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        # a graph the codecs accept can still outgrow memory: Graph keeps
+        # one n-bit mask per vertex, about n^2/16 bytes
+        print("gammarho: input too large for memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

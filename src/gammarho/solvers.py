@@ -18,12 +18,10 @@ the cheapest exact method:
    (`triangulation.mop_pair`).  Every component with 2n - 3 edges is
    tried, so every caller gets the same routing.
 3. Every other component goes to rho's branch and bound over Python int
-   bitmasks, then to gamma's with that rho as its lower bound: gamma's
-   search stops as soon as its incumbent meets rho.  Its first set of
-   that size is the one the full search keeps, so witnesses are those of
-   the one-quantity views.  Nothing else enters a search: a class's own
-   certificates (a bicubic or biconvex packing, say) go to the output,
-   not to the search.
+   bitmasks, then to gamma's with that rho as its lower bound (rho <= gamma
+   is LP duality), so gamma's search can stop as soon as its incumbent
+   meets rho.  Nothing else enters a search: a class's own certificates (a
+   bicubic or biconvex packing, say) go to the output, not to the search.
 
 Certificates are validated before use; they report nodes = 0 and spend
 none of the budget.  A certificate that fails its own check is a bug in
@@ -35,6 +33,17 @@ bounds for the whole graph (see `solve_pair`).
 `_solve`: forest components by the certificate, every other component,
 mops included, by that quantity's search alone, which the search pin
 fixes node for node.
+
+Each search works out its root bound once, at entry, and stops at its
+first incumbent that meets it: for gamma the largest of ceil(n/(Delta + 1)),
+a greedy packing of the whole component and the lower bound it is given;
+for rho the smaller of the star and chain covers of the whole component.
+That incumbent is the first optimum in branching order, the one the search
+would keep if it went on to prove it, so witnesses do not depend on the
+lower bound given, and the pair's are those of the one-quantity views.  A
+search that runs out reports that same root bound as the proved end of its
+range, and its incumbent, if any, as the other end; since it stopped at any
+incumbent that met the root bound, the range is never closed.
 
 The two searches:
 
@@ -71,8 +80,7 @@ The two searches:
   max-conflict-degree candidate (ties to the smallest id) and prunes with
   two greedy clique covers of the remaining candidates, since each clique
   can contribute at most one vertex: first a cover by closed
-  neighbourhoods (stars), then the first-fit chain cover.  A run-out's
-  upper end is the smaller of the two covers of the whole component.
+  neighbourhoods (stars), then the first-fit chain cover.
 
 Neither search recurses.  Each is a depth-first loop over an explicit
 stack, which pops nodes in the order a recursive search would visit them,
@@ -106,14 +114,17 @@ vertices left:
   a sparse graph the stars are larger cliques than the chains.  On a
   cycle (Delta <= 2) every star is a chain clique, so a cycle component
   skips the star cover (see `_solve_rho_component`).
-* rho's branching vertex is sought by conflict degree classes,
-  descending, and the scan stops where no candidate left can beat it.
+* rho's branching vertex is one ascending scan over the candidates.  A
+  scan by conflict degree classes that stopped where no candidate left
+  could beat the pick visited the same nodes and was no faster: a
+  candidate's conflict degree inside the candidates rarely reaches its
+  class's, so the scan seldom stopped early.
 * The packing, fractional and clique-cover bounds stop counting at the
   value that decides the prune, and all are skipped before the first
   incumbent, when they cannot prune.
 
-The packing bound, the chain cover and rho's branching vertex compute
-exactly what the plain scans over all vertices that they replaced did.
+The packing bound and the chain cover compute exactly what the plain scans
+over all vertices that they replaced did.
 The star cover and the fractional bound prune more, but the witnesses
 stay those of the searches without them: the branching order does not
 depend on the bounds, and a subtree that an admissible bound prunes holds
@@ -362,11 +373,12 @@ def _solve_gamma_component(sub: Graph, near: list[int], budget: int,
     bound.  `intact`, the fractional bound's unbanned w with N[w] all
     undominated, is 0 on an irregular component.
 
-    `lower` is a proven lower bound on gamma (a pair solve passes rho):
-    the search stops at its first set of that size.  That set is the
-    first minimum set in branching order, the one the plain search
-    returns, and the search visits a prefix of the plain search's
-    nodes."""
+    `lower` is a proven lower bound on gamma (a pair solve passes rho).
+    At entry it is raised to the root bound, the counting and packing
+    bounds of the whole component, and the search stops at its first set
+    of that size: the first minimum set in branching order, which a
+    search that went on to prove it would return after more nodes.  A
+    run-out reports `lower` as its lower end."""
     n = sub.n
     masks = sub.closed_masks
     classes = _degree_classes(map(len, sub.adj))
@@ -380,6 +392,7 @@ def _solve_gamma_component(sub: Graph, near: list[int], budget: int,
         scale = lcm(*range(1, reach + 1))
         unit = scale // reach
         excess = [scale // c - unit if c else 0 for c in range(reach + 1)]
+    lower = max(lower, -(-n // reach), _packing_bound(near, full, n))
     limit = budget - spent
     nodes = 0
     # n + 1: no dominating set found yet
@@ -392,7 +405,7 @@ def _solve_gamma_component(sub: Graph, near: list[int], budget: int,
         if nodes > limit:
             raise BudgetExceeded(
                 "gamma",
-                lower=max(-(-n // reach), _packing_bound(near, full, n)),
+                lower=lower,
                 upper=len(best_set) if best_set else None,
                 witness=best_set,
                 nodes=spent + nodes,
@@ -514,29 +527,19 @@ def _star_cover_bound(masks, adj, candidates: int, cap: int) -> int:
     return count
 
 
-def _max_conflict_pick(near, classes, candidates: int) -> int:
+def _max_conflict_pick(near, candidates: int) -> int:
     """The candidate with the most conflicts among the candidates, smallest
-    id on ties.  `classes` are the conflict degree classes, by descending
-    degree; a vertex's conflict degree inside the candidates is at most its
-    class's.  The scan stops where no unscanned candidate can beat or
-    tie-break the pick: at a class whose degree is below the pick's, or in
-    a class whose degree equals the pick's, at ids past the pick's."""
+    id on ties: one ascending scan."""
     pick = -1
     pick_deg = -1
-    for top, cls in classes:
-        if top < pick_deg:
-            break
-        m = cls & candidates
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            if top == pick_deg and v > pick:
-                break
-            m ^= low
-            d = (near[v] & candidates).bit_count() - 1
-            if d > pick_deg or (d == pick_deg and v < pick):
-                pick = v
-                pick_deg = d
+    m = candidates
+    while m:
+        low = m & -m
+        m ^= low
+        v = low.bit_length() - 1
+        d = (near[v] & candidates).bit_count()
+        if d > pick_deg:
+            pick, pick_deg = v, d
     return pick
 
 
@@ -550,12 +553,15 @@ def _solve_rho_component(sub: Graph, near: list[int], budget: int,
     cover fits in its room.  A cycle (Delta <= 2) skips the star cover:
     there every star is a chain clique, and on C_3 to C_200 it pruned no
     node that the chain cover kept but made each node cost half as much
-    again."""
+    again.  `upper`, the smaller of the two covers of the whole
+    component, is worked out at entry: the search stops at its first
+    packing of that size, and a run-out reports it as its upper end."""
     n = sub.n
     masks, adj = sub.closed_masks, sub.adj
-    classes = _degree_classes(m.bit_count() - 1 for m in near)[::-1]
     stars = max(map(len, adj)) > 2
     full = (1 << n) - 1
+    upper = min(_star_cover_bound(masks, adj, full, n),
+                _clique_cover_bound(near, full, n))
     limit = budget - spent
     nodes = 0
     best_size = -1
@@ -568,8 +574,7 @@ def _solve_rho_component(sub: Graph, near: list[int], budget: int,
             raise BudgetExceeded(
                 "rho",
                 lower=max(best_size, 0),
-                upper=min(_star_cover_bound(masks, adj, full, n),
-                          _clique_cover_bound(near, full, n)),
+                upper=upper,
                 witness=best_set,
                 nodes=spent + nodes,
             )
@@ -577,13 +582,15 @@ def _solve_rho_component(sub: Graph, near: list[int], budget: int,
             if size > best_size:
                 best_size = size
                 best_set = _unwind(chosen)
+                if size >= upper:
+                    break
             continue
         room = best_size - size  # prune when a cover fits in it
         cap = room + 1
         if (stars and _star_cover_bound(masks, adj, candidates, cap) <= room
                 or _clique_cover_bound(near, candidates, cap) <= room):
             continue
-        pick = _max_conflict_pick(near, classes, candidates)
+        pick = _max_conflict_pick(near, candidates)
         stack.append((chosen, size, candidates & ~(1 << pick)))
         stack.append(((pick, chosen), size + 1, candidates & ~near[pick]))
     return best_set, nodes
@@ -669,7 +676,8 @@ def solve_pair(g: Graph, budget: int = DEFAULT_BUDGET,
     BudgetExceeded that escapes is the first search's to run out, in
     component order and rho before gamma within a component, with bounds
     for the whole graph; a gamma run-out's lower end is at least the rho
-    that the component's search has just proved."""
+    that the component's search has just proved, which gamma's search
+    took as its lower bound."""
     halves: tuple[list[int], list[int]] = ([], [])  # gamma's, rho's
     nodes = [0, 0]
     route = 0
@@ -700,8 +708,6 @@ def solve_pair(g: Graph, budget: int = DEFAULT_BUDGET,
                 half.extend(originals[v] for v in found)
             route = max(route, method)
     except BudgetExceeded as exc:
-        if exc.quantity == "gamma":  # gamma >= the rho just searched
-            exc.lower = max(exc.lower, len(pack))
         raise _whole_graph(exc, halves[exc.quantity == "rho"], originals,
                            comps[i + 1:]) from None
     dom, pack = (tuple(sorted(half)) for half in halves)

@@ -1,9 +1,12 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -98,6 +101,28 @@ def test_compute_deep_cycle_is_inconclusive(tmp_path, capsys):
     low, high = row["range"]
     assert low <= solvers.cycle_rho(3300) <= high
     assert "Traceback" not in err
+
+
+def _cap_address_space():
+    import resource  # POSIX only; the test that calls this runs on Linux
+    resource.setrlimit(resource.RLIMIT_AS, (768 << 20, 768 << 20))
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="the address-space cap is set with RLIMIT_AS")
+@pytest.mark.parametrize("args", [["compute"], ["certify"],
+                                  ["decompose", "--class", "mop"]],
+                         ids=["compute", "certify", "decompose"])
+def test_an_input_too_large_for_memory_is_an_error_not_a_traceback(args):
+    # the 5-byte sparse6 line :~}~~ is an edgeless graph with n = 258047,
+    # inside the codecs' domain, whose n-bit masks need about 4 GB
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-m", "gammarho", *args],
+                          input=":~}~~\n", capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          preexec_fn=_cap_address_space, timeout=120)
+    assert (done.returncode, done.stderr) == (
+        1, "gammarho: input too large for memory\n")
 
 
 def test_certify_tree(tmp_path, capsys):
@@ -207,7 +232,7 @@ def _biconvex_items(*seeds):
     ("mop", [(gen_random_mop(30, 1), None), (gen_random_mop(5, 1), None)],
      [True, True]),
     ("biconvex", _biconvex_items(1, 0), [False, True]),
-    ("any", [(gen_random_connected(12, 3), None), (gen_path(5), None)],
+    ("any", [(gen_random_connected(12, 4), None), (gen_path(5), None)],
      [False, True]),
     ("tree", [(gen_path(40), None)], [True]),
 ])

@@ -9,24 +9,25 @@ every row, the digests of the code in the working tree, and each
 quantity's total nodes and seconds over the corpus: nodes first, since
 they repeat exactly on any machine, then seconds.
 
-The gamma digest was last retaken when gamma's search came to prune
-regular components with the fractional bound (a third dual solution of
-the covering LP) at pop.  The branching order is unchanged and the bound
-is admissible, so, as for rho below, the former tables pin that every
-answer keeps its value and witness in no more nodes, and that every
-former run-out now answers inside its bounds or runs out with the same
-lower end and an upper end no larger.  bicubic-64 at budget 40,000 went
-from a run-out with bounds [16, 18] to the answer 17 in 8,230 nodes.
+Both digests were last retaken when each search came to stop at its
+first incumbent that meets its own root bound (gamma's the larger of the
+counting bound, the greedy packing of the whole component and the lower
+bound it is given; rho's the smaller of the star and chain covers of the
+whole component) and to report that bound when it runs out.  The branching
+order and the bounds are unchanged, so the search stops at the first
+optimum in branching order, the one it returned before, and visits a
+prefix of its former nodes.  The former tables below hold the parent
+search's rows and pin that every answer keeps its value and witness in no
+more nodes, and that every former run-out now answers inside its bounds or
+runs out with bounds inside them, never with a closed range.  cycle-100 at
+budget 50 went from a gamma run-out with bounds [34, 34] to the answer 34
+in 35 nodes, and gamma on cycle-300 from 301 nodes to 101.
 
-The rho digest, first taken from the recursive search that the
-explicit-stack one replaced, was retaken when rho's search came to prune
-with the star cover (closed neighbourhoods) ahead of the chain cover.  The
-branching order is unchanged and both covers are admissible, so the
-search visits a subset of the former nodes, in the same order: the former
-tables below pin that every answer keeps its value and witness in no more
-nodes, and that every former run-out now answers inside its bounds or
-runs out with bounds inside them.  bicubic-64 at budget 5000 went from a
-run-out with bounds [15, 21] to the answer 15 in 2,361 nodes.
+Before that, gamma's digest was retaken when its search came to prune
+regular components with the fractional bound (a third dual solution of
+the covering LP), and rho's when its search came to prune with the star
+cover (closed neighbourhoods) ahead of the chain cover: admissible bounds
+under an unchanged branching order, with the same witnesses.
 """
 
 import hashlib
@@ -56,20 +57,22 @@ from gammarho.generators import (
 from test_solvers import mixed_graphs
 
 PIN_BUDGET = 40_000
-RHO_DIGEST = "e4d94317fe50f0df6f44e5e340f8369a76262696ba8acfcb24cfb2f931304e5f"
-GAMMA_DIGEST = "9bcd94cf1db6fbf788f29ee05c8f94669b54e990ddaac329b21489f648b68754"
+RHO_DIGEST = "8db43e851ab4ed52173925b721a89705074c06615cbb18c665c28a26392115b6"
+GAMMA_DIGEST = "615eb9dcb5a00858c92aa740959126876a11a6cde40d1291ed3441ac4742e1b3"
 
-# The former gamma search's answers, which pruned with the counting and
-# packing bounds alone: (graph, budget, gamma, witness, nodes) ...
+# The former gamma search's answers, which went on past an incumbent that
+# met its root bound: (graph, budget, gamma, witness, nodes) ...
 FORMER_GAMMA_SOLVED = [
-    ("bicubic-16", 40000, 5, (0, 2, 6, 9, 12), 41),
-    ("bicubic-24", 40000, 7, (0, 2, 6, 7, 13, 15, 19), 79),
-    ("bicubic-32", 40000, 9, (0, 6, 8, 10, 12, 18, 20, 21, 24), 560),
-    ("bicubic-40", 40000, 11, (0, 1, 4, 7, 13, 14, 26, 29, 32, 33, 39), 465),
+    ("bicubic-16", 40000, 5, (0, 2, 6, 9, 12), 28),
+    ("bicubic-24", 40000, 7, (0, 2, 6, 7, 13, 15, 19), 39),
+    ("bicubic-32", 40000, 9, (0, 6, 8, 10, 12, 18, 20, 21, 24), 272),
+    ("bicubic-40", 40000, 11, (0, 1, 4, 7, 13, 14, 26, 29, 32, 33, 39), 191),
     ("bicubic-48", 40000, 13, (0, 3, 9, 10, 17, 20, 21, 26, 27, 29, 30, 40,
-     42), 716),
+     42), 273),
     ("bicubic-56", 40000, 15, (0, 1, 4, 7, 10, 16, 17, 21, 28, 41, 44, 48, 49,
-     53, 55), 1996),
+     53, 55), 567),
+    ("bicubic-64", 40000, 17, (7, 8, 9, 19, 20, 21, 25, 26, 30, 34, 42, 46, 50,
+     51, 52, 56, 57), 8230),
     ("biconvex-6x6", 40000, 4, (1, 3, 6, 11), 15),
     ("biconvex-9x7", 40000, 3, (5, 9, 11), 12),
     ("biconvex-12x12", 40000, 5, (0, 6, 11, 14, 16), 20),
@@ -95,42 +98,40 @@ FORMER_GAMMA_SOLVED = [
     ("cycle-60", 40000, 20, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33, 36,
      39, 42, 45, 48, 51, 54, 57), 61),
     ("cycle-100", 40000, 34, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33, 36,
-     39, 42, 45, 48, 51, 54, 57, 60, 63, 66, 69, 72, 75, 78, 81, 84, 87,
-     90, 93, 96, 97), 103),
+     39, 42, 45, 48, 51, 54, 57, 60, 63, 66, 69, 72, 75, 78, 81, 84, 87, 90,
+     93, 96, 97), 103),
     ("cycle-150", 40000, 50, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33, 36,
-     39, 42, 45, 48, 51, 54, 57, 60, 63, 66, 69, 72, 75, 78, 81, 84, 87,
-     90, 93, 96, 99, 102, 105, 108, 111, 114, 117, 120, 123, 126, 129, 132,
-     135, 138, 141, 144, 147), 151),
+     39, 42, 45, 48, 51, 54, 57, 60, 63, 66, 69, 72, 75, 78, 81, 84, 87, 90,
+     93, 96, 99, 102, 105, 108, 111, 114, 117, 120, 123, 126, 129, 132, 135,
+     138, 141, 144, 147), 151),
     ("cycle-300", 40000, 100, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33, 36,
-     39, 42, 45, 48, 51, 54, 57, 60, 63, 66, 69, 72, 75, 78, 81, 84, 87,
-     90, 93, 96, 99, 102, 105, 108, 111, 114, 117, 120, 123, 126, 129, 132,
-     135, 138, 141, 144, 147, 150, 153, 156, 159, 162, 165, 168, 171, 174,
-     177, 180, 183, 186, 189, 192, 195, 198, 201, 204, 207, 210, 213, 216,
-     219, 222, 225, 228, 231, 234, 237, 240, 243, 246, 249, 252, 255, 258,
-     261, 264, 267, 270, 273, 276, 279, 282, 285, 288, 291, 294, 297),
-     301),
+     39, 42, 45, 48, 51, 54, 57, 60, 63, 66, 69, 72, 75, 78, 81, 84, 87, 90,
+     93, 96, 99, 102, 105, 108, 111, 114, 117, 120, 123, 126, 129, 132, 135,
+     138, 141, 144, 147, 150, 153, 156, 159, 162, 165, 168, 171, 174, 177, 180,
+     183, 186, 189, 192, 195, 198, 201, 204, 207, 210, 213, 216, 219, 222, 225,
+     228, 231, 234, 237, 240, 243, 246, 249, 252, 255, 258, 261, 264, 267, 270,
+     273, 276, 279, 282, 285, 288, 291, 294, 297), 301),
     ("petersen", 40000, 3, (0, 2, 6), 13),
-    ("rook-5", 40000, 5, (0, 4, 6, 12, 18), 1863),
+    ("rook-5", 40000, 5, (0, 4, 6, 12, 18), 390),
     ("union", 40000, 16, (0, 2, 6, 10, 13, 15, 18, 21, 24, 27, 30, 33, 36, 39,
      42, 43), 47),
-    ("bicubic-32", 5000, 9, (0, 6, 8, 10, 12, 18, 20, 21, 24), 560),
+    ("bicubic-32", 5000, 9, (0, 6, 8, 10, 12, 18, 20, 21, 24), 272),
     ("biconvex-18x14", 50, 7, (0, 1, 7, 16, 17, 21, 26), 41),
     ("biconvex-18x14", 5000, 7, (0, 1, 7, 16, 17, 21, 26), 41),
     ("connected-40", 5000, 3, (11, 28, 31), 238),
     ("mop-30", 50, 7, (0, 9, 13, 14, 22, 26, 27), 22),
     ("mop-30", 5000, 7, (0, 9, 13, 14, 22, 26, 27), 22),
     ("cycle-100", 5000, 34, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33, 36,
-     39, 42, 45, 48, 51, 54, 57, 60, 63, 66, 69, 72, 75, 78, 81, 84, 87,
-     90, 93, 96, 97), 103),
+     39, 42, 45, 48, 51, 54, 57, 60, 63, 66, 69, 72, 75, 78, 81, 84, 87, 90,
+     93, 96, 97), 103),
     ("cycle-300", 5000, 100, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33, 36,
-     39, 42, 45, 48, 51, 54, 57, 60, 63, 66, 69, 72, 75, 78, 81, 84, 87,
-     90, 93, 96, 99, 102, 105, 108, 111, 114, 117, 120, 123, 126, 129, 132,
-     135, 138, 141, 144, 147, 150, 153, 156, 159, 162, 165, 168, 171, 174,
-     177, 180, 183, 186, 189, 192, 195, 198, 201, 204, 207, 210, 213, 216,
-     219, 222, 225, 228, 231, 234, 237, 240, 243, 246, 249, 252, 255, 258,
-     261, 264, 267, 270, 273, 276, 279, 282, 285, 288, 291, 294, 297),
-     301),
-    ("rook-5", 5000, 5, (0, 4, 6, 12, 18), 1863),
+     39, 42, 45, 48, 51, 54, 57, 60, 63, 66, 69, 72, 75, 78, 81, 84, 87, 90,
+     93, 96, 99, 102, 105, 108, 111, 114, 117, 120, 123, 126, 129, 132, 135,
+     138, 141, 144, 147, 150, 153, 156, 159, 162, 165, 168, 171, 174, 177, 180,
+     183, 186, 189, 192, 195, 198, 201, 204, 207, 210, 213, 216, 219, 222, 225,
+     228, 231, 234, 237, 240, 243, 246, 249, 252, 255, 258, 261, 264, 267, 270,
+     273, 276, 279, 282, 285, 288, 291, 294, 297), 301),
+    ("rook-5", 5000, 5, (0, 4, 6, 12, 18), 390),
     ("union", 50, 16, (0, 2, 6, 10, 13, 15, 18, 21, 24, 27, 30, 33, 36, 39, 42,
      43), 47),
     ("union", 5000, 16, (0, 2, 6, 10, 13, 15, 18, 21, 24, 27, 30, 33, 36, 39,
@@ -138,35 +139,33 @@ FORMER_GAMMA_SOLVED = [
 ]
 # ... and the bounds of its exhausted searches: (graph, budget, lower, upper)
 FORMER_GAMMA_EXHAUSTED = [
-    ("bicubic-64", 40000, 16, 18), ("bicubic-32", 1, 8, 32),
-    ("bicubic-32", 50, 8, 12), ("bicubic-64", 1, 16, 64),
-    ("bicubic-64", 50, 16, 21), ("bicubic-64", 5000, 16, 18),
-    ("biconvex-18x14", 1, 5, 32), ("connected-40", 1, 2, 40),
-    ("connected-40", 50, 2, 4), ("mop-30", 1, 6, 30),
-    ("cycle-100", 1, 34, 100), ("cycle-100", 50, 34, 34),
+    ("bicubic-32", 1, 8, 32), ("bicubic-32", 50, 8, 11),
+    ("bicubic-64", 1, 16, 64), ("bicubic-64", 50, 16, 21),
+    ("bicubic-64", 5000, 16, 18), ("biconvex-18x14", 1, 5, 32),
+    ("connected-40", 1, 2, 40), ("connected-40", 50, 2, 4),
+    ("mop-30", 1, 6, 30), ("cycle-100", 1, 34, 100), ("cycle-100", 50, 34, 34),
     ("cycle-300", 1, 100, 300), ("cycle-300", 50, 100, 300),
     ("rook-5", 1, 3, 25), ("rook-5", 50, 3, 5), ("union", 1, 3, 46),
 ]
 
-# The former rho search's answers, which pruned with the chain cover alone:
-# (graph, budget, rho, witness, nodes) ...
+# The former rho search's answers, which went on past an incumbent that
+# met its root cover: (graph, budget, rho, witness, nodes) ...
 FORMER_RHO_SOLVED = [
-    ("bicubic-16", 40000, 3, (6, 9, 12), 23),
-    ("bicubic-24", 40000, 5, (1, 6, 7, 13, 15), 67),
-    ("bicubic-32", 40000, 7, (0, 6, 10, 13, 18, 21, 24), 177),
-    ("bicubic-40", 40000, 9, (0, 5, 8, 15, 26, 27, 35, 36, 39), 365),
-    ("bicubic-48", 40000, 11, (0, 9, 10, 17, 20, 26, 27, 29, 30, 40, 42),
-     829),
+    ("bicubic-16", 40000, 3, (6, 9, 12), 21),
+    ("bicubic-24", 40000, 5, (1, 6, 7, 13, 15), 55),
+    ("bicubic-32", 40000, 7, (0, 6, 10, 13, 18, 21, 24), 123),
+    ("bicubic-40", 40000, 9, (0, 5, 8, 15, 26, 27, 35, 36, 39), 215),
+    ("bicubic-48", 40000, 11, (0, 9, 10, 17, 20, 26, 27, 29, 30, 40, 42), 357),
     ("bicubic-56", 40000, 13, (1, 6, 9, 13, 14, 19, 22, 32, 36, 40, 43, 45,
-     47), 2261),
-    ("bicubic-64", 40000, 15, (0, 2, 5, 10, 14, 15, 24, 28, 35, 41, 45, 48,
-     49, 53, 60), 5209),
+     47), 953),
+    ("bicubic-64", 40000, 15, (0, 2, 5, 10, 14, 15, 24, 28, 35, 41, 45, 48, 49,
+     53, 60), 2361),
     ("biconvex-6x6", 40000, 4, (0, 3, 5, 8), 29),
     ("biconvex-9x7", 40000, 3, (0, 6, 10), 21),
     ("biconvex-12x12", 40000, 5, (4, 8, 12, 15, 18), 53),
     ("biconvex-18x14", 40000, 7, (1, 4, 9, 16, 18, 22, 30), 89),
-    ("biconvex-24x24", 40000, 11, (0, 6, 8, 12, 18, 21, 25, 27, 30, 34,
-     37), 393),
+    ("biconvex-24x24", 40000, 11, (0, 6, 8, 12, 18, 21, 25, 27, 30, 34, 37),
+     225),
     ("connected-10", 40000, 2, (3, 6), 13),
     ("connected-16", 40000, 3, (2, 12, 15), 33),
     ("connected-22", 40000, 1, (0,), 3),
@@ -176,57 +175,58 @@ FORMER_RHO_SOLVED = [
     ("mop-6", 40000, 2, (2, 5), 13),
     ("mop-10", 40000, 2, (1, 4), 9),
     ("mop-14", 40000, 3, (3, 9, 12), 21),
-    ("mop-18", 40000, 4, (3, 7, 14, 17), 39),
+    ("mop-18", 40000, 4, (3, 7, 14, 17), 27),
     ("mop-22", 40000, 6, (2, 5, 8, 11, 15, 20), 41),
     ("mop-26", 40000, 6, (2, 6, 12, 17, 22, 25), 59),
     ("mop-30", 40000, 7, (5, 8, 12, 15, 18, 25, 28), 79),
     ("cycle-30", 40000, 10, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27), 105),
     ("cycle-31", 40000, 10, (0, 4, 7, 10, 13, 16, 19, 22, 25, 28), 101),
     ("cycle-32", 40000, 10, (0, 5, 8, 11, 14, 17, 20, 23, 26, 29), 107),
-    ("cycle-60", 40000, 20, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33,
-     36, 39, 42, 45, 48, 51, 54, 57), 449),
-    ("cycle-100", 40000, 33, (0, 4, 7, 10, 13, 16, 19, 22, 25, 28, 31, 34,
-     37, 40, 43, 46, 49, 52, 55, 58, 61, 64, 67, 70, 73, 76, 79, 82, 85,
-     88, 91, 94, 97), 1221),
-    ("cycle-150", 40000, 50, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33,
-     36, 39, 42, 45, 48, 51, 54, 57, 60, 63, 66, 69, 72, 75, 78, 81, 84,
-     87, 90, 93, 96, 99, 102, 105, 108, 111, 114, 117, 120, 123, 126, 129,
-     132, 135, 138, 141, 144, 147), 2921),
-    ("cycle-300", 40000, 100, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33,
-     36, 39, 42, 45, 48, 51, 54, 57, 60, 63, 66, 69, 72, 75, 78, 81, 84,
-     87, 90, 93, 96, 99, 102, 105, 108, 111, 114, 117, 120, 123, 126, 129,
-     132, 135, 138, 141, 144, 147, 150, 153, 156, 159, 162, 165, 168, 171,
-     174, 177, 180, 183, 186, 189, 192, 195, 198, 201, 204, 207, 210, 213,
-     216, 219, 222, 225, 228, 231, 234, 237, 240, 243, 246, 249, 252, 255,
-     258, 261, 264, 267, 270, 273, 276, 279, 282, 285, 288, 291, 294, 297),
-     11841),
+    ("cycle-60", 40000, 20, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33, 36,
+     39, 42, 45, 48, 51, 54, 57), 449),
+    ("cycle-100", 40000, 33, (0, 4, 7, 10, 13, 16, 19, 22, 25, 28, 31, 34, 37,
+     40, 43, 46, 49, 52, 55, 58, 61, 64, 67, 70, 73, 76, 79, 82, 85, 88, 91,
+     94, 97), 1221),
+    ("cycle-150", 40000, 50, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33, 36,
+     39, 42, 45, 48, 51, 54, 57, 60, 63, 66, 69, 72, 75, 78, 81, 84, 87, 90,
+     93, 96, 99, 102, 105, 108, 111, 114, 117, 120, 123, 126, 129, 132, 135,
+     138, 141, 144, 147), 2921),
+    ("cycle-300", 40000, 100, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33, 36,
+     39, 42, 45, 48, 51, 54, 57, 60, 63, 66, 69, 72, 75, 78, 81, 84, 87, 90,
+     93, 96, 99, 102, 105, 108, 111, 114, 117, 120, 123, 126, 129, 132, 135,
+     138, 141, 144, 147, 150, 153, 156, 159, 162, 165, 168, 171, 174, 177, 180,
+     183, 186, 189, 192, 195, 198, 201, 204, 207, 210, 213, 216, 219, 222, 225,
+     228, 231, 234, 237, 240, 243, 246, 249, 252, 255, 258, 261, 264, 267, 270,
+     273, 276, 279, 282, 285, 288, 291, 294, 297), 11841),
     ("petersen", 40000, 1, (0,), 3),
     ("rook-5", 40000, 1, (0,), 3),
-    ("union", 40000, 13, (0, 10, 14, 15, 19, 22, 25, 28, 31, 34, 37, 40,
-     43), 104),
-    ("bicubic-32", 5000, 7, (0, 6, 10, 13, 18, 21, 24), 177),
+    ("union", 40000, 13, (0, 10, 14, 15, 19, 22, 25, 28, 31, 34, 37, 40, 43),
+     104),
+    ("bicubic-32", 5000, 7, (0, 6, 10, 13, 18, 21, 24), 123),
+    ("bicubic-64", 5000, 15, (0, 2, 5, 10, 14, 15, 24, 28, 35, 41, 45, 48, 49,
+     53, 60), 2361),
     ("biconvex-18x14", 5000, 7, (1, 4, 9, 16, 18, 22, 30), 89),
     ("connected-40", 5000, 2, (16, 26), 75),
     ("mop-30", 5000, 7, (5, 8, 12, 15, 18, 25, 28), 79),
-    ("cycle-100", 5000, 33, (0, 4, 7, 10, 13, 16, 19, 22, 25, 28, 31, 34,
-     37, 40, 43, 46, 49, 52, 55, 58, 61, 64, 67, 70, 73, 76, 79, 82, 85,
-     88, 91, 94, 97), 1221),
+    ("cycle-100", 5000, 33, (0, 4, 7, 10, 13, 16, 19, 22, 25, 28, 31, 34, 37,
+     40, 43, 46, 49, 52, 55, 58, 61, 64, 67, 70, 73, 76, 79, 82, 85, 88, 91,
+     94, 97), 1221),
     ("rook-5", 50, 1, (0,), 3),
     ("rook-5", 5000, 1, (0,), 3),
-    ("union", 5000, 13, (0, 10, 14, 15, 19, 22, 25, 28, 31, 34, 37, 40,
-     43), 104),
+    ("union", 5000, 13, (0, 10, 14, 15, 19, 22, 25, 28, 31, 34, 37, 40, 43),
+     104),
 ]
 # ... and the bounds of its exhausted searches: (graph, budget, lower, upper)
 FORMER_RHO_EXHAUSTED = [
     ("bicubic-32", 1, 0, 10), ("bicubic-32", 50, 7, 10),
     ("bicubic-64", 1, 0, 21), ("bicubic-64", 50, 13, 21),
-    ("bicubic-64", 5000, 15, 21), ("biconvex-18x14", 1, 0, 7),
-    ("biconvex-18x14", 50, 6, 7), ("connected-40", 1, 0, 2),
-    ("connected-40", 50, 1, 2), ("mop-30", 1, 0, 7), ("mop-30", 50, 6, 7),
-    ("cycle-100", 1, 0, 34), ("cycle-100", 50, 22, 34),
+    ("biconvex-18x14", 1, 0, 7), ("biconvex-18x14", 50, 6, 7),
+    ("connected-40", 1, 0, 2), ("connected-40", 50, 1, 2), ("mop-30", 1, 0, 7),
+    ("mop-30", 50, 6, 7), ("cycle-100", 1, 0, 34), ("cycle-100", 50, 22, 34),
     ("cycle-300", 1, 0, 100), ("cycle-300", 50, 0, 100),
     ("cycle-300", 5000, 86, 100), ("rook-5", 1, 0, 1), ("union", 1, 0, 37),
     ("union", 50, 12, 14),
+
 ]
 
 
@@ -314,6 +314,7 @@ def test_gamma_keeps_the_former_values_in_no_more_nodes(records):
         now = outcomes[name, budget]
         if now[0] == "budget":  # it got at least as far, from the same root
             assert lower == now[2] and now[3] <= upper, (name, budget, now)
+            assert now[3] is None or now[2] < now[3], (name, budget, now)
         else:
             assert lower <= now[0] <= upper, (name, budget, now)
 
@@ -328,7 +329,7 @@ def test_rho_keeps_the_former_witnesses_in_no_more_nodes(records):
     for name, budget, lower, upper in FORMER_RHO_EXHAUSTED:
         now = outcomes[name, budget]
         if now[0] == "budget":  # it got at least as far, with a cover no larger
-            assert lower <= now[2] and now[3] <= upper, (name, budget, now)
+            assert lower <= now[2] < now[3] <= upper, (name, budget, now)
         else:
             assert lower <= now[0] <= upper, (name, budget, now)
 
@@ -394,21 +395,6 @@ def _old_clique_cover_bound(cmasks, candidates):
     return count
 
 
-def _old_max_conflict_pick(cmasks, candidates):
-    pick = -1
-    pick_deg = -1
-    m = candidates
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        m ^= low
-        d = (cmasks[v] & candidates).bit_count() - 1
-        if d > pick_deg:
-            pick_deg = d
-            pick = v
-    return pick
-
-
 @settings(max_examples=300, deadline=None)
 @given(graph_and_mask(), st.integers(0, 12))
 def test_packing_bound_matches_the_greedy_scan(case, cap):
@@ -438,17 +424,6 @@ def test_clique_chains_match_the_first_fit_cover(case, cap, conflict):
     old = _old_clique_cover_bound(near, candidates)
     assert solvers._clique_cover_bound(near, candidates, g.n) == old
     assert solvers._clique_cover_bound(near, candidates, cap) == min(old, cap)
-
-
-@settings(max_examples=300, deadline=None)
-@given(graph_and_mask(), st.booleans())
-def test_conflict_classes_pick_the_max_conflict_candidate(case, conflict):
-    g, candidates = case
-    near = solvers._conflict_masks(g) if conflict else list(g.closed_masks)
-    classes = solvers._degree_classes(m.bit_count() - 1 for m in near)[::-1]
-    if candidates:
-        assert solvers._max_conflict_pick(near, classes, candidates) == (
-            _old_max_conflict_pick(near, candidates))
 
 
 def _max_packing_inside(near, candidates):
@@ -610,6 +585,22 @@ def _search_outcome(search, *args):
         return exc.quantity, exc.lower, exc.upper, exc.witness, exc.nodes
 
 
+def _root_bound(g, near, lower):
+    # gamma's root bound: the search stops at it and a run-out reports it
+    reach = max(map(len, g.adj)) + 1
+    return max(lower, -(-g.n // reach),
+               solvers._packing_bound(near, (1 << g.n) - 1, g.n))
+
+
+def _former_at_root(g, near, budget, spent, lower, fractional=False):
+    # the former loop given the root bound as its `lower`: it stops where
+    # the search does, and its run-out reports the root bound too
+    root = _root_bound(g, near, lower)
+    out = _search_outcome(_former_gamma_component, g, budget, spent, root,
+                          fractional)
+    return out if len(out) == 2 else (out[0], root, *out[2:])
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_gamma_search_matches_the_former_loop_node_for_node(data):
@@ -630,8 +621,8 @@ def test_gamma_search_matches_the_former_loop_node_for_node(data):
     spent = data.draw(st.integers(0, 2))
     budget = spent + data.draw(st.integers(1, full + 1))
     assert _search_outcome(solvers._solve_gamma_component, g, near, budget,
-                           spent, lower) == _search_outcome(
-        _former_gamma_component, g, budget, spent, lower)
+                           spent, lower) == _former_at_root(g, near, budget,
+                                                            spent, lower)
 
 
 # On a regular graph the search also prunes with the fractional bound, so
@@ -664,24 +655,26 @@ def test_gamma_search_keeps_the_former_witness_on_regular_graphs(g, data):
                                           lower)[0] == witness
     # under a budget: an answer the former loop found is found again in no
     # more nodes; a former run-out now answers within its bounds or runs
-    # out from the same root bound with an incumbent no larger
+    # out from a root bound no lower with an incumbent no larger, and never
+    # with a closed range
     spent = data.draw(st.integers(0, 2))
     budget = spent + data.draw(st.integers(1, full + 1))
     former = _search_outcome(_former_gamma_component, g, budget, spent,
                              lower)
     now = _search_outcome(solvers._solve_gamma_component, g, near, budget,
                           spent, lower)
-    # node for node, the former loop with the bound from its definition
-    assert now == _search_outcome(_former_gamma_component, g, budget, spent,
-                                  lower, True)
+    # node for node, the former loop with the bound from its definition,
+    # stopped at the root bound
+    assert now == _former_at_root(g, near, budget, spent, lower, True)
     if len(former) == 2:
         assert now[0] == former[0] and now[1] <= former[1]
     elif len(now) == 2:
         assert former[1] <= len(now[0])
         assert former[2] is None or len(now[0]) <= former[2]
     else:
-        assert now[1] == former[1]
+        assert now[1] >= former[1]
         assert former[2] is None or now[2] is not None and now[2] <= former[2]
+        assert now[2] is None or now[1] < now[2]
         assert now[4] == former[4] == budget + 1
 
 
@@ -752,7 +745,6 @@ def test_fractional_bound_never_exceeds_the_fewest_dominators(case):
 def _former_rho_component(sub, budget, spent):
     n = sub.n
     near = solvers._conflict_masks(sub)
-    classes = solvers._degree_classes(m.bit_count() - 1 for m in near)[::-1]
     full = (1 << n) - 1
     limit = budget - spent
     nodes = 0
@@ -778,7 +770,7 @@ def _former_rho_component(sub, budget, spent):
         room = best_size - size  # prune when the cover fits in it
         if solvers._clique_cover_bound(near, candidates, room + 1) <= room:
             continue
-        pick = solvers._max_conflict_pick(near, classes, candidates)
+        pick = solvers._max_conflict_pick(near, candidates)
         stack.append((chosen, size, candidates & ~(1 << pick)))
         stack.append(((pick, chosen), size + 1, candidates & ~near[pick]))
     return best_set, nodes
@@ -824,7 +816,8 @@ def test_rho_search_keeps_the_former_witness_in_no_more_nodes(g, data):
     assert solvers._solve_rho_component(g, near, 10 ** 9, 0)[0] == witness
     # under a budget: an answer the former loop found is found again in no
     # more nodes; a former run-out now answers within its bounds or runs
-    # out having got at least as far, with a cover no larger
+    # out having got at least as far, with a cover no larger, and never
+    # with a closed range
     spent = data.draw(st.integers(0, 2))
     budget = spent + data.draw(st.integers(1, full + 1))
     former = _search_outcome(_former_rho_component, g, budget, spent)
@@ -835,7 +828,7 @@ def test_rho_search_keeps_the_former_witness_in_no_more_nodes(g, data):
     elif len(now) == 2:
         assert former[1] <= len(now[0]) <= former[2]
     else:
-        assert former[1] <= now[1] and now[2] <= former[2]
+        assert former[1] <= now[1] < now[2] <= former[2]
         assert now[4] == former[4] == budget + 1
 
 if __name__ == "__main__":

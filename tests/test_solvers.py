@@ -136,8 +136,10 @@ def test_budget_exceeded_carries_bounds():
     assert exc.lower >= 1
     assert exc.upper is None or exc.lower <= exc.upper
     assert exc.nodes >= 5
+    # rook-5 has diameter 2, so rho = 1 meets its root cover at the first
+    # leaf; a cycle's rho still runs out
     with pytest.raises(BudgetExceeded) as err2:
-        packing_number(g, budget=2)
+        packing_number(gen_cycle(30), budget=2)
     assert err2.value.quantity == "rho"
 
 
@@ -500,6 +502,25 @@ def test_solve_pair_answers_exactly_or_brackets_its_run_out(g, budget):
         assert len(witness) == lower and is_packing(g, witness)
 
 
+@settings(max_examples=100, deadline=None)
+@given(small_graphs())
+def test_every_budget_gives_the_answer_or_an_open_range(g):
+    # each search stops at its first incumbent that meets its root bound and
+    # reports that bound when it runs out, so no budget closes a run-out's
+    # range: it either answers as the unbounded solve does or leaves the
+    # true value strictly inside [lower, upper]
+    whole = solvers.solve_pair(g)
+    truth = {"gamma": brute_gamma(g), "rho": brute_rho(g)}
+    for budget in range(1, max(s.nodes for s in whole) + 1):
+        pair = _pair(g, budget)
+        if isinstance(pair[0], str):
+            quantity, lower, upper = pair[:3]
+            assert lower <= truth[quantity] <= upper and lower < upper, (
+                budget, pair)
+        else:
+            assert pair == whole, budget
+
+
 def test_solve_pair_keeps_the_search_witnesses_off_mops():
     # gamma stops at rho, but every witness is the one the views return
     cases = [gen_random_connected(4 + s % 12, s) for s in range(60)]
@@ -540,15 +561,15 @@ def test_solve_pair_methods():
 
 def test_gamma_eq_rho_graph_answers_where_the_views_run_out():
     # gamma = rho = 6: the views' gamma search needs 172 nodes to prove its
-    # first set of 6 optimal, while the pair's stops there, at node 7,
-    # after rho's 65 nodes
+    # first set of 6 optimal, since its own root bound is 4, while the
+    # pair's stops there, at node 7, after rho's 59 nodes
     g = gen_random_connected(21, 127)
     with pytest.raises(BudgetExceeded) as err:
         domination_number(g, 100)
     assert (err.value.quantity, err.value.lower, err.value.nodes) == (
         "gamma", 4, 101)
     gamma, rho = solvers.solve_pair(g, 100)
-    assert (gamma.value, gamma.nodes, rho.value, rho.nodes) == (6, 7, 6, 65)
+    assert (gamma.value, gamma.nodes, rho.value, rho.nodes) == (6, 7, 6, 59)
     assert gamma.witness == domination_number(g).witness
     assert rho.witness == packing_number(g).witness
 
@@ -633,14 +654,11 @@ def test_a_run_out_reports_its_quantity_and_range():
                                     ("range", [3, None])]
 
 
-# A defect, pinned: a run-out whose range is closed has proved the value,
-# yet it is reported as inconclusive.  The searches never stop at their own
-# root bound, so on 25 of 57 small graphs (K_a,b with 2 <= a <= b <= 4,
-# Petersen, Heawood, the cube, C_3 to C_30, and gen_random_bicubic(n, s)
-# with n = 12 and 16, s < 10) some budget below 400 gives one.  Its mending
-# is ROADMAP item 2's: such a run-out is an answer.
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="a closed-range run-out is reported as inconclusive")
+# A run-out whose range is closed would have proved the value, so it must
+# not be reported as inconclusive: each search stops at its first incumbent
+# that meets its own root bound, and a run-out reports that bound.  These
+# two ran out with rho in [1, 1] and gamma in [4, 4] while the searches went
+# on proving an optimum they had found.
 @pytest.mark.parametrize("g, budget", [(gen_complete_bipartite(3, 3), 2),
                                        (heawood(), 13)],
                          ids=["K33-rho", "heawood-gamma"])
