@@ -73,19 +73,22 @@ def test_compute_budget_inconclusive(tmp_path, capsys):
 
 
 def test_compute_answers_a_mop_without_search(tmp_path, capsys):
-    # gamma's search ran out on this mop with [23, 26]; the pair solve
-    # reads both numbers off the dual-tree walk
+    # gamma's search needs 60 nodes on this mop, so at budget 50 it runs
+    # out with [23, 26]; the pair solve reads both numbers off the
+    # dual-tree walk, spending none of the budget.  (Before gamma's search
+    # skipped dominated siblings it ran out here even at budget 200,000.)
     g = gen_random_mop(120, 1)
     path = write_g6(tmp_path, "m.g6", [g])
-    assert cli.main(["compute", "--input", path, "--budget", "200000"]) == 0
+    assert cli.main(["compute", "--input", path, "--budget", "50"]) == 0
     (row,) = out_rows(capsys)
     assert "inconclusive" not in row and row["nodes"] == 0
     assert 23 <= row["gamma"] <= 26
     assert len(row["dominating"]) == row["gamma"]
     assert len(row["packing"]) == row["rho"]
     with pytest.raises(solvers.BudgetExceeded) as err:
-        solvers.domination_number(g, 200000)
+        solvers.domination_number(g, 50)
     assert (err.value.lower, err.value.upper) == (23, 26)
+    assert solvers.domination_number(g, 60).nodes == 60
 
 
 def test_compute_deep_cycle_is_inconclusive(tmp_path, capsys):

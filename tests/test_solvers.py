@@ -560,16 +560,19 @@ def test_solve_pair_methods():
 
 
 def test_gamma_eq_rho_graph_answers_where_the_views_run_out():
-    # gamma = rho = 6: the views' gamma search needs 172 nodes to prove its
-    # first set of 6 optimal, since its own root bound is 4, while the
-    # pair's stops there, at node 7, after rho's 59 nodes
-    g = gen_random_connected(21, 127)
+    # gamma = rho = 5: the views' gamma search needs 81 nodes to prove its
+    # first set of 5 optimal, since its own root bound is 3, while the
+    # pair's stops there, at node 6, after rho's 58 nodes.  (The graph
+    # was gen_random_connected(21, 127) at budget 100 until gamma's search
+    # came to skip dominated siblings; its views' gamma fell from 172 nodes
+    # to 32, below rho's 59.)
+    g = gen_random_connected(25, 108)
     with pytest.raises(BudgetExceeded) as err:
-        domination_number(g, 100)
+        domination_number(g, 70)
     assert (err.value.quantity, err.value.lower, err.value.nodes) == (
-        "gamma", 4, 101)
-    gamma, rho = solvers.solve_pair(g, 100)
-    assert (gamma.value, gamma.nodes, rho.value, rho.nodes) == (6, 7, 6, 59)
+        "gamma", 3, 71)
+    gamma, rho = solvers.solve_pair(g, 70)
+    assert (gamma.value, gamma.nodes, rho.value, rho.nodes) == (5, 6, 5, 58)
     assert gamma.witness == domination_number(g).witness
     assert rho.witness == packing_number(g).witness
 
@@ -608,9 +611,12 @@ def test_a_run_out_searches_each_component_once_and_calls_no_view(
 
 
 def test_a_gamma_run_out_starts_at_the_rho_just_searched():
-    # gamma's own bounds reach only 3 here; rho's search has proved 5
+    # gamma's own bounds reach only 3 here; rho's search has proved 5.
+    # (At budget 200 this pair ran out the same way until gamma's search
+    # came to skip dominated siblings; it now answers gamma = 6 in 133
+    # nodes, and the run-outs counted below fell from 35 to 12.)
     with pytest.raises(BudgetExceeded) as err:
-        solvers.solve_pair(gen_random_connected(28, 14), 200)
+        solvers.solve_pair(gen_random_connected(28, 14), 100)
     assert (err.value.quantity, err.value.lower, err.value.upper) == (
         "gamma", 5, 6)
     run_outs = 0
@@ -624,21 +630,23 @@ def test_a_gamma_run_out_starts_at_the_rho_just_searched():
                     if exc.quantity == "gamma":
                         run_outs += 1
                         assert exc.lower >= packing_number(g).value
-    assert run_outs == 35
+    assert run_outs == 12
 
 
 def test_a_rho_run_out_ends_at_the_smaller_whole_component_cover():
     # on this 1000-vertex bicubic graph the chain cover of the whole graph
     # counts 348 cliques and the star cover 313; on the n = 30 one both
-    # count 10, so its run-out at budget 5 stays [4, 10]
+    # count 10, so its run-out at budget 5 stays [4, 10].  The lower end
+    # at n = 1000 rose from 175 to 177 when rho's search came to run the
+    # one-short test
     covers = []
     for g in (gen_random_bicubic(1000, 1), gen_random_bicubic(30, 1)):
         full = (1 << g.n) - 1
         covers.append((
             solvers._clique_cover_bound(solvers._conflict_masks(g), full, g.n),
-            solvers._star_cover_bound(g.closed_masks, g.adj, full, g.n)))
+            len(solvers._star_cover(g.closed_masks, g.adj, full, g.n))))
     assert covers == [(348, 313), (10, 10)]
-    for g, budget, bounds in ((gen_random_bicubic(1000, 1), 20000, (175, 313)),
+    for g, budget, bounds in ((gen_random_bicubic(1000, 1), 20000, (177, 313)),
                               (gen_random_bicubic(30, 1), 5, (4, 10))):
         with pytest.raises(BudgetExceeded) as err:
             solvers.solve_pair(g, budget)
