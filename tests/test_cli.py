@@ -234,8 +234,8 @@ def _biconvex_items(*seeds):
     # mops never search, so a budget of 10 still answers them
     ("mop", [(gen_random_mop(30, 1), None), (gen_random_mop(5, 1), None)],
      [True, True]),
-    ("biconvex", _biconvex_items(1, 0), [False, True]),
-    ("any", [(gen_random_connected(12, 4), None), (gen_path(5), None)],
+    ("biconvex", _biconvex_items(4, 0), [False, True]),
+    ("any", [(gen_random_connected(12, 0), None), (gen_path(5), None)],
      [False, True]),
     ("tree", [(gen_path(40), None)], [True]),
 ])

@@ -228,7 +228,7 @@ def test_verify_counterexamples_goes_on_after_a_run_out():
                                quantity=err.value.quantity,
                                range=[err.value.lower, err.value.upper])
     assert (replayed[1]["quantity"], replayed[1]["range"]) == ("rho",
-                                                              [4, 10])
+                                                              [4, 7])
     assert all("quantity" not in replayed[i] for i in (0, 2, 3))
 
 
@@ -487,7 +487,7 @@ def test_budget_exhaustion_keeps_the_families():
     solved, _ = run_scan(items)
     assert [r.check for r in starved] == [r.check for r in solved]
     detail = {"reason": "node budget exhausted", "quantity": "rho",
-              "range": [4, 10]}
+              "range": [4, 7]}
     assert [r.as_dict() for r in starved] == [
         {"graph_id": "b30", "family": "bicubic", "n": 30, "check": check,
          "kind": kind, "holds": None, "bound": "", "gamma": None,
@@ -508,7 +508,7 @@ def test_graph_facts_keep_a_budget_run_out():
     facts = graph_facts("b30", "bicubic", g, None, 5)
     assert isinstance(facts.exhausted, BudgetExceeded)
     assert (facts.exhausted.quantity, facts.exhausted.lower,
-            facts.exhausted.upper) == ("rho", 4, 10)
+            facts.exhausted.upper) == ("rho", 4, 7)
     assert (facts.gamma, facts.rho) == (None, None)
     assert facts.families == {"any", "bicubic", "subcubic"}
     assert facts.delta == 3

@@ -9,20 +9,35 @@ every row, the digests of the code in the working tree, and each
 quantity's total nodes and seconds over the corpus: nodes first, since
 they repeat exactly on any machine, then seconds.
 
-Both digests were last retaken when gamma's search came to skip a
+Both digests were last retaken when both searches came to start each
+component that has a vertex of degree 1 from a reduced root (the leaf
+rule: gamma takes every support, a vertex beside a leaf, and bans its
+leaves; rho takes each support's lowest leaf and drops the support's
+closed neighbourhood from the candidates), and rho's root bound came to
+take n // (delta + 1) too.  The leaf rule leaves a component without a
+leaf alone, so gamma's rows of the graphs without one kept their outcomes
+node for node, and rho's kept their witnesses in no more nodes: the new
+root bound only stops the search sooner, at the same first optimum.  The
+corpus's graphs with a leaf are the five biconvex graphs and
+connected-10.  They kept every value; three rho witnesses became other
+maximum packings (biconvex-12x12, biconvex-24x24 and connected-10), and
+biconvex-18x14's rho run-out at budget 50 now answers 7 in 19 nodes.  On
+those six graphs at the full budget, gamma's nodes fell from 53 to 40 and
+rho's from 409 to 102; over the corpus gamma's fell from 13,623 to 13,604
+and rho's from 27,535 to 27,005.  The former tables below hold the parent
+search's rows and pin just that.  The former loops take the rule as their
+`leaves` flag, so the searches still match them node for node.
+
+Before that, both were retaken when gamma's search came to skip a
 dominated sibling (a dominator of the pick whose new coverage lies inside
 an earlier sibling's) and rho's came to run the one-short test (a
 failed-literal test on a star cover one clique past the room) on regular
 components.  Neither touches the branching order and each prunes only
-subtrees that hold no strict improvement, so every answer keeps its value
-and witness and each search visits a subset of its former nodes.  The
-former tables below hold the parent search's rows and pin just that;
-every former run-out now answers inside its bounds or runs out with an
-open range inside them.  Over the corpus gamma's nodes fell from 17,835 to
-13,623 and rho's from 31,017 to 27,535; bicubic-64 took 5,610 gamma nodes
-(was 8,230) and 1,061 rho nodes (was 2,361).  The former gamma loop below
-takes the rule as its `sibling` flag, so the search still matches it node
-for node.
+subtrees that hold no strict improvement, so every answer kept its value
+and witness and each search visited a subset of its former nodes.  Over
+the corpus gamma's nodes fell from 17,835 to 13,623 and rho's from 31,017
+to 27,535; bicubic-64 took 5,610 gamma nodes (was 8,230) and 1,061 rho
+nodes (was 2,361).
 
 Before that, both were retaken when each search came to stop at its
 first incumbent that meets its own root bound (gamma's the larger of the
@@ -54,7 +69,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gammarho import solvers
-from gammarho.graphs import Graph, is_dominating
+from gammarho.graphs import Graph, is_dominating, is_packing
 from gammarho.generators import (
     gen_complete,
     gen_complete_bipartite,
@@ -71,123 +86,118 @@ from gammarho.generators import (
 from test_solvers import mixed_graphs
 
 PIN_BUDGET = 40_000
-RHO_DIGEST = "fa2e5292115915f739d8d45753c6745e84a477bc87dfab34189138e593b3672f"
-GAMMA_DIGEST = "6ee95730a57d964fd84263c9a2abc1d0cb63cad79d6a9a2be4e4ae3e4741310e"
+RHO_DIGEST = "bb3878e5b2a84871a1a6e10583d7701145abdaaeee0bd4b4ed7f672a75fe7b87"
+GAMMA_DIGEST = "be1130c5e8876c764c1bde567b079dc8e949f89e1a2340a99dba818a9f0780bc"
 
-# The former gamma search's answers, which stopped at its first incumbent
-# that met its root bound, but made every sibling's branch: (graph, budget,
-# gamma, witness, nodes) ...
+# The former gamma search's answers, which started every component from the
+# empty root: (graph, budget, gamma, witness, nodes) ...
 FORMER_GAMMA_SOLVED = [
-    ("bicubic-16", 40000, 5, (0, 2, 6, 9, 12), 28),
-    ("bicubic-24", 40000, 7, (0, 2, 6, 7, 13, 15, 19), 39),
-    ("bicubic-32", 40000, 9, (0, 6, 8, 10, 12, 18, 20, 21, 24), 272),
-    ("bicubic-40", 40000, 11, (0, 1, 4, 7, 13, 14, 26, 29, 32, 33, 39),
-     191),
+    ("bicubic-16", 40000, 5, (0, 2, 6, 9, 12), 18),
+    ("bicubic-24", 40000, 7, (0, 2, 6, 7, 13, 15, 19), 30),
+    ("bicubic-32", 40000, 9, (0, 6, 8, 10, 12, 18, 20, 21, 24), 162),
+    ("bicubic-40", 40000, 11, (0, 1, 4, 7, 13, 14, 26, 29, 32, 33, 39), 140),
     ("bicubic-48", 40000, 13, (0, 3, 9, 10, 17, 20, 21, 26, 27, 29, 30, 40,
-     42), 273),
-    ("bicubic-56", 40000, 15, (0, 1, 4, 7, 10, 16, 17, 21, 28, 41, 44, 48,
-     49, 53, 55), 567),
-    ("bicubic-64", 40000, 17, (7, 8, 9, 19, 20, 21, 25, 26, 30, 34, 42, 46,
-     50, 51, 52, 56, 57), 8230),
+     42), 186),
+    ("bicubic-56", 40000, 15, (0, 1, 4, 7, 10, 16, 17, 21, 28, 41, 44, 48, 49,
+     53, 55), 368),
+    ("bicubic-64", 40000, 17, (7, 8, 9, 19, 20, 21, 25, 26, 30, 34, 42, 46, 50,
+     51, 52, 56, 57), 5610),
     ("biconvex-6x6", 40000, 4, (1, 3, 6, 11), 5),
     ("biconvex-9x7", 40000, 3, (5, 9, 11), 4),
-    ("biconvex-12x12", 40000, 5, (0, 6, 11, 14, 16), 20),
-    ("biconvex-18x14", 40000, 7, (0, 1, 7, 16, 17, 21, 26), 41),
+    ("biconvex-12x12", 40000, 5, (0, 6, 11, 14, 16), 10),
+    ("biconvex-18x14", 40000, 7, (0, 1, 7, 16, 17, 21, 26), 11),
     ("biconvex-24x24", 40000, 12, (1, 4, 9, 13, 23, 24, 28, 29, 31, 33, 35,
-     36), 270),
+     36), 20),
     ("connected-10", 40000, 2, (0, 1), 3),
-    ("connected-16", 40000, 3, (4, 7, 9), 34),
-    ("connected-22", 40000, 3, (1, 2, 11), 74),
-    ("connected-28", 40000, 3, (4, 10, 14), 87),
-    ("connected-34", 40000, 3, (1, 2, 22), 162),
-    ("connected-40", 40000, 3, (11, 28, 31), 238),
+    ("connected-16", 40000, 3, (4, 7, 9), 18),
+    ("connected-22", 40000, 3, (1, 2, 11), 50),
+    ("connected-28", 40000, 3, (4, 10, 14), 69),
+    ("connected-34", 40000, 3, (1, 2, 22), 124),
+    ("connected-40", 40000, 3, (11, 28, 31), 176),
     ("mop-6", 40000, 2, (0, 3), 3),
     ("mop-10", 40000, 2, (0, 5), 3),
-    ("mop-14", 40000, 3, (1, 5, 13), 11),
-    ("mop-18", 40000, 4, (0, 4, 7, 13), 14),
-    ("mop-22", 40000, 6, (0, 6, 7, 13, 14, 19), 22),
-    ("mop-26", 40000, 6, (0, 3, 5, 13, 17, 21), 66),
-    ("mop-30", 40000, 7, (0, 9, 13, 14, 22, 26, 27), 22),
+    ("mop-14", 40000, 3, (1, 5, 13), 4),
+    ("mop-18", 40000, 4, (0, 4, 7, 13), 6),
+    ("mop-22", 40000, 6, (0, 6, 7, 13, 14, 19), 7),
+    ("mop-26", 40000, 6, (0, 3, 5, 13, 17, 21), 12),
+    ("mop-30", 40000, 7, (0, 9, 13, 14, 22, 26, 27), 8),
     ("cycle-30", 40000, 10, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27), 11),
     ("cycle-31", 40000, 11, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 28), 12),
     ("cycle-32", 40000, 11, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 29), 12),
-    ("cycle-60", 40000, 20, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33,
-     36, 39, 42, 45, 48, 51, 54, 57), 21),
-    ("cycle-100", 40000, 34, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33,
-     36, 39, 42, 45, 48, 51, 54, 57, 60, 63, 66, 69, 72, 75, 78, 81, 84,
-     87, 90, 93, 96, 97), 35),
-    ("cycle-150", 40000, 50, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33,
-     36, 39, 42, 45, 48, 51, 54, 57, 60, 63, 66, 69, 72, 75, 78, 81, 84,
-     87, 90, 93, 96, 99, 102, 105, 108, 111, 114, 117, 120, 123, 126, 129,
-     132, 135, 138, 141, 144, 147), 51),
-    ("cycle-300", 40000, 100, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33,
-     36, 39, 42, 45, 48, 51, 54, 57, 60, 63, 66, 69, 72, 75, 78, 81, 84,
-     87, 90, 93, 96, 99, 102, 105, 108, 111, 114, 117, 120, 123, 126, 129,
-     132, 135, 138, 141, 144, 147, 150, 153, 156, 159, 162, 165, 168, 171,
-     174, 177, 180, 183, 186, 189, 192, 195, 198, 201, 204, 207, 210, 213,
-     216, 219, 222, 225, 228, 231, 234, 237, 240, 243, 246, 249, 252, 255,
-     258, 261, 264, 267, 270, 273, 276, 279, 282, 285, 288, 291, 294, 297),
-     101),
+    ("cycle-60", 40000, 20, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33, 36,
+     39, 42, 45, 48, 51, 54, 57), 21),
+    ("cycle-100", 40000, 34, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33, 36,
+     39, 42, 45, 48, 51, 54, 57, 60, 63, 66, 69, 72, 75, 78, 81, 84, 87, 90,
+     93, 96, 97), 35),
+    ("cycle-150", 40000, 50, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33, 36,
+     39, 42, 45, 48, 51, 54, 57, 60, 63, 66, 69, 72, 75, 78, 81, 84, 87, 90,
+     93, 96, 99, 102, 105, 108, 111, 114, 117, 120, 123, 126, 129, 132, 135,
+     138, 141, 144, 147), 51),
+    ("cycle-300", 40000, 100, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33, 36,
+     39, 42, 45, 48, 51, 54, 57, 60, 63, 66, 69, 72, 75, 78, 81, 84, 87, 90,
+     93, 96, 99, 102, 105, 108, 111, 114, 117, 120, 123, 126, 129, 132, 135,
+     138, 141, 144, 147, 150, 153, 156, 159, 162, 165, 168, 171, 174, 177, 180,
+     183, 186, 189, 192, 195, 198, 201, 204, 207, 210, 213, 216, 219, 222, 225,
+     228, 231, 234, 237, 240, 243, 246, 249, 252, 255, 258, 261, 264, 267, 270,
+     273, 276, 279, 282, 285, 288, 291, 294, 297), 101),
     ("petersen", 40000, 3, (0, 2, 6), 4),
-    ("rook-5", 40000, 5, (0, 4, 6, 12, 18), 390),
-    ("union", 40000, 16, (0, 2, 6, 10, 13, 15, 18, 21, 24, 27, 30, 33, 36,
-     39, 42, 43), 16),
-    ("bicubic-32", 5000, 9, (0, 6, 8, 10, 12, 18, 20, 21, 24), 272),
-    ("biconvex-18x14", 50, 7, (0, 1, 7, 16, 17, 21, 26), 41),
-    ("biconvex-18x14", 5000, 7, (0, 1, 7, 16, 17, 21, 26), 41),
-    ("connected-40", 5000, 3, (11, 28, 31), 238),
-    ("mop-30", 50, 7, (0, 9, 13, 14, 22, 26, 27), 22),
-    ("mop-30", 5000, 7, (0, 9, 13, 14, 22, 26, 27), 22),
-    ("cycle-100", 50, 34, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33, 36,
-     39, 42, 45, 48, 51, 54, 57, 60, 63, 66, 69, 72, 75, 78, 81, 84, 87,
-     90, 93, 96, 97), 35),
-    ("cycle-100", 5000, 34, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33,
-     36, 39, 42, 45, 48, 51, 54, 57, 60, 63, 66, 69, 72, 75, 78, 81, 84,
-     87, 90, 93, 96, 97), 35),
-    ("cycle-300", 5000, 100, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33,
-     36, 39, 42, 45, 48, 51, 54, 57, 60, 63, 66, 69, 72, 75, 78, 81, 84,
-     87, 90, 93, 96, 99, 102, 105, 108, 111, 114, 117, 120, 123, 126, 129,
-     132, 135, 138, 141, 144, 147, 150, 153, 156, 159, 162, 165, 168, 171,
-     174, 177, 180, 183, 186, 189, 192, 195, 198, 201, 204, 207, 210, 213,
-     216, 219, 222, 225, 228, 231, 234, 237, 240, 243, 246, 249, 252, 255,
-     258, 261, 264, 267, 270, 273, 276, 279, 282, 285, 288, 291, 294, 297),
-     101),
-    ("rook-5", 5000, 5, (0, 4, 6, 12, 18), 390),
-    ("union", 50, 16, (0, 2, 6, 10, 13, 15, 18, 21, 24, 27, 30, 33, 36, 39,
+    ("rook-5", 40000, 5, (0, 4, 6, 12, 18), 230),
+    ("union", 40000, 16, (0, 2, 6, 10, 13, 15, 18, 21, 24, 27, 30, 33, 36, 39,
      42, 43), 16),
-    ("union", 5000, 16, (0, 2, 6, 10, 13, 15, 18, 21, 24, 27, 30, 33, 36,
-     39, 42, 43), 16),
+    ("bicubic-32", 5000, 9, (0, 6, 8, 10, 12, 18, 20, 21, 24), 162),
+    ("biconvex-18x14", 50, 7, (0, 1, 7, 16, 17, 21, 26), 11),
+    ("biconvex-18x14", 5000, 7, (0, 1, 7, 16, 17, 21, 26), 11),
+    ("connected-40", 5000, 3, (11, 28, 31), 176),
+    ("mop-30", 50, 7, (0, 9, 13, 14, 22, 26, 27), 8),
+    ("mop-30", 5000, 7, (0, 9, 13, 14, 22, 26, 27), 8),
+    ("cycle-100", 50, 34, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33, 36, 39,
+     42, 45, 48, 51, 54, 57, 60, 63, 66, 69, 72, 75, 78, 81, 84, 87, 90, 93,
+     96, 97), 35),
+    ("cycle-100", 5000, 34, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33, 36,
+     39, 42, 45, 48, 51, 54, 57, 60, 63, 66, 69, 72, 75, 78, 81, 84, 87, 90,
+     93, 96, 97), 35),
+    ("cycle-300", 5000, 100, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33, 36,
+     39, 42, 45, 48, 51, 54, 57, 60, 63, 66, 69, 72, 75, 78, 81, 84, 87, 90,
+     93, 96, 99, 102, 105, 108, 111, 114, 117, 120, 123, 126, 129, 132, 135,
+     138, 141, 144, 147, 150, 153, 156, 159, 162, 165, 168, 171, 174, 177, 180,
+     183, 186, 189, 192, 195, 198, 201, 204, 207, 210, 213, 216, 219, 222, 225,
+     228, 231, 234, 237, 240, 243, 246, 249, 252, 255, 258, 261, 264, 267, 270,
+     273, 276, 279, 282, 285, 288, 291, 294, 297), 101),
+    ("rook-5", 5000, 5, (0, 4, 6, 12, 18), 230),
+    ("union", 50, 16, (0, 2, 6, 10, 13, 15, 18, 21, 24, 27, 30, 33, 36, 39, 42,
+     43), 16),
+    ("union", 5000, 16, (0, 2, 6, 10, 13, 15, 18, 21, 24, 27, 30, 33, 36, 39,
+     42, 43), 16),
 ]
 # ... and the bounds of its exhausted searches: (graph, budget, lower, upper)
 FORMER_GAMMA_EXHAUSTED = [
-    ("bicubic-32", 1, 8, 32), ("bicubic-32", 50, 8, 11), ("bicubic-64", 1,
-    16, 64), ("bicubic-64", 50, 16, 21), ("bicubic-64", 5000, 16, 18),
-    ("biconvex-18x14", 1, 5, 32), ("connected-40", 1, 2, 40),
-    ("connected-40", 50, 2, 4), ("mop-30", 1, 6, 30), ("cycle-100", 1, 34,
-    100), ("cycle-300", 1, 100, 300), ("cycle-300", 50, 100, 300),
-    ("rook-5", 1, 3, 25), ("rook-5", 50, 3, 5), ("union", 1, 3, 46),
+    ("bicubic-32", 1, 8, 32), ("bicubic-32", 50, 8, 10), ("bicubic-64", 1, 16,
+    64), ("bicubic-64", 50, 16, 19), ("bicubic-64", 5000, 16, 18),
+    ("biconvex-18x14", 1, 5, 32), ("connected-40", 1, 2, 40), ("connected-40",
+    50, 2, 4), ("mop-30", 1, 6, 30), ("cycle-100", 1, 34, 100), ("cycle-300",
+    1, 100, 300), ("cycle-300", 50, 100, 300), ("rook-5", 1, 3, 25), ("rook-5",
+    50, 3, 5), ("union", 1, 3, 46),
 ]
 
-# The former rho search's answers, which stopped at its first incumbent
-# that met its root cover, but had no one-short test: (graph, budget, rho,
-# witness, nodes) ...
+# The former rho search's answers, which started every component from the
+# empty root and whose root bound was the smaller cover of the whole
+# component: (graph, budget, rho, witness, nodes) ...
 FORMER_RHO_SOLVED = [
-    ("bicubic-16", 40000, 3, (6, 9, 12), 21),
-    ("bicubic-24", 40000, 5, (1, 6, 7, 13, 15), 55),
-    ("bicubic-32", 40000, 7, (0, 6, 10, 13, 18, 21, 24), 123),
-    ("bicubic-40", 40000, 9, (0, 5, 8, 15, 26, 27, 35, 36, 39), 215),
-    ("bicubic-48", 40000, 11, (0, 9, 10, 17, 20, 26, 27, 29, 30, 40, 42),
-     357),
+    ("bicubic-16", 40000, 3, (6, 9, 12), 19),
+    ("bicubic-24", 40000, 5, (1, 6, 7, 13, 15), 35),
+    ("bicubic-32", 40000, 7, (0, 6, 10, 13, 18, 21, 24), 81),
+    ("bicubic-40", 40000, 9, (0, 5, 8, 15, 26, 27, 35, 36, 39), 129),
+    ("bicubic-48", 40000, 11, (0, 9, 10, 17, 20, 26, 27, 29, 30, 40, 42), 199),
     ("bicubic-56", 40000, 13, (1, 6, 9, 13, 14, 19, 22, 32, 36, 40, 43, 45,
-     47), 953),
-    ("bicubic-64", 40000, 15, (0, 2, 5, 10, 14, 15, 24, 28, 35, 41, 45, 48,
-     49, 53, 60), 2361),
+     47), 421),
+    ("bicubic-64", 40000, 15, (0, 2, 5, 10, 14, 15, 24, 28, 35, 41, 45, 48, 49,
+     53, 60), 1061),
     ("biconvex-6x6", 40000, 4, (0, 3, 5, 8), 25),
     ("biconvex-9x7", 40000, 3, (0, 6, 10), 18),
     ("biconvex-12x12", 40000, 5, (4, 8, 12, 15, 18), 48),
     ("biconvex-18x14", 40000, 7, (1, 4, 9, 16, 18, 22, 30), 82),
-    ("biconvex-24x24", 40000, 11, (0, 6, 8, 12, 18, 21, 25, 27, 30, 34,
-     37), 225),
+    ("biconvex-24x24", 40000, 11, (0, 6, 8, 12, 18, 21, 25, 27, 30, 34, 37),
+     225),
     ("connected-10", 40000, 2, (3, 6), 11),
     ("connected-16", 40000, 3, (2, 12, 15), 30),
     ("connected-22", 40000, 1, (0,), 2),
@@ -204,51 +214,55 @@ FORMER_RHO_SOLVED = [
     ("cycle-30", 40000, 10, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27), 95),
     ("cycle-31", 40000, 10, (0, 4, 7, 10, 13, 16, 19, 22, 25, 28), 101),
     ("cycle-32", 40000, 10, (0, 5, 8, 11, 14, 17, 20, 23, 26, 29), 107),
-    ("cycle-60", 40000, 20, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33,
-     36, 39, 42, 45, 48, 51, 54, 57), 429),
-    ("cycle-100", 40000, 33, (0, 4, 7, 10, 13, 16, 19, 22, 25, 28, 31, 34,
-     37, 40, 43, 46, 49, 52, 55, 58, 61, 64, 67, 70, 73, 76, 79, 82, 85,
-     88, 91, 94, 97), 1221),
-    ("cycle-150", 40000, 50, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33,
-     36, 39, 42, 45, 48, 51, 54, 57, 60, 63, 66, 69, 72, 75, 78, 81, 84,
-     87, 90, 93, 96, 99, 102, 105, 108, 111, 114, 117, 120, 123, 126, 129,
-     132, 135, 138, 141, 144, 147), 2871),
-    ("cycle-300", 40000, 100, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33,
-     36, 39, 42, 45, 48, 51, 54, 57, 60, 63, 66, 69, 72, 75, 78, 81, 84,
-     87, 90, 93, 96, 99, 102, 105, 108, 111, 114, 117, 120, 123, 126, 129,
-     132, 135, 138, 141, 144, 147, 150, 153, 156, 159, 162, 165, 168, 171,
-     174, 177, 180, 183, 186, 189, 192, 195, 198, 201, 204, 207, 210, 213,
-     216, 219, 222, 225, 228, 231, 234, 237, 240, 243, 246, 249, 252, 255,
-     258, 261, 264, 267, 270, 273, 276, 279, 282, 285, 288, 291, 294, 297),
-     11741),
+    ("cycle-60", 40000, 20, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33, 36,
+     39, 42, 45, 48, 51, 54, 57), 429),
+    ("cycle-100", 40000, 33, (0, 4, 7, 10, 13, 16, 19, 22, 25, 28, 31, 34, 37,
+     40, 43, 46, 49, 52, 55, 58, 61, 64, 67, 70, 73, 76, 79, 82, 85, 88, 91,
+     94, 97), 1221),
+    ("cycle-150", 40000, 50, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33, 36,
+     39, 42, 45, 48, 51, 54, 57, 60, 63, 66, 69, 72, 75, 78, 81, 84, 87, 90,
+     93, 96, 99, 102, 105, 108, 111, 114, 117, 120, 123, 126, 129, 132, 135,
+     138, 141, 144, 147), 2871),
+    ("cycle-300", 40000, 100, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33, 36,
+     39, 42, 45, 48, 51, 54, 57, 60, 63, 66, 69, 72, 75, 78, 81, 84, 87, 90,
+     93, 96, 99, 102, 105, 108, 111, 114, 117, 120, 123, 126, 129, 132, 135,
+     138, 141, 144, 147, 150, 153, 156, 159, 162, 165, 168, 171, 174, 177, 180,
+     183, 186, 189, 192, 195, 198, 201, 204, 207, 210, 213, 216, 219, 222, 225,
+     228, 231, 234, 237, 240, 243, 246, 249, 252, 255, 258, 261, 264, 267, 270,
+     273, 276, 279, 282, 285, 288, 291, 294, 297), 11741),
     ("petersen", 40000, 1, (0,), 2),
     ("rook-5", 40000, 1, (0,), 2),
-    ("union", 40000, 13, (0, 10, 14, 15, 19, 22, 25, 28, 31, 34, 37, 40,
-     43), 103),
-    ("bicubic-32", 5000, 7, (0, 6, 10, 13, 18, 21, 24), 123),
-    ("bicubic-64", 5000, 15, (0, 2, 5, 10, 14, 15, 24, 28, 35, 41, 45, 48,
-     49, 53, 60), 2361),
+    ("union", 40000, 13, (0, 10, 14, 15, 19, 22, 25, 28, 31, 34, 37, 40, 43),
+     103),
+    ("bicubic-32", 5000, 7, (0, 6, 10, 13, 18, 21, 24), 81),
+    ("bicubic-64", 5000, 15, (0, 2, 5, 10, 14, 15, 24, 28, 35, 41, 45, 48, 49,
+     53, 60), 1061),
     ("biconvex-18x14", 5000, 7, (1, 4, 9, 16, 18, 22, 30), 82),
     ("connected-40", 5000, 2, (16, 26), 73),
     ("mop-30", 5000, 7, (5, 8, 12, 15, 18, 25, 28), 72),
-    ("cycle-100", 5000, 33, (0, 4, 7, 10, 13, 16, 19, 22, 25, 28, 31, 34,
-     37, 40, 43, 46, 49, 52, 55, 58, 61, 64, 67, 70, 73, 76, 79, 82, 85,
-     88, 91, 94, 97), 1221),
+    ("cycle-100", 5000, 33, (0, 4, 7, 10, 13, 16, 19, 22, 25, 28, 31, 34, 37,
+     40, 43, 46, 49, 52, 55, 58, 61, 64, 67, 70, 73, 76, 79, 82, 85, 88, 91,
+     94, 97), 1221),
     ("rook-5", 50, 1, (0,), 2),
     ("rook-5", 5000, 1, (0,), 2),
-    ("union", 5000, 13, (0, 10, 14, 15, 19, 22, 25, 28, 31, 34, 37, 40,
-     43), 103),
+    ("union", 5000, 13, (0, 10, 14, 15, 19, 22, 25, 28, 31, 34, 37, 40, 43),
+     103),
 ]
 # ... and the bounds of its exhausted searches: (graph, budget, lower, upper)
 FORMER_RHO_EXHAUSTED = [
-    ("bicubic-32", 1, 0, 10), ("bicubic-32", 50, 7, 10), ("bicubic-64", 1,
-    0, 21), ("bicubic-64", 50, 13, 21), ("biconvex-18x14", 1, 0, 7),
-    ("biconvex-18x14", 50, 6, 7), ("connected-40", 1, 0, 2),
-    ("connected-40", 50, 1, 2), ("mop-30", 1, 0, 7), ("mop-30", 50, 6, 7),
-    ("cycle-100", 1, 0, 34), ("cycle-100", 50, 22, 34), ("cycle-300", 1, 0,
-    100), ("cycle-300", 50, 0, 100), ("cycle-300", 5000, 86, 100),
-    ("rook-5", 1, 0, 1), ("union", 1, 0, 37), ("union", 50, 12, 14),
+    ("bicubic-32", 1, 0, 10), ("bicubic-32", 50, 7, 10), ("bicubic-64", 1, 0,
+    21), ("bicubic-64", 50, 13, 21), ("biconvex-18x14", 1, 0, 7),
+    ("biconvex-18x14", 50, 6, 7), ("connected-40", 1, 0, 2), ("connected-40",
+    50, 1, 2), ("mop-30", 1, 0, 7), ("mop-30", 50, 6, 7), ("cycle-100", 1, 0,
+    34), ("cycle-100", 50, 22, 34), ("cycle-300", 1, 0, 100), ("cycle-300", 50,
+    0, 100), ("cycle-300", 5000, 86, 100), ("rook-5", 1, 0, 1), ("union", 1, 0,
+    37), ("union", 50, 12, 14),
 ]
+
+# The graphs of the corpus with a vertex of degree 1 in a searched (not
+# forest) component: the only ones whose searches start from a reduced root
+LEAFY = ("biconvex-6x6", "biconvex-9x7", "biconvex-12x12", "biconvex-18x14",
+         "biconvex-24x24", "connected-10")
 
 
 def _disjoint_union(*parts):
@@ -322,37 +336,65 @@ def test_search_matches_pinned_digest(records):
     assert _quantity_digest(records, "gamma") == GAMMA_DIGEST
 
 
+def _leafy(g) -> bool:
+    # a vertex of degree 1 in a component that the views search
+    return any(sub.m != sub.n - 1 and min(map(len, sub.adj)) == 1
+               for sub, _ in map(g.induced, g.components()))
+
+
+def test_leafy_rows_are_the_graphs_with_a_searched_leaf():
+    assert tuple(name for name, g in _corpus() if _leafy(g)) == LEAFY
+
+
 def test_gamma_keeps_the_former_values_in_no_more_nodes(records):
+    graphs = dict(_corpus())
     outcomes = {(row[0], row[2]): row[3]
                 for row in records if row[1] == "gamma"}
     assert len(outcomes) == (len(FORMER_GAMMA_SOLVED)
                              + len(FORMER_GAMMA_EXHAUSTED))
     for name, budget, value, witness, nodes in FORMER_GAMMA_SOLVED:
         now = outcomes[name, budget]
-        assert now[:2] == [value, list(witness)] and now[2] <= nodes, (
-            name, budget, now)
+        if name in LEAFY:  # the reduced root may reach another minimum set
+            assert now[0] == value == len(now[1]), (name, budget, now)
+            assert is_dominating(graphs[name], now[1]), (name, budget, now)
+            assert now[2] <= nodes, (name, budget, now)
+        else:
+            assert now == [value, list(witness), nodes], (name, budget, now)
     for name, budget, lower, upper in FORMER_GAMMA_EXHAUSTED:
         now = outcomes[name, budget]
-        if now[0] == "budget":  # it got at least as far, from the same root
-            assert lower == now[2] and now[3] <= upper, (name, budget, now)
+        if name not in LEAFY:
+            assert now[0] == "budget" and now[2:4] == [lower, upper], (
+                name, budget, now)
+        elif now[0] == "budget":  # the same root bound, an open range
+            assert lower == now[2], (name, budget, now)
             assert now[3] is None or now[2] < now[3], (name, budget, now)
         else:
             assert lower <= now[0] <= upper, (name, budget, now)
 
 
 def test_rho_keeps_the_former_witnesses_in_no_more_nodes(records):
+    graphs = dict(_corpus())
     outcomes = {(row[0], row[2]): row[3] for row in records if row[1] == "rho"}
     assert len(outcomes) == len(FORMER_RHO_SOLVED) + len(FORMER_RHO_EXHAUSTED)
     for name, budget, value, witness, nodes in FORMER_RHO_SOLVED:
         now = outcomes[name, budget]
-        assert now[:2] == [value, list(witness)] and now[2] <= nodes, (
-            name, budget, now)
+        if name in LEAFY:  # the reduced root may reach another maximum one
+            assert now[0] == value == len(now[1]), (name, budget, now)
+            assert is_packing(graphs[name], now[1]), (name, budget, now)
+        else:
+            assert now[:2] == [value, list(witness)], (name, budget, now)
+        assert now[2] <= nodes, (name, budget, now)
     for name, budget, lower, upper in FORMER_RHO_EXHAUSTED:
         now = outcomes[name, budget]
-        if now[0] == "budget":  # it got at least as far, with a cover no larger
-            assert lower <= now[2] < now[3] <= upper, (name, budget, now)
-        else:
+        if now[0] != "budget":
             assert lower <= now[0] <= upper, (name, budget, now)
+            continue
+        assert now[2] < now[3], (name, budget, now)
+        if name in LEAFY:  # its range holds rho
+            assert now[2] <= outcomes[name, PIN_BUDGET][0] <= now[3], (
+                name, budget, now)
+        else:  # the same incumbent, with a root bound no larger
+            assert now[2] == lower and now[3] <= upper, (name, budget, now)
 
 
 # The per-node helpers against inline copies of the loops they replaced.
@@ -542,8 +584,9 @@ def test_one_short_test_prunes_every_two_star_cover_of_k33():
 # gamma's search loop against a verbatim copy of the one that bounded each
 # node when it was popped, with the pick and bit helpers it called; with
 # `fractional` it also prunes with the fractional bound, evaluated from its
-# definition in exact fractions, and with `sibling` it skips each child
-# whose new coverage lies inside an earlier sibling's
+# definition in exact fractions, with `sibling` it skips each child whose
+# new coverage lies inside an earlier sibling's, and with `leaves` it
+# starts from the leaf rule's root, built from its definition
 
 
 def _bits(mask: int):
@@ -582,8 +625,19 @@ def _fractional_value(masks, undominated, banned):
     return None if 0 in cs else sum(Fraction(1, c) for c in cs)
 
 
+def _supports(sub):
+    # the vertices of degree >= 2 beside a vertex of degree 1, ascending;
+    # none when the least degree is not 1, as the searches read the leaves
+    # off their least degree class (a test graph may have an isolated
+    # vertex, a component never does)
+    if min(map(len, sub.adj)) != 1:
+        return []
+    return sorted({sub.adj[v][0] for v in range(sub.n) if len(sub.adj[v]) == 1
+                   and len(sub.adj[sub.adj[v][0]]) > 1})
+
+
 def _former_gamma_component(sub, budget, spent, lower=0, fractional=False,
-                            sibling=False):
+                            sibling=False, leaves=False):
     n = sub.n
     masks = sub.closed_masks
     near = solvers._conflict_masks(sub)
@@ -596,6 +650,18 @@ def _former_gamma_component(sub, budget, spent, lower=0, fractional=False,
     best_size = n + 1
     best_set = ()
     stack = [(None, 0, 0, 0, 0)]
+    supports = _supports(sub) if leaves else []
+    if supports:
+        # every support chosen, every leaf beside one banned
+        chosen, dominated, banned, touched = None, 0, 0, 0
+        for u in supports:
+            chosen = (u, chosen)
+            dominated |= masks[u]
+        for v in range(n):
+            if len(sub.adj[v]) == 1 and sub.adj[v][0] in supports:
+                banned |= 1 << v
+                touched |= masks[v]
+        stack = [(chosen, len(supports), dominated, banned, touched)]
     while stack:
         chosen, size, dominated, banned, touched = stack.pop()
         nodes += 1
@@ -662,12 +728,12 @@ def _root_bound(g, near, lower):
 
 
 def _former_at_root(g, near, budget, spent, lower, fractional=False,
-                    sibling=False):
+                    sibling=False, leaves=False):
     # the former loop given the root bound as its `lower`: it stops where
     # the search does, and its run-out reports the root bound too
     root = _root_bound(g, near, lower)
     out = _search_outcome(_former_gamma_component, g, budget, spent, root,
-                          fractional, sibling)
+                          fractional, sibling, leaves)
     return out if len(out) == 2 else (out[0], root, *out[2:])
 
 
@@ -695,12 +761,13 @@ def test_gamma_search_matches_the_former_loop_node_for_node(data):
     g = _seeded_graph(data, 30)
     near = solvers._conflict_masks(g)
     lower = _draw_lower(data, g, near)
-    full = _former_gamma_component(g, 10 ** 9, 0, lower)[1]
+    full = _former_gamma_component(g, 10 ** 9, 0, lower, leaves=True)[1]
     spent = data.draw(st.integers(0, 2))
     budget = spent + data.draw(st.integers(1, full + 1))
     assert _search_outcome(solvers._solve_gamma_component, g, near, budget,
                            spent, lower) == _former_at_root(
-                               g, near, budget, spent, lower, sibling=True)
+                               g, near, budget, spent, lower, sibling=True,
+                               leaves=True)
 
 
 # Sibling dominance against its exchange argument: a set that takes child
@@ -725,9 +792,40 @@ def test_sibling_dominance_keeps_the_former_witness_in_no_more_nodes(data):
     g = _seeded_graph(data, 30)
     near = solvers._conflict_masks(g)
     lower = _draw_lower(data, g, near)
-    witness, nodes = _former_at_root(g, near, 10 ** 9, 0, lower)
+    witness, nodes = _former_at_root(g, near, 10 ** 9, 0, lower, leaves=True)
     now = solvers._solve_gamma_component(g, near, 10 ** 9, 0, lower)
     assert now[0] == witness and now[1] <= nodes
+
+
+# The leaf rule against its exchange arguments: a tree with a few chords
+# is full of leaves, and both searches start from the reduced root there,
+# so gamma and rho must stay brute force's through the pair and both
+# views, with witnesses that check.
+
+
+@st.composite
+def leafy_graphs(draw):
+    # a random recursive tree on n <= 14 vertices plus 0-4 chords
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(1, 14))
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    for _ in range(draw(st.integers(0, 4))):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.append((u, v))
+    return Graph.from_edges(n, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(leafy_graphs())
+def test_the_leaf_rule_keeps_gamma_and_rho_on_leafy_graphs(g):
+    gamma, rho = solvers.brute_gamma(g), solvers.brute_rho(g)
+    for dom, pack in (solvers.solve_pair(g), (solvers.domination_number(g),
+                                              solvers.packing_number(g))):
+        assert dom.value == gamma == len(dom.witness)
+        assert is_dominating(g, dom.witness)
+        assert pack.value == rho == len(pack.witness)
+        assert is_packing(g, pack.witness)
 
 
 # On a regular graph the search also prunes with the fractional bound, so
@@ -842,10 +940,11 @@ def test_fractional_bound_never_exceeds_the_fewest_dominators(case):
 
 
 # rho's search loop against a verbatim copy of the one that pruned with
-# the chain cover alone
+# the chain cover alone; with `leaves` it starts from the leaf rule's
+# root, built from its definition
 
 
-def _former_rho_component(sub, budget, spent):
+def _former_rho_component(sub, budget, spent, leaves=False):
     n = sub.n
     near = solvers._conflict_masks(sub)
     full = (1 << n) - 1
@@ -854,6 +953,15 @@ def _former_rho_component(sub, budget, spent):
     best_size = -1
     best_set = ()
     stack = [(None, 0, full)]
+    supports = _supports(sub) if leaves else []
+    if supports:
+        # each support's lowest leaf taken, the support's N[u] dropped
+        chosen, candidates = None, full
+        for u in supports:
+            chosen = (min(v for v in sub.adj[u] if len(sub.adj[v]) == 1),
+                      chosen)
+            candidates &= ~sub.closed_masks[u]
+        stack = [(chosen, len(supports), candidates)]
     while stack:
         chosen, size, candidates = stack.pop()
         nodes += 1
@@ -915,7 +1023,7 @@ def rho_search_graphs(draw):
 @given(rho_search_graphs(), st.data())
 def test_rho_search_keeps_the_former_witness_in_no_more_nodes(g, data):
     near = solvers._conflict_masks(g)
-    witness, full = _former_rho_component(g, 10 ** 9, 0)
+    witness, full = _former_rho_component(g, 10 ** 9, 0, leaves=True)
     assert solvers._solve_rho_component(g, near, 10 ** 9, 0)[0] == witness
     # under a budget: an answer the former loop found is found again in no
     # more nodes; a former run-out now answers within its bounds or runs
@@ -923,7 +1031,7 @@ def test_rho_search_keeps_the_former_witness_in_no_more_nodes(g, data):
     # with a closed range
     spent = data.draw(st.integers(0, 2))
     budget = spent + data.draw(st.integers(1, full + 1))
-    former = _search_outcome(_former_rho_component, g, budget, spent)
+    former = _search_outcome(_former_rho_component, g, budget, spent, True)
     now = _search_outcome(solvers._solve_rho_component, g, near, budget,
                           spent)
     if len(former) == 2:

@@ -595,8 +595,9 @@ def test_pair_builds_conflict_masks_once_per_searched_component(monkeypatch):
      ("gamma", 8, 11), (2, 2)),
     # a mop, which the pair walks, before a cycle on which rho runs out
     ((gen_random_mop(6, 9801), gen_cycle(30)), 35, ("rho", 9, 11), (1, 0)),
-    # rho runs out first on a bicubic graph
-    ((gen_random_bicubic(30, 1),), 5, ("rho", 4, 10), (1, 0)),
+    # rho runs out first on a bicubic graph, with n // (delta + 1) = 7 as
+    # its upper end
+    ((gen_random_bicubic(30, 1),), 5, ("rho", 4, 7), (1, 0)),
 ])
 def test_a_run_out_searches_each_component_once_and_calls_no_view(
         monkeypatch, parts, budget, record, searches):
@@ -636,9 +637,10 @@ def test_a_gamma_run_out_starts_at_the_rho_just_searched():
 def test_a_rho_run_out_ends_at_the_smaller_whole_component_cover():
     # on this 1000-vertex bicubic graph the chain cover of the whole graph
     # counts 348 cliques and the star cover 313; on the n = 30 one both
-    # count 10, so its run-out at budget 5 stays [4, 10].  The lower end
-    # at n = 1000 rose from 175 to 177 when rho's search came to run the
-    # one-short test
+    # count 10.  Both covers lose to n // (delta + 1), which a packing's
+    # disjoint closed neighbourhoods give, so the run-outs end at 250 and
+    # 7.  The lower end at n = 1000 rose from 175 to 177 when rho's search
+    # came to run the one-short test
     covers = []
     for g in (gen_random_bicubic(1000, 1), gen_random_bicubic(30, 1)):
         full = (1 << g.n) - 1
@@ -646,8 +648,8 @@ def test_a_rho_run_out_ends_at_the_smaller_whole_component_cover():
             solvers._clique_cover_bound(solvers._conflict_masks(g), full, g.n),
             len(solvers._star_cover(g.closed_masks, g.adj, full, g.n))))
     assert covers == [(348, 313), (10, 10)]
-    for g, budget, bounds in ((gen_random_bicubic(1000, 1), 20000, (177, 313)),
-                              (gen_random_bicubic(30, 1), 5, (4, 10))):
+    for g, budget, bounds in ((gen_random_bicubic(1000, 1), 20000, (177, 250)),
+                              (gen_random_bicubic(30, 1), 5, (4, 7))):
         with pytest.raises(BudgetExceeded) as err:
             solvers.solve_pair(g, budget)
         assert (err.value.quantity, err.value.lower, err.value.upper) == (
